@@ -36,7 +36,6 @@ from .matching import (
     expand_binary,
     marginal_monotonicity_violations,
     max_weight_matching,
-    offline_matching_weight,
     run_online_matching,
 )
 from .greedy import GreedyRun, run_online_greedy

@@ -15,6 +15,7 @@ from .harness import (
     ALL_CHECKS,
     CSV_COLUMNS,
     CampaignConfig,
+    check_instance,
     csv_row,
     generate,
     run_bundle,
@@ -25,12 +26,20 @@ from .model import AqiError, CostFamily, linear, load_instance, store_instance, 
 from .oracle import DEFAULT_BUDGET, offline_optimal
 
 
+def _parse(convert, text: str, what: str):
+    """`convert(text)`, with a malformed value reported as an AqiError."""
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise AqiError(f"bad {what} {text!r}: {exc}") from None
+
+
 def _budget(args) -> int:
     if args.budget is not None:
         return args.budget
     env = os.environ.get("AQI_BUDGET")
     if env:
-        return int(env)
+        return _parse(int, env, "AQI_BUDGET")
     return DEFAULT_BUDGET
 
 
@@ -50,10 +59,8 @@ def _read_instance(path: str):
 
 
 def _parse_seed_range(text: str) -> list[int]:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi)))
-    return [int(text)]
+    bounds = [_parse(int, part, "--seeds bound") for part in text.split(":", 1)]
+    return list(range(*bounds)) if len(bounds) == 2 else bounds
 
 
 def cmd_gen(args) -> int:
@@ -67,7 +74,7 @@ def cmd_gen(args) -> int:
 def cmd_run(args) -> int:
     inst = _read_instance(args.instance)
     report, traces = run_bundle(inst, args.algorithm, budget=_budget(args),
-                                require_opt=args.require_opt or args.exact_oracle)
+                                require_opt=args.require_opt)
     if args.trace_out:
         for name, run in traces.items():
             text = run.trace_jsonl() if name == "matching" else run.step_log_jsonl()
@@ -93,8 +100,6 @@ def cmd_opt(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .harness import check_instance
-
     inst = _read_instance(args.instance)
     config = CampaignConfig(seeds=[0], checks=tuple(args.checks), budget=_budget(args),
                             samples=args.samples)
@@ -126,15 +131,15 @@ def cmd_campaign(args) -> int:
 
 
 def cmd_adapt_aoi(args) -> int:
-    events = json.loads(args.events)
-    values = {s: Fraction(v) for s, v in json.loads(args.values).items()}
+    events = _parse(json.loads, args.events, "--events")
+    values = {s: Fraction(v) for s, v in _parse(json.loads, args.values, "--values").items()}
     _, inst = aoi_multisource(events, values, args.horizon, capacity=args.capacity)
     _emit(store_instance(inst), args.out)
     return 0
 
 
 def cmd_adapt_speedscale(args) -> int:
-    jobs = [tuple(j) for j in json.loads(args.jobs)]
+    jobs = [tuple(j) for j in _parse(json.loads, args.jobs, "--jobs")]
     powers = [
         linear(1) if kind == "linear"
         else CostFamily("power", params=(Fraction(1), Fraction(int(kind))))
@@ -178,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int)
     p.add_argument("--require-opt", action="store_true", dest="require_opt")
-    p.add_argument("--exact-oracle", action="store_true", dest="exact_oracle")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--trace-out", dest="trace_out")
     p.add_argument("--out")

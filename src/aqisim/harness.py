@@ -46,7 +46,7 @@ from .oracle import (
     offline_optimal,
     offline_optimal_binary,
 )
-from .reduction import check_guarantee_chain, check_offline_bridge
+from .reduction import build_frozen, check_guarantee_chain, check_offline_bridge
 from .valuation import evaluate, marginal_value
 
 ZERO = Fraction(0)
@@ -395,7 +395,14 @@ def check_instance(inst: Instance, config: CampaignConfig, seed: int) -> dict:
     needs_oracle = checks & {"greedy-halfopt", "opt-bridge", "greedy-bridge"}
     if needs_oracle:
         try:
-            chain = check_guarantee_chain(inst, budget=config.budget, perturb=perturb)
+            # one exact search and one frozen twin serve all three checks
+            opt = offline_optimal(inst, budget=config.budget)
+        except BudgetError as exc:
+            for name in needs_oracle:
+                results[name] = {"ok": True, "skipped": str(exc)}
+        else:
+            frozen = build_frozen(inst)
+            chain = check_guarantee_chain(inst, perturb=perturb, opt=opt, frozen=frozen)
             if "greedy-halfopt" in checks:
                 report = competitive_ratio(chain.z_greedy, chain.z_opt)
                 results["greedy-halfopt"] = {"ok": not report.violation, "detail": report.to_json()}
@@ -405,11 +412,8 @@ def check_instance(inst: Instance, config: CampaignConfig, seed: int) -> dict:
                     "detail": chain.to_json(),
                 }
             if "opt-bridge" in checks:
-                bridge = check_offline_bridge(inst, budget=config.budget)
+                bridge = check_offline_bridge(inst, opt=opt, frozen=frozen)
                 results["opt-bridge"] = {"ok": bridge.ok, "detail": bridge.to_json()}
-        except BudgetError as exc:
-            for name in needs_oracle:
-                results[name] = {"ok": True, "skipped": str(exc)}
 
     if "submodularity" in checks:
         sub = submodularity_samples(inst, rng, config.samples)
@@ -475,15 +479,14 @@ def run_campaign(config: CampaignConfig, out_dir: str | None = None) -> dict:
 def _dump_repro(out_dir: str, check: str, seed: int, inst: Instance, config: CampaignConfig) -> None:
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
-    doc = {
-        "check": check,
-        "seed": seed,
-        "command": (
-            f"aqisim campaign --seeds {seed}:{seed + 1} --packets {config.packets} "
-            f"--max-k {config.max_k} --horizon {config.horizon} --checks {check}"
-        ),
-        "instance": instance_to_json(inst),
-    }
+    # every non-default config field, so the replay rebuilds this very check
+    words = ["aqisim", "campaign", "--seeds", f"{seed}:{seed + 1}"]
+    default = CampaignConfig(seeds=[]).to_json()
+    for key, value in config.to_json().items():
+        if key != "seeds" and value != default[key]:
+            words.append("--" + key.replace("_", "-"))
+            words += map(str, value) if isinstance(value, list) else [str(value)]
+    doc = {"check": check, "seed": seed, "command": " ".join(words), "instance": instance_to_json(inst)}
     (path / f"fail_{check}_{seed}.json").write_text(json.dumps(doc, sort_keys=True, indent=2))
 
 

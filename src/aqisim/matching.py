@@ -419,11 +419,6 @@ def marginal_monotonicity_violations(run: MatchRun) -> list[tuple[str, int, Frac
     return out
 
 
-def offline_matching_weight(graph: BipartiteGraph) -> MatchingResult:
-    """Offline comparator: max-weight matching over the whole graph, no locks."""
-    return max_weight_matching(graph)
-
-
 # ---------------------------------------------------------------------------
 # Mini-slot expansion of unit-packet instances
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from .model import (
     rational_to_json,
 )
 from .greedy import arrival_order, pick_bin, run_online_greedy
-from .oracle import DEFAULT_BUDGET, offline_optimal
-from .valuation import evaluate, marginal_value
+from .oracle import DEFAULT_BUDGET, OracleResult, offline_optimal
+from .valuation import marginal_value
 
 ZERO = Fraction(0)
 
@@ -113,23 +113,21 @@ def run_lockfree_greedy(frozen: FrozenInstance, perturb=None) -> FrozenRun:
     return FrozenRun(allocation=alloc, value=total, steps=steps)
 
 
-def frozen_optimal(inst: Instance, budget: int = DEFAULT_BUDGET):
-    """Offline maximum of the frozen twin's value.
+def frozen_optimal(frozen: FrozenInstance, opt: OracleResult) -> Fraction:
+    """Offline maximum of the frozen twin's value, re-scored from `opt`.
 
     Assignments using unreachable (frozen-at-0) bins never help: they add
     nothing themselves and only crowd slots or raise fragment counts, so the
     maximizer can be searched over reachable schedules, where the telescoped
-    value coincides with the plain allocation value. The search is therefore
-    the exact oracle's, re-scored and re-verified through the telescoping.
+    value coincides with the plain allocation value. The oracle's optimum is
+    therefore the twin's, re-scored and re-verified through the telescoping.
     """
-    frozen = build_frozen(inst)
-    res = offline_optimal(inst, budget=budget)
-    y = telescoped_value(frozen, res.allocation)
-    if y != res.valuation.total:
+    y = telescoped_value(frozen, opt.allocation)
+    if y != opt.valuation.total:
         raise AqiError(
-            f"telescoped value {y} disagrees with allocation value {res.valuation.total}"
+            f"telescoped value {y} disagrees with allocation value {opt.valuation.total}"
         )
-    return res.allocation, y
+    return y
 
 
 def exhaustive_frozen_max(inst: Instance, node_limit: int = 2_000_000):
@@ -186,22 +184,21 @@ class BridgeReport:
         }
 
 
-def check_offline_bridge(inst: Instance, omega: Allocation | None = None,
-                         budget: int = DEFAULT_BUDGET) -> BridgeReport:
-    """Verify the locking optimum telescopes exactly and never beats the
-    frozen twin's optimum."""
-    if omega is None:
-        omega = offline_optimal(inst, budget=budget).allocation
-    frozen = build_frozen(inst)
-    z = evaluate(inst, omega).total
-    y = telescoped_value(frozen, omega)
-    _, y_frozen = frozen_optimal(inst, budget=budget)
+def check_offline_bridge(inst: Instance, opt: OracleResult | None = None,
+                         budget: int = DEFAULT_BUDGET,
+                         frozen: FrozenInstance | None = None) -> BridgeReport:
+    """Verify the locking optimum `opt` telescopes exactly and never beats the
+    frozen twin's optimum; `opt` and `frozen` are computed when not given."""
+    opt = offline_optimal(inst, budget=budget) if opt is None else opt
+    frozen = build_frozen(inst) if frozen is None else frozen
+    z = opt.valuation.total
+    y = frozen_optimal(frozen, opt)  # the locking optimum, telescoped
     return BridgeReport(
         z_opt=z,
         y_opt_telescoped=y,
-        y_frozen_opt=y_frozen,
+        y_frozen_opt=y,
         telescoping_ok=(z == y),
-        bridge_ok=(z <= y_frozen),
+        bridge_ok=(z <= y),
     )
 
 
@@ -246,13 +243,15 @@ class ChainReport:
 
 
 def check_guarantee_chain(inst: Instance, budget: int = DEFAULT_BUDGET,
-                          perturb=None) -> ChainReport:
-    """Run every link of the halving argument on one instance, exactly."""
+                          perturb=None, opt: OracleResult | None = None,
+                          frozen: FrozenInstance | None = None) -> ChainReport:
+    """Run every link of the halving argument on one instance, exactly.
+    `opt` and `frozen` are as in `check_offline_bridge`."""
+    opt = offline_optimal(inst, budget=budget) if opt is None else opt
+    frozen = build_frozen(inst) if frozen is None else frozen
     greedy_run = run_online_greedy(inst)
-    frozen = build_frozen(inst)
     frozen_run = run_lockfree_greedy(frozen, perturb=perturb)
-    omega = offline_optimal(inst, budget=budget)
-    _, y_frozen_opt = frozen_optimal(inst, budget=budget)
+    y_frozen_opt = frozen_optimal(frozen, opt)
 
     mismatches = []
     for raw, fro in zip(greedy_run.state.steps, frozen_run.steps):
@@ -269,10 +268,10 @@ def check_guarantee_chain(inst: Instance, budget: int = DEFAULT_BUDGET,
         z_greedy=z_greedy,
         y_frozen_greedy=frozen_run.value,
         y_frozen_opt=y_frozen_opt,
-        z_opt=omega.valuation.total,
+        z_opt=opt.valuation.total,
         greedy_equal=(z_greedy == frozen_run.value),
         steps_equal=not mismatches,
         frozen_half_ok=(2 * frozen_run.value >= y_frozen_opt),
-        bridge_ok=(y_frozen_opt >= omega.valuation.total),
+        bridge_ok=(y_frozen_opt >= opt.valuation.total),
         step_mismatches=mismatches,
     )

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from aqisim import harness, oracle, reduction
 from aqisim.model import CostFamily, Instance, Packet, linear, tabulated
 
 
@@ -31,3 +32,19 @@ def single_packet_instance() -> Instance:
 @pytest.fixture
 def convex_energy() -> CostFamily:
     return tabulated([0, 1, 3, 6, 10, 15, 21])
+
+
+@pytest.fixture
+def oracle_calls(monkeypatch) -> list[Instance]:
+    """Counts exact-oracle searches: every `offline_optimal` call made through
+    the oracle, reduction or harness module appends its instance here."""
+    calls: list[Instance] = []
+    search = oracle.offline_optimal
+
+    def counted(inst, *args, **kwargs):
+        calls.append(inst)
+        return search(inst, *args, **kwargs)
+
+    for module in (oracle, reduction, harness):
+        monkeypatch.setattr(module, "offline_optimal", counted)
+    return calls

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shlex
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -241,3 +242,48 @@ def test_cli_reports_parse_errors(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["opt", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["campaign", "--seeds", "a:b"],
+    ["campaign", "--seeds", "3:"],
+    ["adapt-aoi", "--events", '{"s1": [1, 3]', "--values", '{"s1": 9}', "--horizon", "6"],
+    ["adapt-aoi", "--events", '{"s1": [1, 3]}', "--values", "{s1: 9}", "--horizon", "6"],
+    ["adapt-speedscale", "--jobs", "[[2, 0]", "--horizon", "2"],
+])
+def test_cli_rejects_malformed_arguments_without_a_traceback(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad --") and "Traceback" not in err
+
+
+def test_cli_rejects_a_malformed_budget_variable(monkeypatch, capsys):
+    monkeypatch.setenv("AQI_BUDGET", "abc")
+    assert main(["opt", str(FIXTURES / "minimal.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: bad AQI_BUDGET 'abc'")
+
+
+def test_repro_command_replays_the_failing_check(tmp_path, capsys):
+    argv = ["campaign", "--seeds", "0:6", "--packets", "3", "--max-k", "2", "--horizon", "3",
+            "--servers", "2", "--samples", "7", "--mutate", "frozen-gain-bias",
+            "--checks", "greedy-bridge", "--repro-dir", str(tmp_path / "repro"),
+            "--out", str(tmp_path / "campaign.json")]
+    assert main(argv) == 1
+    original = json.loads((tmp_path / "campaign.json").read_text())
+    dumps = sorted((tmp_path / "repro").glob("fail_greedy-bridge_*.json"))
+    assert dumps
+    for dump in dumps:
+        doc = json.loads(dump.read_text())
+        words = shlex.split(doc["command"])
+        assert words[:2] == ["aqisim", "campaign"]
+        out = tmp_path / f"replay_{doc['seed']}.json"
+        assert main(words[1:] + ["--out", str(out)]) == 1
+        replay = json.loads(out.read_text())
+        # same configuration, hence the same instance and the same failure
+        assert replay["config"] == {**original["config"], "seeds": [doc["seed"]]}
+        slot = replay["checks"][doc["check"]]
+        assert slot["fail"] == 1
+        failed = [c for c in original["checks"][doc["check"]]["counterexamples"]
+                  if c["seed"] == doc["seed"]]
+        assert slot["counterexamples"] == failed
+    capsys.readouterr()

@@ -1,17 +1,21 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 
 from aqisim.greedy import run_online_greedy
-from aqisim.harness import generate
+from aqisim.harness import CampaignConfig, check_instance, generate
 from aqisim.model import (
     Allocation,
+    AqiError,
     Bin,
     DISCARD,
     SubpacketRef,
+    load_instance,
     tabulated,
 )
 from aqisim.oracle import offline_optimal
@@ -28,6 +32,14 @@ from aqisim.valuation import evaluate, marginal_value
 from conftest import simple_instance, unit_packet
 
 F = Fraction
+ROOT = Path(__file__).resolve().parent.parent
+ORACLE_CHECKS = ("greedy-halfopt", "greedy-bridge", "opt-bridge")
+GENERAL_MODES = ("random", "adversarial-burst", "adversarial-lock")
+
+
+def general_instance(seed: int):
+    """One instance of the general acceptance campaign (5 packets, k<=3, h=5)."""
+    return generate(5, 3, 5, seed, mode=GENERAL_MODES[seed % 3])
 
 
 def test_gate_zeroes_unreachable_bins():
@@ -116,7 +128,7 @@ def test_unreachable_assignments_never_help():
 def test_exhaustive_frozen_search_agrees_with_reachable_argument():
     for seed in range(10):
         inst = generate(2, 2, 2, seed)
-        _, y_reachable = frozen_optimal(inst)
+        y_reachable = frozen_optimal(build_frozen(inst), offline_optimal(inst))
         _, y_everything = exhaustive_frozen_max(inst)
         assert y_reachable == y_everything
 
@@ -148,3 +160,69 @@ def test_fault_injection_breaks_the_replay():
     chain = check_guarantee_chain(inst, perturb=bias)
     assert not (chain.greedy_equal and chain.steps_equal)
     assert chain.step_mismatches
+
+
+# --- one exact search per instance ---------------------------------------------
+
+def test_frozen_optimal_rescores_without_searching(oracle_calls):
+    for seed in range(6):
+        inst = general_instance(seed)
+        opt = offline_optimal(inst)  # bound at import, so not counted
+        assert frozen_optimal(build_frozen(inst), opt) == opt.valuation.total
+    assert oracle_calls == []
+
+
+def test_frozen_optimal_rejects_a_result_that_does_not_telescope(single_packet_instance):
+    # the optimum of a 5-value packet, re-scored on the twin of a 7-value one
+    opt = offline_optimal(single_packet_instance)
+    other = simple_instance([unit_packet(value=7)], horizon=2)
+    with pytest.raises(AqiError, match="telescoped value"):
+        frozen_optimal(build_frozen(other), opt)
+
+
+def test_chain_and_bridge_called_alone_search_once_each(oracle_calls):
+    inst = general_instance(4)
+    check_guarantee_chain(inst)
+    assert len(oracle_calls) == 1
+    check_offline_bridge(inst)
+    assert len(oracle_calls) == 2
+
+
+def test_check_instance_searches_once_for_all_three_oracle_checks(oracle_calls):
+    config = CampaignConfig(seeds=[], checks=ORACLE_CHECKS)
+    for seed in range(9):
+        results = check_instance(general_instance(seed), config, seed)
+        assert len(oracle_calls) == seed + 1
+        assert sorted(results) == sorted(ORACLE_CHECKS)
+        assert all(r["ok"] and not r.get("skipped") for r in results.values())
+    for name in ORACLE_CHECKS:
+        check_instance(general_instance(0), CampaignConfig(seeds=[], checks=(name,)), 0)
+    assert len(oracle_calls) == 9 + len(ORACLE_CHECKS)
+
+
+def test_budget_error_from_the_single_search_skips_all_three_checks(oracle_calls):
+    config = CampaignConfig(seeds=[], checks=ORACLE_CHECKS, budget=3)
+    results = check_instance(general_instance(1), config, 1)
+    assert len(oracle_calls) == 1
+    assert sorted(results) == sorted(ORACLE_CHECKS)
+    for res in results.values():
+        assert res["ok"] and "more than 3 nodes" in res["skipped"]
+
+
+def test_chain_and_bridge_reports_match_recorded_values():
+    # reports recorded while each instance still ran four separate searches;
+    # sharing one search and one frozen twin must not change a value
+    recorded = json.loads((ROOT / "tests" / "golden" / "reduction_reports.json").read_text())
+    config = CampaignConfig(seeds=[], checks=ORACLE_CHECKS)
+    assert len(recorded) == len(list((ROOT / "fixtures").glob("*.json"))) + 30
+    for name, want in recorded.items():
+        kind, _, key = name.partition("/")
+        if kind == "fixtures":
+            inst = load_instance((ROOT / name).read_text())
+            assert check_guarantee_chain(inst).to_json() == want["chain"], name
+            assert check_offline_bridge(inst).to_json() == want["bridge"], name
+        else:
+            inst = general_instance(int(key))
+        results = check_instance(inst, config, 0)
+        assert results["greedy-bridge"]["detail"] == want["chain"], name
+        assert results["opt-bridge"]["detail"] == want["bridge"], name
