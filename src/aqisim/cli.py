@@ -22,7 +22,16 @@ from .harness import (
     run_campaign,
     summary_to_text,
 )
-from .model import AqiError, CostFamily, linear, load_instance, store_instance, validate_instance
+from .model import (
+    AqiError,
+    CostFamily,
+    ParseError,
+    linear,
+    load_instance,
+    parse_rational,
+    store_instance,
+    validate_instance,
+)
 from .oracle import DEFAULT_BUDGET, offline_optimal
 
 
@@ -130,19 +139,40 @@ def cmd_campaign(args) -> int:
     return 0 if summary["ok"] else 1
 
 
+def _json_arg(text: str, what: str, shape: str, fits) -> object:
+    """Decode a JSON argument and require `fits(doc)`; malformed JSON or a
+    document of the wrong shape is reported as an AqiError."""
+    doc = _parse(json.loads, text, what)
+    if not fits(doc):
+        raise AqiError(f"bad {what} {text!r}: expected {shape}")
+    return doc
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def cmd_adapt_aoi(args) -> int:
-    events = _parse(json.loads, args.events, "--events")
-    values = {s: Fraction(v) for s, v in _parse(json.loads, args.values, "--values").items()}
+    events = _json_arg(args.events, "--events", "an object of integer lists",
+                       lambda d: isinstance(d, dict) and all(
+                           isinstance(v, list) and all(map(_is_int, v)) for v in d.values()))
+    raw = _json_arg(args.values, "--values", "an object", lambda d: isinstance(d, dict))
+    try:
+        values = {s: parse_rational(v, s) for s, v in raw.items()}
+    except ParseError as exc:
+        raise AqiError(f"bad --values {args.values!r}: {exc}") from None
     _, inst = aoi_multisource(events, values, args.horizon, capacity=args.capacity)
     _emit(store_instance(inst), args.out)
     return 0
 
 
 def cmd_adapt_speedscale(args) -> int:
-    jobs = [tuple(j) for j in _parse(json.loads, args.jobs, "--jobs")]
+    jobs = _json_arg(args.jobs, "--jobs", "a list of [size, arrival] integer pairs",
+                     lambda d: isinstance(d, list) and all(
+                         isinstance(j, list) and len(j) == 2 and all(map(_is_int, j)) for j in d))
     powers = [
         linear(1) if kind == "linear"
-        else CostFamily("power", params=(Fraction(1), Fraction(int(kind))))
+        else CostFamily("power", params=(Fraction(1), Fraction(_parse(int, kind, "--powers entry"))))
         for kind in args.powers
     ]
     inst = speed_scaling(jobs, args.servers, powers, args.horizon,
@@ -256,7 +286,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except AqiError as exc:
+    except (AqiError, OSError) as exc:  # OSError: an unreadable input or unwritable --out path
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

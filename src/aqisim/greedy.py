@@ -22,7 +22,7 @@ from .model import (
     SubpacketRef,
     rational_to_json,
 )
-from .valuation import Valuation, evaluate, marginal_value
+from .valuation import Valuation, evaluate, marginal_values
 
 ZERO = Fraction(0)
 
@@ -79,10 +79,8 @@ def greedy_step(state: GreedyState, ref: SubpacketRef) -> tuple[Bin, Fraction]:
     """Allocate one fragment arriving at the state's clock; returns (bin, gain)."""
     if ref in state.partial:
         raise AllocationError(f"{ref} is already allocated")
-    options = [
-        (b, marginal_value(state.inst, state.partial, ref, b))
-        for b in candidate_bins(state.inst, state.clock)
-    ]
+    bins = candidate_bins(state.inst, state.clock)
+    options = list(zip(bins, marginal_values(state.inst, state.partial, ref, bins)))
     chosen, gain = pick_bin(options)
     if not chosen.is_discard and chosen.slot == state.inst.horizon and state.clock < state.inst.horizon:
         runner_up = max((g for b, g in options if not b.is_discard and b.slot < chosen.slot),

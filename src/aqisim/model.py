@@ -9,7 +9,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 
 class AqiError(Exception):
@@ -195,17 +196,18 @@ class Instance:
             raise ParseError("servers must be >= 1")
         if len(self.energy) != self.servers:
             raise ParseError(f"need one energy family per server ({self.servers}), got {len(self.energy)}")
-        seen = set()
+        by_id: dict[str, Packet] = {}
         for p in self.packets:
-            if p.id in seen:
+            if p.id in by_id:
                 raise ParseError(f"duplicate packet id {p.id!r}")
-            seen.add(p.id)
+            by_id[p.id] = p
+        object.__setattr__(self, "_by_id", by_id)
 
     def packet(self, pid: str) -> Packet:
-        for p in self.packets:
-            if p.id == pid:
-                return p
-        raise AllocationError(f"unknown packet {pid!r}")
+        try:
+            return self._by_id[pid]
+        except KeyError:
+            raise AllocationError(f"unknown packet {pid!r}") from None
 
     @property
     def total_subpackets(self) -> int:
@@ -260,29 +262,55 @@ DISCARD = Bin.discard()
 
 
 class Allocation:
-    """A set of (fragment, bin) assignments; each fragment appears at most once."""
+    """A set of (fragment, bin) assignments; each fragment appears at most once.
+
+    `entries` is a read-only view: change an allocation only through `add`
+    and `remove`, which keep the per-packet and per-(slot, server) indexes
+    in step with it.
+    """
 
     def __init__(self, entries: Iterable[tuple[SubpacketRef, Bin]] = ()):
-        self.entries: dict[SubpacketRef, Bin] = {}
+        self._entries: dict[SubpacketRef, Bin] = {}
+        self._by_packet: dict[str, dict[SubpacketRef, Bin]] = {}  # insertion order
+        self._occupancy: dict[tuple[int, int], int] = {}  # (slot, server) -> fragments
         for ref, b in entries:
             self.add(ref, b)
 
+    @property
+    def entries(self) -> Mapping[SubpacketRef, Bin]:
+        return MappingProxyType(self._entries)
+
     def add(self, ref: SubpacketRef, b: Bin) -> None:
-        if ref in self.entries:
+        if ref in self._entries:
             raise AllocationError(f"{ref} is already allocated")
-        self.entries[ref] = b
+        self._entries[ref] = b
+        self._by_packet.setdefault(ref.packet, {})[ref] = b
+        if not b.is_discard:
+            key = (b.slot, b.server)
+            self._occupancy[key] = self._occupancy.get(key, 0) + 1
+
+    def remove(self, ref: SubpacketRef) -> Bin:
+        """Take `ref` out again; returns the bin it held."""
+        b = self._entries.pop(ref, None)
+        if b is None:
+            raise AllocationError(f"{ref} is not allocated")
+        del self._by_packet[ref.packet][ref]
+        if not b.is_discard:
+            key = (b.slot, b.server)
+            self._occupancy[key] -= 1
+        return b
 
     def __contains__(self, ref: SubpacketRef) -> bool:
-        return ref in self.entries
+        return ref in self._entries
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._entries)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Allocation) and self.entries == other.entries
+        return isinstance(other, Allocation) and self._entries == other._entries
 
     def copy(self) -> "Allocation":
-        return Allocation(self.entries.items())
+        return Allocation(self._entries.items())
 
     def extended(self, ref: SubpacketRef, b: Bin) -> "Allocation":
         out = self.copy()
@@ -290,10 +318,15 @@ class Allocation:
         return out
 
     def packet_entries(self, pid: str) -> list[tuple[SubpacketRef, Bin]]:
-        return [(r, b) for r, b in self.entries.items() if r.packet == pid]
+        """The packet's entries, in the order they were added."""
+        return list(self._by_packet.get(pid, {}).items())
+
+    def occupancy(self, slot: int, server: int) -> int:
+        """Number of fragments placed in regular bin (slot, server)."""
+        return self._occupancy.get((slot, server), 0)
 
     def sorted_entries(self) -> list[tuple[SubpacketRef, Bin]]:
-        return sorted(self.entries.items(), key=lambda e: (e[0].packet, e[0].index))
+        return sorted(self._entries.items(), key=lambda e: (e[0].packet, e[0].index))
 
     def to_json(self) -> list:
         return [

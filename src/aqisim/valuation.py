@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Sequence
 
 from .model import (
     Allocation,
@@ -103,28 +104,46 @@ def evaluate(inst: Instance, alloc: Allocation) -> Valuation:
     return val
 
 
-def marginal_value(inst: Instance, alloc: Allocation, ref: SubpacketRef, b: Bin) -> Fraction:
-    """Exact change in total value from adding (ref, b) to `alloc`.
+def marginal_values(inst: Instance, alloc: Allocation, ref: SubpacketRef,
+                    bins: Sequence[Bin]) -> list[Fraction]:
+    """Exact change in total value from adding (ref, b) to `alloc`, for each
+    b in `bins`.
 
-    Equals evaluate(alloc + (ref, b)).total - evaluate(alloc).total; the
-    discard bin always yields exactly 0.
+    Each entry equals evaluate(alloc + (ref, b)).total - evaluate(alloc).total;
+    the discard bin always yields exactly 0. The packet's state is read once,
+    and the packet delta per completion slot and the energy increment per
+    (server, occupancy) are computed once each, so a bin costs a subtraction.
     """
     if ref in alloc:
         raise AllocationError(f"{ref} is already allocated")
-    if b.is_discard:
-        return ZERO
+    if all(b.is_discard for b in bins):  # no bin's value depends on the packet
+        return [ZERO] * len(bins)
     p = inst.packet(ref.packet)
-    entries = alloc.packet_entries(ref.packet)
-    count, last = _packet_state(p, entries)
-    new_last = last if b.slot <= last else b.slot
-    packet_delta = _packet_term(p, count + 1, new_last) - _packet_term(p, count, last)
-    occupancy = sum(
-        1
-        for r2, b2 in alloc.entries.items()
-        if not b2.is_discard and b2.slot == b.slot and b2.server == b.server
-    )
-    energy_delta = inst.energy[b.server].increment(occupancy)
-    return packet_delta - energy_delta
+    count, last = _packet_state(p, alloc.packet_entries(ref.packet))
+    current = _packet_term(p, count, last)
+    packet_deltas: dict[int, Fraction] = {}  # completion slot -> packet delta
+    energy_incs: dict[tuple[int, int], Fraction] = {}  # (server, occupancy) -> increment
+    out = []
+    for b in bins:
+        if b.is_discard:
+            out.append(ZERO)
+            continue
+        new_last = last if b.slot <= last else b.slot
+        packet_delta = packet_deltas.get(new_last)
+        if packet_delta is None:
+            packet_delta = packet_deltas[new_last] = _packet_term(p, count + 1, new_last) - current
+        occupancy = alloc.occupancy(b.slot, b.server)
+        energy_delta = energy_incs.get((b.server, occupancy))
+        if energy_delta is None:
+            energy_delta = energy_incs[b.server, occupancy] = inst.energy[b.server].increment(occupancy)
+        out.append(packet_delta - energy_delta)
+    return out
+
+
+def marginal_value(inst: Instance, alloc: Allocation, ref: SubpacketRef, b: Bin) -> Fraction:
+    """Exact change in total value from adding (ref, b) to `alloc`; the
+    one-bin case of `marginal_values`."""
+    return marginal_values(inst, alloc, ref, (b,))[0]
 
 
 def build_value(inst: Instance, steps: list[tuple[SubpacketRef, Bin]]) -> Fraction:

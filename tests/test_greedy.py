@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -11,13 +13,17 @@ from aqisim.harness import generate
 from aqisim.model import (
     Allocation,
     Bin,
+    CostFamily,
     DISCARD,
     Packet,
     SubpacketRef,
     allocation_in_index_order,
     linear,
+    load_instance,
+    rational_to_json,
     tabulated,
 )
+from aqisim.reduction import build_frozen, run_lockfree_greedy
 from aqisim.valuation import evaluate, marginal_value
 from conftest import simple_instance, unit_packet
 
@@ -143,3 +149,68 @@ def test_multiserver_greedy_spreads_load():
     run = run_online_greedy(inst)
     bins = sorted(b.id for b in run.allocation.entries.values())
     assert bins == ["t0s0", "t0s1"]
+
+
+# --- recorded outputs and work per step -----------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+GENERATOR_MODES = ("random", "adversarial-burst", "adversarial-lock")
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _recorded_cases():
+    """The instances behind tests/golden/greedy_step_logs.json: the fixtures,
+    online-greedy-shaped seeds (100 packets, k<=3, h=40, 2 servers) and
+    smaller multi-server instances with deadlines."""
+    for path in sorted((ROOT / "fixtures").glob("*.json")):
+        yield f"fixtures/{path.name}", load_instance(path.read_text())
+    for seed in range(5):
+        yield f"online-greedy/{seed}", generate(100, 3, 40, seed, mode=GENERATOR_MODES[seed % 3], servers=2)
+    for seed in range(3):
+        yield f"deadlines/{seed}", generate(30, 3, 12, seed, mode=GENERATOR_MODES[seed % 3],
+                                            servers=2, deadline_prob=0.5)
+
+
+def test_step_logs_and_allocations_match_recorded_hashes():
+    # recorded while every bin's marginal was still computed on its own, by
+    # scanning the whole allocation; batching must not change a byte
+    recorded = json.loads((ROOT / "tests" / "golden" / "greedy_step_logs.json").read_text())
+    seen = []
+    for name, inst in _recorded_cases():
+        run = run_online_greedy(inst)
+        frozen = run_lockfree_greedy(build_frozen(inst))
+        lockfree = "\n".join(
+            json.dumps([s.step, s.ref.packet, s.ref.index, s.chosen.id, rational_to_json(s.gain)])
+            for s in frozen.steps
+        )
+        assert {
+            "step_log_sha256": _sha256(run.step_log_jsonl()),
+            "allocation_sha256": _sha256(json.dumps(run.allocation.to_json(), sort_keys=True)),
+            "lockfree_sha256": _sha256(lockfree),
+            "total": rational_to_json(run.valuation.total),
+        } == recorded[name], name
+        seen.append(name)
+    assert sorted(seen) == sorted(recorded)
+
+
+# Cost-family evaluations of one greedy run on online-greedy seed 0 when each
+# candidate bin was rescored on its own.
+PER_BIN_RESCORING_VALUE_CALLS = 49_222
+
+
+def test_greedy_shares_packet_and_energy_terms_across_bins(monkeypatch):
+    inst = generate(100, 3, 40, 0, mode="random", servers=2)
+    calls = 0
+    value = CostFamily.value
+
+    def counted(self, x):
+        nonlocal calls
+        calls += 1
+        return value(self, x)
+
+    monkeypatch.setattr(CostFamily, "value", counted)
+    run_online_greedy(inst)
+    assert 0 < calls <= PER_BIN_RESCORING_VALUE_CALLS // 2

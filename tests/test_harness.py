@@ -250,11 +250,27 @@ def test_cli_reports_parse_errors(tmp_path, capsys):
     ["adapt-aoi", "--events", '{"s1": [1, 3]', "--values", '{"s1": 9}', "--horizon", "6"],
     ["adapt-aoi", "--events", '{"s1": [1, 3]}', "--values", "{s1: 9}", "--horizon", "6"],
     ["adapt-speedscale", "--jobs", "[[2, 0]", "--horizon", "2"],
+    # well-formed JSON of the wrong shape or with values that are not rationals
+    ["adapt-aoi", "--events", '{"s1": [1, 3]}', "--values", '{"s1": "x"}', "--horizon", "6"],
+    ["adapt-aoi", "--events", '{"s1": [1, 3]}', "--values", '{"s1": 1.5}', "--horizon", "6"],
+    ["adapt-aoi", "--events", '{"s1": [1, 3]}', "--values", "[9]", "--horizon", "6"],
+    ["adapt-aoi", "--events", '{"s1": 3}', "--values", '{"s1": 9}', "--horizon", "6"],
+    ["adapt-aoi", "--events", '[[1, 3]]', "--values", '{"s1": 9}', "--horizon", "6"],
+    ["adapt-speedscale", "--jobs", "[1]", "--horizon", "2"],
+    ["adapt-speedscale", "--jobs", "[[2, 0, 1]]", "--horizon", "2"],
+    ["adapt-speedscale", "--jobs", "[[2, 0]]", "--powers", "x", "--horizon", "2"],
 ])
 def test_cli_rejects_malformed_arguments_without_a_traceback(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: bad --") and "Traceback" not in err
+
+
+def test_cli_reports_unreadable_and_unwritable_paths(tmp_path, capsys):
+    assert main(["opt", str(tmp_path / "missing.json")]) == 2
+    assert main(["gen", "--out", str(tmp_path / "no-such-dir" / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 2 and "Traceback" not in err
 
 
 def test_cli_rejects_a_malformed_budget_variable(monkeypatch, capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -175,6 +176,63 @@ def test_allocation_rejects_double_assignment():
     alloc.add(SubpacketRef("p0", 1), DISCARD)
     with pytest.raises(AllocationError):
         alloc.add(SubpacketRef("p0", 1), Bin(slot=0))
+
+
+def _brute_packet_entries(alloc: Allocation, pid: str):
+    return [(r, b) for r, b in alloc.entries.items() if r.packet == pid]
+
+
+def _brute_occupancy(alloc: Allocation, slot: int, server: int) -> int:
+    return sum(1 for b in alloc.entries.values()
+               if not b.is_discard and (b.slot, b.server) == (slot, server))
+
+
+def _assert_indexes_match_entries(alloc: Allocation) -> None:
+    for pid in ("p0", "p1", "p2", "absent"):
+        assert alloc.packet_entries(pid) == _brute_packet_entries(alloc, pid)
+    for slot in range(4):
+        for server in range(2):
+            assert alloc.occupancy(slot, server) == _brute_occupancy(alloc, slot, server)
+
+
+def test_allocation_indexes_follow_every_edit():
+    rng = Random(3)
+    refs = [SubpacketRef(f"p{i}", j) for i in range(3) for j in range(1, 4)]
+    bins = [Bin(slot=t, server=s) for t in range(4) for s in range(2)] + [DISCARD]
+    for _ in range(40):
+        alloc = Allocation()
+        for _ in range(30):
+            op = rng.random()
+            free = [r for r in refs if r not in alloc]
+            if op < 0.5 and free:
+                alloc.add(rng.choice(free), rng.choice(bins))
+            elif op < 0.75 and len(alloc):
+                r = rng.choice(list(alloc.entries))
+                held = alloc.entries[r]
+                assert alloc.remove(r) == held and r not in alloc
+            elif op < 0.85 and free:
+                alloc = alloc.extended(rng.choice(free), rng.choice(bins))
+            elif op < 0.95:
+                alloc = alloc.copy()
+            else:
+                alloc = Allocation.from_json(json.loads(json.dumps(alloc.to_json())))
+            _assert_indexes_match_entries(alloc)
+
+
+def test_allocation_remove_and_read_only_entries():
+    alloc = Allocation([(SubpacketRef("p0", 1), Bin(slot=1))])
+    with pytest.raises(AllocationError, match="not allocated"):
+        alloc.remove(SubpacketRef("p0", 2))
+    with pytest.raises(TypeError):
+        alloc.entries[SubpacketRef("p0", 2)] = DISCARD  # only add/remove may edit
+    alloc.remove(SubpacketRef("p0", 1))
+    assert len(alloc) == 0 and alloc.occupancy(1, 0) == 0 and alloc.packet_entries("p0") == []
+
+
+def test_instance_packet_lookup(single_packet_instance):
+    assert single_packet_instance.packet("p0") is single_packet_instance.packets[0]
+    with pytest.raises(AllocationError, match="unknown packet"):
+        single_packet_instance.packet("zz")
 
 
 def test_check_allocation_enforces_causality(single_packet_instance):

@@ -8,7 +8,8 @@ from random import Random
 import pytest
 
 from aqisim.greedy import run_online_greedy
-from aqisim.harness import CampaignConfig, check_instance, generate
+from aqisim import reduction
+from aqisim.harness import CampaignConfig, check_instance, generate, run_campaign
 from aqisim.model import (
     Allocation,
     AqiError,
@@ -16,6 +17,7 @@ from aqisim.model import (
     DISCARD,
     SubpacketRef,
     load_instance,
+    rational_to_json,
     tabulated,
 )
 from aqisim.oracle import offline_optimal
@@ -226,3 +228,46 @@ def test_chain_and_bridge_reports_match_recorded_values():
         results = check_instance(inst, config, 0)
         assert results["greedy-bridge"]["detail"] == want["chain"], name
         assert results["opt-bridge"]["detail"] == want["bridge"], name
+
+
+def test_opt_bridge_alone_runs_no_greedy(monkeypatch):
+    # the bridge report needs the optimum and the frozen twin, not the chain
+    runs = []
+    for name in ("run_online_greedy", "run_lockfree_greedy"):
+        original = getattr(reduction, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            runs.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(reduction, name, counted)
+    recorded = json.loads((ROOT / "tests" / "golden" / "reduction_reports.json").read_text())
+    config = CampaignConfig(seeds=[], checks=("opt-bridge",))
+    for name, want in recorded.items():
+        kind, _, key = name.partition("/")
+        inst = load_instance((ROOT / name).read_text()) if kind == "fixtures" else general_instance(int(key))
+        results = check_instance(inst, config, 0)
+        assert results == {"opt-bridge": {"ok": True, "detail": want["bridge"]}}, name
+    assert runs == []
+    check_instance(general_instance(0), CampaignConfig(seeds=[], checks=("greedy-bridge",)), 0)
+    assert runs == ["run_online_greedy", "run_lockfree_greedy"]
+
+
+def test_telescoping_disagreement_fails_checks_and_writes_repros(monkeypatch, tmp_path):
+    telescope = reduction.telescoped_value
+    monkeypatch.setattr(reduction, "telescoped_value",
+                        lambda frozen, alloc: telescope(frozen, alloc) + 1)
+    config = CampaignConfig(seeds=[0, 1], packets=5, max_k=3, horizon=5, checks=ORACLE_CHECKS)
+    summary = run_campaign(config, out_dir=str(tmp_path))
+    assert not summary["ok"]
+    bridge = summary["checks"]["opt-bridge"]
+    assert bridge["fail"] == 2
+    detail = bridge["counterexamples"][0]["detail"]
+    assert detail["telescoping_ok"] is False
+    assert detail["y_opt_telescoped"] == rational_to_json(Fraction(detail["z_opt"]) + 1)
+    for name in ("greedy-halfopt", "greedy-bridge"):
+        slot = summary["checks"][name]
+        assert slot["fail"] == 2
+        assert "telescoped value" in slot["counterexamples"][0]["detail"]["error"]
+    repros = sorted(p.name for p in tmp_path.glob("fail_*.json"))
+    assert repros == sorted(f"fail_{name}_{seed}.json" for name in ORACLE_CHECKS for seed in (0, 1))

@@ -16,7 +16,13 @@ from aqisim.model import (
     linear,
     tabulated,
 )
-from aqisim.valuation import build_value, evaluate, marginal_value, transmit_weight
+from aqisim.valuation import (
+    build_value,
+    evaluate,
+    marginal_value,
+    marginal_values,
+    transmit_weight,
+)
 from conftest import simple_instance, unit_packet
 
 
@@ -113,6 +119,48 @@ def test_marginal_matches_full_difference_randomized():
             gain = marginal_value(inst, alloc, target, b)
             direct = evaluate(inst, alloc.extended(target, b)).total - evaluate(inst, alloc).total
             assert gain == direct
+
+
+def test_marginal_values_match_full_differences_on_every_listed_bin():
+    # multi-server instances with deadlines; bin lists hold the discard bin,
+    # duplicates and slots past a packet's deadline
+    rng = Random(11)
+    checked = past_deadline = 0
+    for seed in range(24):
+        servers = 1 + seed % 3
+        inst = generate(5, 3, 5, seed, mode=("random", "adversarial-burst", "adversarial-lock")[seed % 3],
+                        servers=servers, deadline_prob=0.5)
+        refs = [SubpacketRef(p.id, j) for p in inst.packets for j in range(1, p.subpackets + 1)]
+        for _ in range(12):
+            target = rng.choice(refs)
+            alloc = Allocation()
+            for r in refs:
+                if r != target and rng.random() < 0.6:
+                    p = inst.packet(r.packet)
+                    alloc.add(r, DISCARD if rng.random() < 0.2 else
+                              Bin(slot=rng.randint(p.arrival, inst.horizon), server=rng.randrange(servers)))
+            p = inst.packet(target.packet)
+            pool = [Bin(slot=t, server=s) for t in range(p.arrival, inst.horizon + 1)
+                    for s in range(servers)] + [DISCARD]
+            bins = [rng.choice(pool) for _ in range(rng.randint(1, 2 * len(pool)))]
+            base = evaluate(inst, alloc).total
+            gains = marginal_values(inst, alloc, target, bins)
+            assert len(gains) == len(bins)
+            for b, gain in zip(bins, gains):
+                assert gain == evaluate(inst, alloc.extended(target, b)).total - base
+                assert gain == marginal_value(inst, alloc, target, b)
+                checked += 1
+                past_deadline += p.deadline is not None and not b.is_discard and b.slot > p.deadline
+    assert checked > 1000 and past_deadline > 50
+
+
+def test_marginal_values_edge_cases(single_packet_instance):
+    inst = single_packet_instance
+    alloc = Allocation()
+    assert marginal_values(inst, alloc, ref("p0"), []) == []
+    assert marginal_values(inst, alloc, ref("p0"), [DISCARD, DISCARD]) == [0, 0]
+    with pytest.raises(AllocationError):
+        marginal_values(inst, Allocation([(ref("p0"), DISCARD)]), ref("p0"), [Bin(slot=0)])
 
 
 def test_buildup_telescopes_to_total():
