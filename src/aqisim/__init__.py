@@ -31,7 +31,6 @@ from .matching import (
     MatchingError,
     MatchingResult,
     MatchRun,
-    MatchState,
     bin_marginal_series,
     expand_binary,
     marginal_monotonicity_violations,

@@ -67,15 +67,33 @@ def _read_instance(path: str):
     return inst
 
 
+def _checked(value, what: str, ok: bool, expected: str):
+    """`value`, reported as an AqiError unless `ok`."""
+    if not ok:
+        raise AqiError(f"bad {what} {value!r}: expected {expected}")
+    return value
+
+
 def _parse_seed_range(text: str) -> list[int]:
     bounds = [_parse(int, part, "--seeds bound") for part in text.split(":", 1)]
-    return list(range(*bounds)) if len(bounds) == 2 else bounds
+    seeds = list(range(*bounds)) if len(bounds) == 2 else bounds
+    _checked(text, "--seeds", bool(seeds), "a non-empty range lo:hi with lo < hi")
+    return seeds
+
+
+def _deadline_prob(args) -> float:
+    return _checked(args.deadline_prob, "--deadline-prob", 0 <= args.deadline_prob <= 1,
+                    "a probability in [0, 1]")
+
+
+def _samples(args) -> int:
+    return _checked(args.samples, "--samples", args.samples >= 0, "a count >= 0")
 
 
 def cmd_gen(args) -> int:
     inst = generate(args.packets, args.max_k, args.horizon, args.seed,
                     mode=args.mode, servers=args.servers,
-                    deadline_prob=args.deadline_prob)
+                    deadline_prob=_deadline_prob(args))
     _emit(store_instance(inst), args.out)
     return 0
 
@@ -111,7 +129,7 @@ def cmd_opt(args) -> int:
 def cmd_verify(args) -> int:
     inst = _read_instance(args.instance)
     config = CampaignConfig(seeds=[0], checks=tuple(args.checks), budget=_budget(args),
-                            samples=args.samples)
+                            samples=_samples(args))
     results = check_instance(inst, config, seed=args.seed)
     ok = all(r["ok"] for r in results.values())
     _emit(json.dumps({"checks": results, "ok": ok}, sort_keys=True, indent=2) + "\n", args.out)
@@ -124,7 +142,7 @@ def cmd_campaign(args) -> int:
         packets=args.packets, max_k=args.max_k, horizon=args.horizon,
         servers=args.servers, checks=tuple(args.checks),
         modes=tuple(args.modes), budget=_budget(args),
-        deadline_prob=args.deadline_prob, samples=args.samples,
+        deadline_prob=_deadline_prob(args), samples=_samples(args),
         mutate=args.mutate,
     )
     summary = run_campaign(config, out_dir=args.repro_dir)

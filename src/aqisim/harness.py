@@ -124,7 +124,7 @@ def generate(packets: int, max_k: int, horizon: int, seed: int,
     """
     if mode not in GENERATOR_MODES:
         raise AqiError(f"unknown generator mode {mode!r}")
-    if packets < 0 or max_k < 1 or horizon < 0 or servers < 1:
+    if packets < 0 or max_k < 1 or horizon < 0 or servers < 1 or not 0 <= deadline_prob <= 1:
         raise AqiError("bad generator parameters")
     rng = Random((seed, mode, packets, max_k, horizon, servers).__repr__())
     out: list[Packet] = []
@@ -374,7 +374,12 @@ def check_instance(inst: Instance, config: CampaignConfig, seed: int) -> dict:
         perturb = lambda i, ref, b, g: g + 2 if b.is_discard else g
 
     if checks & set(BINARY_CHECKS):
-        if inst.is_binary():
+        skip = ("needs a unit-packet instance" if not inst.is_binary()
+                else "needs a single-server unit-packet instance" if inst.servers != 1 else None)
+        if skip:
+            for name in checks & set(BINARY_CHECKS):
+                results[name] = {"ok": True, "skipped": skip}
+        else:
             expanded = expand_binary(inst)
             run = run_online_matching(expanded.graph)
             opt = offline_optimal_binary(inst)
@@ -393,9 +398,6 @@ def check_instance(inst: Instance, config: CampaignConfig, seed: int) -> dict:
                         for b, i, x, y in drops
                     ]},
                 }
-        else:
-            for name in checks & set(BINARY_CHECKS):
-                results[name] = {"ok": True, "skipped": "needs a unit-packet instance"}
 
     needs_oracle = checks & {"greedy-halfopt", "opt-bridge", "greedy-bridge"}
     if needs_oracle:

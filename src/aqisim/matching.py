@@ -6,13 +6,22 @@ edge makes the optimal matching unique: among equal-weight matchings the one
 preferring edges in (left rank, right rank) order wins, so runs and traces
 are reproducible.
 
-The online algorithm keeps a tentative matching between arrived-unlocked left
-nodes and unlocked bins, recomputing it on every arrival; when a bin locks,
-its tentative edge (if any) becomes permanent and both endpoints retire.
+One solver state (matching plus duals) serves both uses. Between operations
+every edge is dual-feasible, every matched edge is tight, and right duals are
+non-negative and zero on free rights, so the matching is optimal for the live
+nodes. The offline solve adds the left nodes one augmenting phase each.
+
+The online algorithm keeps that state alive for the whole run: its matching
+is the tentative matching between arrived-unlocked left nodes and unlocked
+bins. An arrival costs one augmenting phase; when a bin locks, its tentative
+edge (if any) becomes permanent and both endpoints retire, which keeps the
+rest optimal at no cost; a matched bin's marginal costs one phase on a copy
+of the state without the bin.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -23,7 +32,7 @@ from .model import (
     Instance,
     rational_to_json,
 )
-from .valuation import transmit_weight
+from .valuation import transmit_value
 
 ZERO = Fraction(0)
 
@@ -83,7 +92,7 @@ class BipartiteGraph:
             table = {}
             for (a, b), w in self.weights.items():
                 pos = self._left_rank[a] * ncols + self._right_rank[b]
-                table[(a, b)] = (int(w * scale), 1 << (npairs - pos))
+                table[(a, b)] = (w.numerator * (scale // w.denominator), 1 << (npairs - pos))
             self._scaled = (scale, table)
         return self._scaled
 
@@ -119,10 +128,6 @@ def max_weight_matching(
 
     Forced edges are contracted out of the search and re-added afterwards.
     """
-    lefts = [a for a in graph.left_order if left_subset is None or a in left_subset]
-    rights = [b for b in graph.right_order if right_subset is None or b in right_subset]
-    scale, table = graph.scaled_weights()
-
     used_l: set[str] = set()
     used_r: set[str] = set()
     forced_weight = ZERO
@@ -131,55 +136,99 @@ def max_weight_matching(
             raise MatchingError(f"forced edge ({a!r}, {b!r}) is not in the graph")
         if a in used_l or b in used_r:
             raise MatchingError("forced edges share a node: infeasible")
-        if a not in lefts or b not in rights:
+        if (left_subset is not None and a not in left_subset) or (
+                right_subset is not None and b not in right_subset):
             raise MatchingError(f"forced edge ({a!r}, {b!r}) touches an excluded node")
         used_l.add(a)
         used_r.add(b)
         forced_weight += graph.weights[(a, b)]
 
-    free_l = [a for a in lefts if a not in used_l]
-    free_r = [b for b in rights if b not in used_r]
-    pairs, itotal = _solve_hungarian(free_l, free_r, table)
+    solver = _Hungarian(graph)
+    for ri, b in enumerate(graph.right_order):
+        if b in used_r or (right_subset is not None and b not in right_subset):
+            solver.drop_right(ri)
+    for li, a in enumerate(graph.left_order):
+        if a not in used_l and (left_subset is None or a in left_subset):
+            solver.add_left(li)
+    pairs = {graph.left_order[li]: graph.right_order[ri]
+             for li, ri in enumerate(solver.match_l) if ri is not None and ri < solver.nr}
     for a, b in forced:
         pairs[a] = b
-    return MatchingResult(pairs=pairs, weight=Fraction(itotal, scale) + forced_weight)
+    return MatchingResult(pairs=pairs, weight=Fraction(solver.total, solver.scale) + forced_weight)
 
 
-def _solve_hungarian(lefts: list[str], rights: list[str], table: dict) -> tuple[dict[str, str], int]:
-    """Exact maximization with per-left dummy sinks (unmatched = weight 0).
+class _Hungarian:
+    """Matching plus duals over lefts x (rights + one dummy sink per left).
 
-    Weights are (primary, secondary) integer pairs compared lexicographically;
-    the secondary component makes the optimum unique.
+    Nodes are graph ranks; right `nr + li` is the dummy sink of left `li`, a
+    weight-0 edge meaning "unmatched". Weights are (primary, secondary)
+    integer pairs compared lexicographically. Between operations, over the
+    lefts added and not dropped and the live rights:
+      - every edge is dual-feasible: lu[l] + lv[r] >= w(l, r);
+      - every matched edge is tight: lu[l] + lv[r] == w(l, r);
+      - lv >= 0, and lv == 0 on every free right.
+    Complementary slackness then makes the matching optimal, and the
+    power-of-two secondaries make the optimum unique. Dropping a node only
+    removes constraints, so the rest stays optimal; a new left (its lu set to
+    cover its edges) or the mate of a dropped right is then the only free
+    left, and one augmenting phase from it restores optimality.
     """
-    nl = len(lefts)
-    nr = len(rights)
-    if nl == 0:
-        return {}, 0
-    zero = (0, 0)
-    # adjacency per left, dummy edge appended as right index nr + li
-    adj: list[list[tuple[int, tuple[int, int]]]] = []
-    for li, a in enumerate(lefts):
-        row = []
-        for ri, b in enumerate(rights):
-            w = table.get((a, b))
-            if w is not None:
-                row.append((ri, w))
-        row.append((nr + li, zero))
-        adj.append(row)
 
-    lu = [max(w for _, w in row) for row in adj]
-    lv = [zero] * (nr + nl)
-    match_l: list[int | None] = [None] * nl
-    match_r: list[int | None] = [None] * (nr + nl)
+    def __init__(self, graph: BipartiteGraph):
+        self.scale, table = graph.scaled_weights()
+        nl = len(graph.left_order)
+        self.nr = nr = len(graph.right_order)
+        # read-only and shared by copies: per-left {right rank: weight}
+        self.adj: list[dict[int, tuple[int, int]]] = [{} for _ in range(nl)]
+        for (a, b), w in table.items():
+            self.adj[graph._left_rank[a]][graph._right_rank[b]] = w
+        for li in range(nl):
+            self.adj[li][nr + li] = (0, 0)
+        self.lu: list = [None] * nl
+        self.lv = [(0, 0)] * (nr + nl)
+        self.match_l: list[int | None] = [None] * nl
+        self.match_r: list[int | None] = [None] * (nr + nl)
+        self.live = [True] * (nr + nl)
+        self.total = 0  # primary weight of the matched real edges
 
-    for root in range(nl):
+    def copy(self) -> "_Hungarian":
+        other = copy.copy(self)
+        for name in ("lu", "lv", "match_l", "match_r", "live"):
+            setattr(other, name, getattr(self, name)[:])
+        return other
+
+    def add_left(self, li: int) -> None:
+        lv = self.lv
+        self.lu[li] = max((w[0] - lv[ri][0], w[1] - lv[ri][1])
+                          for ri, w in self.adj[li].items() if self.live[ri])
+        self.phase(li)
+
+    def drop_right(self, ri: int) -> int | None:
+        """Remove right `ri`; returns its former mate, now free."""
+        self.live[ri] = False
+        li = self.match_r[ri]
+        if li is not None:
+            self.match_r[ri] = self.match_l[li] = None
+            self.total -= self.adj[li][ri][0]
+        return li
+
+    def drop_left(self, li: int) -> None:
+        """Remove the free left `li` (the mate `drop_right` returned) and its sink."""
+        self.live[self.nr + li] = False
+
+    def phase(self, root: int) -> None:
+        """Augment along a shortest path from the free left `root`."""
+        lu, lv, adj, live = self.lu, self.lv, self.adj, self.live
+        match_l, match_r = self.match_l, self.match_r
+        zero = (0, 0)
         in_s = {root}
         in_t: set[int] = set()
         tree_parent: dict[int, int] = {}
         min_slack: dict[int, tuple[tuple[int, int], int]] = {}
-        for ri, w in adj[root]:
-            sl = (lu[root][0] + lv[ri][0] - w[0], lu[root][1] + lv[ri][1] - w[1])
-            min_slack[ri] = (sl, root)
+        for ri, w in adj[root].items():
+            if live[ri]:
+                sl = (lu[root][0] + lv[ri][0] - w[0], lu[root][1] + lv[ri][1] - w[1])
+                min_slack[ri] = (sl, root)
         while True:
             best_ri = -1
             best = None
@@ -210,56 +259,23 @@ def _solve_hungarian(lefts: list[str], rights: list[str], table: dict) -> tuple[
                     prev = match_l[li]
                     match_l[li] = ri
                     match_r[ri] = li
+                    self.total += adj[li][ri][0] - (0 if prev is None else adj[li][prev][0])
                     if prev is None:
                         break
                     ri = prev
                 break
             in_s.add(occupant)
-            for ri, w in adj[occupant]:
-                if ri in in_t:
+            for ri, w in adj[occupant].items():
+                if ri in in_t or not live[ri]:
                     continue
                 sl = (lu[occupant][0] + lv[ri][0] - w[0], lu[occupant][1] + lv[ri][1] - w[1])
                 if ri not in min_slack or sl < min_slack[ri][0]:
                     min_slack[ri] = (sl, occupant)
 
-    pairs: dict[str, str] = {}
-    total = 0
-    for li, a in enumerate(lefts):
-        ri = match_l[li]
-        if ri is not None and ri < nr:
-            b = rights[ri]
-            w = table.get((a, b))
-            if w is None:
-                continue
-            pairs[a] = b
-            total += w[0]
-    return pairs, total
-
 
 # ---------------------------------------------------------------------------
 # Online algorithm with vertex locking
 # ---------------------------------------------------------------------------
-
-@dataclass
-class MatchState:
-    """Live state of one online run.
-
-    Permanent edges only grow and never change; the tentative matching is
-    disjoint from them and touches only unlocked nodes.
-    """
-
-    arrived: list[str] = field(default_factory=list)
-    locked_left: set[str] = field(default_factory=set)
-    locked_right: set[str] = field(default_factory=set)
-    perm: dict[str, tuple[str, Fraction]] = field(default_factory=dict)  # right -> (left, weight)
-    perm_weight: Fraction = ZERO
-    temp: dict[str, str] = field(default_factory=dict)  # left -> right
-    temp_weight: Fraction = ZERO
-    clock: Fraction = ZERO
-
-    def active_left(self) -> set[str]:
-        return {a for a in self.arrived if a not in self.locked_left}
-
 
 @dataclass
 class MatchEvent:
@@ -323,35 +339,41 @@ def _event_stream(graph: BipartiteGraph, arrivals, locks):
 def run_online_matching(graph: BipartiteGraph, arrivals=None, locks=None) -> MatchRun:
     """Run the online matching algorithm over the timed event streams.
 
-    Arrivals are processed one at a time (tentative matching recomputed);
-    locks sharing a timestamp fire as one batch against the current tentative
-    matching, after any arrivals at the same instant. The trace records, at
-    every event, the constrained matching weight and each bin's marginal
-    value: its weight contribution while unlocked, its locked-in edge weight
-    afterwards.
+    Arrivals are processed one at a time, each extending the tentative
+    matching by one augmenting phase; locks sharing a timestamp fire as one
+    batch against the current tentative matching, after any arrivals at the
+    same instant. The trace records, at every event, the constrained matching
+    weight and each bin's marginal value: its weight contribution while
+    unlocked (one phase on a copy of the state without the bin), its
+    locked-in edge weight afterwards.
     """
     arrivals, locks = _event_stream(graph, arrivals, locks)
-
-    state = MatchState()
+    live = _Hungarian(graph)
+    perm: dict[str, tuple[str, Fraction]] = {}
+    perm_weight = ZERO
     events: list[MatchEvent] = []
 
-    def active_right() -> set[str]:
-        return {b for b in graph.right_order if b not in state.locked_right}
-
     def marginals() -> dict[str, Fraction]:
-        act_l = state.active_left()
-        act_r = active_right()
-        matched_rights = {b: a for a, b in state.temp.items()}
         out: dict[str, Fraction] = {}
-        for b in graph.right_order:
-            if b in state.locked_right:
-                out[b] = state.perm[b][1] if b in state.perm else ZERO
-            elif b not in matched_rights:
+        for ri, b in enumerate(graph.right_order):
+            if b in perm:
+                out[b] = perm[b][1]
+            elif live.match_r[ri] is None:
                 out[b] = ZERO
             else:
-                reduced = max_weight_matching(graph, left_subset=act_l, right_subset=act_r - {b})
-                out[b] = state.temp_weight - reduced.weight
+                trial = live.copy()
+                trial.phase(trial.drop_right(ri))
+                out[b] = Fraction(live.total - trial.total, live.scale)
         return out
+
+    def record(clock, kind, subject, arrival_gain=None) -> None:
+        temp_weight = Fraction(live.total, live.scale)
+        events.append(MatchEvent(
+            clock=clock, kind=kind, subject=subject,
+            temp_weight=temp_weight, perm_weight=perm_weight,
+            total_weight=temp_weight + perm_weight,
+            marginals=marginals(), arrival_gain=arrival_gain,
+        ))
 
     ai = 0
     li = 0
@@ -360,45 +382,27 @@ def run_online_matching(graph: BipartiteGraph, arrivals=None, locks=None) -> Mat
         next_lock = locks[li][0] if li < len(locks) else None
         # arrivals strictly before locks at the same clock
         if next_lock is None or (next_arrival is not None and next_arrival <= next_lock):
-            state.clock, a = arrivals[ai]
+            clock, a = arrivals[ai]
             ai += 1
-            state.arrived.append(a)
-            before = state.temp_weight
-            res = max_weight_matching(graph, left_subset=state.active_left(),
-                                      right_subset=active_right())
-            state.temp = dict(res.pairs)
-            state.temp_weight = res.weight
-            events.append(MatchEvent(
-                clock=state.clock, kind="arrival", subject=[a],
-                temp_weight=state.temp_weight, perm_weight=state.perm_weight,
-                total_weight=state.temp_weight + state.perm_weight,
-                marginals=marginals(),
-                arrival_gain=state.temp_weight - before,
-            ))
+            before = live.total
+            live.add_left(graph._left_rank[a])
+            record(clock, "arrival", [a], Fraction(live.total - before, live.scale))
         else:
-            state.clock = next_lock
+            clock = next_lock
             batch = []
-            while li < len(locks) and locks[li][0] == state.clock:
+            while li < len(locks) and locks[li][0] == clock:
                 batch.append(locks[li][1])
                 li += 1
-            matched_rights = {b: a for a, b in state.temp.items()}
             for b in batch:
-                state.locked_right.add(b)
-                a = matched_rights.get(b)
-                if a is not None:
+                mate = live.drop_right(graph._right_rank[b])
+                if mate is not None:
+                    a = graph.left_order[mate]
                     w = graph.weights[(a, b)]
-                    state.perm[b] = (a, w)
-                    state.perm_weight += w
-                    state.locked_left.add(a)
-                    del state.temp[a]
-                    state.temp_weight -= w
-            events.append(MatchEvent(
-                clock=state.clock, kind="lock", subject=batch,
-                temp_weight=state.temp_weight, perm_weight=state.perm_weight,
-                total_weight=state.temp_weight + state.perm_weight,
-                marginals=marginals(),
-            ))
-    return MatchRun(graph=graph, perm=state.perm, weight=state.perm_weight, events=events)
+                    perm[b] = (a, w)
+                    perm_weight += w
+                    live.drop_left(mate)
+            record(clock, "lock", batch)
+    return MatchRun(graph=graph, perm=perm, weight=perm_weight, events=events)
 
 
 def bin_marginal_series(run: MatchRun, right_id: str) -> list[Fraction]:
@@ -460,15 +464,21 @@ def expand_binary(inst: Instance, full_depth: bool = False) -> ExpandedBinary:
             right_order.append(b)
             locks[b] = Fraction(t)
             minislots[b] = (t, i)
+    # value per (packet, slot) and energy increment per position, each once
+    # (depth never shrinks, so the last slot's depth is the deepest position),
+    # over one common denominator so an edge costs an integer subtraction
+    values = [{t: transmit_value(p, t) for t in range(p.arrival, inst.horizon + 1)} for p in packets]
+    increments = [inst.energy[0].increment(i) for i in range(depth)]
+    scale = math.lcm(*(x.denominator for x in increments),
+                     *(v.denominator for row in values for v in row.values()))
+    increments = [x.numerator * (scale // x.denominator) for x in increments]
     weights: dict[tuple[str, str], Fraction] = {}
-    for p in packets:
+    for p, row in zip(packets, values):
+        row = {t: v.numerator * (scale // v.denominator) for t, v in row.items()}
         for b in right_order:
             t, i = minislots[b]
-            if t < p.arrival:
-                continue
-            w = transmit_weight(inst, p, t, i)
-            if w >= 0:
-                weights[(p.id, b)] = w
+            if t >= p.arrival and row[t] >= increments[i - 1]:
+                weights[(p.id, b)] = Fraction(row[t] - increments[i - 1], scale)
     graph = BipartiteGraph(
         left_order=left_order,
         right_order=right_order,

@@ -173,8 +173,12 @@ def transmit_weight(inst: Instance, p: Packet, slot: int, position: int) -> Frac
         raise AqiError("position must be >= 1")
     if inst.servers != 1:
         raise AqiError("binary expansion is defined for single-server instances")
+    return transmit_value(p, slot) - inst.energy[0].increment(position - 1)
+
+
+def transmit_value(p: Packet, slot: int) -> Fraction:
+    """The value part of `transmit_weight`: utility minus delay cost of unit
+    packet `p` completing in `slot`, 0 past its deadline."""
     if p.deadline is not None and slot > p.deadline:
-        value = ZERO
-    else:
-        value = p.utility(1) - p.lag_cost(slot - p.arrival)
-    return value - inst.energy[0].increment(position - 1)
+        return ZERO
+    return p.utility(1) - p.lag_cost(slot - p.arrival)

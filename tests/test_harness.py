@@ -12,6 +12,7 @@ from aqisim.cli import main
 from aqisim.harness import (
     CampaignConfig,
     adversarial_lock_probe,
+    check_instance,
     csv_row,
     generate,
     increment_consistency_samples,
@@ -52,6 +53,8 @@ def test_bad_parameters_rejected():
         generate(3, 0, 3, seed=0)
     with pytest.raises(AqiError):
         generate(3, 1, 3, seed=0, mode="chaotic")
+    with pytest.raises(AqiError):
+        generate(3, 1, 3, seed=0, deadline_prob=1.5)
 
 
 def test_seed42_fixture_matches_the_generator():
@@ -213,6 +216,23 @@ def test_cli_campaign_exit_codes(tmp_path, capsys):
     assert code == 1
 
 
+def test_multi_server_campaign_skips_the_binary_checks(tmp_path, capsys):
+    # unit-packet instances on two servers have no binary expansion: the
+    # matcher's checks are skipped there instead of aborting the campaign
+    out = tmp_path / "summary.json"
+    code = main(["campaign", "--seeds", "0:60", "--packets", "4", "--max-k", "2", "--horizon", "4",
+                 "--servers", "2", "--deadline-prob", "0.4", "--out", str(out)])
+    assert "error:" not in capsys.readouterr().err
+    summary = json.loads(out.read_text())
+    assert code == (0 if summary["ok"] else 1)
+    for name in ("matching-halfopt", "bin-marginal-monotone"):
+        assert summary["checks"][name] == {
+            "instances": 60, "pass": 0, "fail": 0, "skipped": 60, "counterexamples": []}
+    unit = generate(4, 1, 4, 3, servers=2)
+    results = check_instance(unit, CampaignConfig(seeds=[0], checks=("matching-halfopt",)), seed=0)
+    assert results["matching-halfopt"]["skipped"] == "needs a single-server unit-packet instance"
+
+
 def test_cli_verify_single_instance(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     main(["gen", "--packets", "3", "--max-k", "2", "--horizon", "3", "--seed", "2",
@@ -259,6 +279,14 @@ def test_cli_reports_parse_errors(tmp_path, capsys):
     ["adapt-speedscale", "--jobs", "[1]", "--horizon", "2"],
     ["adapt-speedscale", "--jobs", "[[2, 0, 1]]", "--horizon", "2"],
     ["adapt-speedscale", "--jobs", "[[2, 0]]", "--powers", "x", "--horizon", "2"],
+    # empty or reversed seed ranges, negative sample counts, probabilities outside [0, 1]
+    ["campaign", "--seeds", "5:2"],
+    ["campaign", "--seeds", "4:4"],
+    ["campaign", "--seeds", "0:3", "--samples", "-3"],
+    ["campaign", "--seeds", "0:3", "--deadline-prob", "-0.1"],
+    ["verify", str(FIXTURES / "minimal.json"), "--samples", "-3"],
+    ["gen", "--deadline-prob", "2"],
+    ["gen", "--deadline-prob", "nan"],
 ])
 def test_cli_rejects_malformed_arguments_without_a_traceback(argv, capsys):
     assert main(argv) == 2

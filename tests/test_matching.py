@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 
+from aqisim import matching
 from aqisim.harness import adversarial_lock_probe, generate
 from aqisim.matching import (
     BipartiteGraph,
@@ -17,11 +21,15 @@ from aqisim.matching import (
     max_weight_matching,
     run_online_matching,
 )
-from aqisim.model import tabulated
+from aqisim.model import CostFamily, load_instance, rational_to_json, tabulated
 from aqisim.oracle import offline_optimal_binary
 from conftest import simple_instance, unit_packet
 
 F = Fraction
+ROOT = Path(__file__).resolve().parent.parent
+
+# The campaign driver's generator modes, in its cycling order (mode = seed % 3).
+CAMPAIGN_MODES = ("random", "adversarial-burst", "adversarial-lock")
 
 
 def graph(lefts, rights, weights, arrivals=None, locks=None) -> BipartiteGraph:
@@ -240,27 +248,34 @@ def test_monotone_marginals_across_random_instances():
 
 
 def test_stale_tentative_weight_matches_fresh_solve():
-    # between arrivals the kept tentative matching stays optimal
-    for seed in range(15):
-        inst = generate(4, 1, 4, seed)
+    # on the binary acceptance seeds the live solver state agrees with fresh
+    # solves at every event: its weight is the optimum on the active nodes, a
+    # lock commits each bin to its mate in that optimum, and every matched
+    # bin's marginal is the loss of a fresh solve without that bin
+    for seed in range(500):
+        inst = generate(6, 1, 5, seed, mode=CAMPAIGN_MODES[seed % 3])
         g = expand_binary(inst).graph
         run = run_online_matching(g)
-        locked = set()
-        arrived = set()
-        committed = set()
-        events_by_step = []
+        arrived: set[str] = set()
+        locked: set[str] = set()
+        mates: dict[str, str] = {}  # right -> left in the previous event's optimum
         for ev in run.events:
-            if ev.kind == "arrival":
-                arrived.update(ev.subject)
-            else:
-                locked.update(ev.subject)
-                committed = {a for b, (a, _) in run.perm.items() if b in locked}
-            events_by_step.append((set(arrived), set(locked), set(committed), ev.temp_weight))
-        for arrived_now, locked_now, committed_now, temp_weight in events_by_step:
-            fresh = max_weight_matching(
-                g, left_subset=arrived_now - committed_now,
-                right_subset=set(g.right_order) - locked_now)
-            assert fresh.weight == temp_weight
+            (arrived if ev.kind == "arrival" else locked).update(ev.subject)
+            if ev.kind == "lock":
+                for b in ev.subject:
+                    assert run.perm.get(b, (None,))[0] == mates.get(b), (seed, b)
+            committed = {a for b, (a, _) in run.perm.items() if b in locked}
+            act_l = arrived - committed
+            act_r = set(g.right_order) - locked
+            fresh = max_weight_matching(g, left_subset=act_l, right_subset=act_r)
+            assert fresh.weight == ev.temp_weight, (seed, ev.clock)
+            mates = {b: a for a, b in fresh.pairs.items()}
+            for b in act_r:
+                if b in mates:
+                    without = max_weight_matching(g, left_subset=act_l, right_subset=act_r - {b})
+                    assert ev.marginals[b] == ev.temp_weight - without.weight, (seed, ev.clock, b)
+                else:
+                    assert ev.marginals[b] == 0, (seed, ev.clock, b)
 
 
 def test_trace_jsonl_is_parseable():
@@ -330,3 +345,137 @@ def test_expansion_rejects_multi_fragment_and_multi_server():
     two_servers = simple_instance([unit_packet()], horizon=1, servers=2)
     with pytest.raises(Exception, match="single-server"):
         expand_binary(two_servers)
+
+
+# --- recorded outputs, differential and work checks --------------------------
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _online_matching_instance(seed: int):
+    """An instance shaped like the online-matching benchmark workload."""
+    return generate(20, 1, 10, seed, mode=CAMPAIGN_MODES[seed % 3])
+
+
+def _recorded_cases():
+    """The cases behind tests/golden/matching_traces.json: (name, online graph,
+    offline graph) for the unit-packet fixtures, the lock-probe family and
+    online-matching-shaped seeds 0:20."""
+    for path in sorted((ROOT / "fixtures").glob("*.json")):
+        inst = load_instance(path.read_text())
+        if inst.is_binary() and inst.servers == 1:
+            yield (f"fixtures/{path.name}", expand_binary(inst).graph,
+                   expand_binary(inst, full_depth=True).graph)
+    for w, eps in ((100, 1), (1000, 7), (50, F(1, 2)), (3, 2)):
+        g = adversarial_lock_probe(w, eps)
+        yield f"probe/{w}/{eps}", g, g
+    for seed in range(20):
+        inst = _online_matching_instance(seed)
+        yield f"online-matching/{seed}", expand_binary(inst).graph, expand_binary(inst, full_depth=True).graph
+
+
+def _digest(online: BipartiteGraph, offline: BipartiteGraph) -> dict:
+    run = run_online_matching(online)
+    best = max_weight_matching(offline)
+    perm = sorted((b, a, rational_to_json(w)) for b, (a, w) in run.perm.items())
+    return {
+        "trace_sha256": _sha256(run.trace_jsonl()),
+        "perm_sha256": _sha256(json.dumps(perm)),
+        "weight": rational_to_json(run.weight),
+        "offline_pairs_sha256": _sha256(json.dumps(sorted(best.pairs.items()))),
+        "offline_weight": rational_to_json(best.weight),
+    }
+
+
+def test_traces_and_matchings_match_recorded_hashes():
+    # recorded while the online run still re-solved from scratch at every
+    # event; keeping one solver state alive must not change a byte
+    recorded = json.loads((ROOT / "tests" / "golden" / "matching_traces.json").read_text())
+    seen = []
+    for name, online, offline in _recorded_cases():
+        assert _digest(online, offline) == recorded[name], name
+        seen.append(name)
+    assert sorted(seen) == sorted(recorded)
+
+
+# Cost-family evaluations of `expand_binary` on online-matching seed 0 when
+# every edge evaluated its weight through `transmit_weight` on its own.
+PER_EDGE_VALUE_CALLS = 7_270
+
+
+def test_online_run_and_expansion_do_bounded_work(monkeypatch):
+    inst = _online_matching_instance(0)
+    calls = {"value": 0, "solve": 0}
+    value = CostFamily.value
+    solve = matching.max_weight_matching
+
+    def counted_value(self, x):
+        calls["value"] += 1
+        return value(self, x)
+
+    def counted_solve(*args, **kwargs):
+        calls["solve"] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(CostFamily, "value", counted_value)
+    monkeypatch.setattr(matching, "max_weight_matching", counted_solve)
+    g = expand_binary(inst).graph
+    assert 0 < calls["value"] <= PER_EDGE_VALUE_CALLS // 4
+    run = run_online_matching(g)
+    assert run.events and calls["solve"] == 0
+
+
+def _independent_weights(g: BipartiteGraph, forced=(), left_subset=None, right_subset=None):
+    """The optimum of `max_weight_matching`'s problem from scipy and from
+    networkx, on weights scaled to integers; forced edges are contracted."""
+    linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+    nx = pytest.importorskip("networkx")
+    np = pytest.importorskip("numpy")
+    scale = math.lcm(*(w.denominator for w in g.weights.values()))
+    used_l = {a for a, _ in forced}
+    used_r = {b for _, b in forced}
+    lefts = [a for a in g.left_order if a not in used_l and (left_subset is None or a in left_subset)]
+    rights = [b for b in g.right_order if b not in used_r and (right_subset is None or b in right_subset)]
+    base = sum((g.weights[e] for e in forced), F(0))
+    edges = {(a, b): int(g.weights[(a, b)] * scale) for a in lefts for b in rights if (a, b) in g.weights}
+    # absent edges cost 0, the same as leaving the left unmatched
+    cost = np.zeros((len(lefts), len(rights)), dtype=np.int64)
+    for (a, b), w in edges.items():
+        cost[lefts.index(a), rights.index(b)] = w
+    rows, cols = linear_sum_assignment(cost, maximize=True)
+    by_scipy = sum(int(cost[r, c]) for r, c in zip(rows, cols))
+    nxg = nx.Graph()
+    for (a, b), w in edges.items():
+        nxg.add_edge(("L", a), ("R", b), weight=w)
+    by_networkx = sum(nxg[u][v]["weight"] for u, v in nx.max_weight_matching(nxg))
+    return base + F(by_scipy, scale), base + F(by_networkx, scale)
+
+
+def test_solver_agrees_with_scipy_and_networkx():
+    rng = Random(41)
+    graphs = []
+    for _ in range(120):
+        nl, nr = rng.randint(1, 7), rng.randint(1, 8)
+        lefts = [f"a{i}" for i in range(nl)]
+        rights = [f"b{j}" for j in range(nr)]
+        weights = {(a, b): F(rng.randint(0, 30), rng.choice([1, 2, 3, 4]))
+                   for a in lefts for b in rights if rng.random() < 0.6}
+        graphs.append(graph(lefts, rights, weights))
+    for seed in range(30):
+        inst = generate(6, 1, 5, seed, mode=CAMPAIGN_MODES[seed % 3])
+        graphs.append(expand_binary(inst).graph)
+        graphs.append(expand_binary(inst, full_depth=True).graph)
+    for g in graphs:
+        cases = [((), None, None)]
+        left_subset = {a for a in g.left_order if rng.random() < 0.7}
+        right_subset = {b for b in g.right_order if rng.random() < 0.7}
+        cases.append(((), left_subset, right_subset))
+        inside = sorted(e for e in g.weights if e[0] in left_subset and e[1] in right_subset)
+        if inside:
+            cases.append(((rng.choice(inside),), left_subset, right_subset))
+            cases.append(((rng.choice(sorted(g.weights)),), None, None))
+        for forced, ls, rs in cases:
+            res = max_weight_matching(g, forced=forced, left_subset=ls, right_subset=rs)
+            assert (res.weight, res.weight) == _independent_weights(g, forced, ls, rs), (g.label, forced)
+            assert sum((g.weights[e] for e in res.pairs.items()), F(0)) == res.weight
