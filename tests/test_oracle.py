@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -17,6 +20,7 @@ from aqisim.model import (
     SubpacketRef,
     allocation_in_index_order,
     linear,
+    load_instance,
     tabulated,
 )
 from aqisim.oracle import (
@@ -132,3 +136,38 @@ def test_ratio_report_cases():
     assert degenerate.kind == "degenerate" and degenerate.violation
     below = competitive_ratio(F(1), F(3))
     assert below.violation
+
+
+# --- recorded optima -------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+GENERATOR_MODES = ("random", "adversarial-burst", "adversarial-lock")
+
+
+def _recorded_cases():
+    """The instances behind tests/golden/oracle_allocations.json: general
+    acceptance seeds 0:200 and held-out seeds 200:400 (5 packets, k<=3, h=5),
+    two-server instances with deadlines and the fixtures."""
+    for seed in range(400):
+        yield f"general/{seed}", generate(5, 3, 5, seed, mode=GENERATOR_MODES[seed % 3])
+    for seed in range(60):
+        yield f"deadlines/{seed}", generate(4, 2, 4, seed, mode=GENERATOR_MODES[seed % 3],
+                                            servers=2, deadline_prob=0.4)
+    for path in sorted((ROOT / "fixtures").glob("*.json")):
+        yield f"fixtures/{path.name}", load_instance(path.read_text())
+
+
+def _digest(res) -> str:
+    doc = json.dumps([res.allocation.to_json(), res.valuation.to_json()], sort_keys=True)
+    return hashlib.sha256(doc.encode()).hexdigest()
+
+
+def test_optima_match_recorded_hashes():
+    # recorded while the search bounded each fragment by the cheapest first
+    # energy increment alone; a tighter bound must not change a byte
+    recorded = json.loads((ROOT / "tests" / "golden" / "oracle_allocations.json").read_text())
+    seen = []
+    for name, inst in _recorded_cases():
+        assert _digest(offline_optimal(inst)) == recorded[name], name
+        seen.append(name)
+    assert sorted(seen) == sorted(recorded)
