@@ -177,6 +177,10 @@ def remote_sampling_family(sources: int, samples_per_source: int, horizon: int,
     energy. A structural family for experiments, not a process simulator."""
     if fidelity not in ("saturating", "table"):
         raise AqiError(f"unknown fidelity shape {fidelity!r}")
+    for name, value, least in (("sources", sources, 1), ("samples_per_source", samples_per_source, 1),
+                               ("max_fragments", max_fragments, 1), ("horizon", horizon, 0)):
+        if value < least:
+            raise AqiError(f"{name} must be >= {least}, got {value}")
     rng = Random(seed)
     packets = []
     for s in range(sources):

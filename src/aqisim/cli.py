@@ -45,10 +45,12 @@ def _parse(convert, text: str, what: str):
 
 def _budget(args) -> int:
     if args.budget is not None:
-        return args.budget
+        return _checked(args.budget, "--budget", args.budget >= 1, "a node count >= 1")
     env = os.environ.get("AQI_BUDGET")
     if env:
-        return _parse(int, env, "AQI_BUDGET")
+        budget = _parse(int, env, "AQI_BUDGET")
+        _checked(env, "AQI_BUDGET", budget >= 1, "a node count >= 1")
+        return budget
     return DEFAULT_BUDGET
 
 

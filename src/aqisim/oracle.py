@@ -4,9 +4,30 @@ ratio report comparing an online run against them.
 
 The search enumerates, per packet, every in-order schedule of its fragments
 (non-decreasing slots, any server, a discarded suffix) in ascending key
-order; depth-first search with an admissible bound prunes, and only strict
-improvements replace the incumbent, so the reported optimum is the
-lexicographically smallest maximizer. All arithmetic is integer-scaled exact.
+order, packets by id, depth first. All arithmetic is integer-scaled exact.
+
+Two upper bounds on what the packets not yet placed can still add prune it,
+the cheap one first:
+
+- static: each packet's best schedule value less `emin`, the cheapest first
+  energy increment of any server, per fragment, clamped at 0;
+- occupancy: each packet's best schedule value less the energy increments
+  its fragments would pay at the *current* occupancy of their bins, clamped
+  at 0. Energy curves are convex non-decreasing (the search checks this), so
+  increments are >= 0, never shrink as a bin fills, and occupancy only grows
+  deeper in the tree: a fragment placed there pays at least this much. That
+  also lets the scan over a packet's schedules, highest value first, stop at
+  the first value that cannot beat its running best.
+
+A subtree is pruned when `partial + bound < floor`. The floor is 0, the
+all-discard value, until a leaf is reached, and one more than the incumbent
+after that (all values are integers, so this is `<=` against the
+incumbent). Leaves are visited in ascending key order and only a strict
+improvement replaces the incumbent; the strict comparison against the
+all-discard floor keeps every subtree that may hold an optimum of value 0.
+So no subtree holding the first maximizer in key order is ever pruned, and
+the reported optimum is the lexicographically smallest maximizer. `nodes`
+counts the schedules tried at the expanded search nodes.
 """
 
 from __future__ import annotations
@@ -49,29 +70,26 @@ class OracleResult:
     nodes: int
 
 
-def _packet_candidates(inst: Instance, p, scale: int):
+def _packet_candidates(inst: Instance, p, scale: int, emin: Fraction):
     """All in-order schedules of one packet with their scaled values.
 
     A schedule is a tuple of (slot, server) pairs, slots non-decreasing,
     with discarded fragments as a trailing sentinel. Schedules whose value
-    cannot pay the minimum energy of their transmissions are dropped: they
-    are strictly dominated by discarding everything.
+    cannot pay the minimum energy `emin` of their transmissions are dropped:
+    they are strictly dominated by discarding everything. A schedule's value
+    depends only on its length and last slot, so it is computed once per pair.
     """
-    emin = min(inst.energy[s].increment(0) for s in range(inst.servers))
     horizon = inst.horizon
     out = []
-
-    def value_of(entries) -> Fraction:
-        if not entries:
-            return ZERO
-        last = max(slot for slot, _ in entries)
-        return _packet_term(p, len(entries), max(last, p.arrival))
+    values: dict[tuple[int, int], int | None] = {}  # None: dominated
 
     def emit(entries):
-        value = value_of(entries)
-        if value - emin * len(entries) < 0:
-            return
-        out.append((tuple(entries), _exact_int(value * scale)))
+        key = (len(entries), entries[-1][0] if entries else p.arrival)
+        if key not in values:
+            value = _packet_term(p, *key)
+            values[key] = None if value - emin * key[0] < 0 else _exact_int(value * scale)
+        if values[key] is not None:
+            out.append((tuple(entries), values[key]))
 
     def extend(entries, min_slot, min_server):
         emit(entries)  # discard the remaining suffix
@@ -114,52 +132,91 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
     the result is never silently approximate.
     """
     scale = _value_scale(inst)
-    packets = sorted(inst.packets, key=lambda p: p.id)
-    candidates = [_packet_candidates(inst, p, scale) for p in packets]
     total_sub = inst.total_subpackets
     # scaled marginal-energy tables per server; occupancy never exceeds total-1
     g_inc = [
         [_exact_int(inst.energy[s].increment(c) * scale) for c in range(total_sub)]
         for s in range(inst.servers)
     ]
+    for s, row in enumerate(g_inc):
+        if any(a < 0 or a > b for a, b in zip(row, row[1:] + row[-1:])):
+            raise AqiError(f"energy[{s}] is not convex non-decreasing; the search bound needs it")
+    packets = sorted(inst.packets, key=lambda p: p.id)
+    emin = min(inst.energy[s].increment(0) for s in range(inst.servers))
+    candidates = [_packet_candidates(inst, p, scale, emin) for p in packets]
     emin_scaled = min(g[0] for g in g_inc) if total_sub else 0
+    static = [
+        max(0, max((v - emin_scaled * len(e) for e, v in candidates[i]), default=0))
+        for i in range(len(packets))
+    ]
     suffix_best = [0] * (len(packets) + 1)
     for i in range(len(packets) - 1, -1, -1):
-        best_net = max((v - emin_scaled * len(e) for e, v in candidates[i]), default=0)
-        suffix_best[i] = suffix_best[i + 1] + max(best_net, 0)
+        suffix_best[i] = suffix_best[i + 1] + static[i]
 
-    counts = [[0] * (inst.horizon + 1) for _ in range(inst.servers)]
-    chosen: list[int] = [0] * len(packets)
-    best_total: int | None = None
+    # occupancy per (server, slot), flattened; a candidate's entries become
+    # (energy increment row, cell) pairs
+    width = inst.horizon + 1
+    counts = [0] * (inst.servers * width)
+    cell_of = {(slot, server): (g_inc[server], server * width + slot)
+               for server in range(inst.servers) for slot in range(width)}
+    plans = [[(tuple(map(cell_of.__getitem__, entries)), value) for entries, value in cands]
+             for cands in candidates]
+    # the non-empty candidates by value, highest first, for the occupancy bound
+    ranked = [sorted((c for c in plan if c[0]), key=lambda c: -c[1]) for plan in plans]
+    n = len(packets)
+    chosen: list[int] = [0] * n
     best_choice: list[int] = []
+    floor = 0  # a leaf must reach it: 0 (all-discard) first, then the incumbent + 1
     nodes = 0
 
     def dfs(i: int, partial: int):
-        nonlocal nodes, best_total, best_choice
-        if i == len(packets):
-            if best_total is None or partial > best_total:
-                best_total = partial
+        nonlocal nodes, best_choice, floor
+        if i == n:
+            if partial >= floor:
                 best_choice = chosen.copy()
+                floor = partial + 1
             return
-        if best_total is not None and partial + suffix_best[i] <= best_total:
+        bound = partial + suffix_best[i]
+        if bound < floor:
             return
-        for ci, (entries, value) in enumerate(candidates[i]):
-            nodes += 1
-            if nodes > budget:
-                raise BudgetError(
-                    f"instance too large for exact oracle: more than {budget} nodes"
-                )
+        # replace each packet's static term by its term at the current occupancy
+        for j in range(i, n):
+            best = 0
+            for cells, value in ranked[j]:
+                if value <= best:
+                    break
+                for row, cell in cells:
+                    value -= row[counts[cell]]
+                if value > best:
+                    best = value
+            if j == i:
+                own = best
+            bound -= static[j] - best
+            if bound < floor:
+                return
+        # occupancy only grows below, so the later packets' terms bound them
+        # there too: a candidate whose child cannot reach the floor is not entered
+        rest = bound - partial - own
+        # every candidate of this packet is tried, so count them all up front
+        nodes += len(plans[i])
+        if nodes > budget:
+            raise BudgetError(f"instance too large for exact oracle: more than {budget} nodes")
+        for ci, (cells, value) in enumerate(plans[i]):
+            if partial + value + rest < floor:
+                continue
             delta = value
-            for slot, server in entries:
-                delta -= g_inc[server][counts[server][slot]]
-                counts[server][slot] += 1
-            chosen[i] = ci
-            dfs(i + 1, partial + delta)
-            for slot, server in entries:
-                counts[server][slot] -= 1
+            for row, cell in cells:
+                delta -= row[counts[cell]]
+                counts[cell] += 1
+            if partial + delta + rest >= floor:
+                chosen[i] = ci
+                dfs(i + 1, partial + delta)
+            for _, cell in cells:
+                counts[cell] -= 1
 
     dfs(0, 0)
-    assert best_total is not None  # the all-discard assignment always exists
+    assert floor > 0  # the all-discard assignment always reaches the first floor
+    best_total = floor - 1
 
     alloc = Allocation()
     for i, p in enumerate(packets):

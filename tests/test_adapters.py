@@ -134,6 +134,14 @@ def test_sampling_family_validates_across_seeds():
         assert inst.packets
 
 
+@pytest.mark.parametrize("sources, samples, horizon, max_fragments", [
+    (0, 2, 5, 3), (-1, 2, 5, 3), (2, 0, 5, 3), (2, -2, 5, 3), (2, 2, -1, 3), (2, 2, 5, 0),
+])
+def test_sampling_family_rejects_counts_that_leave_it_empty(sources, samples, horizon, max_fragments):
+    with pytest.raises(AqiError, match="must be >="):
+        remote_sampling_family(sources, samples, horizon, seed=0, max_fragments=max_fragments)
+
+
 def test_saturating_fidelity_has_diminishing_integer_steps():
     inst = remote_sampling_family(1, 1, 5, seed=0, fidelity="saturating")
     p = inst.packets[0]

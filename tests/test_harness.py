@@ -287,6 +287,10 @@ def test_cli_reports_parse_errors(tmp_path, capsys):
     ["verify", str(FIXTURES / "minimal.json"), "--samples", "-3"],
     ["gen", "--deadline-prob", "2"],
     ["gen", "--deadline-prob", "nan"],
+    # a node budget below 1 would skip every oracle check
+    ["verify", str(FIXTURES / "minimal.json"), "--budget", "0"],
+    ["opt", str(FIXTURES / "minimal.json"), "--budget", "-5"],
+    ["campaign", "--seeds", "0:3", "--budget", "0"],
 ])
 def test_cli_rejects_malformed_arguments_without_a_traceback(argv, capsys):
     assert main(argv) == 2
@@ -305,6 +309,25 @@ def test_cli_rejects_a_malformed_budget_variable(monkeypatch, capsys):
     monkeypatch.setenv("AQI_BUDGET", "abc")
     assert main(["opt", str(FIXTURES / "minimal.json")]) == 2
     assert capsys.readouterr().err.startswith("error: bad AQI_BUDGET 'abc'")
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_cli_rejects_a_budget_variable_below_one(monkeypatch, capsys, value):
+    monkeypatch.setenv("AQI_BUDGET", value)
+    assert main(["verify", str(FIXTURES / "minimal.json")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: bad AQI_BUDGET '{value}'")
+
+
+@pytest.mark.parametrize("argv", [
+    ["adapt-sampling", "--max-fragments", "0"],
+    ["adapt-sampling", "--sources", "-1"],
+    ["adapt-sampling", "--samples-per-source", "-2"],
+    ["adapt-sampling", "--horizon", "-1"],
+])
+def test_cli_rejects_empty_sampling_families(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be >=" in err and "Traceback" not in err
 
 
 def test_repro_command_replays_the_failing_check(tmp_path, capsys):

@@ -14,6 +14,7 @@ from aqisim.harness import generate
 from aqisim.matching import expand_binary, run_online_matching
 from aqisim.model import (
     Allocation,
+    AqiError,
     Bin,
     DISCARD,
     Packet,
@@ -33,6 +34,8 @@ from aqisim.valuation import evaluate
 from conftest import simple_instance, unit_packet
 
 F = Fraction
+ROOT = Path(__file__).resolve().parent.parent
+GENERATOR_MODES = ("random", "adversarial-burst", "adversarial-lock")
 
 
 def test_single_packet_optimum(single_packet_instance):
@@ -44,6 +47,15 @@ def test_single_packet_optimum(single_packet_instance):
 def test_empty_instance_optimum():
     res = offline_optimal(simple_instance([], horizon=3))
     assert res.valuation.total == 0 and len(res.allocation) == 0
+
+
+def test_zero_optimum_reports_the_first_zero_valued_schedule():
+    # sending p0 at slot 0 earns exactly its energy, a tie with discarding it;
+    # the all-discard floor is strict, so the earlier schedule is reported
+    inst = simple_instance([unit_packet(value=5)], horizon=1, energy=[linear(5)])
+    res = offline_optimal(inst)
+    assert res.valuation.total == 0
+    assert res.allocation.to_json() == [{"packet": "p0", "index": 1, "bin": "t0s0"}]
 
 
 def test_budget_error_is_explicit():
@@ -88,6 +100,13 @@ def test_search_matches_naive_enumeration_multiserver():
     assert offline_optimal(inst).valuation.total == naive_optimal_value(inst)
 
 
+def test_search_matches_naive_enumeration_with_two_servers_and_deadlines():
+    # the occupancy bound reads per-server increments and deadline-zeroed values
+    for seed in range(20):
+        inst = generate(2, 2, 2, seed, mode=GENERATOR_MODES[seed % 3], servers=2, deadline_prob=0.5)
+        assert offline_optimal(inst).valuation.total == naive_optimal_value(inst), seed
+
+
 def test_optimum_dominates_both_online_algorithms():
     for seed in range(30):
         inst = generate(5, 1, 4, seed, mode=("random", "adversarial-burst")[seed % 2])
@@ -100,6 +119,19 @@ def test_cross_oracle_equality_on_binary_instances():
     for seed in range(40):
         inst = generate(5, 1, 4, seed, mode=("random", "adversarial-lock", "adversarial-burst")[seed % 3])
         assert offline_optimal_binary(inst).weight == offline_optimal(inst).valuation.total
+
+
+def test_cross_oracle_equality_on_larger_binary_instances():
+    for seed in range(30):
+        inst = generate(8, 1, 6, seed, mode=GENERATOR_MODES[seed % 3])
+        assert offline_optimal_binary(inst).weight == offline_optimal(inst).valuation.total, seed
+
+
+def test_search_rejects_an_energy_curve_that_is_not_convex():
+    concave = tabulated([0, 4, 6, 7])
+    inst = simple_instance([unit_packet(pid="p0"), unit_packet(pid="p1")], energy=[concave])
+    with pytest.raises(AqiError, match="not convex non-decreasing"):
+        offline_optimal(inst)
 
 
 def test_optimum_is_deterministic_under_ties():
@@ -140,9 +172,6 @@ def test_ratio_report_cases():
 
 # --- recorded optima -------------------------------------------------------------
 
-ROOT = Path(__file__).resolve().parent.parent
-GENERATOR_MODES = ("random", "adversarial-burst", "adversarial-lock")
-
 
 def _recorded_cases():
     """The instances behind tests/golden/oracle_allocations.json: general
@@ -171,3 +200,17 @@ def test_optima_match_recorded_hashes():
         assert _digest(offline_optimal(inst)) == recorded[name], name
         seen.append(name)
     assert sorted(seen) == sorted(recorded)
+
+
+# Summed search nodes of general acceptance seeds 25, 100 and 190 while every
+# fragment still to be placed was bounded by the cheapest first energy increment.
+EMIN_BOUND_NODES = 2_271_389
+
+
+def test_occupancy_bound_keeps_the_adversarial_searches_small():
+    nodes = sum(offline_optimal(generate(5, 3, 5, seed, mode=GENERATOR_MODES[seed % 3])).nodes
+                for seed in (25, 100, 190))
+    assert nodes <= EMIN_BOUND_NODES // 4
+    # each needed over a million nodes under the emin bound
+    for seed in (1, 2):
+        assert offline_optimal(generate(7, 3, 6, seed, mode="adversarial-burst")).nodes < 200_000
