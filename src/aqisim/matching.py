@@ -32,7 +32,7 @@ from .model import (
     Instance,
     rational_to_json,
 )
-from .valuation import transmit_value
+from .valuation import tables
 
 ZERO = Fraction(0)
 
@@ -464,21 +464,17 @@ def expand_binary(inst: Instance, full_depth: bool = False) -> ExpandedBinary:
             right_order.append(b)
             locks[b] = Fraction(t)
             minislots[b] = (t, i)
-    # value per (packet, slot) and energy increment per position, each once
-    # (depth never shrinks, so the last slot's depth is the deepest position),
-    # over one common denominator so an edge costs an integer subtraction
-    values = [{t: transmit_value(p, t) for t in range(p.arrival, inst.horizon + 1)} for p in packets]
-    increments = [inst.energy[0].increment(i) for i in range(depth)]
-    scale = math.lcm(*(x.denominator for x in increments),
-                     *(v.denominator for row in values for v in row.values()))
-    increments = [x.numerator * (scale // x.denominator) for x in increments]
+    # every edge is an integer subtraction in the instance's tables
+    tab = tables(inst)
+    increments = tab.energy_inc[0]
     weights: dict[tuple[str, str], Fraction] = {}
-    for p, row in zip(packets, values):
-        row = {t: v.numerator * (scale // v.denominator) for t, v in row.items()}
+    for p in packets:
+        i = tab.index[p.id]
+        row = {slot: tab.term(i, 1, slot) for slot in range(p.arrival, inst.horizon + 1)}
         for b in right_order:
-            t, i = minislots[b]
-            if t >= p.arrival and row[t] >= increments[i - 1]:
-                weights[(p.id, b)] = Fraction(row[t] - increments[i - 1], scale)
+            slot, pos = minislots[b]
+            if slot >= p.arrival and row[slot] >= increments[pos - 1]:
+                weights[(p.id, b)] = Fraction(row[slot] - increments[pos - 1], tab.scale)
     graph = BipartiteGraph(
         left_order=left_order,
         right_order=right_order,

@@ -343,6 +343,19 @@ class Allocation:
         return out
 
 
+def check_entry(inst: Instance, p: Packet, ref: SubpacketRef, b: Bin) -> None:
+    """Raise AllocationError unless `ref` is a fragment of packet `p` and `b`
+    is the discard bin or a bin inside `inst`'s slots and servers."""
+    if not 1 <= ref.index <= p.subpackets:
+        raise AllocationError(f"{ref} is out of range for packet with {p.subpackets} fragments")
+    if b.is_discard:
+        return
+    if not 0 <= b.slot <= inst.horizon:
+        raise AllocationError(f"{ref} assigned to slot {b.slot} outside horizon {inst.horizon}")
+    if not 0 <= b.server < inst.servers:
+        raise AllocationError(f"{ref} assigned to unknown server {b.server}")
+
+
 def check_allocation(inst: Instance, alloc: Allocation) -> None:
     """Raise AllocationError unless `alloc` is structurally valid for `inst`."""
     ids = {p.id: p for p in inst.packets}
@@ -350,15 +363,8 @@ def check_allocation(inst: Instance, alloc: Allocation) -> None:
         if ref.packet not in ids:
             raise AllocationError(f"allocation references unknown packet {ref.packet!r}")
         p = ids[ref.packet]
-        if not 1 <= ref.index <= p.subpackets:
-            raise AllocationError(f"{ref} is out of range for packet with {p.subpackets} fragments")
-        if b.is_discard:
-            continue
-        if not 0 <= b.slot <= inst.horizon:
-            raise AllocationError(f"{ref} assigned to slot {b.slot} outside horizon {inst.horizon}")
-        if not 0 <= b.server < inst.servers:
-            raise AllocationError(f"{ref} assigned to unknown server {b.server}")
-        if b.slot < p.arrival:
+        check_entry(inst, p, ref, b)
+        if not b.is_discard and b.slot < p.arrival:
             raise AllocationError(f"{ref} assigned to slot {b.slot} before arrival {p.arrival}")
 
 

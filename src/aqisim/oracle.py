@@ -4,7 +4,7 @@ ratio report comparing an online run against them.
 
 The search enumerates, per packet, every in-order schedule of its fragments
 (non-decreasing slots, any server, a discarded suffix) in ascending key
-order, packets by id, depth first. All arithmetic is integer-scaled exact.
+order, packets by id, depth first, on the exact integer `valuation.tables`.
 
 Two upper bounds on what the packets not yet placed can still add prune it,
 the cheap one first:
@@ -32,7 +32,6 @@ counts the schedules tried at the expanded search nodes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,21 +45,13 @@ from .model import (
     rational_to_json,
 )
 from .matching import MatchingResult, expand_binary, max_weight_matching
-from .valuation import Valuation, _packet_term, evaluate
+from .valuation import Tables, Valuation, evaluate, tables
 
 DEFAULT_BUDGET = 10_000_000
-
-ZERO = Fraction(0)
 
 
 class BudgetError(AqiError):
     """The exact search would exceed its node budget; never approximated."""
-
-
-def _exact_int(x: Fraction) -> int:
-    if x.denominator != 1:
-        raise AqiError(f"value {x} escaped the integer scaling")
-    return x.numerator
 
 
 @dataclass
@@ -70,7 +61,7 @@ class OracleResult:
     nodes: int
 
 
-def _packet_candidates(inst: Instance, p, scale: int, emin: Fraction):
+def _packet_candidates(inst: Instance, tab: Tables, p, emin: int):
     """All in-order schedules of one packet with their scaled values.
 
     A schedule is a tuple of (slot, server) pairs, slots non-decreasing,
@@ -79,6 +70,7 @@ def _packet_candidates(inst: Instance, p, scale: int, emin: Fraction):
     they are strictly dominated by discarding everything. A schedule's value
     depends only on its length and last slot, so it is computed once per pair.
     """
+    i = tab.index[p.id]
     horizon = inst.horizon
     out = []
     values: dict[tuple[int, int], int | None] = {}  # None: dominated
@@ -86,8 +78,8 @@ def _packet_candidates(inst: Instance, p, scale: int, emin: Fraction):
     def emit(entries):
         key = (len(entries), entries[-1][0] if entries else p.arrival)
         if key not in values:
-            value = _packet_term(p, *key)
-            values[key] = None if value - emin * key[0] < 0 else _exact_int(value * scale)
+            value = tab.term(i, *key)
+            values[key] = None if value - emin * key[0] < 0 else value
         if values[key] is not None:
             out.append((tuple(entries), values[key]))
 
@@ -111,42 +103,22 @@ def _packet_candidates(inst: Instance, p, scale: int, emin: Fraction):
     return out
 
 
-def _value_scale(inst: Instance) -> int:
-    scale = 1
-    total = inst.total_subpackets
-    for s in range(inst.servers):
-        for c in range(total + 1):
-            scale = math.lcm(scale, inst.energy[s].value(c).denominator)
-    for p in inst.packets:
-        for count in range(p.subpackets + 1):
-            scale = math.lcm(scale, p.utility(count).denominator)
-        for lag in range(inst.horizon - p.arrival + 1):
-            scale = math.lcm(scale, p.lag_cost(lag).denominator)
-    return scale
-
-
 def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResult:
     """Exact maximum-value allocation by pruned exhaustive search.
 
     Raises BudgetError once more than `budget` search nodes are expanded;
     the result is never silently approximate.
     """
-    scale = _value_scale(inst)
-    total_sub = inst.total_subpackets
-    # scaled marginal-energy tables per server; occupancy never exceeds total-1
-    g_inc = [
-        [_exact_int(inst.energy[s].increment(c) * scale) for c in range(total_sub)]
-        for s in range(inst.servers)
-    ]
+    tab = tables(inst)
+    g_inc = tab.energy_inc  # scaled marginal energy per server and occupancy
     for s, row in enumerate(g_inc):
         if any(a < 0 or a > b for a, b in zip(row, row[1:] + row[-1:])):
             raise AqiError(f"energy[{s}] is not convex non-decreasing; the search bound needs it")
     packets = sorted(inst.packets, key=lambda p: p.id)
-    emin = min(inst.energy[s].increment(0) for s in range(inst.servers))
-    candidates = [_packet_candidates(inst, p, scale, emin) for p in packets]
-    emin_scaled = min(g[0] for g in g_inc) if total_sub else 0
+    emin = min(row[0] for row in g_inc)
+    candidates = [_packet_candidates(inst, tab, p, emin) for p in packets]
     static = [
-        max(0, max((v - emin_scaled * len(e) for e, v in candidates[i]), default=0))
+        max(0, max((v - emin * len(e) for e, v in candidates[i]), default=0))
         for i in range(len(packets))
     ]
     suffix_best = [0] * (len(packets) + 1)
@@ -226,9 +198,9 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
         for j in range(len(entries) + 1, p.subpackets + 1):
             alloc.add(SubpacketRef(p.id, j), DISCARD)
     val = evaluate(inst, alloc)
-    if val.total != Fraction(best_total, scale):
+    if val.total != Fraction(best_total, tab.scale):
         raise AqiError(
-            f"oracle bookkeeping out of sync: search says {Fraction(best_total, scale)}, "
+            f"oracle bookkeeping out of sync: search says {Fraction(best_total, tab.scale)}, "
             f"evaluation says {val.total}"
         )
     return OracleResult(allocation=alloc, valuation=val, nodes=nodes)

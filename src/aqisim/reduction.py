@@ -133,36 +133,6 @@ def frozen_optimal(frozen: FrozenInstance, opt: OracleResult) -> Fraction:
     return y
 
 
-def exhaustive_frozen_max(inst: Instance, node_limit: int = 2_000_000):
-    """Independent tiny-scale maximizer of the frozen value over ALL bins,
-    including unreachable ones; exists to cross-check frozen_optimal's
-    reachable-schedules argument, not for production use."""
-    frozen = build_frozen(inst)
-    refs = frozen.resources
-    best: tuple[Fraction, Allocation] | None = None
-    nodes = 0
-
-    def dfs(i: int, alloc: Allocation, total: Fraction):
-        nonlocal best, nodes
-        nodes += 1
-        if nodes > node_limit:
-            raise AqiError("exhaustive frozen search exceeded its node limit")
-        if i == len(refs):
-            if best is None or total > best[0]:
-                best = (total, alloc.copy())
-            return
-        ref = refs[i]
-        for b in frozen.bins:
-            g = frozen.gain(alloc, ref, b)
-            alloc.add(ref, b)
-            dfs(i + 1, alloc, total + g)
-            alloc.remove(ref)
-
-    dfs(0, Allocation(), ZERO)
-    assert best is not None
-    return best[1], best[0]
-
-
 @dataclass
 class BridgeReport:
     """Offline bridge: locking optimum vs the frozen twin's optimum."""

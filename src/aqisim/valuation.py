@@ -4,11 +4,14 @@ The value of an allocation is utility minus delay cost minus energy:
 per packet, the utility of its transmitted fragment count and the delay cost
 of its completion lag; per (slot, server), the energy of the fragment count
 placed there. A packet finishing past its deadline forfeits utility and delay
-alike; discarded fragments contribute nothing anywhere.
+alike; discarded fragments contribute nothing anywhere. Marginals, the
+exact oracle and the binary expansion compute on `tables(inst)`; `evaluate`
+and `transmit_weight` read the cost families, as references for them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -22,6 +25,7 @@ from .model import (
     Packet,
     SubpacketRef,
     check_allocation,
+    check_entry,
 )
 
 ZERO = Fraction(0)
@@ -68,14 +72,45 @@ def _packet_state(p: Packet, entries: list[tuple[SubpacketRef, Bin]]) -> tuple[i
     return count, last
 
 
-def _packet_term(p: Packet, count: int, last: int) -> Fraction:
-    """Weighted utility-minus-delay of one packet; zero when nothing is sent
-    or the completion slot violates the packet's deadline."""
-    if count == 0:
-        return ZERO
-    if p.deadline is not None and last > p.deadline:
-        return ZERO
-    return p.utility(count) - p.lag_cost(last - p.arrival)
+class Tables:
+    """Every utility[i][count], lag[i][d] and energy_inc[server][occupancy]
+    a valid allocation can reach, times one common `scale`; row i is
+    `inst.packets[i]`, and `index` maps a packet id to it."""
+
+    def __init__(self, inst: Instance):
+        self.packets = inst.packets
+        self.index = {p.id: i for i, p in enumerate(inst.packets)}
+        occupancies = range(max(inst.total_subpackets, 1) + 1)  # 0 at least, as in validate_instance
+        energy = [[fam.value(c) for c in occupancies] for fam in inst.energy]
+        exact = ([[p.utility(c) for c in range(p.subpackets + 1)] for p in inst.packets],
+                 [[p.lag_cost(d) for d in range(max(inst.horizon, p.arrival) - p.arrival + 1)]
+                  for p in inst.packets],
+                 [[b - a for a, b in zip(row, row[1:])] for row in energy])
+        self.scale = scale = math.lcm(*(x.denominator for rows in exact for row in rows for x in row))
+        self.utility, self.lag, self.energy_inc = (
+            [[x.numerator * (scale // x.denominator) for x in row] for row in rows] for rows in exact
+        )
+
+    def term(self, i: int, count: int, last: int) -> int:
+        """Scaled utility minus lag cost of row `i` sending `count` fragments
+        by slot `last`; 0 when nothing is sent or `last` is past the deadline."""
+        p = self.packets[i]
+        if count == 0 or (p.deadline is not None and last > p.deadline):
+            return 0
+        return self.utility[i][count] - self.lag[i][last - p.arrival]
+
+
+_last_tables: tuple[Instance | None, Tables | None] = (None, None)
+
+
+def tables(inst: Instance) -> Tables:
+    """The integer tables of `inst`, rebuilt only when another instance was
+    used since: one set in memory, and the strong reference to its instance
+    keeps an identity match from being a recycled object id."""
+    global _last_tables
+    if _last_tables[0] is not inst:
+        _last_tables = (inst, Tables(inst))
+    return _last_tables[1]
 
 
 def evaluate(inst: Instance, alloc: Allocation) -> Valuation:
@@ -110,33 +145,29 @@ def marginal_values(inst: Instance, alloc: Allocation, ref: SubpacketRef,
     b in `bins`.
 
     Each entry equals evaluate(alloc + (ref, b)).total - evaluate(alloc).total;
-    the discard bin always yields exactly 0. The packet's state is read once,
-    and the packet delta per completion slot and the energy increment per
-    (server, occupancy) are computed once each, so a bin costs a subtraction.
+    the discard bin always yields exactly 0. A bin outside the instance
+    raises AllocationError; one before the packet's arrival counts as
+    completing at the arrival, as in `_packet_state`. A bin costs a few
+    integer table lookups.
     """
     if ref in alloc:
         raise AllocationError(f"{ref} is already allocated")
     if all(b.is_discard for b in bins):  # no bin's value depends on the packet
         return [ZERO] * len(bins)
     p = inst.packet(ref.packet)
+    tab = tables(inst)
+    i = tab.index[p.id]
     count, last = _packet_state(p, alloc.packet_entries(ref.packet))
-    current = _packet_term(p, count, last)
-    packet_deltas: dict[int, Fraction] = {}  # completion slot -> packet delta
-    energy_incs: dict[tuple[int, int], Fraction] = {}  # (server, occupancy) -> increment
+    current = tab.term(i, count, last)
     out = []
     for b in bins:
         if b.is_discard:
             out.append(ZERO)
             continue
-        new_last = last if b.slot <= last else b.slot
-        packet_delta = packet_deltas.get(new_last)
-        if packet_delta is None:
-            packet_delta = packet_deltas[new_last] = _packet_term(p, count + 1, new_last) - current
-        occupancy = alloc.occupancy(b.slot, b.server)
-        energy_delta = energy_incs.get((b.server, occupancy))
-        if energy_delta is None:
-            energy_delta = energy_incs[b.server, occupancy] = inst.energy[b.server].increment(occupancy)
-        out.append(packet_delta - energy_delta)
+        check_entry(inst, p, ref, b)
+        gain = (tab.term(i, count + 1, last if b.slot <= last else b.slot) - current
+                - tab.energy_inc[b.server][alloc.occupancy(b.slot, b.server)])
+        out.append(Fraction(gain, tab.scale))
     return out
 
 
@@ -144,16 +175,6 @@ def marginal_value(inst: Instance, alloc: Allocation, ref: SubpacketRef, b: Bin)
     """Exact change in total value from adding (ref, b) to `alloc`; the
     one-bin case of `marginal_values`."""
     return marginal_values(inst, alloc, ref, (b,))[0]
-
-
-def build_value(inst: Instance, steps: list[tuple[SubpacketRef, Bin]]) -> Fraction:
-    """Sum of marginals along an ordered build-up (telescopes to evaluate())."""
-    alloc = Allocation()
-    total = ZERO
-    for ref, b in steps:
-        total += marginal_value(inst, alloc, ref, b)
-        alloc.add(ref, b)
-    return total
 
 
 def transmit_weight(inst: Instance, p: Packet, slot: int, position: int) -> Fraction:
@@ -173,12 +194,6 @@ def transmit_weight(inst: Instance, p: Packet, slot: int, position: int) -> Frac
         raise AqiError("position must be >= 1")
     if inst.servers != 1:
         raise AqiError("binary expansion is defined for single-server instances")
-    return transmit_value(p, slot) - inst.energy[0].increment(position - 1)
-
-
-def transmit_value(p: Packet, slot: int) -> Fraction:
-    """The value part of `transmit_weight`: utility minus delay cost of unit
-    packet `p` completing in `slot`, 0 past its deadline."""
-    if p.deadline is not None and slot > p.deadline:
-        return ZERO
-    return p.utility(1) - p.lag_cost(slot - p.arrival)
+    expired = p.deadline is not None and slot > p.deadline
+    value = ZERO if expired else p.utility(1) - p.lag_cost(slot - p.arrival)
+    return value - inst.energy[0].increment(position - 1)

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from aqisim import harness, oracle, reduction
+from aqisim import harness, oracle, reduction, valuation
 from aqisim.model import CostFamily, Instance, Packet, linear, tabulated
 
 
@@ -48,3 +49,24 @@ def oracle_calls(monkeypatch) -> list[Instance]:
     for module in (oracle, reduction, harness):
         monkeypatch.setattr(module, "offline_optimal", counted)
     return calls
+
+
+@pytest.fixture
+def curve_work(monkeypatch) -> Counter:
+    """Counts exact-arithmetic work: `CostFamily.value` calls under "value"
+    and builds of an instance's integer tables under "tables"."""
+    counts: Counter = Counter()
+    value = CostFamily.value
+    build = valuation.Tables.__init__
+
+    def counted_value(self, x):
+        counts["value"] += 1
+        return value(self, x)
+
+    def counted_build(self, inst):
+        counts["tables"] += 1
+        build(self, inst)
+
+    monkeypatch.setattr(CostFamily, "value", counted_value)
+    monkeypatch.setattr(valuation.Tables, "__init__", counted_build)
+    return counts

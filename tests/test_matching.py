@@ -23,6 +23,7 @@ from aqisim.matching import (
 )
 from aqisim.model import CostFamily, load_instance, rational_to_json, tabulated
 from aqisim.oracle import offline_optimal_binary
+from aqisim.valuation import transmit_weight
 from conftest import simple_instance, unit_packet
 
 F = Fraction
@@ -424,6 +425,22 @@ def test_online_run_and_expansion_do_bounded_work(monkeypatch):
     assert 0 < calls["value"] <= PER_EDGE_VALUE_CALLS // 4
     run = run_online_matching(g)
     assert run.events and calls["solve"] == 0
+
+
+def test_every_expanded_edge_is_its_transmit_weight():
+    # the expansion reads the integer tables; transmit_weight the cost families
+    for seed in range(500):
+        inst = generate(6, 1, 5, seed, mode=CAMPAIGN_MODES[seed % 3])
+        for full_depth in (False, True):
+            expanded = expand_binary(inst, full_depth=full_depth)
+            for p in inst.packets:
+                for b, (slot, position) in expanded.minislots.items():
+                    edge = expanded.graph.weights.get((p.id, b))
+                    if slot < p.arrival:
+                        assert edge is None
+                        continue
+                    w = transmit_weight(inst, p, slot, position)
+                    assert edge == (w if w >= 0 else None), (seed, full_depth, p.id, b)
 
 
 def _independent_weights(g: BipartiteGraph, forced=(), left_subset=None, right_subset=None):

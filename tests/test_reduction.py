@@ -25,7 +25,6 @@ from aqisim.reduction import (
     build_frozen,
     check_guarantee_chain,
     check_offline_bridge,
-    exhaustive_frozen_max,
     frozen_optimal,
     run_lockfree_greedy,
     telescoped_value,
@@ -127,6 +126,36 @@ def test_unreachable_assignments_never_help():
             assert telescoped_value(frozen, with_gated) <= telescoped_value(frozen, without_gated)
 
 
+def exhaustive_frozen_max(inst, node_limit: int = 2_000_000):
+    """Independent tiny-scale maximizer of the frozen value over ALL bins,
+    including unreachable ones; the reference for frozen_optimal's
+    reachable-schedules argument."""
+    frozen = build_frozen(inst)
+    refs = frozen.resources
+    best: tuple[Fraction, Allocation] | None = None
+    nodes = 0
+
+    def dfs(i: int, alloc: Allocation, total: Fraction):
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > node_limit:
+            raise AqiError("exhaustive frozen search exceeded its node limit")
+        if i == len(refs):
+            if best is None or total > best[0]:
+                best = (total, alloc.copy())
+            return
+        ref = refs[i]
+        for b in frozen.bins:
+            g = frozen.gain(alloc, ref, b)
+            alloc.add(ref, b)
+            dfs(i + 1, alloc, total + g)
+            alloc.remove(ref)
+
+    dfs(0, Allocation(), F(0))
+    assert best is not None
+    return best[1], best[0]
+
+
 def test_exhaustive_frozen_search_agrees_with_reachable_argument():
     for seed in range(10):
         inst = generate(2, 2, 2, seed)
@@ -200,6 +229,22 @@ def test_check_instance_searches_once_for_all_three_oracle_checks(oracle_calls):
     for name in ORACLE_CHECKS:
         check_instance(general_instance(0), CampaignConfig(seeds=[], checks=(name,)), 0)
     assert len(oracle_calls) == 9 + len(ORACLE_CHECKS)
+
+
+# `CostFamily.value` calls of `check_instance` on general seeds 0:200 with the
+# three oracle checks while the oracle, the marginals and the binary expansion
+# each turned the cost curves into exact numbers their own way.
+SEPARATE_SCALINGS_VALUE_CALLS = 117_295
+
+
+def test_check_instance_builds_the_integer_tables_once(curve_work):
+    instances = [general_instance(seed) for seed in range(200)]
+    config = CampaignConfig(seeds=[], checks=ORACLE_CHECKS)
+    curve_work.clear()
+    for seed, inst in enumerate(instances):
+        check_instance(inst, config, seed)
+        assert curve_work["tables"] == seed + 1
+    assert curve_work["value"] <= SEPARATE_SCALINGS_VALUE_CALLS // 4
 
 
 def test_budget_error_from_the_single_search_skips_all_three_checks(oracle_calls):

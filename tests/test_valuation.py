@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 
-from aqisim.harness import generate
+from aqisim.adapters import remote_sampling_family
+from aqisim.harness import GENERATOR_MODES, generate
 from aqisim.model import (
+    COST_KINDS,
     Allocation,
     AllocationError,
     Bin,
@@ -14,16 +17,20 @@ from aqisim.model import (
     Packet,
     SubpacketRef,
     linear,
+    load_instance,
     tabulated,
 )
 from aqisim.valuation import (
-    build_value,
     evaluate,
     marginal_value,
     marginal_values,
+    tables,
     transmit_weight,
 )
 from conftest import simple_instance, unit_packet
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def ref(pid, j=1):
@@ -161,6 +168,91 @@ def test_marginal_values_edge_cases(single_packet_instance):
     assert marginal_values(inst, alloc, ref("p0"), [DISCARD, DISCARD]) == [0, 0]
     with pytest.raises(AllocationError):
         marginal_values(inst, Allocation([(ref("p0"), DISCARD)]), ref("p0"), [Bin(slot=0)])
+
+
+def build_value(inst, steps: list[tuple[SubpacketRef, Bin]]) -> Fraction:
+    """Sum of marginals along an ordered build-up (telescopes to evaluate())."""
+    alloc = Allocation()
+    total = Fraction(0)
+    for r, b in steps:
+        total += marginal_value(inst, alloc, r, b)
+        alloc.add(r, b)
+    return total
+
+
+@pytest.mark.parametrize("b", [Bin(0, server=-1), Bin(0, server=2), Bin(4 + 3, server=0)],
+                         ids=["server-1", "server2", "past-horizon"])
+def test_marginal_values_reject_bins_outside_the_instance(b):
+    inst = generate(4, 2, 4, 3, servers=2)
+    target = ref("p00")
+    with pytest.raises(AllocationError) as priced:
+        marginal_values(inst, Allocation(), target, [DISCARD, b])
+    with pytest.raises(AllocationError) as evaluated:
+        evaluate(inst, Allocation([(target, b)]))
+    assert str(priced.value) == str(evaluated.value)
+
+
+def test_marginal_before_arrival_completes_at_the_arrival():
+    inst = generate(4, 2, 4, 3, servers=2)
+    late = inst.packet("p01")
+    assert late.arrival == 1
+    for server in (0, 1):
+        before, at = marginal_values(inst, Allocation(), ref("p01"),
+                                     [Bin(0, server), Bin(late.arrival, server)])
+        assert before == at
+
+
+def test_interleaved_instances_price_like_fresh_ones(curve_work):
+    # the tables memo holds one instance; switching back and forth must
+    # rebuild, never reuse another instance's tables
+    a, b = generate(4, 2, 4, 1), generate(4, 2, 4, 2)
+    target = ref("p00")
+
+    def priced(inst):
+        bins = [Bin(t) for t in range(inst.packet("p00").arrival, inst.horizon + 1)]
+        return marginal_values(inst, Allocation(), target, bins), [
+            evaluate(inst, Allocation([(target, x)])).total for x in bins]
+
+    fresh = {id(inst): priced(inst) for inst in (a, b)}
+    curve_work.clear()
+    for inst in (a, b, a):
+        gains, direct = priced(inst)
+        assert gains == direct == fresh[id(inst)][0]
+    assert fresh[id(a)][0] != fresh[id(b)][0]
+    assert curve_work["tables"] == 3
+
+
+def _table_instances():
+    """The fixtures; general, binary and two-server deadline campaign seeds;
+    online-greedy-shaped seeds; sampling-family instances."""
+    out = [load_instance(path.read_text()) for path in sorted(FIXTURES.glob("*.json"))]
+    for seed in range(30):
+        mode = GENERATOR_MODES[seed % 3]
+        out.append(generate(5, 3, 5, seed, mode=mode))
+        out.append(generate(6, 1, 5, seed, mode=mode))
+        out.append(generate(4, 2, 4, seed, mode=mode, servers=2, deadline_prob=0.4))
+    for seed in range(3):
+        out.append(generate(100, 3, 40, seed, mode=GENERATOR_MODES[seed], servers=2, deadline_prob=0.3))
+    out += [remote_sampling_family(2, 2, 6, seed) for seed in range(4)]
+    return out
+
+
+def test_tables_match_the_curves_over_the_reachable_domain():
+    kinds = set()
+    halves = False
+    for inst in _table_instances():
+        tab = tables(inst)
+        exact = lambda row: [Fraction(x, tab.scale) for x in row]
+        for i, p in enumerate(inst.packets):
+            assert tab.index[p.id] == i
+            assert exact(tab.utility[i]) == [p.utility(c) for c in range(p.subpackets + 1)]
+            assert exact(tab.lag[i]) == [p.lag_cost(d) for d in range(inst.horizon - p.arrival + 1)]
+            kinds |= {p.distortion.kind, p.delay_cost.kind}
+            halves |= any(v.denominator == 2 for v in p.distortion.table)
+        for s, fam in enumerate(inst.energy):
+            assert exact(tab.energy_inc[s]) == [fam.increment(c) for c in range(inst.total_subpackets)]
+            kinds.add(fam.kind)
+    assert kinds == set(COST_KINDS) and halves
 
 
 def test_buildup_telescopes_to_total():
