@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -35,7 +35,6 @@ from .matching import (
     BipartiteGraph,
     expand_binary,
     marginal_monotonicity_violations,
-    max_weight_matching,
     run_online_matching,
 )
 from .greedy import run_online_greedy

@@ -15,13 +15,13 @@ The online algorithm keeps that state alive for the whole run: its matching
 is the tentative matching between arrived-unlocked left nodes and unlocked
 bins. An arrival costs one augmenting phase; when a bin locks, its tentative
 edge (if any) becomes permanent and both endpoints retire, which keeps the
-rest optimal at no cost; a matched bin's marginal costs one phase on a copy
-of the state without the bin.
+rest optimal at no cost. The marginals of all matched bins come from one
+reverse shortest-path pass over the duals (`_Hungarian.drop_losses`).
 """
 
 from __future__ import annotations
 
-import copy
+import heapq
 import json
 import math
 from dataclasses import dataclass, field
@@ -171,31 +171,29 @@ class _Hungarian:
     power-of-two secondaries make the optimum unique. Dropping a node only
     removes constraints, so the rest stays optimal; a new left (its lu set to
     cover its edges) or the mate of a dropped right is then the only free
-    left, and one augmenting phase from it restores optimality.
+    left, and one augmenting phase from it restores optimality. What that
+    phase would cost for every matched right at once is `drop_losses`.
     """
 
     def __init__(self, graph: BipartiteGraph):
         self.scale, table = graph.scaled_weights()
         nl = len(graph.left_order)
         self.nr = nr = len(graph.right_order)
-        # read-only and shared by copies: per-left {right rank: weight}
+        # read-only: per-left {right rank: weight}
         self.adj: list[dict[int, tuple[int, int]]] = [{} for _ in range(nl)]
         for (a, b), w in table.items():
             self.adj[graph._left_rank[a]][graph._right_rank[b]] = w
         for li in range(nl):
             self.adj[li][nr + li] = (0, 0)
+        # read-only: per-right [(left rank, primary weight)], built by the
+        # first `drop_losses`, so the offline solve never pays for it
+        self.radj: list[list[tuple[int, int]]] | None = None
         self.lu: list = [None] * nl
         self.lv = [(0, 0)] * (nr + nl)
         self.match_l: list[int | None] = [None] * nl
         self.match_r: list[int | None] = [None] * (nr + nl)
         self.live = [True] * (nr + nl)
         self.total = 0  # primary weight of the matched real edges
-
-    def copy(self) -> "_Hungarian":
-        other = copy.copy(self)
-        for name in ("lu", "lv", "match_l", "match_r", "live"):
-            setattr(other, name, getattr(self, name)[:])
-        return other
 
     def add_left(self, li: int) -> None:
         lv = self.lv
@@ -215,6 +213,60 @@ class _Hungarian:
     def drop_left(self, li: int) -> None:
         """Remove the free left `li` (the mate `drop_right` returned) and its sink."""
         self.live[self.nr + li] = False
+
+    def drop_losses(self) -> dict[int, int]:
+        """{real right: primary weight lost by dropping it} for every matched
+        real right, from one pass and without changing the state.
+
+        Dropping right `r` frees only its mate `l`, and one phase from `l`
+        follows a shortest augmenting path in reduced costs
+        `lu[l2] + lv[r2] - w(l2, r2)`, ending at a free live right (`l`'s own
+        sink at worst). Along an alternating path the matched edges are tight
+        and the end right's dual is 0, so the path's weight gain telescopes to
+        `lu[l]` minus its reduced cost: a shortest path of cost `d(l)` gains
+        `lu[l] - d(l)`, and the loss is `w(l, r) - lu[l] + d(l) = lv[r] + d(l)`
+        since `(l, r)` is tight. A path through `r` returns to `l`, a cycle of
+        non-negative cost, so `d(l)` is the same with `r` still live.
+
+        The primary parts alone give the primary loss. The primary duals are
+        feasible (a lexicographic `>=` implies `>=` on the first component),
+        tight on matched edges and 0 on free rights, so the argument holds for
+        them; and the phase's lexicographically shortest path has as its first
+        component the least first component of any path. One multi-source
+        Dijkstra run backwards from the free live rights, over the in-edge
+        lists `radj`, gives `d` for every active left at once: a right's
+        distance is 0 if free and its mate's otherwise.
+        """
+        if self.radj is None:
+            self.radj = [[] for _ in self.lv]
+            for li, row in enumerate(self.adj):
+                for ri, w in row.items():
+                    self.radj[ri].append((li, w[0]))
+        lv, radj, live, match_l, match_r = self.lv, self.radj, self.live, self.match_l, self.match_r
+        nr, inf = self.nr, math.inf
+        # primary duals of the active lefts (added, sink still live), else None
+        u = [None if d is None or not live[nr + li] else d[0] for li, d in enumerate(self.lu)]
+        best: dict[int, int] = {}  # least distance offered so far, per active left
+        for ri, mate in enumerate(match_r):
+            if mate is None and live[ri]:  # free: distance 0 and dual 0
+                for li, w in radj[ri]:
+                    if u[li] is not None and u[li] - w < best.get(li, inf):
+                        best[li] = u[li] - w
+        heap = [(d, li) for li, d in best.items()]
+        heapq.heapify(heap)
+        dist: dict[int, int] = {}
+        while heap:
+            d, li = heapq.heappop(heap)
+            if li in dist:
+                continue
+            dist[li] = d
+            ri = match_l[li]  # its distance is d, and its in-edges lead on
+            d += lv[ri][0]
+            for l2, w in radj[ri]:
+                if u[l2] is not None and d + u[l2] - w < best.get(l2, inf):
+                    best[l2] = d + u[l2] - w
+                    heapq.heappush(heap, (best[l2], l2))
+        return {ri: lv[ri][0] + dist[li] for ri, li in enumerate(match_r[:nr]) if li is not None}
 
     def phase(self, root: int) -> None:
         """Augment along a shortest path from the free left `root`."""
@@ -344,8 +396,7 @@ def run_online_matching(graph: BipartiteGraph, arrivals=None, locks=None) -> Mat
     batch against the current tentative matching, after any arrivals at the
     same instant. The trace records, at every event, the constrained matching
     weight and each bin's marginal value: its weight contribution while
-    unlocked (one phase on a copy of the state without the bin), its
-    locked-in edge weight afterwards.
+    unlocked (`_Hungarian.drop_losses`), its locked-in edge weight afterwards.
     """
     arrivals, locks = _event_stream(graph, arrivals, locks)
     live = _Hungarian(graph)
@@ -354,16 +405,15 @@ def run_online_matching(graph: BipartiteGraph, arrivals=None, locks=None) -> Mat
     events: list[MatchEvent] = []
 
     def marginals() -> dict[str, Fraction]:
+        losses = live.drop_losses()
         out: dict[str, Fraction] = {}
         for ri, b in enumerate(graph.right_order):
             if b in perm:
                 out[b] = perm[b][1]
-            elif live.match_r[ri] is None:
-                out[b] = ZERO
+            elif ri in losses:
+                out[b] = Fraction(losses[ri], live.scale)
             else:
-                trial = live.copy()
-                trial.phase(trial.drop_right(ri))
-                out[b] = Fraction(live.total - trial.total, live.scale)
+                out[b] = ZERO
         return out
 
     def record(clock, kind, subject, arrival_gain=None) -> None:

@@ -146,9 +146,10 @@ def marginal_values(inst: Instance, alloc: Allocation, ref: SubpacketRef,
 
     Each entry equals evaluate(alloc + (ref, b)).total - evaluate(alloc).total;
     the discard bin always yields exactly 0. A bin outside the instance
-    raises AllocationError; one before the packet's arrival counts as
-    completing at the arrival, as in `_packet_state`. A bin costs a few
-    integer table lookups.
+    raises AllocationError, and so does an `alloc` already holding as many
+    fragments of the packet as it has; a bin before the packet's arrival
+    counts as completing at the arrival, as in `_packet_state`. A bin costs
+    a few integer table lookups.
     """
     if ref in alloc:
         raise AllocationError(f"{ref} is already allocated")
@@ -157,7 +158,11 @@ def marginal_values(inst: Instance, alloc: Allocation, ref: SubpacketRef,
     p = inst.packet(ref.packet)
     tab = tables(inst)
     i = tab.index[p.id]
-    count, last = _packet_state(p, alloc.packet_entries(ref.packet))
+    entries = alloc.packet_entries(ref.packet)
+    if len(entries) >= p.subpackets:
+        raise AllocationError(f"{ref}: the allocation already holds {len(entries)} fragments "
+                              f"of a packet with {p.subpackets}")
+    count, last = _packet_state(p, entries)
     current = tab.term(i, count, last)
     out = []
     for b in bins:

@@ -3,7 +3,6 @@ pass/fail line. The two big seeded campaigns are shared across criteria."""
 
 from __future__ import annotations
 
-import json
 import time
 from fractions import Fraction
 from random import Random

@@ -6,11 +6,9 @@ import pytest
 
 from aqisim.adapters import aoi_multisource, remote_sampling_family, speed_scaling
 from aqisim.greedy import run_online_greedy
-from aqisim.harness import generate
-from aqisim.model import AqiError, CostFamily, linear, store_instance, tabulated, validate_instance
+from aqisim.model import AqiError, CostFamily, store_instance, tabulated, validate_instance
 from aqisim.oracle import offline_optimal, offline_optimal_binary
 from aqisim.reduction import check_guarantee_chain
-from conftest import simple_instance, unit_packet
 
 F = Fraction
 SQUARE = CostFamily("power", params=(F(1), F(2)))

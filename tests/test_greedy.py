@@ -4,9 +4,6 @@ import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
-from random import Random
-
-import pytest
 
 from aqisim.greedy import arrival_order, run_online_greedy
 from aqisim.harness import generate
@@ -14,9 +11,7 @@ from aqisim.model import (
     Allocation,
     Bin,
     CostFamily,
-    DISCARD,
     Packet,
-    SubpacketRef,
     allocation_in_index_order,
     linear,
     load_instance,

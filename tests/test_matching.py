@@ -407,9 +407,10 @@ PER_EDGE_VALUE_CALLS = 7_270
 
 def test_online_run_and_expansion_do_bounded_work(monkeypatch):
     inst = _online_matching_instance(0)
-    calls = {"value": 0, "solve": 0}
+    calls = {"value": 0, "solve": 0, "phase": 0}
     value = CostFamily.value
     solve = matching.max_weight_matching
+    phase = matching._Hungarian.phase
 
     def counted_value(self, x):
         calls["value"] += 1
@@ -419,12 +420,19 @@ def test_online_run_and_expansion_do_bounded_work(monkeypatch):
         calls["solve"] += 1
         return solve(*args, **kwargs)
 
+    def counted_phase(self, root):
+        calls["phase"] += 1
+        return phase(self, root)
+
     monkeypatch.setattr(CostFamily, "value", counted_value)
     monkeypatch.setattr(matching, "max_weight_matching", counted_solve)
+    monkeypatch.setattr(matching._Hungarian, "phase", counted_phase)
     g = expand_binary(inst).graph
     assert 0 < calls["value"] <= PER_EDGE_VALUE_CALLS // 4
     run = run_online_matching(g)
     assert run.events and calls["solve"] == 0
+    # one phase per arrival: the traced marginals cost none
+    assert calls["phase"] == len(inst.packets) == 20
 
 
 def test_every_expanded_edge_is_its_transmit_weight():
@@ -496,3 +504,32 @@ def test_solver_agrees_with_scipy_and_networkx():
             res = max_weight_matching(g, forced=forced, left_subset=ls, right_subset=rs)
             assert (res.weight, res.weight) == _independent_weights(g, forced, ls, rs), (g.label, forced)
             assert sum((g.weights[e] for e in res.pairs.items()), F(0)) == res.weight
+
+
+def test_traced_marginals_agree_with_scipy_and_networkx():
+    # every unlocked bin's rho at every event is the active optimum's loss
+    # without that bin, by solvers that share no code with the matcher
+    rng = Random(43)
+    lock_sides = set()
+    for _ in range(200):
+        nl, nr = rng.randint(1, 6), rng.randint(1, 7)
+        lefts = [f"a{i}" for i in range(nl)]
+        rights = [f"b{j}" for j in range(nr)]
+        weights = {(a, b): F(rng.randint(0, 6), rng.choice([1, 2, 3]))
+                   for a in lefts for b in rights if rng.random() < 0.7}
+        arrivals = {a: F(rng.randint(0, 8), 2) for a in lefts}
+        locks = {b: F(rng.randint(0, 8), 2) for b in rights}
+        lock_sides.update((t > u) - (t < u) for t in locks.values() for u in arrivals.values())
+        g = graph(lefts, rights, weights, arrivals=arrivals, locks=locks)
+        run = run_online_matching(g)
+        arrived: set[str] = set()
+        locked: set[str] = set()
+        for ev in run.events:
+            (arrived if ev.kind == "arrival" else locked).update(ev.subject)
+            act_l = arrived - {a for b, (a, _) in run.perm.items() if b in locked}
+            act_r = set(rights) - locked
+            assert _independent_weights(g, (), act_l, act_r) == (ev.temp_weight,) * 2
+            for b in act_r:
+                without = _independent_weights(g, (), act_l, act_r - {b})
+                assert without == (ev.temp_weight - ev.marginals[b],) * 2, (g.weights, ev.clock, b)
+    assert lock_sides == {-1, 0, 1}  # locks before, at and after arrivals

@@ -14,7 +14,6 @@ from aqisim.model import (
     Bin,
     CostFamily,
     DISCARD,
-    Instance,
     Packet,
     ParseError,
     SubpacketRef,

@@ -5,7 +5,6 @@ import json
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
-from random import Random
 
 import pytest
 

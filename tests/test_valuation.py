@@ -170,6 +170,14 @@ def test_marginal_values_edge_cases(single_packet_instance):
         marginal_values(inst, Allocation([(ref("p0"), DISCARD)]), ref("p0"), [Bin(slot=0)])
 
 
+def test_marginal_values_reject_an_allocation_holding_every_fragment():
+    inst = generate(4, 2, 4, 3, servers=2)
+    assert inst.packet("p00").subpackets == 2
+    alloc = Allocation([(ref("p00", 2), Bin(slot=2)), (ref("p00", 3), Bin(slot=3))])
+    with pytest.raises(AllocationError, match="already holds 2 fragments"):
+        marginal_values(inst, alloc, ref("p00", 1), [Bin(slot=2)])
+
+
 def build_value(inst, steps: list[tuple[SubpacketRef, Bin]]) -> Fraction:
     """Sum of marginals along an ordered build-up (telescopes to evaluate())."""
     alloc = Allocation()
