@@ -24,7 +24,14 @@ from .model import (
     tabulated,
     validate_instance,
 )
-from .valuation import Valuation, evaluate, marginal_value, marginal_values, transmit_weight
+from .valuation import (
+    Valuation,
+    evaluate,
+    marginal_gains,
+    marginal_value,
+    marginal_values,
+    transmit_weight,
+)
 from .matching import (
     BipartiteGraph,
     ExpandedBinary,

@@ -5,6 +5,15 @@ Bins still open at a fragment's arrival are the current and future slots plus
 the discard bin. Ties break toward regular bins over discard, then earliest
 slot, then lowest server index; the discard bin guarantees every step's
 marginal is at least 0.
+
+A run lists its candidate bins once, in that order, and each step scores a
+slice of the list, from the first bin of the clock's slot, with
+`marginal_gains`: integers over the instance's table scale, so the choice is
+a first strict maximum of integers. The tables behind the scale are built
+once per instance, with one lag row per distinct weight and delay-cost
+family. A step keeps its integers; its `gain` is the chosen one as a
+`Fraction`, and `alternatives` builds the full (bin, Fraction) list only
+when read.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from .model import (
     SubpacketRef,
     rational_to_json,
 )
-from .valuation import Valuation, evaluate, marginal_values
+from .valuation import Valuation, evaluate, marginal_gains, tables
 
 ZERO = Fraction(0)
 
@@ -52,7 +61,14 @@ class GreedyStep:
     ref: SubpacketRef
     chosen: Bin
     gain: Fraction
-    alternatives: list[tuple[Bin, Fraction]]
+    bins: list[Bin]  # the candidate bins, in tie-break order
+    gains: list[int]  # their marginals, over `scale`
+    scale: int
+
+    @property
+    def alternatives(self) -> list[tuple[Bin, Fraction]]:
+        """Every candidate bin with its exact marginal, in tie-break order."""
+        return [(b, Fraction(g, self.scale)) for b, g in zip(self.bins, self.gains)]
 
 
 @dataclass
@@ -64,35 +80,35 @@ class GreedyState:
     clock: int = 0
     steps: list[GreedyStep] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
+    bins: list[Bin] = field(init=False)  # candidate_bins(inst, 0), listed once per run
+
+    def __post_init__(self):
+        self.bins = candidate_bins(self.inst, 0)
 
 
-def pick_bin(options: list[tuple[Bin, Fraction]]) -> tuple[Bin, Fraction]:
-    """First strict maximum in tie-break order (options are pre-ordered)."""
-    best_bin, best_gain = options[0]
-    for b, g in options[1:]:
-        if g > best_gain:
-            best_bin, best_gain = b, g
-    return best_bin, best_gain
+def first_max(gains: list) -> int:
+    """Index of the first strict maximum: the tie-break order is the list's."""
+    return gains.index(max(gains))
 
 
 def greedy_step(state: GreedyState, ref: SubpacketRef) -> tuple[Bin, Fraction]:
     """Allocate one fragment arriving at the state's clock; returns (bin, gain)."""
-    if ref in state.partial:
-        raise AllocationError(f"{ref} is already allocated")
-    bins = candidate_bins(state.inst, state.clock)
-    options = list(zip(bins, marginal_values(state.inst, state.partial, ref, bins)))
-    chosen, gain = pick_bin(options)
-    if not chosen.is_discard and chosen.slot == state.inst.horizon and state.clock < state.inst.horizon:
-        runner_up = max((g for b, g in options if not b.is_discard and b.slot < chosen.slot),
-                        default=None)
-        if runner_up is None or gain > runner_up:
-            state.warnings.append(
-                f"{ref}: best bin sits exactly at the horizon; a longer horizon could change the choice"
-            )
+    inst = state.inst
+    bins = state.bins[min(state.clock, inst.horizon + 1) * inst.servers:]  # candidate_bins(inst, clock)
+    gains = marginal_gains(inst, state.partial, ref, bins)
+    k = first_max(gains)
+    chosen = bins[k]
+    scale = tables(inst).scale
+    gain = Fraction(gains[k], scale)
+    # `chosen` is the first maximum, so every bin of an earlier slot scored
+    # strictly less: a choice at the horizon always beats the earlier slots
+    if not chosen.is_discard and chosen.slot == inst.horizon and state.clock < inst.horizon:
+        state.warnings.append(
+            f"{ref}: best bin sits exactly at the horizon; a longer horizon could change the choice"
+        )
     state.partial.add(ref, chosen)
-    state.steps.append(GreedyStep(
-        step=len(state.steps), ref=ref, chosen=chosen, gain=gain, alternatives=options,
-    ))
+    state.steps.append(GreedyStep(step=len(state.steps), ref=ref, chosen=chosen, gain=gain,
+                                  bins=bins, gains=gains, scale=scale))
     return chosen, gain
 
 
@@ -103,8 +119,14 @@ class GreedyRun:
     state: GreedyState
 
     def step_log_jsonl(self) -> str:
+        """One JSON line per step. A step's alternatives are rendered from its
+        integer gains; each distinct gain is converted to a rational once."""
+        rho: dict[int, int | str] = {}  # gain -> JSON value; a run's steps share one scale
+        ids = [b.id for b in self.state.bins]  # each step's bins are a suffix of these
         lines = []
         for s in self.state.steps:
+            for g in set(s.gains).difference(rho):
+                rho[g] = rational_to_json(Fraction(g, s.scale))
             lines.append(json.dumps({
                 "step": s.step,
                 "packet": s.ref.packet,
@@ -112,7 +134,7 @@ class GreedyRun:
                 "chosen_bin": s.chosen.id,
                 "rho": rational_to_json(s.gain),
                 "alternatives": [
-                    {"bin": b.id, "rho": rational_to_json(g)} for b, g in s.alternatives
+                    {"bin": b, "rho": rho[g]} for b, g in zip(ids[len(ids) - len(s.bins):], s.gains)
                 ],
             }, sort_keys=True))
         return "\n".join(lines) + ("\n" if lines else "")

@@ -134,7 +134,7 @@ def generate(packets: int, max_k: int, horizon: int, seed: int,
             arrival = burst_slot
         elif mode == "adversarial-lock":
             arrival = rng.randrange(0, max(horizon // 2, 1)) if i < (packets + 1) // 2 \
-                else rng.randrange(max(horizon // 2, 1), horizon + 1)
+                else rng.randrange(min(max(horizon // 2, 1), horizon), horizon + 1)  # h=0: slot 0
         else:
             arrival = rng.randrange(0, horizon + 1)
         k = rng.randint(1, max_k)

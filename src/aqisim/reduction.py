@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .model import (
-    DISCARD,
     Allocation,
     AqiError,
     Bin,
@@ -22,9 +21,9 @@ from .model import (
     SubpacketRef,
     rational_to_json,
 )
-from .greedy import arrival_order, pick_bin, run_online_greedy
+from .greedy import arrival_order, candidate_bins, first_max, run_online_greedy
 from .oracle import DEFAULT_BUDGET, OracleResult, offline_optimal
-from .valuation import marginal_value, marginal_values
+from .valuation import marginal_gains, marginal_value, tables
 
 ZERO = Fraction(0)
 
@@ -52,13 +51,8 @@ class FrozenInstance:
 def build_frozen(inst: Instance) -> FrozenInstance:
     resources = arrival_order(inst)
     arrivals = {ref: inst.packet(ref.packet).arrival for ref in resources}
-    bins = [
-        Bin(slot=t, server=s)
-        for t in range(inst.horizon + 1)
-        for s in range(inst.servers)
-    ]
-    bins.append(DISCARD)
-    return FrozenInstance(inst=inst, resources=resources, arrivals=arrivals, bins=bins)
+    return FrozenInstance(inst=inst, resources=resources, arrivals=arrivals,
+                          bins=candidate_bins(inst, 0))
 
 
 def telescoped_value(frozen: FrozenInstance, alloc: Allocation) -> Fraction:
@@ -97,19 +91,26 @@ def run_lockfree_greedy(frozen: FrozenInstance, perturb=None) -> FrozenRun:
     lowest server win, matching the locking allocator's order. `perturb` may
     rewrite gains (fault injection for harness self-tests).
     """
+    inst, bins = frozen.inst, frozen.bins
+    scale = tables(inst).scale
     alloc = Allocation()
     steps: list[FrozenStep] = []
     total = ZERO
     for i, ref in enumerate(frozen.resources):
-        reachable = [b for b in frozen.bins if frozen.arrivals[ref] <= b.lock_time and not b.is_discard]
-        gated = [b for b in frozen.bins if frozen.arrivals[ref] > b.lock_time]
-        ordered = reachable + [DISCARD] + gated
+        # bins are in slot order with discard last: the fragment reaches the
+        # bins from its arrival slot on, and the ones before it are gated
+        start = min(frozen.arrivals[ref], inst.horizon + 1) * inst.servers
+        ordered = bins[start:] + bins[:start]  # reachable, discard, gated
         # discard and gated bins are worth exactly 0 on the twin
-        gains = marginal_values(frozen.inst, alloc, ref, reachable) + [ZERO] * (1 + len(gated))
-        if perturb is not None:
-            gains = [perturb(i, ref, b, g) for b, g in zip(ordered, gains)]
-        options = list(zip(ordered, gains))
-        chosen, gain = pick_bin(options)
+        gains = marginal_gains(inst, alloc, ref, bins[start:-1]) + [0] * (1 + start)
+        if perturb is None:
+            k = first_max(gains)
+            gain = Fraction(gains[k], scale)
+        else:
+            gains = [perturb(i, ref, b, Fraction(g, scale)) for b, g in zip(ordered, gains)]
+            k = first_max(gains)
+            gain = gains[k]
+        chosen = ordered[k]
         alloc.add(ref, chosen)
         total += gain
         steps.append(FrozenStep(step=i, ref=ref, chosen=chosen, gain=gain))

@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .model import (
+    DISCARD,
     Allocation,
     AllocationError,
     AqiError,
@@ -75,21 +76,38 @@ def _packet_state(p: Packet, entries: list[tuple[SubpacketRef, Bin]]) -> tuple[i
 class Tables:
     """Every utility[i][count], lag[i][d] and energy_inc[server][occupancy]
     a valid allocation can reach, times one common `scale`; row i is
-    `inst.packets[i]`, and `index` maps a packet id to it."""
+    `inst.packets[i]`, and `index` maps a packet id to it.
+
+    Packets with the same weight and delay-cost family share one lag row, as
+    long as the longest of them needs; each `lag[i]` is a slice of it. The
+    slices together hold exactly the row's entries, so `scale` is the same as
+    with one row per packet."""
 
     def __init__(self, inst: Instance):
         self.packets = inst.packets
         self.index = {p.id: i for i, p in enumerate(inst.packets)}
+        spans = [max(inst.horizon, p.arrival) - p.arrival + 1 for p in inst.packets]
+        rows: dict[tuple, int] = {}  # (weight, delay_cost) -> lag row; hashed once per packet
+        row_of = [rows.setdefault((p.weight, p.delay_cost), len(rows)) for p in inst.packets]
+        longest: list[tuple[int, Packet | None]] = [(0, None)] * len(rows)  # (span, packet) per row
+        for p, r, n in zip(inst.packets, row_of, spans):
+            if n > longest[r][0]:
+                longest[r] = (n, p)
+        lags = [[p.lag_cost(d) for d in range(n)] for n, p in longest]
         occupancies = range(max(inst.total_subpackets, 1) + 1)  # 0 at least, as in validate_instance
         energy = [[fam.value(c) for c in occupancies] for fam in inst.energy]
-        exact = ([[p.utility(c) for c in range(p.subpackets + 1)] for p in inst.packets],
-                 [[p.lag_cost(d) for d in range(max(inst.horizon, p.arrival) - p.arrival + 1)]
-                  for p in inst.packets],
-                 [[b - a for a, b in zip(row, row[1:])] for row in energy])
-        self.scale = scale = math.lcm(*(x.denominator for rows in exact for row in rows for x in row))
-        self.utility, self.lag, self.energy_inc = (
-            [[x.numerator * (scale // x.denominator) for x in row] for row in rows] for rows in exact
-        )
+        utility = [[p.utility(c) for c in range(p.subpackets + 1)] for p in inst.packets]
+        energy_inc = [[b - a for a, b in zip(row, row[1:])] for row in energy]
+        self.scale = scale = math.lcm(*(x.denominator for table in (utility, lags, energy_inc)
+                                        for row in table for x in row))
+
+        def scaled(row: list[Fraction]) -> list[int]:
+            return [x.numerator * (scale // x.denominator) for x in row]
+
+        lags = [scaled(row) for row in lags]
+        self.utility = [scaled(row) for row in utility]
+        self.lag = [lags[r][:n] for r, n in zip(row_of, spans)]
+        self.energy_inc = [scaled(row) for row in energy_inc]
 
     def term(self, i: int, count: int, last: int) -> int:
         """Scaled utility minus lag cost of row `i` sending `count` fragments
@@ -139,41 +157,63 @@ def evaluate(inst: Instance, alloc: Allocation) -> Valuation:
     return val
 
 
-def marginal_values(inst: Instance, alloc: Allocation, ref: SubpacketRef,
-                    bins: Sequence[Bin]) -> list[Fraction]:
+def marginal_gains(inst: Instance, alloc: Allocation, ref: SubpacketRef,
+                   bins: Sequence[Bin]) -> list[int]:
     """Exact change in total value from adding (ref, b) to `alloc`, for each
-    b in `bins`.
+    b in `bins`, as integers over `tables(inst).scale`.
 
-    Each entry equals evaluate(alloc + (ref, b)).total - evaluate(alloc).total;
-    the discard bin always yields exactly 0. A bin outside the instance
-    raises AllocationError, and so does an `alloc` already holding as many
-    fragments of the packet as it has; a bin before the packet's arrival
-    counts as completing at the arrival, as in `_packet_state`. A bin costs
-    a few integer table lookups.
+    Each entry times the scale's inverse equals
+    evaluate(alloc + (ref, b)).total - evaluate(alloc).total; the discard bin
+    always yields exactly 0. An unknown packet or out-of-range fragment, a
+    bin outside the instance, and an `alloc` already holding as many
+    fragments of the packet as it has all raise AllocationError; a bin
+    before the packet's arrival counts as completing at the arrival, as in
+    `_packet_state`. The packet term is computed once per distinct
+    completion slot (every bin at or before the packet's current last slot
+    shares one), and each bin adds one energy-increment lookup.
     """
     if ref in alloc:
         raise AllocationError(f"{ref} is already allocated")
-    if all(b.is_discard for b in bins):  # no bin's value depends on the packet
-        return [ZERO] * len(bins)
     p = inst.packet(ref.packet)
-    tab = tables(inst)
-    i = tab.index[p.id]
+    check_entry(inst, p, ref, DISCARD)  # the fragment index, before any shortcut
     entries = alloc.packet_entries(ref.packet)
     if len(entries) >= p.subpackets:
         raise AllocationError(f"{ref}: the allocation already holds {len(entries)} fragments "
                               f"of a packet with {p.subpackets}")
+    if all(b.is_discard for b in bins):  # no bin's value depends on the packet
+        return [0] * len(bins)
+    tab = tables(inst)
+    i = tab.index[p.id]
     count, last = _packet_state(p, entries)
     current = tab.term(i, count, last)
+    terms: dict[int, int] = {}  # completion slot -> packet term gained
+    occupancy, energy_inc = alloc.occupancy, tab.energy_inc
+    horizon, servers = inst.horizon, inst.servers
     out = []
     for b in bins:
         if b.is_discard:
-            out.append(ZERO)
+            out.append(0)
             continue
-        check_entry(inst, p, ref, b)
-        gain = (tab.term(i, count + 1, last if b.slot <= last else b.slot) - current
-                - tab.energy_inc[b.server][alloc.occupancy(b.slot, b.server)])
-        out.append(Fraction(gain, tab.scale))
+        slot, server = b.slot, b.server
+        if not (0 <= slot <= horizon and 0 <= server < servers):
+            check_entry(inst, p, ref, b)  # raises, in check_allocation's wording
+        done = last if slot <= last else slot
+        gained = terms.get(done)
+        if gained is None:
+            gained = terms[done] = tab.term(i, count + 1, done) - current
+        out.append(gained - energy_inc[server][occupancy(slot, server)])
     return out
+
+
+def marginal_values(inst: Instance, alloc: Allocation, ref: SubpacketRef,
+                    bins: Sequence[Bin]) -> list[Fraction]:
+    """`marginal_gains` as exact rationals: the same checks and values, each
+    divided by the tables' scale."""
+    gains = marginal_gains(inst, alloc, ref, bins)
+    if not any(gains):  # covers the all-discard case, which builds no tables
+        return [ZERO] * len(gains)
+    scale = tables(inst).scale
+    return [Fraction(g, scale) for g in gains]
 
 
 def marginal_value(inst: Instance, alloc: Allocation, ref: SubpacketRef, b: Bin) -> Fraction:

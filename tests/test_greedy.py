@@ -5,7 +5,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from aqisim.greedy import arrival_order, run_online_greedy
+from aqisim.greedy import arrival_order, candidate_bins, run_online_greedy
 from aqisim.harness import generate
 from aqisim.model import (
     Allocation,
@@ -19,7 +19,7 @@ from aqisim.model import (
     tabulated,
 )
 from aqisim.reduction import build_frozen, run_lockfree_greedy
-from aqisim.valuation import evaluate, marginal_value
+from aqisim.valuation import evaluate, marginal_value, tables
 from conftest import simple_instance, unit_packet
 
 F = Fraction
@@ -195,6 +195,10 @@ def test_step_logs_and_allocations_match_recorded_hashes():
 # candidate bin was rescored on its own.
 PER_BIN_RESCORING_VALUE_CALLS = 49_222
 
+# The same run's evaluations once packets sharing a weight and delay-cost
+# family share one lag row; it made 3,129 while each packet had its own.
+SHARED_LAG_ROW_VALUE_CALLS = 2_000
+
 
 def test_greedy_shares_packet_and_energy_terms_across_bins(monkeypatch):
     inst = generate(100, 3, 40, 0, mode="random", servers=2)
@@ -208,4 +212,33 @@ def test_greedy_shares_packet_and_energy_terms_across_bins(monkeypatch):
 
     monkeypatch.setattr(CostFamily, "value", counted)
     run_online_greedy(inst)
-    assert 0 < calls <= PER_BIN_RESCORING_VALUE_CALLS // 2
+    assert 0 < calls <= SHARED_LAG_ROW_VALUE_CALLS < PER_BIN_RESCORING_VALUE_CALLS // 2
+
+
+def test_greedy_lists_its_candidate_bins_once_per_run(monkeypatch):
+    # each step scores a slice of one list; building the list per step made
+    # 7,604 bins on this instance
+    inst = generate(100, 3, 40, 0, mode="random", servers=2)
+    built = 0
+    init = Bin.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Bin, "__init__", counted)
+    run = run_online_greedy(inst)
+    assert len(run.state.steps) > inst.horizon
+    assert 0 < built <= (inst.horizon + 1) * inst.servers + 1
+
+
+def test_alternatives_are_the_integer_gains_over_the_scale():
+    inst = generate(30, 3, 12, 1, mode="adversarial-burst", servers=2, deadline_prob=0.5)
+    run = run_online_greedy(inst)
+    scale = tables(inst).scale
+    for step in run.state.steps:
+        assert step.scale == scale
+        assert step.alternatives == [(b, F(g, scale)) for b, g in zip(step.bins, step.gains)]
+        assert step.bins == candidate_bins(inst, inst.packet(step.ref.packet).arrival)
+        assert (step.chosen, step.gain) in step.alternatives

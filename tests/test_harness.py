@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -24,7 +27,8 @@ from aqisim.matching import max_weight_matching, run_online_matching
 from aqisim.model import AqiError, load_instance, store_instance, validate_instance
 
 F = Fraction
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 # --- generator ---------------------------------------------------------------
@@ -46,6 +50,14 @@ def test_zero_packets_yields_an_empty_instance():
 def test_burst_mode_shares_one_arrival_slot():
     inst = generate(6, 1, 5, seed=3, mode="adversarial-burst")
     assert len({p.arrival for p in inst.packets}) == 1
+
+
+def test_every_mode_generates_a_zero_horizon_instance():
+    # the late half of adversarial-lock once drew its arrival from an empty range
+    for mode in ("random", "adversarial-lock", "adversarial-burst"):
+        inst = generate(4, 2, 0, seed=1, mode=mode, deadline_prob=0.5)
+        assert validate_instance(inst).ok
+        assert {p.arrival for p in inst.packets} == {0}
 
 
 def test_bad_parameters_rejected():
@@ -189,6 +201,21 @@ def test_cli_gen_run_opt_round_trip(tmp_path, capsys):
     assert main(["opt", str(inst_path)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert "opt_value" in doc and "allocation" in doc
+
+
+def test_python_dash_m_runs_the_cli_from_a_checkout(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+    def aqisim(*args):
+        return subprocess.run([sys.executable, "-m", "aqisim", *args], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+
+    made = aqisim("gen", "--packets", "3", "--horizon", "3", "--seed", "7", "--out", "inst.json")
+    assert made.returncode == 0, made.stderr
+    assert validate_instance(load_instance((tmp_path / "inst.json").read_text())).ok
+    bad = aqisim("gen", "--max-k", "0")
+    assert bad.returncode == 2 and bad.stderr.startswith("error:")
 
 
 def test_cli_run_csv_format(tmp_path, capsys):

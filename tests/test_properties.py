@@ -1,0 +1,77 @@
+"""Property tests of the exact valuation and the instance schema on small
+generated instances: one or two servers, deadlines, fragments added in a
+random order. Skipped when hypothesis is not installed."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from aqisim.harness import GENERATOR_MODES, generate  # noqa: E402
+from aqisim.model import DISCARD, Allocation, Bin, SubpacketRef, load_instance, store_instance  # noqa: E402
+from aqisim.valuation import evaluate, marginal_gains, marginal_values, tables  # noqa: E402
+
+
+@st.composite
+def instances(draw):
+    return generate(draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(0, 4)),
+                    draw(st.integers(0, 10_000)), mode=draw(st.sampled_from(GENERATOR_MODES)),
+                    servers=draw(st.integers(1, 2)), deadline_prob=draw(st.sampled_from([0.0, 0.5, 1.0])))
+
+
+@st.composite
+def buildups(draw):
+    """An instance and an insertion order of all its fragments, each with a
+    bin that is discard or lies between its packet's arrival and the horizon."""
+    inst = draw(instances())
+    refs = [SubpacketRef(p.id, j) for p in inst.packets for j in range(1, p.subpackets + 1)]
+    steps = []
+    for r in draw(st.permutations(refs)):
+        arrival = inst.packet(r.packet).arrival
+        pool = [Bin(t, s) for t in range(arrival, inst.horizon + 1) for s in range(inst.servers)]
+        steps.append((r, draw(st.sampled_from(pool + [DISCARD]))))
+    return inst, steps
+
+
+@settings(max_examples=150, deadline=None)
+@given(buildups())
+def test_marginal_values_telescope_to_the_total(case):
+    inst, steps = case
+    alloc = Allocation()
+    total = Fraction(0)
+    for r, b in steps:
+        total += marginal_values(inst, alloc, r, [b])[0]
+        alloc.add(r, b)
+    assert total == evaluate(inst, alloc).total
+
+
+@settings(max_examples=150, deadline=None)
+@given(buildups(), st.data())
+def test_integer_gains_are_the_marginals_times_the_scale(case, data):
+    inst, steps = case
+    alloc = Allocation(steps[:-1])
+    target = steps[-1][0]
+    arrival = inst.packet(target.packet).arrival
+    pool = [Bin(t, s) for t in range(inst.horizon + 1) for s in range(inst.servers)] + [DISCARD]
+    bins = data.draw(st.lists(st.sampled_from(pool), max_size=12))
+    gains = marginal_gains(inst, alloc, target, bins)
+    values = marginal_values(inst, alloc, target, bins)
+    assert all(isinstance(g, int) for g in gains)
+    assert [v * tables(inst).scale for v in values] == gains
+    assert all(g == 0 for g, b in zip(gains, bins) if b.is_discard)
+    base = evaluate(inst, alloc).total
+    for b, v in zip(bins, values):
+        if b.is_discard or b.slot >= arrival:  # evaluate rejects a slot before the arrival
+            assert v == evaluate(inst, alloc.extended(target, b)).total - base
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances())
+def test_stored_instances_load_back_unchanged(inst):
+    text = store_instance(inst)
+    assert load_instance(text) == inst
+    assert store_instance(load_instance(text)) == text

@@ -22,6 +22,7 @@ from aqisim.model import (
 )
 from aqisim.valuation import (
     evaluate,
+    marginal_gains,
     marginal_value,
     marginal_values,
     tables,
@@ -198,6 +199,20 @@ def test_marginal_values_reject_bins_outside_the_instance(b):
     with pytest.raises(AllocationError) as evaluated:
         evaluate(inst, Allocation([(target, b)]))
     assert str(priced.value) == str(evaluated.value)
+
+
+@pytest.mark.parametrize("target", [ref("nope"), ref("p00", 9)],
+                         ids=["unknown-packet", "fragment-out-of-range"])
+def test_discard_only_bins_still_reject_a_bad_fragment(target):
+    # the all-discard shortcut comes after the fragment's own checks
+    inst = generate(4, 2, 4, 3)
+    with pytest.raises(AllocationError):
+        evaluate(inst, Allocation([(target, DISCARD)]))
+    for price in (lambda: marginal_value(inst, Allocation(), target, DISCARD),
+                  lambda: marginal_values(inst, Allocation(), target, [DISCARD, DISCARD]),
+                  lambda: marginal_gains(inst, Allocation(), target, [])):
+        with pytest.raises(AllocationError):
+            price()
 
 
 def test_marginal_before_arrival_completes_at_the_arrival():
