@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import json
+import math
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -12,13 +15,17 @@ from aqisim.model import (
     COST_KINDS,
     Allocation,
     AllocationError,
+    AqiError,
     Bin,
+    CostFamily,
     DISCARD,
+    Instance,
     Packet,
     SubpacketRef,
     linear,
     load_instance,
     tabulated,
+    validate_instance,
 )
 from aqisim.valuation import (
     evaluate,
@@ -31,7 +38,8 @@ from aqisim.valuation import (
 from conftest import simple_instance, unit_packet
 
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def ref(pid, j=1):
@@ -257,7 +265,82 @@ def _table_instances():
     for seed in range(3):
         out.append(generate(100, 3, 40, seed, mode=GENERATOR_MODES[seed], servers=2, deadline_prob=0.3))
     out += [remote_sampling_family(2, 2, 6, seed) for seed in range(4)]
-    return out
+    return out + _hand_built_instances()
+
+
+def _family(kind, *params):
+    return CostFamily(kind, params=tuple(Fraction(x) for x in params))
+
+
+def _hand_built_instances():
+    """Every cost-family kind with non-integer parameters, which the generator
+    never makes: fractional weights, an exponential with scale 2/3 and base
+    3/2, saturating curves with bases 3/2 and 5/4, a power 3/4 * x**3, tables
+    in thirds, and two packets sharing a fractional lag row."""
+    thirds = tabulated(Fraction(v, 3) for v in (0, 1, 3, 6, 10, 15, 21, 28, 36, 45))
+    shared = dict(weight=Fraction(5, 7), distortion=_family("saturating", "9/2", "3/2"),
+                  delay_cost=_family("power", "3/4", 3))
+    two_servers = Instance(
+        packets=(
+            Packet("a0", arrival=0, subpackets=3, deadline=3, **shared),
+            Packet("a1", arrival=1, subpackets=3, weight=Fraction(2, 3),
+                   distortion=tabulated(["0", "4/3", "7/3", "3"]),
+                   delay_cost=tabulated(["0", "1/3", "1", "2"])),
+            Packet("a2", arrival=2, subpackets=2, **shared),
+            Packet("a3", arrival=0, subpackets=1, weight=Fraction(11, 5),
+                   distortion=linear(Fraction(7, 3)), delay_cost=_family("exponential", "2/3", "3/2")),
+        ),
+        horizon=4, servers=2, energy=(_family("exponential", "2/3", "3/2"), thirds),
+        label="hand/two-servers")
+    one_server = Instance(
+        packets=(
+            Packet("b0", arrival=0, subpackets=2, weight=Fraction(3, 4),
+                   distortion=_family("saturating", "2/3", "5/4"), delay_cost=linear(Fraction(5, 6))),
+            Packet("b1", arrival=3, subpackets=1, weight=Fraction(5, 7),
+                   distortion=tabulated(["0", "2/3"]), delay_cost=_family("power", "3/4", 3)),
+        ),
+        horizon=3, energy=(_family("power", "1/3", 2),), label="hand/one-server")
+    return [two_servers, one_server]
+
+
+def _tables_sha256(tab) -> str:
+    return hashlib.sha256(json.dumps([tab.scale, tab.utility, tab.lag, tab.energy_inc]).encode()).hexdigest()
+
+
+def test_tables_match_recorded_hashes():
+    # recorded while the tables were still built from one `CostFamily.value`
+    # call per entry: the integers and the scale themselves are pinned
+    recorded = json.loads((ROOT / "tests" / "golden" / "tables.json").read_text())
+    assert {f"{i:03d}/{inst.label}": _tables_sha256(tables(inst))
+            for i, inst in enumerate(_table_instances())} == recorded
+
+
+def test_hand_built_instances_are_admissible():
+    for inst in _hand_built_instances():
+        assert validate_instance(inst).ok, inst.label
+
+
+def test_tables_scale_is_the_least_common_denominator():
+    for inst in _table_instances():
+        exact = [p.utility(c) for p in inst.packets for c in range(p.subpackets + 1)]
+        exact += [p.lag_cost(d) for p in inst.packets for d in range(max(inst.horizon, p.arrival) - p.arrival + 1)]
+        exact += [fam.increment(c) for fam in inst.energy for c in range(max(inst.total_subpackets, 1))]
+        assert tables(inst).scale == math.lcm(*(x.denominator for x in exact)), inst.label
+
+
+@pytest.mark.parametrize("curve", ["distortion", "delay_cost", "energy"])
+def test_a_tabulated_curve_too_short_for_its_domain_is_an_error(curve):
+    # packet k=2 over slots 0..3 needs 3 distortion, 4 delay and 3 energy entries
+    short = tabulated(["0", "1/3"])
+    curves = dict(distortion=tabulated(["0", "4/3", "7/3"]), delay_cost=tabulated(["0", "1/3", "1", "2"]),
+                  energy=tabulated(["0", "1/3", "1"]))
+    curves[curve] = short
+    p = Packet("p0", arrival=0, subpackets=2, weight=Fraction(2, 3),
+               distortion=curves["distortion"], delay_cost=curves["delay_cost"])
+    inst = Instance(packets=(p,), horizon=3, energy=(curves["energy"],))
+    with pytest.raises(AqiError) as err:
+        tables(inst)
+    assert str(err.value) == "tabulated cost family has no value at 2 (table length 2)"
 
 
 def test_tables_match_the_curves_over_the_reachable_domain():
