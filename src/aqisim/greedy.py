@@ -10,10 +10,11 @@ A run lists its candidate bins once, in that order, and each step scores a
 slice of the list, from the first bin of the clock's slot, with
 `marginal_gains`: integers over the instance's table scale, so the choice is
 a first strict maximum of integers. The tables behind the scale are built
-once per instance, with one lag row per distinct weight and delay-cost
-family. A step keeps its integers; its `gain` is the chosen one as a
-`Fraction`, and `alternatives` builds the full (bin, Fraction) list only
-when read.
+once per instance from integer rows of the cost curves, with no `Fraction`
+on the way from curve to pick. A step keeps its integers and the index of
+its pick; its `gain` is the chosen one as a `Fraction`, and `alternatives`
+the full (bin, Fraction) list, both built only when read. A run sums the
+chosen integers and checks that sum once against `evaluate`.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from .model import (
     rational_to_json,
 )
 from .valuation import Valuation, evaluate, marginal_gains, tables
-
-ZERO = Fraction(0)
 
 
 def arrival_order(inst: Instance) -> list[SubpacketRef]:
@@ -60,10 +59,15 @@ class GreedyStep:
     step: int
     ref: SubpacketRef
     chosen: Bin
-    gain: Fraction
     bins: list[Bin]  # the candidate bins, in tie-break order
     gains: list[int]  # their marginals, over `scale`
     scale: int
+    pick: int  # index of `chosen` in `bins`
+
+    @property
+    def gain(self) -> Fraction:
+        """The chosen bin's exact marginal."""
+        return Fraction(self.gains[self.pick], self.scale)
 
     @property
     def alternatives(self) -> list[tuple[Bin, Fraction]]:
@@ -91,15 +95,14 @@ def first_max(gains: list) -> int:
     return gains.index(max(gains))
 
 
-def greedy_step(state: GreedyState, ref: SubpacketRef) -> tuple[Bin, Fraction]:
-    """Allocate one fragment arriving at the state's clock; returns (bin, gain)."""
+def greedy_step(state: GreedyState, ref: SubpacketRef) -> GreedyStep:
+    """Allocate one fragment arriving at the state's clock; returns its logged
+    step, whose `chosen` bin and `gain` are the decision."""
     inst = state.inst
     bins = state.bins[min(state.clock, inst.horizon + 1) * inst.servers:]  # candidate_bins(inst, clock)
     gains = marginal_gains(inst, state.partial, ref, bins)
     k = first_max(gains)
     chosen = bins[k]
-    scale = tables(inst).scale
-    gain = Fraction(gains[k], scale)
     # `chosen` is the first maximum, so every bin of an earlier slot scored
     # strictly less: a choice at the horizon always beats the earlier slots
     if not chosen.is_discard and chosen.slot == inst.horizon and state.clock < inst.horizon:
@@ -107,9 +110,10 @@ def greedy_step(state: GreedyState, ref: SubpacketRef) -> tuple[Bin, Fraction]:
             f"{ref}: best bin sits exactly at the horizon; a longer horizon could change the choice"
         )
     state.partial.add(ref, chosen)
-    state.steps.append(GreedyStep(step=len(state.steps), ref=ref, chosen=chosen, gain=gain,
-                                  bins=bins, gains=gains, scale=scale))
-    return chosen, gain
+    step = GreedyStep(step=len(state.steps), ref=ref, chosen=chosen, bins=bins, gains=gains,
+                      scale=tables(inst).scale, pick=k)
+    state.steps.append(step)
+    return step
 
 
 @dataclass
@@ -132,7 +136,7 @@ class GreedyRun:
                 "packet": s.ref.packet,
                 "index": s.ref.index,
                 "chosen_bin": s.chosen.id,
-                "rho": rational_to_json(s.gain),
+                "rho": rho[s.gains[s.pick]],
                 "alternatives": [
                     {"bin": b, "rho": rho[g]} for b, g in zip(ids[len(ids) - len(s.bins):], s.gains)
                 ],
@@ -164,12 +168,14 @@ def run_online_greedy(inst: Instance) -> GreedyRun:
     (same value), while the step log keeps the raw per-fragment decisions.
     """
     state = GreedyState(inst=inst)
+    total = 0  # over the steps' common scale
     for ref in arrival_order(inst):
         state.clock = inst.packet(ref.packet).arrival
-        greedy_step(state, ref)
+        step = greedy_step(state, ref)
+        total += step.gains[step.pick]
     alloc = canonicalize(inst, state.partial)
     val = evaluate(inst, alloc)
-    raw_total = sum((s.gain for s in state.steps), ZERO)
+    raw_total = Fraction(total, state.steps[0].scale if state.steps else 1)
     if val.total != raw_total:
         raise AllocationError(
             f"greedy bookkeeping out of sync: steps sum to {raw_total}, allocation is worth {val.total}"

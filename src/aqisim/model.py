@@ -100,8 +100,44 @@ class CostFamily:
             scale, base = self.params
             return scale * (1 - Fraction(1, 1) / base**x)
         if x >= len(self.table):
-            raise AqiError(f"tabulated cost family has no value at {x} (table length {len(self.table)})")
+            raise self._past_table(x)
         return self.table[x]
+
+    def row(self, n: int) -> list[tuple[int, int]]:
+        """value(0), ..., value(n-1) as unreduced (numerator, denominator)
+        integer pairs, by each kind's recurrence and without a Fraction per
+        entry. With slope a/b, coefficient c/d, scale s/t and base p/q:
+
+          linear      (a*x, b)
+          power       (c*x**e, d)
+          exponential (s*(p**x - q**x), t*q**x)
+          saturating  (s*(p**x - q**x), t*p**x)
+          tabulated   table[x] as (numerator, denominator)
+
+        p**x and q**x take one multiply per entry. A table shorter than n
+        raises the error `value` raises at its end."""
+        if self.kind == "tabulated":
+            if n > len(self.table):
+                raise self._past_table(len(self.table))
+            return [(v.numerator, v.denominator) for v in self.table[:n]]
+        num, den = self.params[0].numerator, self.params[0].denominator
+        if self.kind == "linear":
+            return [(num * x, den) for x in range(n)]
+        if self.kind == "power":
+            e = int(self.params[1])
+            return [(num * x**e, den) for x in range(n)]
+        p, q = self.params[1].numerator, self.params[1].denominator
+        grows = self.kind == "exponential"
+        out = []
+        px = qx = 1
+        for _ in range(n):
+            out.append((num * (px - qx), den * (qx if grows else px)))
+            px *= p
+            qx *= q
+        return out
+
+    def _past_table(self, x: int) -> AqiError:
+        return AqiError(f"tabulated cost family has no value at {x} (table length {len(self.table)})")
 
     def increment(self, x: int) -> Fraction:
         """value(x+1) - value(x)."""
@@ -321,9 +357,11 @@ class Allocation:
         """The packet's entries, in the order they were added."""
         return list(self._by_packet.get(pid, {}).items())
 
-    def occupancy(self, slot: int, server: int) -> int:
-        """Number of fragments placed in regular bin (slot, server)."""
-        return self._occupancy.get((slot, server), 0)
+    @property
+    def occupancies(self) -> Mapping[tuple[int, int], int]:
+        """Read-only view: the number of fragments placed in each regular bin
+        (slot, server) ever filled; a bin missing from it holds none."""
+        return MappingProxyType(self._occupancy)
 
     def sorted_entries(self) -> list[tuple[SubpacketRef, Bin]]:
         return sorted(self._entries.items(), key=lambda e: (e[0].packet, e[0].index))

@@ -5,8 +5,9 @@ per packet, the utility of its transmitted fragment count and the delay cost
 of its completion lag; per (slot, server), the energy of the fragment count
 placed there. A packet finishing past its deadline forfeits utility and delay
 alike; discarded fragments contribute nothing anywhere. Marginals, the
-exact oracle and the binary expansion compute on `tables(inst)`; `evaluate`
-and `transmit_weight` read the cost families, as references for them.
+exact oracle and the binary expansion compute on `tables(inst)`, built from
+integer rows of the cost curves; `evaluate` and `transmit_weight` read the
+curves through `CostFamily.value`, as references for them.
 """
 
 from __future__ import annotations
@@ -78,6 +79,22 @@ class Tables:
     a valid allocation can reach, times one common `scale`; row i is
     `inst.packets[i]`, and `index` maps a packet id to it.
 
+    No entry goes through a `Fraction`. Each curve is read once as
+    `CostFamily.row`, the unreduced integer pairs (n_x, d_x) of its values
+    at x = 0, 1, ..., by each kind's recurrence (slope a/b, coefficient c/d,
+    scale s/t, base p/q):
+
+      linear (a*x, b); power (c*x**e, d);
+      exponential (s*(p**x - q**x), t*q**x); saturating (s*(p**x - q**x), t*p**x);
+      tabulated: the entry's numerator and denominator.
+
+    With weight w = u/v, a utility entry w * (D(c) - D(0)) is
+    (u * (n_c*d_0 - n_0*d_c), v * d_c*d_0), a lag entry w * C(d) is
+    (u * n_d, v * d_d), and an energy increment E(c+1) - E(c) is
+    (n_1*d_0 - n_0*d_1, d_0*d_1). `scale` is the lcm of the entries' reduced
+    denominators, the least that makes every entry an integer, and a scaled
+    entry is num * scale // den.
+
     Packets with the same weight and delay-cost family share one lag row, as
     long as the longest of them needs; each `lag[i]` is a slice of it. The
     slices together hold exactly the row's entries, so `scale` is the same as
@@ -93,16 +110,23 @@ class Tables:
         for p, r, n in zip(inst.packets, row_of, spans):
             if n > longest[r][0]:
                 longest[r] = (n, p)
-        lags = [[p.lag_cost(d) for d in range(n)] for n, p in longest]
-        occupancies = range(max(inst.total_subpackets, 1) + 1)  # 0 at least, as in validate_instance
-        energy = [[fam.value(c) for c in occupancies] for fam in inst.energy]
-        utility = [[p.utility(c) for c in range(p.subpackets + 1)] for p in inst.packets]
-        energy_inc = [[b - a for a, b in zip(row, row[1:])] for row in energy]
-        self.scale = scale = math.lcm(*(x.denominator for table in (utility, lags, energy_inc)
-                                        for row in table for x in row))
+        lags = [[(p.weight.numerator * c, p.weight.denominator * d) for c, d in p.delay_cost.row(n)]
+                for n, p in longest]
+        levels = max(inst.total_subpackets, 1) + 1  # occupancies 0..max(total, 1), as in validate_instance
+        energy_inc = [[(n1 * d0 - n0 * d1, d0 * d1) for (n0, d0), (n1, d1) in zip(row, row[1:])]
+                      for row in (fam.row(levels) for fam in inst.energy)]
+        utility = []
+        for p in inst.packets:
+            u, v = p.weight.numerator, p.weight.denominator
+            values = p.distortion.row(p.subpackets + 1)
+            n0, d0 = values[0]
+            utility.append([(u * (n * d0 - n0 * d), v * d * d0) for n, d in values])
+        gcd = math.gcd
+        self.scale = scale = math.lcm(*(d // gcd(n, d) for table in (utility, lags, energy_inc)
+                                        for row in table for n, d in row))
 
-        def scaled(row: list[Fraction]) -> list[int]:
-            return [x.numerator * (scale // x.denominator) for x in row]
+        def scaled(row: list[tuple[int, int]]) -> list[int]:
+            return [n * scale // d for n, d in row]
 
         lags = [scaled(row) for row in lags]
         self.utility = [scaled(row) for row in utility]
@@ -168,9 +192,10 @@ def marginal_gains(inst: Instance, alloc: Allocation, ref: SubpacketRef,
     bin outside the instance, and an `alloc` already holding as many
     fragments of the packet as it has all raise AllocationError; a bin
     before the packet's arrival counts as completing at the arrival, as in
-    `_packet_state`. The packet term is computed once per distinct
-    completion slot (every bin at or before the packet's current last slot
-    shares one), and each bin adds one energy-increment lookup.
+    `_packet_state`. Three integers price every slot: the gain at or before
+    the packet's current last slot, the utility step that later slots less
+    their lag, and the loss of the current term past the deadline; each bin
+    adds one energy-increment lookup at its occupancy.
     """
     if ref in alloc:
         raise AllocationError(f"{ref} is already allocated")
@@ -186,9 +211,14 @@ def marginal_gains(inst: Instance, alloc: Allocation, ref: SubpacketRef,
     i = tab.index[p.id]
     count, last = _packet_state(p, entries)
     current = tab.term(i, count, last)
-    terms: dict[int, int] = {}  # completion slot -> packet term gained
-    occupancy, energy_inc = alloc.occupancy, tab.energy_inc
+    # the packet term gained, per slot: one value up to `last`, the utility
+    # step less the slot's lag up to the deadline, and -current past it
+    early = tab.term(i, count + 1, last) - current
+    late = tab.utility[i][count + 1] - current
+    lag, arrival = tab.lag[i], p.arrival
     horizon, servers = inst.horizon, inst.servers
+    cutoff = horizon if p.deadline is None else p.deadline
+    occupancy, energy_inc = alloc.occupancies.get, tab.energy_inc
     out = []
     for b in bins:
         if b.is_discard:
@@ -197,11 +227,13 @@ def marginal_gains(inst: Instance, alloc: Allocation, ref: SubpacketRef,
         slot, server = b.slot, b.server
         if not (0 <= slot <= horizon and 0 <= server < servers):
             check_entry(inst, p, ref, b)  # raises, in check_allocation's wording
-        done = last if slot <= last else slot
-        gained = terms.get(done)
-        if gained is None:
-            gained = terms[done] = tab.term(i, count + 1, done) - current
-        out.append(gained - energy_inc[server][occupancy(slot, server)])
+        if slot <= last:
+            gained = early
+        elif slot <= cutoff:
+            gained = late - lag[slot - arrival]
+        else:
+            gained = -current
+        out.append(gained - energy_inc[server][occupancy((slot, server), 0)])
     return out
 
 

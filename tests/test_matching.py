@@ -407,14 +407,19 @@ PER_EDGE_VALUE_CALLS = 7_270
 
 def test_online_run_and_expansion_do_bounded_work(monkeypatch):
     inst = _online_matching_instance(0)
-    calls = {"value": 0, "solve": 0, "phase": 0}
+    calls = {"value": 0, "row": 0, "solve": 0, "phase": 0}
     value = CostFamily.value
+    row = CostFamily.row
     solve = matching.max_weight_matching
     phase = matching._Hungarian.phase
 
     def counted_value(self, x):
         calls["value"] += 1
         return value(self, x)
+
+    def counted_row(self, n):
+        calls["row"] += 1
+        return row(self, n)
 
     def counted_solve(*args, **kwargs):
         calls["solve"] += 1
@@ -425,10 +430,14 @@ def test_online_run_and_expansion_do_bounded_work(monkeypatch):
         return phase(self, root)
 
     monkeypatch.setattr(CostFamily, "value", counted_value)
+    monkeypatch.setattr(CostFamily, "row", counted_row)
     monkeypatch.setattr(matching, "max_weight_matching", counted_solve)
     monkeypatch.setattr(matching._Hungarian, "phase", counted_phase)
     g = expand_binary(inst).graph
-    assert 0 < calls["value"] <= PER_EDGE_VALUE_CALLS // 4
+    # the tables read each curve as one integer row: one per packet's
+    # utility, per shared lag row and per server's energy
+    assert calls["value"] == 0
+    assert 0 < calls["row"] <= 2 * len(inst.packets) + inst.servers < PER_EDGE_VALUE_CALLS // 4
     run = run_online_matching(g)
     assert run.events and calls["solve"] == 0
     # one phase per arrival: the traced marginals cost none

@@ -191,7 +191,7 @@ def _assert_indexes_match_entries(alloc: Allocation) -> None:
         assert alloc.packet_entries(pid) == _brute_packet_entries(alloc, pid)
     for slot in range(4):
         for server in range(2):
-            assert alloc.occupancy(slot, server) == _brute_occupancy(alloc, slot, server)
+            assert alloc.occupancies.get((slot, server), 0) == _brute_occupancy(alloc, slot, server)
 
 
 def test_allocation_indexes_follow_every_edit():
@@ -224,8 +224,10 @@ def test_allocation_remove_and_read_only_entries():
         alloc.remove(SubpacketRef("p0", 2))
     with pytest.raises(TypeError):
         alloc.entries[SubpacketRef("p0", 2)] = DISCARD  # only add/remove may edit
+    with pytest.raises(TypeError):
+        alloc.occupancies[(1, 0)] = 0
     alloc.remove(SubpacketRef("p0", 1))
-    assert len(alloc) == 0 and alloc.occupancy(1, 0) == 0 and alloc.packet_entries("p0") == []
+    assert len(alloc) == 0 and alloc.occupancies.get((1, 0), 0) == 0 and alloc.packet_entries("p0") == []
 
 
 def test_instance_packet_lookup(single_packet_instance):

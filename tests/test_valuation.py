@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -315,6 +316,22 @@ def test_tables_match_recorded_hashes():
             for i, inst in enumerate(_table_instances())} == recorded
 
 
+def test_tables_read_each_curve_as_integer_rows(monkeypatch):
+    # online-greedy-shaped instances (100 packets, k<=3, h=40, 2 servers) and
+    # the hand-built ones: no table entry goes through a Fraction-valued call
+    instances = [generate(100, 3, 40, seed, mode=GENERATOR_MODES[seed], servers=2, deadline_prob=0.3)
+                 for seed in range(3)] + _hand_built_instances()
+    calls = Counter()
+    for owner, name in ((CostFamily, "value"), (Packet, "utility"), (Packet, "lag_cost")):
+        def counted(self, x, _original=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _original(self, x)
+        monkeypatch.setattr(owner, name, counted)
+    for inst in instances:
+        assert tables(inst).scale > 0
+    assert calls == Counter()
+
+
 def test_hand_built_instances_are_admissible():
     for inst in _hand_built_instances():
         assert validate_instance(inst).ok, inst.label
@@ -323,7 +340,8 @@ def test_hand_built_instances_are_admissible():
 def test_tables_scale_is_the_least_common_denominator():
     for inst in _table_instances():
         exact = [p.utility(c) for p in inst.packets for c in range(p.subpackets + 1)]
-        exact += [p.lag_cost(d) for p in inst.packets for d in range(max(inst.horizon, p.arrival) - p.arrival + 1)]
+        exact += [p.lag_cost(d) for p in inst.packets
+                  for d in range(max(inst.horizon, p.arrival) - p.arrival + 1)]
         exact += [fam.increment(c) for fam in inst.energy for c in range(max(inst.total_subpackets, 1))]
         assert tables(inst).scale == math.lcm(*(x.denominator for x in exact)), inst.label
 
