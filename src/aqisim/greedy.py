@@ -58,11 +58,14 @@ def candidate_bins(inst: Instance, clock: int) -> list[Bin]:
 class GreedyStep:
     step: int
     ref: SubpacketRef
-    chosen: Bin
     bins: list[Bin]  # the candidate bins, in tie-break order
     gains: list[int]  # their marginals, over `scale`
     scale: int
-    pick: int  # index of `chosen` in `bins`
+    pick: int  # index of the chosen bin in `bins`
+
+    @property
+    def chosen(self) -> Bin:
+        return self.bins[self.pick]
 
     @property
     def gain(self) -> Fraction:
@@ -110,7 +113,7 @@ def greedy_step(state: GreedyState, ref: SubpacketRef) -> GreedyStep:
             f"{ref}: best bin sits exactly at the horizon; a longer horizon could change the choice"
         )
     state.partial.add(ref, chosen)
-    step = GreedyStep(step=len(state.steps), ref=ref, chosen=chosen, bins=bins, gains=gains,
+    step = GreedyStep(step=len(state.steps), ref=ref, bins=bins, gains=gains,
                       scale=tables(inst).scale, pick=k)
     state.steps.append(step)
     return step

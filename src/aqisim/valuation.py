@@ -211,8 +211,6 @@ def marginal_gains(inst: Instance, alloc: Allocation, ref: SubpacketRef,
     i = tab.index[p.id]
     count, last = _packet_state(p, entries)
     current = tab.term(i, count, last)
-    # the packet term gained, per slot: one value up to `last`, the utility
-    # step less the slot's lag up to the deadline, and -current past it
     early = tab.term(i, count + 1, last) - current
     late = tab.utility[i][count + 1] - current
     lag, arrival = tab.lag[i], p.arrival

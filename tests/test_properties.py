@@ -12,7 +12,16 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from aqisim.harness import GENERATOR_MODES, generate  # noqa: E402
-from aqisim.model import DISCARD, Allocation, Bin, SubpacketRef, load_instance, store_instance  # noqa: E402
+from aqisim.model import (  # noqa: E402
+    DISCARD,
+    Allocation,
+    AqiError,
+    Bin,
+    CostFamily,
+    SubpacketRef,
+    load_instance,
+    store_instance,
+)
 from aqisim.valuation import evaluate, marginal_gains, marginal_values, tables  # noqa: E402
 
 
@@ -21,6 +30,35 @@ def instances(draw):
     return generate(draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(0, 4)),
                     draw(st.integers(0, 10_000)), mode=draw(st.sampled_from(GENERATOR_MODES)),
                     servers=draw(st.integers(1, 2)), deadline_prob=draw(st.sampled_from([0.0, 0.5, 1.0])))
+
+
+positive = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
+
+
+@st.composite
+def families(draw):
+    """Any cost family with rational parameters, including bases below 1."""
+    kind = draw(st.sampled_from(["linear", "power", "exponential", "saturating", "tabulated"]))
+    if kind == "tabulated":
+        return CostFamily(kind, table=tuple(draw(st.lists(st.fractions(max_denominator=9), min_size=1,
+                                                              max_size=8))))
+    if kind == "linear":
+        return CostFamily(kind, params=(draw(st.fractions(max_denominator=9)),))
+    second = Fraction(draw(st.integers(1, 4))) if kind == "power" else draw(positive)
+    return CostFamily(kind, params=(draw(st.fractions(max_denominator=9)), second))
+
+
+@settings(max_examples=300, deadline=None)
+@given(families(), st.integers(0, 12))
+def test_a_cost_row_is_the_curve_as_integer_pairs(fam, n):
+    if fam.kind == "tabulated" and n > len(fam.table):
+        with pytest.raises(AqiError) as row_error:
+            fam.row(n)
+        with pytest.raises(AqiError) as value_error:
+            fam.value(len(fam.table))
+        assert str(row_error.value) == str(value_error.value)
+        return
+    assert [Fraction(num, den) for num, den in fam.row(n)] == [fam.value(x) for x in range(n)]
 
 
 @st.composite
