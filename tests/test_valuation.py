@@ -256,7 +256,8 @@ def test_interleaved_instances_price_like_fresh_ones(curve_work):
 
 def _table_instances():
     """The fixtures; general, binary and two-server deadline campaign seeds;
-    online-greedy-shaped seeds; sampling-family instances."""
+    online-greedy-shaped seeds; sampling-family instances; hand-built
+    instances with non-integer parameters."""
     out = [load_instance(path.read_text()) for path in sorted(FIXTURES.glob("*.json"))]
     for seed in range(30):
         mode = GENERATOR_MODES[seed % 3]
