@@ -44,31 +44,40 @@ def graph(lefts, rights, weights, arrivals=None, locks=None) -> BipartiteGraph:
 
 
 def brute_force_best(weights, lefts, rights, forced=()):
-    """Independent oracle: enumerate every matching recursively."""
+    """Independent oracle: enumerate every matching recursively and return
+    (weight, pairs) of the winner. Among matchings of the maximum weight the
+    winner is the first in (left rank, right rank) order: at the first left
+    where two matchings differ, the one matching it to the lower-ranked right
+    wins, and being matched beats staying unmatched. Forced pairs are in
+    every candidate."""
     forced_l = {a for a, _ in forced}
     forced_r = {b for _, b in forced}
-    base = sum((F(weights[e]) for e in forced), F(0))
-    best = base
+    rank = {b: j for j, b in enumerate(rights)}
+    best = None
 
-    def rec(i, used, acc):
+    def rec(i, used, acc, pairs):
         nonlocal best
-        if acc > best:
-            best = acc
         if i == len(lefts):
+            order = tuple(len(rights) - rank[pairs[a]] if a in pairs else 0 for a in lefts)
+            if best is None or (acc, order) > best[0]:
+                best = ((acc, order), dict(pairs))
             return
         a = lefts[i]
-        rec(i + 1, used, acc)
         if a in forced_l:
+            rec(i + 1, used, acc, pairs)
             return
         for b in rights:
             if b in used or b in forced_r or (a, b) not in weights:
                 continue
             used.add(b)
-            rec(i + 1, used, acc + F(weights[(a, b)]))
+            pairs[a] = b
+            rec(i + 1, used, acc + F(weights[(a, b)]), pairs)
+            del pairs[a]
             used.remove(b)
+        rec(i + 1, used, acc, pairs)
 
-    rec(0, set(), base)
-    return best
+    rec(0, set(), sum((F(weights[e]) for e in forced), F(0)), dict(forced))
+    return best[0][0], best[1]
 
 
 # --- exact solver ----------------------------------------------------------
@@ -109,24 +118,29 @@ def test_negative_weights_rejected():
 
 
 def test_solver_agrees_with_brute_force():
+    # the weight and, among equal weights, the pairs the rank order selects
     rng = Random(17)
     for _ in range(250):
         nl, nr = rng.randint(1, 4), rng.randint(1, 5)
         lefts = [f"a{i}" for i in range(nl)]
         rights = [f"b{j}" for j in range(nr)]
+        rng.shuffle(lefts)
+        rng.shuffle(rights)
         weights = {}
         for a in lefts:
             for b in rights:
                 if rng.random() < 0.7:
                     weights[(a, b)] = F(rng.randint(0, 12), rng.choice([1, 1, 2, 3]))
+                    if rng.random() < 0.5:
+                        weights[(a, b)] = F(rng.randint(0, 2))  # ties
         g = graph(lefts, rights, weights)
         res = max_weight_matching(g)
-        assert res.weight == brute_force_best(weights, lefts, rights)
+        assert (res.weight, res.pairs) == brute_force_best(weights, lefts, rights)
         assert sum((weights[(a, b)] for a, b in res.pairs.items()), F(0)) == res.weight
         if weights:
             fa, fb = sorted(weights)[rng.randrange(len(weights))]
             res2 = max_weight_matching(g, forced=((fa, fb),))
-            assert res2.weight == brute_force_best(weights, lefts, rights, forced=((fa, fb),))
+            assert (res2.weight, res2.pairs) == brute_force_best(weights, lefts, rights, forced=((fa, fb),))
             assert res2.pairs[fa] == fb
 
 
@@ -359,43 +373,102 @@ def _online_matching_instance(seed: int):
     return generate(20, 1, 10, seed, mode=CAMPAIGN_MODES[seed % 3])
 
 
+def _tie_cases():
+    """Hand-built graphs dense in ties, behind the `ties/*` entries of
+    tests/golden/matching_traces.json: (name, graph, constrained solves),
+    each solve a (forced, left_subset, right_subset) for `max_weight_matching`.
+
+    Weights are in {0, 1, 2} (in thirds on every fourth graph), arrivals and
+    locks share a few instants, and node ranks are shuffled so that they do
+    not follow the ids."""
+    instants = [F(t, 2) for t in range(4)]
+    shapes = [  # (lefts, rights, weight of every edge, one instant for all)
+        (4, 4, 1, F(0)), (3, 5, 0, F(1)), (5, 5, 2, F(1, 2)), (2, 6, 1, F(3, 2)),
+    ]
+    rng = Random(97)
+    for k in range(20):
+        if k < len(shapes):
+            nl, nr, w, at = shapes[k]
+            weights = {(f"a{i}", f"b{j}"): F(w) for i in range(nl) for j in range(nr)}
+            arrivals = {f"a{i}": at for i in range(nl)}
+            locks = {f"b{j}": at for j in range(nr)}
+        else:
+            nl, nr = rng.randint(2, 6), rng.randint(2, 7)
+            unit = F(1, 3) if k % 4 == 3 else F(1)
+            weights = {(f"a{i}", f"b{j}"): rng.randint(0, 2) * unit
+                       for i in range(nl) for j in range(nr) if rng.random() < 0.8}
+            arrivals = {f"a{i}": rng.choice(instants) for i in range(nl)}
+            locks = {f"b{j}": rng.choice(instants) for j in range(nr)}
+        lefts = [f"a{i}" for i in range(nl)]
+        rights = [f"b{j}" for j in range(nr)]
+        rng.shuffle(lefts)
+        rng.shuffle(rights)
+        g = graph(lefts, rights, weights, arrivals=arrivals, locks=locks)
+        left_subset = {a for a in lefts if rng.random() < 0.6}
+        right_subset = {b for b in rights if rng.random() < 0.6}
+        solves = [((), left_subset, None), ((), None, right_subset), ((), left_subset, right_subset)]
+        edges = sorted(weights)
+        if edges:
+            solves.append(((rng.choice(edges),), None, None))
+        inside = [e for e in edges if e[0] in left_subset and e[1] in right_subset]
+        if inside:
+            solves.append(((rng.choice(inside),), left_subset, right_subset))
+        yield f"ties/{k}", g, solves
+
+
 def _recorded_cases():
     """The cases behind tests/golden/matching_traces.json: (name, online graph,
-    offline graph) for the unit-packet fixtures, the lock-probe family and
-    online-matching-shaped seeds 0:20."""
+    offline graph, constrained solves) for the unit-packet fixtures, the
+    lock-probe family, online-matching-shaped seeds 0:20 and the tie-heavy
+    hand-built graphs of `_tie_cases`."""
     for path in sorted((ROOT / "fixtures").glob("*.json")):
         inst = load_instance(path.read_text())
         if inst.is_binary() and inst.servers == 1:
             yield (f"fixtures/{path.name}", expand_binary(inst).graph,
-                   expand_binary(inst, full_depth=True).graph)
+                   expand_binary(inst, full_depth=True).graph, [])
     for w, eps in ((100, 1), (1000, 7), (50, F(1, 2)), (3, 2)):
         g = adversarial_lock_probe(w, eps)
-        yield f"probe/{w}/{eps}", g, g
+        yield f"probe/{w}/{eps}", g, g, []
     for seed in range(20):
         inst = _online_matching_instance(seed)
-        yield f"online-matching/{seed}", expand_binary(inst).graph, expand_binary(inst, full_depth=True).graph
+        yield (f"online-matching/{seed}", expand_binary(inst).graph,
+               expand_binary(inst, full_depth=True).graph, [])
+    for name, g, solves in _tie_cases():
+        yield name, g, g, solves
 
 
-def _digest(online: BipartiteGraph, offline: BipartiteGraph) -> dict:
+def _pairs_sha256(pairs: dict[str, str]) -> str:
+    return _sha256(json.dumps(sorted(pairs.items())))
+
+
+def _digest(online: BipartiteGraph, offline: BipartiteGraph, solves=()) -> dict:
     run = run_online_matching(online)
     best = max_weight_matching(offline)
     perm = sorted((b, a, rational_to_json(w)) for b, (a, w) in run.perm.items())
-    return {
+    out = {
         "trace_sha256": _sha256(run.trace_jsonl()),
         "perm_sha256": _sha256(json.dumps(perm)),
         "weight": rational_to_json(run.weight),
-        "offline_pairs_sha256": _sha256(json.dumps(sorted(best.pairs.items()))),
+        "offline_pairs_sha256": _pairs_sha256(best.pairs),
         "offline_weight": rational_to_json(best.weight),
     }
+    if solves:
+        out["constrained"] = []
+        for forced, ls, rs in solves:
+            res = max_weight_matching(offline, forced=forced, left_subset=ls, right_subset=rs)
+            out["constrained"].append([_pairs_sha256(res.pairs), rational_to_json(res.weight)])
+    return out
 
 
 def test_traces_and_matchings_match_recorded_hashes():
     # recorded while the online run still re-solved from scratch at every
-    # event; keeping one solver state alive must not change a byte
+    # event (the tie-heavy cases while the solver still broke ties with one
+    # power of two per edge); keeping one solver state alive, and the
+    # rank-field tie-break, must not change a byte
     recorded = json.loads((ROOT / "tests" / "golden" / "matching_traces.json").read_text())
     seen = []
-    for name, online, offline in _recorded_cases():
-        assert _digest(online, offline) == recorded[name], name
+    for name, online, offline, solves in _recorded_cases():
+        assert _digest(online, offline, solves) == recorded[name], name
         seen.append(name)
     assert sorted(seen) == sorted(recorded)
 
