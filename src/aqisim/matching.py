@@ -1,10 +1,14 @@
 """Exact max-weight bipartite matching and the online matcher with bin locking.
 
-The solver runs an augmenting-path (potentials) method over integer-scaled
-weights so every comparison is exact. A power-of-two secondary weight per
-edge makes the optimal matching unique: among equal-weight matchings the one
-preferring edges in (left rank, right rank) order wins, so runs and traces
-are reproducible.
+Graphs keep their weights as integers over one common scale, so the solver's
+every comparison is exact integer arithmetic. A rank-field secondary weight
+per edge makes the optimal matching unique: among equal-weight matchings the
+one preferring edges in (left rank, right rank) order wins. That is, at the
+first left, in rank order, where two matchings differ, the one matching it to
+the lower-ranked right wins, and a matched left beats an unmatched one. Edge
+(l, r) carries `|R| - r` in a bit field of its own for left l, fields ordered
+by left rank (`_Hungarian` shows why this orders matchings exactly as the
+rule says), so runs and traces are reproducible.
 
 One solver state (matching plus duals) serves both uses. Between operations
 every edge is dual-feasible, every matched edge is tight, and right duals are
@@ -26,6 +30,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .model import (
     AqiError,
@@ -45,59 +50,67 @@ class SequencingError(AqiError):
     pass
 
 
-@dataclass
 class BipartiteGraph:
     """Weighted bipartite instance with timed left arrivals and right locks.
 
     `left_order` / `right_order` fix the canonical node ranking used for
     tie-breaking. Absent weight entries are unmatchable pairs; stored weights
-    must be non-negative.
+    must be non-negative. The weights are kept once, as integers over one
+    common `scale`: `rows[l]` maps a right rank to the scaled weight of
+    (left l, that right). `weights` is the exact `Fraction` mapping, built
+    when first read.
     """
 
-    left_order: list[str]
-    right_order: list[str]
-    arrivals: dict[str, Fraction]
-    locks: dict[str, Fraction]
-    weights: dict[tuple[str, str], Fraction]
-    label: str = ""
-
-    def __post_init__(self):
-        left = set(self.left_order)
-        right = set(self.right_order)
-        if len(left) != len(self.left_order) or len(right) != len(self.right_order):
-            raise MatchingError("duplicate node ids")
-        for a in self.left_order:
-            if a not in self.arrivals:
-                raise MatchingError(f"left node {a!r} has no arrival time")
-        for b in self.right_order:
-            if b not in self.locks:
-                raise MatchingError(f"right node {b!r} has no lock time")
-        for (a, b), w in self.weights.items():
+    def __init__(self, left_order: list[str], right_order: list[str],
+                 arrivals: dict[str, Fraction], locks: dict[str, Fraction],
+                 weights: dict[tuple[str, str], Fraction], label: str = ""):
+        self._set_nodes(left_order, right_order, arrivals, locks, label)
+        left, right = self._left_rank, self._right_rank
+        for (a, b), w in weights.items():
             if a not in left or b not in right:
                 raise MatchingError(f"edge ({a!r}, {b!r}) references unknown nodes")
             if w < 0:
                 raise MatchingError(f"edge ({a!r}, {b!r}) has negative weight {w}")
-        self._left_rank = {a: i for i, a in enumerate(self.left_order)}
-        self._right_rank = {b: i for i, b in enumerate(self.right_order)}
-        self._scaled: tuple[int, dict] | None = None
+        self.scale = scale = math.lcm(*(w.denominator for w in weights.values()))
+        self.rows: list[dict[int, int]] = [{} for _ in left_order]
+        for (a, b), w in weights.items():
+            self.rows[left[a]][right[b]] = w.numerator * (scale // w.denominator)
 
-    def scaled_weights(self) -> tuple[int, dict]:
-        """(scale, {(a, b): (int weight, secondary)}) with exact integer scaling."""
-        if self._scaled is None:
-            scale = 1
-            for w in self.weights.values():
-                scale = math.lcm(scale, w.denominator)
-            npairs = len(self.left_order) * len(self.right_order)
-            ncols = len(self.right_order)
-            table = {}
-            for (a, b), w in self.weights.items():
-                pos = self._left_rank[a] * ncols + self._right_rank[b]
-                table[(a, b)] = (w.numerator * (scale // w.denominator), 1 << (npairs - pos))
-            self._scaled = (scale, table)
-        return self._scaled
+    @classmethod
+    def from_rows(cls, left_order: list[str], right_order: list[str],
+                  arrivals: dict[str, Fraction], locks: dict[str, Fraction],
+                  rows: list[dict[int, int]], scale: int, label: str = "") -> BipartiteGraph:
+        """A graph whose weights are already integers over `scale`, in the
+        layout of `rows`; the caller guarantees them non-negative."""
+        graph = cls.__new__(cls)
+        graph._set_nodes(left_order, right_order, arrivals, locks, label)
+        graph.rows, graph.scale = rows, scale
+        return graph
 
-    def adjacency(self, a: str) -> list[str]:
-        return [b for b in self.right_order if (a, b) in self.weights]
+    def _set_nodes(self, left_order, right_order, arrivals, locks, label) -> None:
+        self.left_order, self.right_order = left_order, right_order
+        self.arrivals, self.locks, self.label = arrivals, locks, label
+        self._left_rank = {a: i for i, a in enumerate(left_order)}
+        self._right_rank = {b: i for i, b in enumerate(right_order)}
+        if len(self._left_rank) != len(left_order) or len(self._right_rank) != len(right_order):
+            raise MatchingError("duplicate node ids")
+        for a in left_order:
+            if a not in arrivals:
+                raise MatchingError(f"left node {a!r} has no arrival time")
+        for b in right_order:
+            if b not in locks:
+                raise MatchingError(f"right node {b!r} has no lock time")
+
+    @cached_property
+    def weights(self) -> dict[tuple[str, str], Fraction]:
+        left, right, scale = self.left_order, self.right_order, self.scale
+        return {(left[li], right[ri]): Fraction(w, scale)
+                for li, row in enumerate(self.rows) for ri, w in row.items()}
+
+    def edge(self, a: str, b: str) -> int | None:
+        """The scaled weight of (a, b), or None if the pair is not an edge."""
+        li, ri = self._left_rank.get(a), self._right_rank.get(b)
+        return None if li is None or ri is None else self.rows[li].get(ri)
 
     def to_json(self) -> dict:
         return {
@@ -130,9 +143,10 @@ def max_weight_matching(
     """
     used_l: set[str] = set()
     used_r: set[str] = set()
-    forced_weight = ZERO
+    forced_weight = 0
     for a, b in forced:
-        if (a, b) not in graph.weights:
+        w = graph.edge(a, b)
+        if w is None:
             raise MatchingError(f"forced edge ({a!r}, {b!r}) is not in the graph")
         if a in used_l or b in used_r:
             raise MatchingError("forced edges share a node: infeasible")
@@ -141,7 +155,7 @@ def max_weight_matching(
             raise MatchingError(f"forced edge ({a!r}, {b!r}) touches an excluded node")
         used_l.add(a)
         used_r.add(b)
-        forced_weight += graph.weights[(a, b)]
+        forced_weight += w
 
     solver = _Hungarian(graph)
     for ri, b in enumerate(graph.right_order):
@@ -154,7 +168,7 @@ def max_weight_matching(
              for li, ri in enumerate(solver.match_l) if ri is not None and ri < solver.nr}
     for a, b in forced:
         pairs[a] = b
-    return MatchingResult(pairs=pairs, weight=Fraction(solver.total, solver.scale) + forced_weight)
+    return MatchingResult(pairs=pairs, weight=Fraction(solver.total + forced_weight, solver.scale))
 
 
 class _Hungarian:
@@ -168,23 +182,38 @@ class _Hungarian:
       - every matched edge is tight: lu[l] + lv[r] == w(l, r);
       - lv >= 0, and lv == 0 on every free right.
     Complementary slackness then makes the matching optimal, and the
-    power-of-two secondaries make the optimum unique. Dropping a node only
-    removes constraints, so the rest stays optimal; a new left (its lu set to
-    cover its edges) or the mate of a dropped right is then the only free
-    left, and one augmenting phase from it restores optimality. What that
-    phase would cost for every matched right at once is `drop_losses`.
+    secondaries make the optimum unique. Dropping a node only removes
+    constraints, so the rest stays optimal; a new left (its lu set to cover
+    its edges) or the mate of a dropped right is then the only free left, and
+    one augmenting phase from it restores optimality. What that phase would
+    cost for every matched right at once is `drop_losses`.
+
+    The secondary of edge (l, r) is `(C - r) << (B * (L - 1 - l))` with
+    `L = |L|`, `C = |R|` and `B = C.bit_length()`; sink edges have 0. Every
+    left owns a disjoint B-bit field, and a matching puts at most one value
+    `v_l = C - r` in it, with 1 <= v_l <= C < 2**B, so summing never
+    carries: a matching's secondary spells out its vector (v_0, ..., v_{L-1}),
+    with v_l = 0 where l is unmatched, and comparing two sums compares those
+    vectors lexicographically. That is the module's tie rule, and distinct
+    matchings have distinct vectors, so the optimum is unique. (A one-hot
+    secondary `1 << (L*C - l*C - r)` spells out the same vector, one C-bit
+    block per left, and orders matchings identically with |L| x |R| bits.)
+    The primaries are untouched, so the matching, its weight and
+    `drop_losses`, which reads primaries only, do not depend on the encoding.
     """
 
     def __init__(self, graph: BipartiteGraph):
-        self.scale, table = graph.scaled_weights()
+        self.scale = graph.scale
         nl = len(graph.left_order)
         self.nr = nr = len(graph.right_order)
-        # read-only: per-left {right rank: weight}
-        self.adj: list[dict[int, tuple[int, int]]] = [{} for _ in range(nl)]
-        for (a, b), w in table.items():
-            self.adj[graph._left_rank[a]][graph._right_rank[b]] = w
-        for li in range(nl):
-            self.adj[li][nr + li] = (0, 0)
+        bits = nr.bit_length()
+        # read-only: per-left {right rank: (primary, secondary)}
+        self.adj: list[dict[int, tuple[int, int]]] = []
+        for li, row in enumerate(graph.rows):
+            shift = bits * (nl - 1 - li)
+            edges = {ri: (w, (nr - ri) << shift) for ri, w in row.items()}
+            edges[nr + li] = (0, 0)
+            self.adj.append(edges)
         # read-only: per-right [(left rank, primary weight)], built by the
         # first `drop_losses`, so the offline solve never pays for it
         self.radj: list[list[tuple[int, int]]] | None = None
@@ -444,11 +473,11 @@ def run_online_matching(graph: BipartiteGraph, arrivals=None, locks=None) -> Mat
                 batch.append(locks[li][1])
                 li += 1
             for b in batch:
-                mate = live.drop_right(graph._right_rank[b])
+                ri = graph._right_rank[b]
+                mate = live.drop_right(ri)
                 if mate is not None:
-                    a = graph.left_order[mate]
-                    w = graph.weights[(a, b)]
-                    perm[b] = (a, w)
+                    w = Fraction(live.adj[mate][ri][0], live.scale)
+                    perm[b] = (graph.left_order[mate], w)
                     perm_weight += w
                     live.drop_left(mate)
             record(clock, "lock", batch)
@@ -507,30 +536,30 @@ def expand_binary(inst: Instance, full_depth: bool = False) -> ExpandedBinary:
     right_order: list[str] = []
     locks: dict[str, Fraction] = {}
     minislots: dict[str, tuple[int, int]] = {}
+    # every edge is an integer subtraction in the instance's tables; the
+    # packets arrived by slot t are the first ones in arrival order
+    tab = tables(inst)
+    increments = tab.energy_inc[0]
+    index = [tab.index[p.id] for p in packets]
+    rows: list[dict[int, int]] = [{} for _ in packets]
+    arrived = 0
     for t in range(inst.horizon + 1):
-        depth = n if full_depth else sum(1 for p in packets if p.arrival <= t)
+        while arrived < n and packets[arrived].arrival <= t:
+            arrived += 1
+        depth = n if full_depth else arrived
+        base = len(right_order)
+        lock = Fraction(t)
         for i in range(1, depth + 1):
             b = minislot_id(t, i)
             right_order.append(b)
-            locks[b] = Fraction(t)
+            locks[b] = lock
             minislots[b] = (t, i)
-    # every edge is an integer subtraction in the instance's tables
-    tab = tables(inst)
-    increments = tab.energy_inc[0]
-    weights: dict[tuple[str, str], Fraction] = {}
-    for p in packets:
-        i = tab.index[p.id]
-        row = {slot: tab.term(i, 1, slot) for slot in range(p.arrival, inst.horizon + 1)}
-        for b in right_order:
-            slot, pos = minislots[b]
-            if slot >= p.arrival and row[slot] >= increments[pos - 1]:
-                weights[(p.id, b)] = Fraction(row[slot] - increments[pos - 1], tab.scale)
-    graph = BipartiteGraph(
-        left_order=left_order,
-        right_order=right_order,
-        arrivals=arrivals,
-        locks=locks,
-        weights=weights,
-        label=inst.label,
-    )
+        for li in range(arrived):
+            term = tab.term(index[li], 1, t)
+            row = rows[li]
+            for pos in range(depth):
+                if term >= increments[pos]:
+                    row[base + pos] = term - increments[pos]
+    graph = BipartiteGraph.from_rows(left_order, right_order, arrivals, locks,
+                                     rows, tab.scale, label=inst.label)
     return ExpandedBinary(graph=graph, minislots=minislots)

@@ -480,11 +480,12 @@ PER_EDGE_VALUE_CALLS = 7_270
 
 def test_online_run_and_expansion_do_bounded_work(monkeypatch):
     inst = _online_matching_instance(0)
-    calls = {"value": 0, "row": 0, "solve": 0, "phase": 0}
+    calls = {"value": 0, "row": 0, "solve": 0, "phase": 0, "fraction": 0}
     value = CostFamily.value
     row = CostFamily.row
     solve = matching.max_weight_matching
     phase = matching._Hungarian.phase
+    fraction = matching.Fraction
 
     def counted_value(self, x):
         calls["value"] += 1
@@ -502,11 +503,21 @@ def test_online_run_and_expansion_do_bounded_work(monkeypatch):
         calls["phase"] += 1
         return phase(self, root)
 
+    def counted_fraction(*args):
+        calls["fraction"] += 1
+        return fraction(*args)
+
     monkeypatch.setattr(CostFamily, "value", counted_value)
     monkeypatch.setattr(CostFamily, "row", counted_row)
     monkeypatch.setattr(matching, "max_weight_matching", counted_solve)
     monkeypatch.setattr(matching._Hungarian, "phase", counted_phase)
-    g = expand_binary(inst).graph
+    monkeypatch.setattr(matching, "Fraction", counted_fraction)
+    # the graph takes the tables' integers: a Fraction per arrival and one
+    # lock per slot, none per edge
+    for full_depth in (True, False):
+        calls["fraction"] = 0
+        g = expand_binary(inst, full_depth=full_depth).graph
+        assert calls["fraction"] <= len(inst.packets) + inst.horizon + 1 < sum(map(len, g.rows))
     # the tables read each curve as one integer row: one per packet's
     # utility, per shared lag row and per server's energy
     assert calls["value"] == 0
@@ -515,6 +526,17 @@ def test_online_run_and_expansion_do_bounded_work(monkeypatch):
     assert run.events and calls["solve"] == 0
     # one phase per arrival: the traced marginals cost none
     assert calls["phase"] == len(inst.packets) == 20
+
+
+def test_solver_secondaries_fit_the_rank_fields():
+    # the tie-break costs |L| * bit_length(|R|) bits per edge (1,200 here),
+    # not |L| * |R| (about 259,000); structural, so it holds at any speed
+    inst = generate(100, 1, 50, 0)
+    for full_depth in (False, True):
+        g = expand_binary(inst, full_depth=full_depth).graph
+        solver = matching._Hungarian(g)
+        bits = len(g.left_order) * len(g.right_order).bit_length()
+        assert max(sec.bit_length() for row in solver.adj for _, sec in row.values()) <= bits
 
 
 def test_every_expanded_edge_is_its_transmit_weight():
