@@ -29,7 +29,6 @@ from .valuation import (
     evaluate,
     marginal_gains,
     marginal_value,
-    marginal_values,
     transmit_weight,
 )
 from .matching import (

@@ -135,13 +135,6 @@ def speed_scaling(jobs: list[tuple[int, int]], servers: int,
     if len(powers) != servers:
         raise AqiError(f"need one power curve per server ({servers}), got {len(powers)}")
     total = sum(size for size, _ in jobs)
-    for s, fam in enumerate(powers):
-        values = [fam.value(x) for x in range(max(total, 1) + 1)]
-        deltas = [b - a for a, b in zip(values, values[1:])]
-        if values[0] != 0 or any(d < 0 for d in deltas) or any(
-            b < a for a, b in zip(deltas, deltas[1:])
-        ):
-            raise AqiError(f"power curve for server {s} is not convex non-decreasing from 0")
     if unit_value is None:
         max_inc = max((fam.value(max(total, 1)) - fam.value(max(total, 1) - 1) for fam in powers),
                       default=ZERO)

@@ -15,6 +15,7 @@ from .harness import (
     ALL_CHECKS,
     CSV_COLUMNS,
     CampaignConfig,
+    GENERATOR_MODES,
     check_instance,
     csv_row,
     generate,
@@ -220,8 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-k", type=int, default=1, dest="max_k")
     p.add_argument("--horizon", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=["random", "adversarial-lock", "adversarial-burst"],
-                   default="random")
+    p.add_argument("--mode", choices=GENERATOR_MODES, default="random")
     p.add_argument("--servers", type=int, default=1)
     p.add_argument("--deadline-prob", type=float, default=0.0, dest="deadline_prob")
     p.add_argument("--out")
@@ -259,8 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-k", type=int, default=1, dest="max_k")
     p.add_argument("--horizon", type=int, default=4)
     p.add_argument("--servers", type=int, default=1)
-    p.add_argument("--modes", nargs="+", default=["random", "adversarial-burst", "adversarial-lock"],
-                   choices=["random", "adversarial-lock", "adversarial-burst"])
+    p.add_argument("--modes", nargs="+", default=list(CampaignConfig.modes), choices=GENERATOR_MODES)
     p.add_argument("--checks", nargs="+", choices=list(ALL_CHECKS), default=list(ALL_CHECKS))
     p.add_argument("--deadline-prob", type=float, default=0.0, dest="deadline_prob")
     p.add_argument("--samples", type=int, default=40)

@@ -15,6 +15,13 @@ on the way from curve to pick. A step keeps its integers and the index of
 its pick; its `gain` is the chosen one as a `Fraction`, and `alternatives`
 the full (bin, Fraction) list, both built only when read. A run sums the
 chosen integers and checks that sum once against `evaluate`.
+
+The half-competitive bound holds, as checked, for the online matcher only;
+for greedy it fails under convex energy. With one slot, one server, energy
+E(c) = c**2 and no lag cost, let unit packet p0 (utility 101/100) arrive
+before p1 (utility 29/10). Greedy sends p0 at gain 1/100, then discards p1,
+whose gain in the slot would be 29/10 - 3 = -1/10; the optimum sends p1
+alone for 19/10, so greedy keeps 1/190 of it.
 """
 
 from __future__ import annotations

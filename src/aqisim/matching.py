@@ -46,10 +46,6 @@ class MatchingError(AqiError):
     pass
 
 
-class SequencingError(AqiError):
-    pass
-
-
 class BipartiteGraph:
     """Weighted bipartite instance with timed left arrivals and right locks.
 
@@ -111,17 +107,6 @@ class BipartiteGraph:
         """The scaled weight of (a, b), or None if the pair is not an edge."""
         li, ri = self._left_rank.get(a), self._right_rank.get(b)
         return None if li is None or ri is None else self.rows[li].get(ri)
-
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "left": [{"id": a, "arrival": rational_to_json(self.arrivals[a])} for a in self.left_order],
-            "right": [{"id": b, "lock": rational_to_json(self.locks[b])} for b in self.right_order],
-            "edges": [
-                {"left": a, "right": b, "weight": rational_to_json(w)}
-                for (a, b), w in sorted(self.weights.items())
-            ],
-        }
 
 
 @dataclass
@@ -395,39 +380,20 @@ class MatchRun:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _event_stream(graph: BipartiteGraph, arrivals, locks):
-    if arrivals is None:
-        arrivals = sorted(graph.arrivals.items(), key=lambda kv: (kv[1], graph._left_rank[kv[0]]))
-        arrivals = [(t, a) for a, t in arrivals]
-    else:
-        arrivals = [(Fraction(t), a) for t, a in arrivals]
-        if sorted(t for t, _ in arrivals) != [t for t, _ in arrivals]:
-            raise SequencingError("arrival stream out of order")
-        if {a for _, a in arrivals} != set(graph.left_order):
-            raise SequencingError("arrival stream disagrees with graph metadata")
-    if locks is None:
-        locks = sorted(graph.locks.items(), key=lambda kv: (kv[1], graph._right_rank[kv[0]]))
-        locks = [(t, b) for b, t in locks]
-    else:
-        locks = [(Fraction(t), b) for t, b in locks]
-        if sorted(t for t, _ in locks) != [t for t, _ in locks]:
-            raise SequencingError("lock stream out of order")
-        if {b for _, b in locks} != set(graph.right_order):
-            raise SequencingError("lock stream disagrees with graph metadata")
-    return arrivals, locks
-
-
-def run_online_matching(graph: BipartiteGraph, arrivals=None, locks=None) -> MatchRun:
-    """Run the online matching algorithm over the timed event streams.
+def run_online_matching(graph: BipartiteGraph) -> MatchRun:
+    """Run the online matching algorithm over the graph's arrival and lock
+    times.
 
     Arrivals are processed one at a time, each extending the tentative
     matching by one augmenting phase; locks sharing a timestamp fire as one
     batch against the current tentative matching, after any arrivals at the
-    same instant. The trace records, at every event, the constrained matching
+    same instant. Simultaneous arrivals, and the locks of one batch, go in
+    rank order. The trace records, at every event, the constrained matching
     weight and each bin's marginal value: its weight contribution while
     unlocked (`_Hungarian.drop_losses`), its locked-in edge weight afterwards.
     """
-    arrivals, locks = _event_stream(graph, arrivals, locks)
+    arrivals = sorted((t, graph._left_rank[a], a) for a, t in graph.arrivals.items())
+    locks = sorted((t, graph._right_rank[b], b) for b, t in graph.locks.items())
     live = _Hungarian(graph)
     perm: dict[str, tuple[str, Fraction]] = {}
     perm_weight = ZERO
@@ -461,19 +427,18 @@ def run_online_matching(graph: BipartiteGraph, arrivals=None, locks=None) -> Mat
         next_lock = locks[li][0] if li < len(locks) else None
         # arrivals strictly before locks at the same clock
         if next_lock is None or (next_arrival is not None and next_arrival <= next_lock):
-            clock, a = arrivals[ai]
+            clock, rank, a = arrivals[ai]
             ai += 1
             before = live.total
-            live.add_left(graph._left_rank[a])
+            live.add_left(rank)
             record(clock, "arrival", [a], Fraction(live.total - before, live.scale))
         else:
             clock = next_lock
             batch = []
             while li < len(locks) and locks[li][0] == clock:
-                batch.append(locks[li][1])
+                _, ri, b = locks[li]
                 li += 1
-            for b in batch:
-                ri = graph._right_rank[b]
+                batch.append(b)
                 mate = live.drop_right(ri)
                 if mate is not None:
                     w = Fraction(live.adj[mate][ri][0], live.scale)

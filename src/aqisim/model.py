@@ -283,16 +283,6 @@ class Bin:
     def discard() -> "Bin":
         return Bin(slot=INFINITE_SLOT, server=0, is_discard=True)
 
-    @staticmethod
-    def from_id(text: str) -> "Bin":
-        if text == "discard":
-            return Bin.discard()
-        try:
-            slot_txt, server_txt = text[1:].split("s")
-            return Bin(slot=int(slot_txt), server=int(server_txt))
-        except (ValueError, IndexError) as exc:
-            raise ParseError(f"bad bin id {text!r}") from exc
-
 
 DISCARD = Bin.discard()
 
@@ -372,14 +362,6 @@ class Allocation:
             for r, b in self.sorted_entries()
         ]
 
-    @staticmethod
-    def from_json(doc) -> "Allocation":
-        out = Allocation()
-        for i, entry in enumerate(doc):
-            ref = SubpacketRef(str(entry["packet"]), int(entry["index"]))
-            out.add(ref, Bin.from_id(entry["bin"]))
-        return out
-
 
 def check_entry(inst: Instance, p: Packet, ref: SubpacketRef, b: Bin) -> None:
     """Raise AllocationError unless `ref` is a fragment of packet `p` and `b`
@@ -404,19 +386,6 @@ def check_allocation(inst: Instance, alloc: Allocation) -> None:
         check_entry(inst, p, ref, b)
         if not b.is_discard and b.slot < p.arrival:
             raise AllocationError(f"{ref} assigned to slot {b.slot} before arrival {p.arrival}")
-
-
-def allocation_in_index_order(alloc: Allocation) -> bool:
-    """True when, per packet, lower fragment indices occupy no later slots."""
-    per_packet: dict[str, list[tuple[int, int]]] = {}
-    for ref, b in alloc.entries.items():
-        per_packet.setdefault(ref.packet, []).append((ref.index, b.lock_time))
-    for rows in per_packet.values():
-        rows.sort()
-        slots = [s for _, s in rows]
-        if any(a > b for a, b in zip(slots, slots[1:])):
-            return False
-    return True
 
 
 @dataclass

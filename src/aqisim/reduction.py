@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .model import (
     Allocation,
+    AllocationError,
     AqiError,
     Bin,
     Instance,
@@ -23,7 +24,7 @@ from .model import (
 )
 from .greedy import arrival_order, candidate_bins, first_max, run_online_greedy
 from .oracle import DEFAULT_BUDGET, OracleResult, offline_optimal
-from .valuation import marginal_gains, marginal_value, tables
+from .valuation import marginal_gains, tables
 
 ZERO = Fraction(0)
 
@@ -34,18 +35,14 @@ class TelescopingError(AqiError):
 
 @dataclass
 class FrozenInstance:
-    """Lock-free twin: same resources, bins and arrival order, frozen gains."""
+    """Lock-free twin: same resources, bins and arrival order. A (fragment,
+    bin) pair is frozen at 0 once the bin locks before the fragment arrives
+    (`arrivals[ref] > b.lock_time`) and keeps its exact marginal otherwise."""
 
     inst: Instance
     resources: list[SubpacketRef]
     arrivals: dict[SubpacketRef, int]
     bins: list[Bin]
-
-    def gain(self, alloc: Allocation, ref: SubpacketRef, b: Bin) -> Fraction:
-        """Frozen marginal: 0 once the bin outlives its lock for this fragment."""
-        if self.arrivals[ref] > b.lock_time:
-            return ZERO
-        return marginal_value(self.inst, alloc, ref, b)
 
 
 def build_frozen(inst: Instance) -> FrozenInstance:
@@ -56,15 +53,24 @@ def build_frozen(inst: Instance) -> FrozenInstance:
 
 
 def telescoped_value(frozen: FrozenInstance, alloc: Allocation) -> Fraction:
-    """Value of an assignment as the sum of frozen marginals in arrival order."""
+    """Value of an assignment as the sum of frozen marginals in arrival order.
+
+    A bin that locks before its fragment arrives adds 0 but still holds the
+    fragment for the later ones. A fragment the twin does not have raises
+    AllocationError.
+    """
+    inst = frozen.inst
     order = {ref: i for i, ref in enumerate(frozen.resources)}
-    entries = sorted(alloc.entries.items(), key=lambda e: order[e[0]])
+    for ref in alloc.entries:
+        if ref not in order:
+            raise AllocationError(f"{ref} is not a fragment of the instance")
     running = Allocation()
-    total = ZERO
-    for ref, b in entries:
-        total += frozen.gain(running, ref, b)
+    total = 0  # over the tables' scale
+    for ref, b in sorted(alloc.entries.items(), key=lambda e: order[e[0]]):
+        if frozen.arrivals[ref] <= b.lock_time:
+            total += marginal_gains(inst, running, ref, (b,))[0]
         running.add(ref, b)
-    return total
+    return Fraction(total, tables(inst).scale)
 
 
 @dataclass

@@ -235,21 +235,11 @@ def marginal_gains(inst: Instance, alloc: Allocation, ref: SubpacketRef,
     return out
 
 
-def marginal_values(inst: Instance, alloc: Allocation, ref: SubpacketRef,
-                    bins: Sequence[Bin]) -> list[Fraction]:
-    """`marginal_gains` as exact rationals: the same checks and values, each
-    divided by the tables' scale."""
-    gains = marginal_gains(inst, alloc, ref, bins)
-    if not any(gains):  # covers the all-discard case, which builds no tables
-        return [ZERO] * len(gains)
-    scale = tables(inst).scale
-    return [Fraction(g, scale) for g in gains]
-
-
 def marginal_value(inst: Instance, alloc: Allocation, ref: SubpacketRef, b: Bin) -> Fraction:
-    """Exact change in total value from adding (ref, b) to `alloc`; the
-    one-bin case of `marginal_values`."""
-    return marginal_values(inst, alloc, ref, (b,))[0]
+    """Exact change in total value from adding (ref, b) to `alloc`: the
+    one-bin case of `marginal_gains`, divided by the tables' scale."""
+    gain = marginal_gains(inst, alloc, ref, (b,))[0]
+    return Fraction(gain, tables(inst).scale) if gain else ZERO  # 0 needs no scale: discard builds no tables
 
 
 def transmit_weight(inst: Instance, p: Packet, slot: int, position: int) -> Fraction:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from aqisim import harness, oracle, reduction, valuation
-from aqisim.model import CostFamily, Instance, Packet, linear, tabulated
+from aqisim.model import Allocation, CostFamily, Instance, Packet, linear, tabulated
 
 
 def unit_packet(pid="p0", arrival=0, value=5, slope=1, weight=1, deadline=None) -> Packet:
@@ -15,6 +15,19 @@ def unit_packet(pid="p0", arrival=0, value=5, slope=1, weight=1, deadline=None) 
         id=pid, arrival=arrival, subpackets=1, weight=Fraction(weight),
         distortion=tabulated([0, value]), delay_cost=linear(slope), deadline=deadline,
     )
+
+
+def allocation_in_index_order(alloc: Allocation) -> bool:
+    """True when, per packet, lower fragment indices occupy no later slots."""
+    per_packet: dict[str, list[tuple[int, int]]] = {}
+    for ref, b in alloc.entries.items():
+        per_packet.setdefault(ref.packet, []).append((ref.index, b.lock_time))
+    for rows in per_packet.values():
+        rows.sort()
+        slots = [s for _, s in rows]
+        if any(a > b for a, b in zip(slots, slots[1:])):
+            return False
+    return True
 
 
 def simple_instance(packets, horizon=2, energy=None, servers=1) -> Instance:

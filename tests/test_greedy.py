@@ -12,7 +12,6 @@ from aqisim.model import (
     Bin,
     CostFamily,
     Packet,
-    allocation_in_index_order,
     linear,
     load_instance,
     rational_to_json,
@@ -20,7 +19,7 @@ from aqisim.model import (
 )
 from aqisim.reduction import build_frozen, run_lockfree_greedy
 from aqisim.valuation import evaluate, marginal_value, tables
-from conftest import simple_instance, unit_packet
+from conftest import allocation_in_index_order, simple_instance, unit_packet
 
 F = Fraction
 

@@ -14,7 +14,6 @@ from aqisim.harness import adversarial_lock_probe, generate
 from aqisim.matching import (
     BipartiteGraph,
     MatchingError,
-    SequencingError,
     bin_marginal_series,
     expand_binary,
     marginal_monotonicity_violations,
@@ -217,14 +216,6 @@ def test_probe_family_ratio_close_to_half():
         ratio = run.weight / opt.weight
         assert F(1, 2) < ratio <= F(51, 100)
         assert marginal_monotonicity_violations(run) == []
-
-
-def test_out_of_order_streams_rejected():
-    g = two_stage_scenario()
-    with pytest.raises(SequencingError):
-        run_online_matching(g, arrivals=[(F(3, 2), "a2"), (F(0), "a1")])
-    with pytest.raises(SequencingError):
-        run_online_matching(g, locks=[(F(1), "b1")])  # missing b2
 
 
 def test_arrival_gains_sum_to_final_weight():

@@ -17,7 +17,6 @@ from aqisim.model import (
     Packet,
     ParseError,
     SubpacketRef,
-    allocation_in_index_order,
     check_allocation,
     linear,
     load_instance,
@@ -26,7 +25,7 @@ from aqisim.model import (
     tabulated,
     validate_instance,
 )
-from conftest import simple_instance, unit_packet
+from conftest import allocation_in_index_order, simple_instance, unit_packet
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -211,10 +210,8 @@ def test_allocation_indexes_follow_every_edit():
                 assert alloc.remove(r) == held and r not in alloc
             elif op < 0.85 and free:
                 alloc = alloc.extended(rng.choice(free), rng.choice(bins))
-            elif op < 0.95:
-                alloc = alloc.copy()
             else:
-                alloc = Allocation.from_json(json.loads(json.dumps(alloc.to_json())))
+                alloc = alloc.copy()
             _assert_indexes_match_entries(alloc)
 
 
@@ -263,7 +260,3 @@ def test_index_order_helper():
     ])
     assert not allocation_in_index_order(swapped)
 
-
-def test_bin_id_round_trip():
-    for b in (Bin(slot=3, server=1), Bin(slot=0), DISCARD):
-        assert Bin.from_id(b.id) == b

@@ -18,7 +18,6 @@ from aqisim.model import (
     DISCARD,
     Packet,
     SubpacketRef,
-    allocation_in_index_order,
     linear,
     load_instance,
     tabulated,
@@ -30,7 +29,7 @@ from aqisim.oracle import (
     offline_optimal_binary,
 )
 from aqisim.valuation import evaluate
-from conftest import simple_instance, unit_packet
+from conftest import allocation_in_index_order, simple_instance, unit_packet
 
 F = Fraction
 ROOT = Path(__file__).resolve().parent.parent

@@ -12,13 +12,16 @@ from aqisim import reduction
 from aqisim.harness import CampaignConfig, check_instance, generate, run_campaign
 from aqisim.model import (
     Allocation,
+    AllocationError,
     AqiError,
     Bin,
+    CostFamily,
     DISCARD,
     SubpacketRef,
     load_instance,
     rational_to_json,
     tabulated,
+    validate_instance,
 )
 from aqisim.oracle import offline_optimal
 from aqisim.reduction import (
@@ -44,14 +47,16 @@ def general_instance(seed: int):
 
 
 def test_gate_zeroes_unreachable_bins():
-    # a fragment arriving after a bin's lock gets 0 whatever the context
+    # a fragment placed in a bin locked before its arrival adds 0 whatever
+    # the context, and still counts as placed
     inst = simple_instance([unit_packet(arrival=2), unit_packet(pid="p1", arrival=0)], horizon=3)
     frozen = build_frozen(inst)
     late = SubpacketRef("p0", 1)
     for context in (Allocation(), Allocation([(SubpacketRef("p1", 1), Bin(slot=1))])):
-        assert frozen.gain(context, late, Bin(slot=0)) == 0
-        assert frozen.gain(context, late, Bin(slot=1)) == 0
-        assert frozen.gain(context, late, Bin(slot=2)) != 0
+        base = telescoped_value(frozen, context)
+        assert telescoped_value(frozen, context.extended(late, Bin(slot=0))) == base
+        assert telescoped_value(frozen, context.extended(late, Bin(slot=1))) == base
+        assert telescoped_value(frozen, context.extended(late, Bin(slot=2))) != base
 
 
 def test_reachable_bins_keep_their_exact_marginal():
@@ -59,9 +64,9 @@ def test_reachable_bins_keep_their_exact_marginal():
     frozen = build_frozen(inst)
     ref = SubpacketRef("p0", 1)
     for slot in range(3):
-        assert frozen.gain(Allocation(), ref, Bin(slot=slot)) == \
+        assert telescoped_value(frozen, Allocation([(ref, Bin(slot=slot))])) == \
             marginal_value(inst, Allocation(), ref, Bin(slot=slot))
-    assert frozen.gain(Allocation(), ref, DISCARD) == 0
+    assert telescoped_value(frozen, Allocation([(ref, DISCARD)])) == 0
 
 
 def test_single_fragment_frozen_gain_formula():
@@ -72,7 +77,22 @@ def test_single_fragment_frozen_gain_formula():
     frozen = build_frozen(inst)
     ref = SubpacketRef("p0", 1)
     for t in range(1, 5):
-        assert frozen.gain(Allocation(), ref, Bin(slot=t)) == 9 - 2 * (t - 1) - 1
+        assert telescoped_value(frozen, Allocation([(ref, Bin(slot=t))])) == 9 - 2 * (t - 1) - 1
+
+
+def test_telescoping_rejects_fragments_outside_the_twin():
+    inst = generate(3, 2, 3, 0)
+    frozen = build_frozen(inst)
+    opt = offline_optimal(inst)
+    for stranger in (SubpacketRef("zz", 1), SubpacketRef("p00", 9)):
+        with pytest.raises(AllocationError, match="not a fragment"):
+            telescoped_value(frozen, opt.allocation.extended(stranger, Bin(slot=1)))
+    opt.allocation.add(SubpacketRef("zz", 1), DISCARD)
+    with pytest.raises(AllocationError, match="not a fragment"):
+        check_offline_bridge(inst, opt=opt, frozen=frozen)
+    # a gated bin is the twin's own: it telescopes at 0
+    late = simple_instance([unit_packet(arrival=2)], horizon=3)
+    assert telescoped_value(build_frozen(late), Allocation([(SubpacketRef("p0", 1), Bin(slot=0))])) == 0
 
 
 def test_lockfree_greedy_replays_the_locking_run():
@@ -146,7 +166,8 @@ def exhaustive_frozen_max(inst, node_limit: int = 2_000_000):
             return
         ref = refs[i]
         for b in frozen.bins:
-            g = frozen.gain(alloc, ref, b)
+            # the twin's gate, restated here: 0 once the bin locks before the fragment arrives
+            g = F(0) if frozen.arrivals[ref] > b.lock_time else marginal_value(inst, alloc, ref, b)
             alloc.add(ref, b)
             dfs(i + 1, alloc, total + g)
             alloc.remove(ref)
@@ -174,6 +195,31 @@ def test_chain_on_the_empty_instance():
     chain = check_guarantee_chain(simple_instance([], horizon=2))
     assert (chain.z_greedy, chain.y_frozen_greedy, chain.y_frozen_opt, chain.z_opt) == (0, 0, 0, 0)
     assert chain.ok
+
+
+def test_greedy_loses_the_half_bound_under_convex_energy():
+    # one slot, E(c) = c**2, no lag: greedy sends p0 for 101/100 - 1 = 1/100,
+    # then p1 would add 29/10 - 3 = -1/10, so it is discarded; the optimum
+    # sends p1 alone for 29/10 - 1 = 19/10. The matcher re-solves until the
+    # slot locks and keeps the optimum.
+    inst = simple_instance(
+        [unit_packet("p0", value=F(101, 100), slope=0), unit_packet("p1", value=F(29, 10), slope=0)],
+        horizon=0, energy=[CostFamily("power", params=(F(1), F(2)))])
+    assert validate_instance(inst).ok
+    greedy = run_online_greedy(inst)
+    assert [(s.chosen, s.gain) for s in greedy.state.steps] == [(Bin(slot=0), F(1, 100)), (DISCARD, 0)]
+    assert greedy.state.steps[1].alternatives == [(Bin(slot=0), F(-1, 10)), (DISCARD, 0)]
+    config = CampaignConfig(seeds=[0], checks=("matching-halfopt",) + ORACLE_CHECKS)
+    results = check_instance(inst, config, seed=0)
+    halfopt = results["greedy-halfopt"]
+    assert not halfopt["ok"] and halfopt["detail"]["ratio"] == "1/190"
+    bridge = results["greedy-bridge"]
+    assert bridge["ok"]
+    assert bridge["detail"]["links"] == {"greedy_equal": True, "steps_equal": True, "frozen_half_ok": False,
+                                         "bridge_ok": True, "composed_half_ok": False}
+    assert results["opt-bridge"]["ok"]
+    matching = results["matching-halfopt"]
+    assert matching["ok"] and matching["detail"]["ratio"] == 1
 
 
 def test_chain_holds_on_random_batch():

@@ -32,7 +32,6 @@ from aqisim.valuation import (
     evaluate,
     marginal_gains,
     marginal_value,
-    marginal_values,
     tables,
     transmit_weight,
 )
@@ -161,7 +160,7 @@ def test_marginal_values_match_full_differences_on_every_listed_bin():
                     for s in range(servers)] + [DISCARD]
             bins = [rng.choice(pool) for _ in range(rng.randint(1, 2 * len(pool)))]
             base = evaluate(inst, alloc).total
-            gains = marginal_values(inst, alloc, target, bins)
+            gains = [Fraction(g, tables(inst).scale) for g in marginal_gains(inst, alloc, target, bins)]
             assert len(gains) == len(bins)
             for b, gain in zip(bins, gains):
                 assert gain == evaluate(inst, alloc.extended(target, b)).total - base
@@ -174,10 +173,10 @@ def test_marginal_values_match_full_differences_on_every_listed_bin():
 def test_marginal_values_edge_cases(single_packet_instance):
     inst = single_packet_instance
     alloc = Allocation()
-    assert marginal_values(inst, alloc, ref("p0"), []) == []
-    assert marginal_values(inst, alloc, ref("p0"), [DISCARD, DISCARD]) == [0, 0]
+    assert marginal_gains(inst, alloc, ref("p0"), []) == []
+    assert marginal_gains(inst, alloc, ref("p0"), [DISCARD, DISCARD]) == [0, 0]
     with pytest.raises(AllocationError):
-        marginal_values(inst, Allocation([(ref("p0"), DISCARD)]), ref("p0"), [Bin(slot=0)])
+        marginal_gains(inst, Allocation([(ref("p0"), DISCARD)]), ref("p0"), [Bin(slot=0)])
 
 
 def test_marginal_values_reject_an_allocation_holding_every_fragment():
@@ -185,7 +184,7 @@ def test_marginal_values_reject_an_allocation_holding_every_fragment():
     assert inst.packet("p00").subpackets == 2
     alloc = Allocation([(ref("p00", 2), Bin(slot=2)), (ref("p00", 3), Bin(slot=3))])
     with pytest.raises(AllocationError, match="already holds 2 fragments"):
-        marginal_values(inst, alloc, ref("p00", 1), [Bin(slot=2)])
+        marginal_gains(inst, alloc, ref("p00", 1), [Bin(slot=2)])
 
 
 def build_value(inst, steps: list[tuple[SubpacketRef, Bin]]) -> Fraction:
@@ -204,7 +203,7 @@ def test_marginal_values_reject_bins_outside_the_instance(b):
     inst = generate(4, 2, 4, 3, servers=2)
     target = ref("p00")
     with pytest.raises(AllocationError) as priced:
-        marginal_values(inst, Allocation(), target, [DISCARD, b])
+        marginal_gains(inst, Allocation(), target, [DISCARD, b])
     with pytest.raises(AllocationError) as evaluated:
         evaluate(inst, Allocation([(target, b)]))
     assert str(priced.value) == str(evaluated.value)
@@ -218,7 +217,7 @@ def test_discard_only_bins_still_reject_a_bad_fragment(target):
     with pytest.raises(AllocationError):
         evaluate(inst, Allocation([(target, DISCARD)]))
     for price in (lambda: marginal_value(inst, Allocation(), target, DISCARD),
-                  lambda: marginal_values(inst, Allocation(), target, [DISCARD, DISCARD]),
+                  lambda: marginal_gains(inst, Allocation(), target, [DISCARD, DISCARD]),
                   lambda: marginal_gains(inst, Allocation(), target, [])):
         with pytest.raises(AllocationError):
             price()
@@ -229,8 +228,8 @@ def test_marginal_before_arrival_completes_at_the_arrival():
     late = inst.packet("p01")
     assert late.arrival == 1
     for server in (0, 1):
-        before, at = marginal_values(inst, Allocation(), ref("p01"),
-                                     [Bin(0, server), Bin(late.arrival, server)])
+        before, at = marginal_gains(inst, Allocation(), ref("p01"),
+                                    [Bin(0, server), Bin(late.arrival, server)])
         assert before == at
 
 
@@ -242,7 +241,8 @@ def test_interleaved_instances_price_like_fresh_ones(curve_work):
 
     def priced(inst):
         bins = [Bin(t) for t in range(inst.packet("p00").arrival, inst.horizon + 1)]
-        return marginal_values(inst, Allocation(), target, bins), [
+        scale = tables(inst).scale
+        return [Fraction(g, scale) for g in marginal_gains(inst, Allocation(), target, bins)], [
             evaluate(inst, Allocation([(target, x)])).total for x in bins]
 
     fresh = {id(inst): priced(inst) for inst in (a, b)}
