@@ -33,7 +33,6 @@ from .valuation import (
 )
 from .matching import (
     BipartiteGraph,
-    ExpandedBinary,
     MatchingError,
     MatchingResult,
     MatchRun,

@@ -77,7 +77,7 @@ def aoi_multisource(events: dict[str, list[int]], values: dict[str, Fraction | i
                     horizon: int, capacity: int = 1) -> tuple[FreshnessOracle, Instance]:
     """Build the sawtooth increment oracle plus a structurally matching
     instance (one unit packet per event, per-slot transmission capacity
-    enforced through a steep convex energy curve)."""
+    imposed through a steep convex energy curve)."""
     if capacity < 1:
         raise AqiError("per-slot capacity must be >= 1")
     source_events: list[SourceEvent] = []

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -45,14 +44,9 @@ def _parse(convert, text: str, what: str):
 
 
 def _budget(args) -> int:
-    if args.budget is not None:
-        return _checked(args.budget, "--budget", args.budget >= 1, "a node count >= 1")
-    env = os.environ.get("AQI_BUDGET")
-    if env:
-        budget = _parse(int, env, "AQI_BUDGET")
-        _checked(env, "AQI_BUDGET", budget >= 1, "a node count >= 1")
-        return budget
-    return DEFAULT_BUDGET
+    if args.budget is None:
+        return DEFAULT_BUDGET
+    return _checked(args.budget, "--budget", args.budget >= 1, "a node count >= 1")
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -51,9 +51,7 @@ from .reduction import (
     check_guarantee_chain,
     check_offline_bridge,
 )
-from .valuation import evaluate, marginal_value
-
-ZERO = Fraction(0)
+from .valuation import evaluate, marginal_value, tables
 
 GENERATOR_MODES = ("random", "adversarial-lock", "adversarial-burst")
 
@@ -208,8 +206,7 @@ def run_bundle(inst: Instance, algorithm: str, budget: int = DEFAULT_BUDGET,
     if algorithm == "matching":
         if not inst.is_binary():
             raise AqiError("the matching algorithm needs a unit-packet instance")
-        expanded = expand_binary(inst)
-        run = run_online_matching(expanded.graph)
+        run = run_online_matching(expand_binary(inst))
         traces["matching"] = run
         alg_value = run.weight
         opt = offline_optimal_binary(inst)
@@ -370,7 +367,8 @@ def check_instance(inst: Instance, config: CampaignConfig, seed: int) -> dict:
     rng = Random(f"checks-{seed}")
     perturb = None
     if config.mutate == "frozen-gain-bias":
-        perturb = lambda i, ref, b, g: g + 2 if b.is_discard else g
+        # the replay's discard gains, integers over the tables' scale, gain 2
+        perturb = lambda b, g: g + 2 * tables(inst).scale if b.is_discard else g
 
     if checks & set(BINARY_CHECKS):
         skip = ("needs a unit-packet instance" if not inst.is_binary()
@@ -379,8 +377,7 @@ def check_instance(inst: Instance, config: CampaignConfig, seed: int) -> dict:
             for name in checks & set(BINARY_CHECKS):
                 results[name] = {"ok": True, "skipped": skip}
         else:
-            expanded = expand_binary(inst)
-            run = run_online_matching(expanded.graph)
+            run = run_online_matching(expand_binary(inst))
             opt = offline_optimal_binary(inst)
             if "matching-halfopt" in checks:
                 report = competitive_ratio(run.weight, opt.weight)

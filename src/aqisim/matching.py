@@ -13,7 +13,8 @@ rule says), so runs and traces are reproducible.
 One solver state (matching plus duals) serves both uses. Between operations
 every edge is dual-feasible, every matched edge is tight, and right duals are
 non-negative and zero on free rights, so the matching is optimal for the live
-nodes. The offline solve adds the left nodes one augmenting phase each.
+nodes. The offline solve, `max_weight_matching(graph)`, adds every left node
+of the whole graph, one augmenting phase each.
 
 The online algorithm keeps that state alive for the whole run: its matching
 is the tentative matching between arrived-unlocked left nodes and unlocked
@@ -96,6 +97,12 @@ class BipartiteGraph:
         for b in right_order:
             if b not in locks:
                 raise MatchingError(f"right node {b!r} has no lock time")
+        for a in arrivals:
+            if a not in self._left_rank:
+                raise MatchingError(f"arrival time for unknown left node {a!r}")
+        for b in locks:
+            if b not in self._right_rank:
+                raise MatchingError(f"lock time for unknown right node {b!r}")
 
     @cached_property
     def weights(self) -> dict[tuple[str, str], Fraction]:
@@ -103,57 +110,22 @@ class BipartiteGraph:
         return {(left[li], right[ri]): Fraction(w, scale)
                 for li, row in enumerate(self.rows) for ri, w in row.items()}
 
-    def edge(self, a: str, b: str) -> int | None:
-        """The scaled weight of (a, b), or None if the pair is not an edge."""
-        li, ri = self._left_rank.get(a), self._right_rank.get(b)
-        return None if li is None or ri is None else self.rows[li].get(ri)
-
 
 @dataclass
 class MatchingResult:
-    pairs: dict[str, str]  # left -> right, forced edges included
+    pairs: dict[str, str]  # left -> right
     weight: Fraction
 
 
-def max_weight_matching(
-    graph: BipartiteGraph,
-    forced: tuple[tuple[str, str], ...] = (),
-    left_subset: set[str] | None = None,
-    right_subset: set[str] | None = None,
-) -> MatchingResult:
-    """Maximum-weight matching over the given node subsets, containing every
-    forced edge; left nodes may stay unmatched at value 0.
-
-    Forced edges are contracted out of the search and re-added afterwards.
-    """
-    used_l: set[str] = set()
-    used_r: set[str] = set()
-    forced_weight = 0
-    for a, b in forced:
-        w = graph.edge(a, b)
-        if w is None:
-            raise MatchingError(f"forced edge ({a!r}, {b!r}) is not in the graph")
-        if a in used_l or b in used_r:
-            raise MatchingError("forced edges share a node: infeasible")
-        if (left_subset is not None and a not in left_subset) or (
-                right_subset is not None and b not in right_subset):
-            raise MatchingError(f"forced edge ({a!r}, {b!r}) touches an excluded node")
-        used_l.add(a)
-        used_r.add(b)
-        forced_weight += w
-
+def max_weight_matching(graph: BipartiteGraph) -> MatchingResult:
+    """Maximum-weight matching of the whole graph, unique under the module's
+    tie rule; left nodes may stay unmatched at value 0."""
     solver = _Hungarian(graph)
-    for ri, b in enumerate(graph.right_order):
-        if b in used_r or (right_subset is not None and b not in right_subset):
-            solver.drop_right(ri)
-    for li, a in enumerate(graph.left_order):
-        if a not in used_l and (left_subset is None or a in left_subset):
-            solver.add_left(li)
+    for li in range(len(graph.left_order)):
+        solver.add_left(li)
     pairs = {graph.left_order[li]: graph.right_order[ri]
-             for li, ri in enumerate(solver.match_l) if ri is not None and ri < solver.nr}
-    for a, b in forced:
-        pairs[a] = b
-    return MatchingResult(pairs=pairs, weight=Fraction(solver.total + forced_weight, solver.scale))
+             for li, ri in enumerate(solver.match_l) if ri < solver.nr}
+    return MatchingResult(pairs=pairs, weight=Fraction(solver.total, solver.scale))
 
 
 class _Hungarian:
@@ -471,24 +443,15 @@ def marginal_monotonicity_violations(run: MatchRun) -> list[tuple[str, int, Frac
 # Mini-slot expansion of unit-packet instances
 # ---------------------------------------------------------------------------
 
-def minislot_id(slot: int, position: int) -> str:
-    return f"b{slot}.{position}"
-
-
-@dataclass
-class ExpandedBinary:
-    graph: BipartiteGraph
-    minislots: dict[str, tuple[int, int]]  # right id -> (slot, position)
-
-
-def expand_binary(inst: Instance, full_depth: bool = False) -> ExpandedBinary:
+def expand_binary(inst: Instance, full_depth: bool = False) -> BipartiteGraph:
     """Expand a unit-packet instance into the timed bipartite graph.
 
     Each slot t carries mini-slots (t, 1..K) locking at the end of t, where K
     is the number of packets arrived by t (`full_depth` uses the global packet
-    count everywhere instead, the offline comparator's view). The edge weight
-    of packet p on mini-slot (t, i) is its transmit value at slot t minus the
-    i-th marginal energy; strictly negative edges are dropped.
+    count everywhere instead, the offline comparator's view); mini-slot (t, i)
+    is the right node `b{t}.{i}`. The edge weight of packet p on mini-slot
+    (t, i) is its transmit value at slot t minus the i-th marginal energy;
+    strictly negative edges are dropped.
     """
     if not inst.is_binary():
         raise AqiError("binary expansion requires unit packets")
@@ -500,7 +463,6 @@ def expand_binary(inst: Instance, full_depth: bool = False) -> ExpandedBinary:
     arrivals = {p.id: Fraction(p.arrival) for p in packets}
     right_order: list[str] = []
     locks: dict[str, Fraction] = {}
-    minislots: dict[str, tuple[int, int]] = {}
     # every edge is an integer subtraction in the instance's tables; the
     # packets arrived by slot t are the first ones in arrival order
     tab = tables(inst)
@@ -515,16 +477,14 @@ def expand_binary(inst: Instance, full_depth: bool = False) -> ExpandedBinary:
         base = len(right_order)
         lock = Fraction(t)
         for i in range(1, depth + 1):
-            b = minislot_id(t, i)
+            b = f"b{t}.{i}"
             right_order.append(b)
             locks[b] = lock
-            minislots[b] = (t, i)
         for li in range(arrived):
             term = tab.term(index[li], 1, t)
             row = rows[li]
             for pos in range(depth):
                 if term >= increments[pos]:
                     row[base + pos] = term - increments[pos]
-    graph = BipartiteGraph.from_rows(left_order, right_order, arrivals, locks,
-                                     rows, tab.scale, label=inst.label)
-    return ExpandedBinary(graph=graph, minislots=minislots)
+    return BipartiteGraph.from_rows(left_order, right_order, arrivals, locks,
+                                    rows, tab.scale, label=inst.label)

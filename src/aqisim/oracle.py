@@ -208,8 +208,7 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
 
 def offline_optimal_binary(inst: Instance) -> MatchingResult:
     """Offline optimum of a unit-packet instance as one full-graph matching."""
-    expanded = expand_binary(inst, full_depth=True)
-    return max_weight_matching(expanded.graph)
+    return max_weight_matching(expand_binary(inst, full_depth=True))
 
 
 @dataclass

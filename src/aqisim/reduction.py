@@ -6,6 +6,11 @@ the fragment's arrival is frozen at marginal value 0; every other pair keeps
 its exact marginal. Plain greedy on the twin, with ties resolved exactly like
 the locking allocator, reproduces its run step by step; the twin's offline
 maximum dominates the locking optimum. Both facts are checkable here.
+
+The replay and the telescoping sum the integer gains of
+`valuation.marginal_gains`, over `tables(inst).scale`, and turn only the
+totals and each logged step's gain into a `Fraction`. The replay's fault
+hook `perturb(b, gain) -> gain` works in the same integer units.
 """
 
 from __future__ import annotations
@@ -25,8 +30,6 @@ from .model import (
 from .greedy import arrival_order, candidate_bins, first_max, run_online_greedy
 from .oracle import DEFAULT_BUDGET, OracleResult, offline_optimal
 from .valuation import marginal_gains, tables
-
-ZERO = Fraction(0)
 
 
 class TelescopingError(AqiError):
@@ -94,14 +97,16 @@ def run_lockfree_greedy(frozen: FrozenInstance, perturb=None) -> FrozenRun:
     Tie rule: a strictly positive maximum already forces a bin the fragment
     could still reach; at a zero maximum, candidates the fragment could not
     reach rank behind the discard bin. Within each class, earliest slot and
-    lowest server win, matching the locking allocator's order. `perturb` may
-    rewrite gains (fault injection for harness self-tests).
+    lowest server win, matching the locking allocator's order. Gains are
+    integers over `tables(inst).scale`; `perturb(b, gain)`, given one, rewrites
+    each candidate's gain in those units before the pick (fault injection for
+    harness self-tests).
     """
     inst, bins = frozen.inst, frozen.bins
     scale = tables(inst).scale
     alloc = Allocation()
     steps: list[FrozenStep] = []
-    total = ZERO
+    total = 0  # over the tables' scale
     for i, ref in enumerate(frozen.resources):
         # bins are in slot order with discard last: the fragment reaches the
         # bins from its arrival slot on, and the ones before it are gated
@@ -109,18 +114,14 @@ def run_lockfree_greedy(frozen: FrozenInstance, perturb=None) -> FrozenRun:
         ordered = bins[start:] + bins[:start]  # reachable, discard, gated
         # discard and gated bins are worth exactly 0 on the twin
         gains = marginal_gains(inst, alloc, ref, bins[start:-1]) + [0] * (1 + start)
-        if perturb is None:
-            k = first_max(gains)
-            gain = Fraction(gains[k], scale)
-        else:
-            gains = [perturb(i, ref, b, Fraction(g, scale)) for b, g in zip(ordered, gains)]
-            k = first_max(gains)
-            gain = gains[k]
+        if perturb is not None:
+            gains = [perturb(b, g) for b, g in zip(ordered, gains)]
+        k = first_max(gains)
         chosen = ordered[k]
         alloc.add(ref, chosen)
-        total += gain
-        steps.append(FrozenStep(step=i, ref=ref, chosen=chosen, gain=gain))
-    return FrozenRun(allocation=alloc, value=total, steps=steps)
+        total += gains[k]
+        steps.append(FrozenStep(step=i, ref=ref, chosen=chosen, gain=Fraction(gains[k], scale)))
+    return FrozenRun(allocation=alloc, value=Fraction(total, scale), steps=steps)
 
 
 def frozen_optimal(frozen: FrozenInstance, opt: OracleResult) -> Fraction:

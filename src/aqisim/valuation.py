@@ -247,7 +247,7 @@ def transmit_weight(inst: Instance, p: Packet, slot: int, position: int) -> Frac
     `position`-th simultaneous transmission there.
 
     The value part is utility minus delay cost at the completion lag
-    (slot - arrival), forced to 0 past the deadline; the energy part is the
+    (slot - arrival), set to 0 past the deadline; the energy part is the
     marginal energy of the `position`-th transmission. May be negative;
     clamping is the matcher's policy.
     """

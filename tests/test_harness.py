@@ -332,19 +332,6 @@ def test_cli_reports_unreadable_and_unwritable_paths(tmp_path, capsys):
     assert err.count("error: ") == 2 and "Traceback" not in err
 
 
-def test_cli_rejects_a_malformed_budget_variable(monkeypatch, capsys):
-    monkeypatch.setenv("AQI_BUDGET", "abc")
-    assert main(["opt", str(FIXTURES / "minimal.json")]) == 2
-    assert capsys.readouterr().err.startswith("error: bad AQI_BUDGET 'abc'")
-
-
-@pytest.mark.parametrize("value", ["0", "-5"])
-def test_cli_rejects_a_budget_variable_below_one(monkeypatch, capsys, value):
-    monkeypatch.setenv("AQI_BUDGET", value)
-    assert main(["verify", str(FIXTURES / "minimal.json")]) == 2
-    assert capsys.readouterr().err.startswith(f"error: bad AQI_BUDGET '{value}'")
-
-
 @pytest.mark.parametrize("argv", [
     ["adapt-sampling", "--max-fragments", "0"],
     ["adapt-sampling", "--sources", "-1"],

@@ -1,9 +1,13 @@
-"""Every imported name in the package and the tests is used, and every
-function the benchmark's tracer wraps exists.
+"""Every imported name in the package and the tests is used, every
+module-level name of the package is read somewhere, and every function the
+benchmark's tracer wraps exists.
 
 A stdlib stand-in for a linter's unused-import rule: it parses each module
 and reports names bound by an import that no expression in the module
 reads. `__init__.py` files are skipped, since their imports are re-exports.
+The dead-name rule reports a top-level def, class or assignment of a package
+module that its own module never reads and that no module of the package,
+the tests or the benchmark imports or reads as `module.name`.
 """
 
 from __future__ import annotations
@@ -14,7 +18,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SCANNED = (ROOT / "src" / "aqisim", ROOT / "tests")
+PACKAGE = ROOT / "src" / "aqisim"
+SCANNED = (PACKAGE, ROOT / "tests")
+READERS = (ROOT / "src", ROOT / "tests", ROOT / "perfbench")
 TRACING = ROOT / "perfbench" / "tracing.py"
 
 
@@ -49,6 +55,72 @@ def test_no_module_imports_a_name_it_never_uses():
             for line, name in unused_imports(path.read_text()):
                 found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
     assert found == []
+
+
+def _defined(tree: ast.Module) -> dict[str, int]:
+    """{name: line} of each top-level def, class and assignment target."""
+    out: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.setdefault(node.name, node.lineno)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name):
+                        out.setdefault(leaf.id, node.lineno)
+    return out
+
+
+def _outside_reads(tree: ast.Module) -> set[str]:
+    """Names a module imports from another, or reads as `module.name` off a
+    module it imported."""
+    modules: set[str] = set()
+    out: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                out.add(alias.name)
+                modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            out.add(node.attr)
+    return out
+
+
+def dead_names(defining: dict[str, str], readers: list[str]) -> list[tuple[str, int, str]]:
+    """(module, line, name) of each top-level name of a `defining` module
+    (name -> source) that the module never reads and no source of `readers`
+    imports or reads as `module.name`."""
+    outside = set().union(*(_outside_reads(ast.parse(source)) for source in readers))
+    found = []
+    for module, source in defining.items():
+        tree = ast.parse(source)
+        own = {node.id for node in ast.walk(tree)
+               if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        found += [(module, line, name) for name, line in _defined(tree).items()
+                  if name not in own and name not in outside]
+    return sorted(found)
+
+
+def test_the_scan_finds_a_dead_name():
+    defining = {
+        "a": "X = 1\nY, Z = 2, 3\ndef f():\n    return Y\ndef g(): pass\nclass C: pass\ndef h(): pass\n",
+        "b": "W = 0\n",
+    }
+    readers = ["from a import g\nimport b\nb.W\n", "from pkg import a\na.C()\nself.h\n"]
+    assert dead_names(defining, readers + list(defining.values())) == [
+        ("a", 1, "X"), ("a", 2, "Z"), ("a", 3, "f"), ("a", 7, "h"),
+    ]
+
+
+def test_no_package_name_is_dead():
+    # a name nothing reads is code the program does not run
+    defining = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))
+                if path.name != "__init__.py"}
+    readers = [path.read_text() for top in READERS for path in sorted(top.rglob("*.py"))]
+    assert dead_names(defining, readers) == []
 
 
 def _tracer_table(name: str) -> tuple:

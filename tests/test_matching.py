@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -14,6 +13,7 @@ from aqisim.harness import adversarial_lock_probe, generate
 from aqisim.matching import (
     BipartiteGraph,
     MatchingError,
+    MatchingResult,
     bin_marginal_series,
     expand_binary,
     marginal_monotonicity_violations,
@@ -40,6 +40,35 @@ def graph(lefts, rights, weights, arrivals=None, locks=None) -> BipartiteGraph:
         locks=locks or {b: F(len(lefts) + j) for j, b in enumerate(rights)},
         weights={k: F(v) for k, v in weights.items()},
     )
+
+
+def _subgraph(g: BipartiteGraph, forced=(), left_subset=None, right_subset=None):
+    """(subgraph, forced weight): `g` with the forced nodes and the nodes
+    outside the subsets cut out, the rest kept in rank order."""
+    used_l = {a for a, _ in forced}
+    used_r = {b for _, b in forced}
+    lefts = [a for a in g.left_order if a not in used_l and (left_subset is None or a in left_subset)]
+    rights = [b for b in g.right_order if b not in used_r and (right_subset is None or b in right_subset)]
+    keep_l, keep_r = set(lefts), set(rights)
+    sub = BipartiteGraph(lefts, rights, {a: g.arrivals[a] for a in lefts}, {b: g.locks[b] for b in rights},
+                         {(a, b): w for (a, b), w in g.weights.items() if a in keep_l and b in keep_r})
+    return sub, sum((g.weights[e] for e in forced), F(0))
+
+
+def constrained_matching(g: BipartiteGraph, forced=(), left_subset=None, right_subset=None) -> MatchingResult:
+    """The best matching over the subsets' nodes that holds every forced pair:
+    the whole-graph solve of `_subgraph`, plus the forced pairs and their
+    weight. The tie rule reads only the rank order, which the cut keeps, so
+    the subgraph's winner is the constrained one."""
+    sub, base = _subgraph(g, forced, left_subset, right_subset)
+    res = max_weight_matching(sub)
+    return MatchingResult(pairs={**res.pairs, **dict(forced)}, weight=base + res.weight)
+
+
+def minislots(g: BipartiteGraph) -> dict[str, tuple[int, int]]:
+    """right id -> (slot, position) of an expanded graph, parsed from the
+    mini-slot ids `b{slot}.{position}`."""
+    return {b: tuple(int(x) for x in b[1:].split(".")) for b in g.right_order}
 
 
 def brute_force_best(weights, lefts, rights, forced=()):
@@ -98,22 +127,24 @@ def test_two_by_two_prefers_cross():
 def test_forced_edge_constrains_the_optimum():
     g = graph(["a1", "a2"], ["b1", "b2"],
               {("a1", "b1"): 3, ("a1", "b2"): 5, ("a2", "b1"): 4, ("a2", "b2"): 1})
-    res = max_weight_matching(g, forced=(("a1", "b1"),))
+    res = constrained_matching(g, forced=(("a1", "b1"),))
     assert res.weight == 4  # 3 + 1
     assert res.pairs == {"a1": "b1", "a2": "b2"}
-
-
-def test_forced_edges_sharing_a_node_are_infeasible():
-    g = graph(["a1", "a2"], ["b1"], {("a1", "b1"): 1, ("a2", "b1"): 1})
-    with pytest.raises(MatchingError, match="infeasible"):
-        max_weight_matching(g, forced=(("a1", "b1"), ("a2", "b1")))
-    with pytest.raises(MatchingError, match="not in the graph"):
-        max_weight_matching(g, forced=(("a1", "zzz"),))
 
 
 def test_negative_weights_rejected():
     with pytest.raises(MatchingError, match="negative"):
         graph(["a"], ["b"], {("a", "b"): -1})
+
+
+@pytest.mark.parametrize("arrivals, locks, unknown", [
+    ({"a": 0, "x": 1}, {"b": 1}, "left node 'x'"),
+    ({"a": 0}, {"b": 1, "y": 2}, "right node 'y'"),
+], ids=["arrival", "lock"])
+def test_times_for_unknown_nodes_rejected(arrivals, locks, unknown):
+    # an online run would otherwise end in a bare KeyError
+    with pytest.raises(MatchingError, match=f"unknown {unknown}"):
+        BipartiteGraph(["a"], ["b"], arrivals, locks, {("a", "b"): 1})
 
 
 def test_solver_agrees_with_brute_force():
@@ -138,7 +169,7 @@ def test_solver_agrees_with_brute_force():
         assert sum((weights[(a, b)] for a, b in res.pairs.items()), F(0)) == res.weight
         if weights:
             fa, fb = sorted(weights)[rng.randrange(len(weights))]
-            res2 = max_weight_matching(g, forced=((fa, fb),))
+            res2 = constrained_matching(g, forced=((fa, fb),))
             assert (res2.weight, res2.pairs) == brute_force_best(weights, lefts, rights, forced=((fa, fb),))
             assert res2.pairs[fa] == fb
 
@@ -224,7 +255,7 @@ def test_arrival_gains_sum_to_final_weight():
         inst = generate(5, 1, 4, seed, mode=("random", "adversarial-burst")[seed % 2])
         if not inst.packets:
             continue
-        run = run_online_matching(expand_binary(inst).graph)
+        run = run_online_matching(expand_binary(inst))
         gains = sum((ev.arrival_gain for ev in run.events if ev.kind == "arrival"), F(0))
         assert gains == run.weight
 
@@ -235,13 +266,13 @@ def test_arrival_gain_plus_locked_value_dominates_edges():
         inst = generate(5, 1, 4, seed, mode=("random", "adversarial-lock")[seed % 2])
         if not inst.packets:
             continue
-        expanded = expand_binary(inst)
-        run = run_online_matching(expanded.graph)
+        g = expand_binary(inst)
+        run = run_online_matching(g)
         gains = {ev.subject[0]: ev.arrival_gain for ev in run.events if ev.kind == "arrival"}
         locked_value = {b: w for b, (_, w) in run.perm.items()}
         offline = offline_optimal_binary(inst)
         for a, b in offline.pairs.items():
-            w = expanded.graph.weights.get((a, b))
+            w = g.weights.get((a, b))
             assert w is not None, "offline matching used a bin outside the online graph"
             assert gains[a] + locked_value.get(b, F(0)) >= w
 
@@ -249,7 +280,7 @@ def test_arrival_gain_plus_locked_value_dominates_edges():
 def test_monotone_marginals_across_random_instances():
     for seed in range(40):
         inst = generate(5, 1, 4, seed, mode=("random", "adversarial-burst", "adversarial-lock")[seed % 3])
-        run = run_online_matching(expand_binary(inst).graph)
+        run = run_online_matching(expand_binary(inst))
         assert marginal_monotonicity_violations(run) == []
 
 
@@ -260,7 +291,7 @@ def test_stale_tentative_weight_matches_fresh_solve():
     # bin's marginal is the loss of a fresh solve without that bin
     for seed in range(500):
         inst = generate(6, 1, 5, seed, mode=CAMPAIGN_MODES[seed % 3])
-        g = expand_binary(inst).graph
+        g = expand_binary(inst)
         run = run_online_matching(g)
         arrived: set[str] = set()
         locked: set[str] = set()
@@ -273,12 +304,12 @@ def test_stale_tentative_weight_matches_fresh_solve():
             committed = {a for b, (a, _) in run.perm.items() if b in locked}
             act_l = arrived - committed
             act_r = set(g.right_order) - locked
-            fresh = max_weight_matching(g, left_subset=act_l, right_subset=act_r)
+            fresh = constrained_matching(g, left_subset=act_l, right_subset=act_r)
             assert fresh.weight == ev.temp_weight, (seed, ev.clock)
             mates = {b: a for a, b in fresh.pairs.items()}
             for b in act_r:
                 if b in mates:
-                    without = max_weight_matching(g, left_subset=act_l, right_subset=act_r - {b})
+                    without = constrained_matching(g, left_subset=act_l, right_subset=act_r - {b})
                     assert ev.marginals[b] == ev.temp_weight - without.weight, (seed, ev.clock, b)
                 else:
                     assert ev.marginals[b] == 0, (seed, ev.clock, b)
@@ -296,20 +327,20 @@ def test_trace_jsonl_is_parseable():
 
 def test_expansion_single_packet():
     inst = simple_instance([unit_packet()], horizon=2, energy=[tabulated([0, 1, 3])])
-    expanded = expand_binary(inst)
-    assert list(expanded.minislots.values()) == [(0, 1), (1, 1), (2, 1)]
-    assert expanded.graph.weights == {
+    g = expand_binary(inst)
+    assert list(minislots(g).values()) == [(0, 1), (1, 1), (2, 1)]
+    assert g.weights == {
         ("p0", "b0.1"): F(4), ("p0", "b1.1"): F(3), ("p0", "b2.1"): F(2),
     }
-    assert expanded.graph.locks["b0.1"] == 0
+    assert g.locks["b0.1"] == 0
 
 
 def test_expansion_drops_strictly_negative_edges():
     # value 2 never covers the first marginal energy of 4: isolated packet
     inst = simple_instance([unit_packet(value=2)], horizon=1, energy=[tabulated([0, 4, 9])])
-    expanded = expand_binary(inst)
-    assert expanded.graph.weights == {}
-    run = run_online_matching(expanded.graph)
+    g = expand_binary(inst)
+    assert g.weights == {}
+    run = run_online_matching(g)
     assert run.weight == 0 and run.perm == {}
 
 
@@ -319,10 +350,8 @@ def test_expansion_burst_positions_carry_marginal_energy():
         [unit_packet(pid=f"p{i}", value=10) for i in range(3)],
         horizon=1, energy=[g_table],
     )
-    expanded = expand_binary(inst)
-    by_position = {
-        i: expanded.graph.weights[("p0", f"b0.{i}")] for i in (1, 2, 3)
-    }
+    g = expand_binary(inst)
+    by_position = {i: g.weights[("p0", f"b0.{i}")] for i in (1, 2, 3)}
     assert by_position == {1: 10 - 1, 2: 10 - 2, 3: 10 - 3}  # increments 1, 2, 3
 
 
@@ -331,14 +360,14 @@ def test_expansion_depth_grows_with_arrivals():
         [unit_packet(pid="p0", arrival=0), unit_packet(pid="p1", arrival=2)],
         horizon=2,
     )
-    expanded = expand_binary(inst)
+    g = expand_binary(inst)
     depth = {}
-    for slot, position in expanded.minislots.values():
+    for slot, position in minislots(g).values():
         depth[slot] = max(depth.get(slot, 0), position)
     assert depth == {0: 1, 1: 1, 2: 2}
     full = expand_binary(inst, full_depth=True)
-    assert max(p for _, p in full.minislots.values()) == 2
-    assert max_weight_matching(expanded.graph).weight == max_weight_matching(full.graph).weight
+    assert max(p for _, p in minislots(full).values()) == 2
+    assert max_weight_matching(g).weight == max_weight_matching(full).weight
 
 
 def test_expansion_rejects_multi_fragment_and_multi_server():
@@ -367,7 +396,7 @@ def _online_matching_instance(seed: int):
 def _tie_cases():
     """Hand-built graphs dense in ties, behind the `ties/*` entries of
     tests/golden/matching_traces.json: (name, graph, constrained solves),
-    each solve a (forced, left_subset, right_subset) for `max_weight_matching`.
+    each solve a (forced, left_subset, right_subset) for `constrained_matching`.
 
     Weights are in {0, 1, 2} (in thirds on every fourth graph), arrivals and
     locks share a few instants, and node ranks are shuffled so that they do
@@ -415,15 +444,15 @@ def _recorded_cases():
     for path in sorted((ROOT / "fixtures").glob("*.json")):
         inst = load_instance(path.read_text())
         if inst.is_binary() and inst.servers == 1:
-            yield (f"fixtures/{path.name}", expand_binary(inst).graph,
-                   expand_binary(inst, full_depth=True).graph, [])
+            yield (f"fixtures/{path.name}", expand_binary(inst),
+                   expand_binary(inst, full_depth=True), [])
     for w, eps in ((100, 1), (1000, 7), (50, F(1, 2)), (3, 2)):
         g = adversarial_lock_probe(w, eps)
         yield f"probe/{w}/{eps}", g, g, []
     for seed in range(20):
         inst = _online_matching_instance(seed)
-        yield (f"online-matching/{seed}", expand_binary(inst).graph,
-               expand_binary(inst, full_depth=True).graph, [])
+        yield (f"online-matching/{seed}", expand_binary(inst),
+               expand_binary(inst, full_depth=True), [])
     for name, g, solves in _tie_cases():
         yield name, g, g, solves
 
@@ -446,7 +475,7 @@ def _digest(online: BipartiteGraph, offline: BipartiteGraph, solves=()) -> dict:
     if solves:
         out["constrained"] = []
         for forced, ls, rs in solves:
-            res = max_weight_matching(offline, forced=forced, left_subset=ls, right_subset=rs)
+            res = constrained_matching(offline, forced, ls, rs)
             out["constrained"].append([_pairs_sha256(res.pairs), rational_to_json(res.weight)])
     return out
 
@@ -507,7 +536,7 @@ def test_online_run_and_expansion_do_bounded_work(monkeypatch):
     # lock per slot, none per edge
     for full_depth in (True, False):
         calls["fraction"] = 0
-        g = expand_binary(inst, full_depth=full_depth).graph
+        g = expand_binary(inst, full_depth=full_depth)
         assert calls["fraction"] <= len(inst.packets) + inst.horizon + 1 < sum(map(len, g.rows))
     # the tables read each curve as one integer row: one per packet's
     # utility, per shared lag row and per server's energy
@@ -524,7 +553,7 @@ def test_solver_secondaries_fit_the_rank_fields():
     # not |L| * |R| (about 259,000); structural, so it holds at any speed
     inst = generate(100, 1, 50, 0)
     for full_depth in (False, True):
-        g = expand_binary(inst, full_depth=full_depth).graph
+        g = expand_binary(inst, full_depth=full_depth)
         solver = matching._Hungarian(g)
         bits = len(g.left_order) * len(g.right_order).bit_length()
         assert max(sec.bit_length() for row in solver.adj for _, sec in row.values()) <= bits
@@ -535,10 +564,11 @@ def test_every_expanded_edge_is_its_transmit_weight():
     for seed in range(500):
         inst = generate(6, 1, 5, seed, mode=CAMPAIGN_MODES[seed % 3])
         for full_depth in (False, True):
-            expanded = expand_binary(inst, full_depth=full_depth)
+            g = expand_binary(inst, full_depth=full_depth)
+            slots = minislots(g)
             for p in inst.packets:
-                for b, (slot, position) in expanded.minislots.items():
-                    edge = expanded.graph.weights.get((p.id, b))
+                for b, (slot, position) in slots.items():
+                    edge = g.weights.get((p.id, b))
                     if slot < p.arrival:
                         assert edge is None
                         continue
@@ -547,18 +577,14 @@ def test_every_expanded_edge_is_its_transmit_weight():
 
 
 def _independent_weights(g: BipartiteGraph, forced=(), left_subset=None, right_subset=None):
-    """The optimum of `max_weight_matching`'s problem from scipy and from
+    """The optimum of `constrained_matching`'s problem from scipy and from
     networkx, on weights scaled to integers; forced edges are contracted."""
     linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
     nx = pytest.importorskip("networkx")
     np = pytest.importorskip("numpy")
-    scale = math.lcm(*(w.denominator for w in g.weights.values()))
-    used_l = {a for a, _ in forced}
-    used_r = {b for _, b in forced}
-    lefts = [a for a in g.left_order if a not in used_l and (left_subset is None or a in left_subset)]
-    rights = [b for b in g.right_order if b not in used_r and (right_subset is None or b in right_subset)]
-    base = sum((g.weights[e] for e in forced), F(0))
-    edges = {(a, b): int(g.weights[(a, b)] * scale) for a in lefts for b in rights if (a, b) in g.weights}
+    sub, base = _subgraph(g, forced, left_subset, right_subset)
+    lefts, rights = sub.left_order, sub.right_order
+    edges = {e: int(w * sub.scale) for e, w in sub.weights.items()}
     # absent edges cost 0, the same as leaving the left unmatched
     cost = np.zeros((len(lefts), len(rights)), dtype=np.int64)
     for (a, b), w in edges.items():
@@ -569,7 +595,7 @@ def _independent_weights(g: BipartiteGraph, forced=(), left_subset=None, right_s
     for (a, b), w in edges.items():
         nxg.add_edge(("L", a), ("R", b), weight=w)
     by_networkx = sum(nxg[u][v]["weight"] for u, v in nx.max_weight_matching(nxg))
-    return base + F(by_scipy, scale), base + F(by_networkx, scale)
+    return base + F(by_scipy, sub.scale), base + F(by_networkx, sub.scale)
 
 
 def test_solver_agrees_with_scipy_and_networkx():
@@ -584,8 +610,8 @@ def test_solver_agrees_with_scipy_and_networkx():
         graphs.append(graph(lefts, rights, weights))
     for seed in range(30):
         inst = generate(6, 1, 5, seed, mode=CAMPAIGN_MODES[seed % 3])
-        graphs.append(expand_binary(inst).graph)
-        graphs.append(expand_binary(inst, full_depth=True).graph)
+        graphs.append(expand_binary(inst))
+        graphs.append(expand_binary(inst, full_depth=True))
     for g in graphs:
         cases = [((), None, None)]
         left_subset = {a for a in g.left_order if rng.random() < 0.7}
@@ -596,7 +622,7 @@ def test_solver_agrees_with_scipy_and_networkx():
             cases.append(((rng.choice(inside),), left_subset, right_subset))
             cases.append(((rng.choice(sorted(g.weights)),), None, None))
         for forced, ls, rs in cases:
-            res = max_weight_matching(g, forced=forced, left_subset=ls, right_subset=rs)
+            res = constrained_matching(g, forced, ls, rs)
             assert (res.weight, res.weight) == _independent_weights(g, forced, ls, rs), (g.label, forced)
             assert sum((g.weights[e] for e in res.pairs.items()), F(0)) == res.weight
 

@@ -110,7 +110,7 @@ def test_optimum_dominates_both_online_algorithms():
         inst = generate(5, 1, 4, seed, mode=("random", "adversarial-burst")[seed % 2])
         opt = offline_optimal(inst).valuation.total
         assert opt >= run_online_greedy(inst).valuation.total
-        assert opt >= run_online_matching(expand_binary(inst).graph).weight
+        assert opt >= run_online_matching(expand_binary(inst)).weight
 
 
 def test_cross_oracle_equality_on_binary_instances():

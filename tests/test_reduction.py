@@ -32,7 +32,7 @@ from aqisim.reduction import (
     run_lockfree_greedy,
     telescoped_value,
 )
-from aqisim.valuation import evaluate, marginal_value
+from aqisim.valuation import evaluate, marginal_value, tables
 from conftest import simple_instance, unit_packet
 
 F = Fraction
@@ -197,22 +197,16 @@ def test_chain_on_the_empty_instance():
     assert chain.ok
 
 
-def test_greedy_loses_the_half_bound_under_convex_energy():
-    # one slot, E(c) = c**2, no lag: greedy sends p0 for 101/100 - 1 = 1/100,
-    # then p1 would add 29/10 - 3 = -1/10, so it is discarded; the optimum
-    # sends p1 alone for 29/10 - 1 = 19/10. The matcher re-solves until the
-    # slot locks and keeps the optimum.
-    inst = simple_instance(
-        [unit_packet("p0", value=F(101, 100), slope=0), unit_packet("p1", value=F(29, 10), slope=0)],
-        horizon=0, energy=[CostFamily("power", params=(F(1), F(2)))])
+def assert_only_greedy_halving_fails(inst, ratio: str):
+    """Greedy alone misses the half bound, at exactly `ratio`: its replay on
+    the twin still matches step by step, the link that breaks is the twin's
+    halving, and the matcher, which re-solves until the slot locks, keeps the
+    optimum."""
     assert validate_instance(inst).ok
-    greedy = run_online_greedy(inst)
-    assert [(s.chosen, s.gain) for s in greedy.state.steps] == [(Bin(slot=0), F(1, 100)), (DISCARD, 0)]
-    assert greedy.state.steps[1].alternatives == [(Bin(slot=0), F(-1, 10)), (DISCARD, 0)]
     config = CampaignConfig(seeds=[0], checks=("matching-halfopt",) + ORACLE_CHECKS)
     results = check_instance(inst, config, seed=0)
     halfopt = results["greedy-halfopt"]
-    assert not halfopt["ok"] and halfopt["detail"]["ratio"] == "1/190"
+    assert not halfopt["ok"] and halfopt["detail"]["ratio"] == ratio
     bridge = results["greedy-bridge"]
     assert bridge["ok"]
     assert bridge["detail"]["links"] == {"greedy_equal": True, "steps_equal": True, "frozen_half_ok": False,
@@ -220,6 +214,29 @@ def test_greedy_loses_the_half_bound_under_convex_energy():
     assert results["opt-bridge"]["ok"]
     matching = results["matching-halfopt"]
     assert matching["ok"] and matching["detail"]["ratio"] == 1
+
+
+def test_greedy_loses_the_half_bound_under_convex_energy():
+    # one slot, E(c) = c**2, no lag: greedy sends p0 for 101/100 - 1 = 1/100,
+    # then p1 would add 29/10 - 3 = -1/10, so it is discarded; the optimum
+    # sends p1 alone for 29/10 - 1 = 19/10
+    inst = simple_instance(
+        [unit_packet("p0", value=F(101, 100), slope=0), unit_packet("p1", value=F(29, 10), slope=0)],
+        horizon=0, energy=[CostFamily("power", params=(F(1), F(2)))])
+    greedy = run_online_greedy(inst)
+    assert [(s.chosen, s.gain) for s in greedy.state.steps] == [(Bin(slot=0), F(1, 100)), (DISCARD, 0)]
+    assert greedy.state.steps[1].alternatives == [(Bin(slot=0), F(-1, 10)), (DISCARD, 0)]
+    assert_only_greedy_halving_fails(inst, "1/190")
+
+
+@pytest.mark.parametrize("m", [10, 101])
+def test_greedy_loses_the_half_bound_at_an_energy_step(m):
+    # one slot, energy table [0, 0, M], no lag: greedy sends p0 for 1 - 0 = 1,
+    # then p1 would add (M - 1) - M = -1, so it is discarded; the optimum
+    # sends p1 alone for M - 1, so greedy's ratio 1/(M - 1) falls to 0 as M grows
+    inst = simple_instance([unit_packet("p0", value=1, slope=0), unit_packet("p1", value=m - 1, slope=0)],
+                           horizon=0, energy=[tabulated([0, 0, m])])
+    assert_only_greedy_halving_fails(inst, f"1/{m - 1}")
 
 
 def test_chain_holds_on_random_batch():
@@ -233,7 +250,8 @@ def test_chain_holds_on_random_batch():
 def test_fault_injection_breaks_the_replay():
     # biasing the frozen twin toward discarding must surface as a mismatch
     inst = generate(4, 2, 4, seed=1)
-    bias = lambda i, ref, b, g: g + 2 if b.is_discard else g
+    scale = tables(inst).scale  # gains are integers over it
+    bias = lambda b, g: g + 2 * scale if b.is_discard else g
     chain = check_guarantee_chain(inst, perturb=bias)
     assert not (chain.greedy_equal and chain.steps_equal)
     assert chain.step_mismatches
