@@ -91,18 +91,14 @@ class BipartiteGraph:
         self._right_rank = {b: i for i, b in enumerate(right_order)}
         if len(self._left_rank) != len(left_order) or len(self._right_rank) != len(right_order):
             raise MatchingError("duplicate node ids")
-        for a in left_order:
-            if a not in arrivals:
-                raise MatchingError(f"left node {a!r} has no arrival time")
-        for b in right_order:
-            if b not in locks:
-                raise MatchingError(f"right node {b!r} has no lock time")
-        for a in arrivals:
-            if a not in self._left_rank:
-                raise MatchingError(f"arrival time for unknown left node {a!r}")
-        for b in locks:
-            if b not in self._right_rank:
-                raise MatchingError(f"lock time for unknown right node {b!r}")
+        for side, what, nodes, times in (("left", "arrival", self._left_rank, arrivals),
+                                         ("right", "lock", self._right_rank, locks)):
+            for x in nodes:
+                if x not in times:
+                    raise MatchingError(f"{side} node {x!r} has no {what} time")
+            for x in times:
+                if x not in nodes:
+                    raise MatchingError(f"{what} time for unknown {side} node {x!r}")
 
     @cached_property
     def weights(self) -> dict[tuple[str, str], Fraction]:
@@ -373,15 +369,8 @@ def run_online_matching(graph: BipartiteGraph) -> MatchRun:
 
     def marginals() -> dict[str, Fraction]:
         losses = live.drop_losses()
-        out: dict[str, Fraction] = {}
-        for ri, b in enumerate(graph.right_order):
-            if b in perm:
-                out[b] = perm[b][1]
-            elif ri in losses:
-                out[b] = Fraction(losses[ri], live.scale)
-            else:
-                out[b] = ZERO
-        return out
+        return {b: perm[b][1] if b in perm else Fraction(losses[ri], live.scale) if ri in losses else ZERO
+                for ri, b in enumerate(graph.right_order)}
 
     def record(clock, kind, subject, arrival_gain=None) -> None:
         temp_weight = Fraction(live.total, live.scale)
@@ -443,20 +432,29 @@ def marginal_monotonicity_violations(run: MatchRun) -> list[tuple[str, int, Frac
 # Mini-slot expansion of unit-packet instances
 # ---------------------------------------------------------------------------
 
-def expand_binary(inst: Instance, full_depth: bool = False) -> BipartiteGraph:
+def expand_binary(inst: Instance) -> BipartiteGraph:
     """Expand a unit-packet instance into the timed bipartite graph.
 
-    Each slot t carries mini-slots (t, 1..K) locking at the end of t, where K
-    is the number of packets arrived by t (`full_depth` uses the global packet
-    count everywhere instead, the offline comparator's view); mini-slot (t, i)
-    is the right node `b{t}.{i}`. The edge weight of packet p on mini-slot
-    (t, i) is its transmit value at slot t minus the i-th marginal energy;
-    strictly negative edges are dropped.
+    Packets rank by (arrival, id). Slot t carries mini-slots `b{t}.{i}`,
+    i = 1..K, ranked by (t, i) and locking at the end of t, where K is the
+    number of packets arrived by t. Packet p's edge to `b{t}.{i}` weighs its
+    transmit value at t less the i-th energy increment; negative edges are
+    dropped.
+
+    The offline optimum needs no more mini-slots: with n in every slot it is
+    the same matching. Energy increments are convex non-decreasing (checked
+    here). Were packet l at a position p > K of slot t in that optimum, some
+    q <= K there would be free, as only the K arrived packets have edges into
+    slot t, and w(l, q) >= w(l, p); moving l to q loses no weight and wins the
+    tie rule at l. The shared rights keep their relative ranks, so the tie
+    rule orders matchings of this graph as it does there.
     """
     if not inst.is_binary():
         raise AqiError("binary expansion requires unit packets")
     if inst.servers != 1:
         raise AqiError("binary expansion is defined for single-server instances")
+    tab = tables(inst)
+    tab.require_convex_energy("the binary expansion")
     packets = sorted(inst.packets, key=lambda p: (p.arrival, p.id))
     n = len(packets)
     left_order = [p.id for p in packets]
@@ -465,7 +463,6 @@ def expand_binary(inst: Instance, full_depth: bool = False) -> BipartiteGraph:
     locks: dict[str, Fraction] = {}
     # every edge is an integer subtraction in the instance's tables; the
     # packets arrived by slot t are the first ones in arrival order
-    tab = tables(inst)
     increments = tab.energy_inc[0]
     index = [tab.index[p.id] for p in packets]
     rows: list[dict[int, int]] = [{} for _ in packets]
@@ -473,17 +470,16 @@ def expand_binary(inst: Instance, full_depth: bool = False) -> BipartiteGraph:
     for t in range(inst.horizon + 1):
         while arrived < n and packets[arrived].arrival <= t:
             arrived += 1
-        depth = n if full_depth else arrived
         base = len(right_order)
         lock = Fraction(t)
-        for i in range(1, depth + 1):
+        for i in range(1, arrived + 1):
             b = f"b{t}.{i}"
             right_order.append(b)
             locks[b] = lock
         for li in range(arrived):
             term = tab.term(index[li], 1, t)
             row = rows[li]
-            for pos in range(depth):
+            for pos in range(arrived):
                 if term >= increments[pos]:
                     row[base + pos] = term - increments[pos]
     return BipartiteGraph.from_rows(left_order, right_order, arrivals, locks,

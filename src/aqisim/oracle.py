@@ -110,10 +110,8 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
     the result is never silently approximate.
     """
     tab = tables(inst)
+    tab.require_convex_energy("the search bound")
     g_inc = tab.energy_inc  # scaled marginal energy per server and occupancy
-    for s, row in enumerate(g_inc):
-        if any(a < 0 or a > b for a, b in zip(row, row[1:] + row[-1:])):
-            raise AqiError(f"energy[{s}] is not convex non-decreasing; the search bound needs it")
     packets = sorted(inst.packets, key=lambda p: p.id)
     emin = min(row[0] for row in g_inc)
     candidates = [_packet_candidates(inst, tab, p, emin) for p in packets]
@@ -207,8 +205,9 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
 
 
 def offline_optimal_binary(inst: Instance) -> MatchingResult:
-    """Offline optimum of a unit-packet instance as one full-graph matching."""
-    return max_weight_matching(expand_binary(inst, full_depth=True))
+    """Offline optimum of a unit-packet instance: one whole-graph matching of
+    the online expansion (`expand_binary` shows why no deeper one is needed)."""
+    return max_weight_matching(expand_binary(inst))
 
 
 @dataclass

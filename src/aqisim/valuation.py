@@ -141,6 +141,12 @@ class Tables:
             return 0
         return self.utility[i][count] - self.lag[i][last - p.arrival]
 
+    def require_convex_energy(self, user: str) -> None:
+        """Raise AqiError, naming `user`, unless all energy is convex non-decreasing."""
+        for s, row in enumerate(self.energy_inc):
+            if any(a < 0 or a > b for a, b in zip(row, row[1:] + row[-1:])):
+                raise AqiError(f"energy[{s}] is not convex non-decreasing; {user} needs it")
+
 
 _last_tables: tuple[Instance | None, Tables | None] = (None, None)
 

@@ -11,6 +11,7 @@ from random import Random
 
 import pytest
 
+from aqisim import harness, matching, oracle
 from aqisim.cli import main
 from aqisim.harness import (
     CampaignConfig,
@@ -110,6 +111,26 @@ def test_run_bundle_shapes():
     assert "greedy" in traces2
     with pytest.raises(AqiError, match="unknown algorithm"):
         run_bundle(inst, "quantum")
+
+
+def test_matching_run_and_binary_checks_expand_each_instance_once(monkeypatch):
+    # the online run and the offline optimum share one expanded graph
+    calls = []
+    expand = matching.expand_binary
+
+    def counted(inst, *args, **kwargs):
+        calls.append(inst)
+        return expand(inst, *args, **kwargs)
+
+    for module in (matching, oracle, harness):
+        monkeypatch.setattr(module, "expand_binary", counted)
+    inst = generate(6, 1, 5, seed=1, mode="adversarial-burst")
+    run_bundle(inst, "matching")
+    assert calls == [inst]
+    config = CampaignConfig(seeds=[1], checks=("matching-halfopt", "bin-marginal-monotone"))
+    results = check_instance(inst, config, seed=1)
+    assert set(results) == set(config.checks) and all(r["ok"] for r in results.values())
+    assert calls == [inst, inst]
 
 
 def test_run_bundle_rejects_matching_on_general_instances():

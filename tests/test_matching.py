@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from random import Random
 
@@ -69,6 +70,34 @@ def minislots(g: BipartiteGraph) -> dict[str, tuple[int, int]]:
     """right id -> (slot, position) of an expanded graph, parsed from the
     mini-slot ids `b{slot}.{position}`."""
     return {b: tuple(int(x) for x in b[1:].split(".")) for b in g.right_order}
+
+
+def reference_expansion(inst) -> BipartiteGraph:
+    """The unit-packet expansion with n mini-slots in every slot, one per
+    packet, weighed by `transmit_weight` on the cost curves and built by the
+    public constructor: it shares no code with `expand_binary`, whose slots
+    hold only as many mini-slots as packets have arrived. Packets rank by
+    (arrival, id) and mini-slots by (slot, position), as there."""
+    packets = sorted(inst.packets, key=lambda p: (p.arrival, p.id))
+    slots = {f"b{t}.{i}": (t, i) for t in range(inst.horizon + 1) for i in range(1, len(packets) + 1)}
+    weights = {}
+    for p in packets:
+        for b, (t, i) in slots.items():
+            if t >= p.arrival and (w := transmit_weight(inst, p, t, i)) >= 0:
+                weights[(p.id, b)] = w
+    return BipartiteGraph([p.id for p in packets], list(slots), {p.id: F(p.arrival) for p in packets},
+                          {b: F(t) for b, (t, _) in slots.items()}, weights, label=inst.label)
+
+
+@cache
+def _binary_case(seed: int, deadline_prob: float = 0.0):
+    """(instance, its full-depth reference graph) shaped like the binary
+    acceptance campaign: 6 unit packets, h=5, the campaign's mode cycle."""
+    inst = generate(6, 1, 5, seed, mode=CAMPAIGN_MODES[seed % 3], deadline_prob=deadline_prob)
+    return inst, reference_expansion(inst)
+
+
+BINARY_CASES = [(seed, 0.0) for seed in range(500)] + [(seed, 0.5) for seed in range(150)]
 
 
 def brute_force_best(weights, lefts, rights, forced=()):
@@ -365,9 +394,20 @@ def test_expansion_depth_grows_with_arrivals():
     for slot, position in minislots(g).values():
         depth[slot] = max(depth.get(slot, 0), position)
     assert depth == {0: 1, 1: 1, 2: 2}
-    full = expand_binary(inst, full_depth=True)
+    full = reference_expansion(inst)
     assert max(p for _, p in minislots(full).values()) == 2
-    assert max_weight_matching(g).weight == max_weight_matching(full).weight
+    assert max_weight_matching(g) == max_weight_matching(full)
+
+
+def test_offline_optimum_is_the_reference_expansion_optimum():
+    # the deeper slots never hold the optimum, so the online graph's solve
+    # gives the same pairs and weight as the independent full-depth graph's
+    deeper = 0
+    for seed, deadline_prob in BINARY_CASES:
+        inst, full = _binary_case(seed, deadline_prob)
+        assert offline_optimal_binary(inst) == max_weight_matching(full), (seed, deadline_prob)
+        deeper += len(full.right_order) > len(expand_binary(inst).right_order)
+    assert deeper > len(BINARY_CASES) // 2  # most reference graphs are really deeper
 
 
 def test_expansion_rejects_multi_fragment_and_multi_server():
@@ -440,19 +480,18 @@ def _recorded_cases():
     """The cases behind tests/golden/matching_traces.json: (name, online graph,
     offline graph, constrained solves) for the unit-packet fixtures, the
     lock-probe family, online-matching-shaped seeds 0:20 and the tie-heavy
-    hand-built graphs of `_tie_cases`."""
+    hand-built graphs of `_tie_cases`. An instance's offline graph is its
+    full-depth reference, the graph the offline optimum was recorded on."""
     for path in sorted((ROOT / "fixtures").glob("*.json")):
         inst = load_instance(path.read_text())
         if inst.is_binary() and inst.servers == 1:
-            yield (f"fixtures/{path.name}", expand_binary(inst),
-                   expand_binary(inst, full_depth=True), [])
+            yield f"fixtures/{path.name}", expand_binary(inst), reference_expansion(inst), []
     for w, eps in ((100, 1), (1000, 7), (50, F(1, 2)), (3, 2)):
         g = adversarial_lock_probe(w, eps)
         yield f"probe/{w}/{eps}", g, g, []
     for seed in range(20):
         inst = _online_matching_instance(seed)
-        yield (f"online-matching/{seed}", expand_binary(inst),
-               expand_binary(inst, full_depth=True), [])
+        yield f"online-matching/{seed}", expand_binary(inst), reference_expansion(inst), []
     for name, g, solves in _tie_cases():
         yield name, g, g, solves
 
@@ -489,6 +528,8 @@ def test_traces_and_matchings_match_recorded_hashes():
     seen = []
     for name, online, offline, solves in _recorded_cases():
         assert _digest(online, offline, solves) == recorded[name], name
+        # the offline optimum as the matching run reports it, on the online graph
+        assert max_weight_matching(online) == max_weight_matching(offline), name
         seen.append(name)
     assert sorted(seen) == sorted(recorded)
 
@@ -533,11 +574,9 @@ def test_online_run_and_expansion_do_bounded_work(monkeypatch):
     monkeypatch.setattr(matching._Hungarian, "phase", counted_phase)
     monkeypatch.setattr(matching, "Fraction", counted_fraction)
     # the graph takes the tables' integers: a Fraction per arrival and one
-    # lock per slot, none per edge
-    for full_depth in (True, False):
-        calls["fraction"] = 0
-        g = expand_binary(inst, full_depth=full_depth)
-        assert calls["fraction"] <= len(inst.packets) + inst.horizon + 1 < sum(map(len, g.rows))
+    # lock per slot, none per edge, however many edges the slots hold
+    g = expand_binary(inst)
+    assert calls["fraction"] <= len(inst.packets) + inst.horizon + 1 < sum(map(len, g.rows))
     # the tables read each curve as one integer row: one per packet's
     # utility, per shared lag row and per server's energy
     assert calls["value"] == 0
@@ -549,31 +588,28 @@ def test_online_run_and_expansion_do_bounded_work(monkeypatch):
 
 
 def test_solver_secondaries_fit_the_rank_fields():
-    # the tie-break costs |L| * bit_length(|R|) bits per edge (1,200 here),
-    # not |L| * |R| (about 259,000); structural, so it holds at any speed
-    inst = generate(100, 1, 50, 0)
-    for full_depth in (False, True):
-        g = expand_binary(inst, full_depth=full_depth)
+    # the tie-break costs |L| * bit_length(|R|) bits per edge (1,200 on the
+    # online graph at 100 / h=50), not |L| * |R| (about 259,000); structural,
+    # so it holds at any speed, and on the deeper reference graph too
+    for g in (expand_binary(generate(100, 1, 50, 0)), reference_expansion(generate(30, 1, 15, 0))):
         solver = matching._Hungarian(g)
         bits = len(g.left_order) * len(g.right_order).bit_length()
         assert max(sec.bit_length() for row in solver.adj for _, sec in row.values()) <= bits
 
 
 def test_every_expanded_edge_is_its_transmit_weight():
-    # the expansion reads the integer tables; transmit_weight the cost families
-    for seed in range(500):
-        inst = generate(6, 1, 5, seed, mode=CAMPAIGN_MODES[seed % 3])
-        for full_depth in (False, True):
-            g = expand_binary(inst, full_depth=full_depth)
-            slots = minislots(g)
-            for p in inst.packets:
-                for b, (slot, position) in slots.items():
-                    edge = g.weights.get((p.id, b))
-                    if slot < p.arrival:
-                        assert edge is None
-                        continue
-                    w = transmit_weight(inst, p, slot, position)
-                    assert edge == (w if w >= 0 else None), (seed, full_depth, p.id, b)
+    # the expansion reads the integer tables, the reference graph
+    # transmit_weight on the cost families: the expansion is the reference
+    # cut to the first K mini-slots of each slot, K the packets arrived by then
+    for seed, deadline_prob in BINARY_CASES:
+        inst, full = _binary_case(seed, deadline_prob)
+        g = expand_binary(inst)
+        arrived = [sum(p.arrival <= t for p in inst.packets) for t in range(inst.horizon + 1)]
+        kept = [b for b, (t, i) in minislots(full).items() if i <= arrived[t]]
+        assert g.right_order == kept, seed
+        assert (g.left_order, g.arrivals, g.locks) == (full.left_order, full.arrivals,
+                                                       {b: full.locks[b] for b in kept})
+        assert g.weights == {e: w for e, w in full.weights.items() if e[1] in g.locks}, (seed, deadline_prob)
 
 
 def _independent_weights(g: BipartiteGraph, forced=(), left_subset=None, right_subset=None):
@@ -611,7 +647,7 @@ def test_solver_agrees_with_scipy_and_networkx():
     for seed in range(30):
         inst = generate(6, 1, 5, seed, mode=CAMPAIGN_MODES[seed % 3])
         graphs.append(expand_binary(inst))
-        graphs.append(expand_binary(inst, full_depth=True))
+        graphs.append(reference_expansion(inst))
     for g in graphs:
         cases = [((), None, None)]
         left_subset = {a for a in g.left_order if rng.random() < 0.7}

@@ -126,10 +126,16 @@ def test_cross_oracle_equality_on_larger_binary_instances():
 
 
 def test_search_rejects_an_energy_curve_that_is_not_convex():
+    # increments 4 then 2: the best schedule sends both packets in slot 1 for
+    # 10 - 6 = 4, but a matching that trusted the curve could pay the second
+    # increment without the first, p0 at (0, 2) and p1 at (1, 2), for 3 + 3
     concave = tabulated([0, 4, 6, 7])
-    inst = simple_instance([unit_packet(pid="p0"), unit_packet(pid="p1")], energy=[concave])
-    with pytest.raises(AqiError, match="not convex non-decreasing"):
-        offline_optimal(inst)
+    inst = simple_instance([unit_packet(pid="p0", slope=0), unit_packet(pid="p1", arrival=1, slope=0)],
+                           horizon=1, energy=[concave])
+    solvers = (offline_optimal, offline_optimal_binary, lambda i: run_online_matching(expand_binary(i)))
+    for solve in solvers:
+        with pytest.raises(AqiError, match=r"energy\[0\] is not convex non-decreasing"):
+            solve(inst)
 
 
 def test_optimum_is_deterministic_under_ties():

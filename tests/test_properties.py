@@ -18,9 +18,13 @@ from aqisim.model import (  # noqa: E402
     AqiError,
     Bin,
     CostFamily,
+    Instance,
+    Packet,
     SubpacketRef,
     load_instance,
     store_instance,
+    tabulated,
+    validate_instance,
 )
 from aqisim.valuation import evaluate, marginal_gains, tables  # noqa: E402
 
@@ -112,3 +116,57 @@ def test_stored_instances_load_back_unchanged(inst):
     text = store_instance(inst)
     assert load_instance(text) == inst
     assert store_instance(load_instance(text)) == text
+
+
+def _convex_non_decreasing_from_zero(values) -> bool:
+    """Brute force on the values, not their increments: 0 at 0, no value
+    below an earlier one and none above the chord of any two around it."""
+    n = len(values)
+    return values[0] == 0 and all(
+        values[i] <= values[j] for i in range(n) for j in range(i + 1, n)) and all(
+        (k - i) * values[j] <= (k - j) * values[i] + (j - i) * values[k]
+        for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n))
+
+
+@st.composite
+def curves(draw, upto: int) -> CostFamily:
+    """A table defined on 0..upto and a little past it. Sorting the drawn
+    increments half the time makes admissible curves common."""
+    thirds = st.integers(-6, 12).map(lambda x: Fraction(x, 3))
+    steps = draw(st.lists(thirds, min_size=upto, max_size=upto + 2))
+    if draw(st.booleans()):
+        steps.sort()
+    values = [draw(st.sampled_from([Fraction(0), Fraction(0), Fraction(1)]))]
+    for step in steps:
+        values.append(values[-1] + step)
+    return tabulated(values)
+
+
+@st.composite
+def curve_instances(draw):
+    """(instance, {curve name: its values on the range the model checks})
+    for tabulated energy and delay curves; utilities are always admissible."""
+    horizon = draw(st.integers(0, 4))
+    packets = []
+    for i in range(draw(st.integers(0, 3))):
+        arrival, k = draw(st.integers(0, horizon)), draw(st.integers(1, 2))
+        packets.append(Packet(id=f"p{i}", arrival=arrival, subpackets=k, weight=Fraction(1),
+                              distortion=tabulated([0, 3, 5][:k + 1]),
+                              delay_cost=draw(curves(horizon - arrival))))
+    total = sum(p.subpackets for p in packets)
+    energy = tuple(draw(curves(max(total, 1))) for _ in range(draw(st.integers(1, 2))))
+    inst = Instance(packets=tuple(packets), horizon=horizon, servers=len(energy), energy=energy)
+    checked = {f"energy[{s}]": fam.table[:max(total, 1) + 1] for s, fam in enumerate(energy)}
+    checked.update({f"packet {p.id}: C": p.delay_cost.table[:horizon - p.arrival + 1] for p in packets})
+    return inst, checked
+
+
+@settings(max_examples=200, deadline=None)
+@given(curve_instances())
+def test_validator_flags_exactly_the_curves_that_are_not_convex_non_decreasing(case):
+    inst, checked = case
+    problems = validate_instance(inst).problems
+    flagged = {name for name in checked if any(text.startswith(name + ":") for text in problems)}
+    assert flagged == {name for name, values in checked.items()
+                       if not _convex_non_decreasing_from_zero(values)}, problems
+    assert all(any(text.startswith(name + ":") for name in checked) for text in problems), problems
