@@ -51,7 +51,6 @@ from .oracle import (
     offline_optimal_binary,
 )
 from .reduction import (
-    build_frozen,
     check_guarantee_chain,
     check_offline_bridge,
     frozen_optimal,

@@ -39,7 +39,7 @@ def _parse(convert, text: str, what: str):
     """`convert(text)`, with a malformed value reported as an AqiError."""
     try:
         return convert(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deeply
         raise AqiError(f"bad {what} {text!r}: {exc}") from None
 
 
@@ -57,7 +57,11 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _read_instance(path: str):
-    inst = load_instance(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise AqiError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+    inst = load_instance(text)
     report = validate_instance(inst)
     if not report.ok:
         raise AqiError(f"{path}: invalid instance: " + "; ".join(report.problems))
@@ -242,21 +246,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--checks", nargs="+", choices=list(ALL_CHECKS), default=list(ALL_CHECKS))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=40)
+    p.add_argument("--samples", type=int, default=CampaignConfig.samples)
     p.add_argument("--budget", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("campaign", help="seeded verification campaign")
+    # every default is CampaignConfig's: a repro command names only the fields that differ
     p.add_argument("--seeds", default="0:50", help="range lo:hi or a single seed")
-    p.add_argument("--packets", type=int, default=4)
-    p.add_argument("--max-k", type=int, default=1, dest="max_k")
-    p.add_argument("--horizon", type=int, default=4)
-    p.add_argument("--servers", type=int, default=1)
+    p.add_argument("--packets", type=int, default=CampaignConfig.packets)
+    p.add_argument("--max-k", type=int, default=CampaignConfig.max_k, dest="max_k")
+    p.add_argument("--horizon", type=int, default=CampaignConfig.horizon)
+    p.add_argument("--servers", type=int, default=CampaignConfig.servers)
     p.add_argument("--modes", nargs="+", default=list(CampaignConfig.modes), choices=GENERATOR_MODES)
-    p.add_argument("--checks", nargs="+", choices=list(ALL_CHECKS), default=list(ALL_CHECKS))
-    p.add_argument("--deadline-prob", type=float, default=0.0, dest="deadline_prob")
-    p.add_argument("--samples", type=int, default=40)
+    p.add_argument("--checks", nargs="+", choices=list(ALL_CHECKS), default=list(CampaignConfig.checks))
+    p.add_argument("--deadline-prob", type=float, default=CampaignConfig.deadline_prob, dest="deadline_prob")
+    p.add_argument("--samples", type=int, default=CampaignConfig.samples)
     p.add_argument("--budget", type=int)
     p.add_argument("--mutate", choices=["frozen-gain-bias"])
     p.add_argument("--repro-dir", dest="repro_dir")

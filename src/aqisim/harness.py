@@ -47,7 +47,6 @@ from .oracle import (
 )
 from .reduction import (
     TelescopingError,
-    build_frozen,
     check_guarantee_chain,
     check_offline_bridge,
 )
@@ -396,18 +395,17 @@ def check_instance(inst: Instance, config: CampaignConfig, seed: int) -> dict:
     needs_oracle = checks & {"greedy-halfopt", "opt-bridge", "greedy-bridge"}
     if needs_oracle:
         try:
-            # one exact search and one frozen twin serve all three checks
+            # one exact search serves all three checks
             opt = offline_optimal(inst, budget=config.budget)
         except BudgetError as exc:
             for name in needs_oracle:
                 results[name] = {"ok": True, "skipped": str(exc)}
         else:
-            frozen = build_frozen(inst)
             chain_checks = checks & {"greedy-halfopt", "greedy-bridge"}
             if chain_checks:
                 # only these two need online greedy and its lock-free replay
                 try:
-                    chain = check_guarantee_chain(inst, perturb=perturb, opt=opt, frozen=frozen)
+                    chain = check_guarantee_chain(inst, opt, perturb=perturb)
                 except TelescopingError as exc:
                     for name in sorted(chain_checks):
                         results[name] = {"ok": False, "detail": {"error": str(exc)}}
@@ -421,7 +419,7 @@ def check_instance(inst: Instance, config: CampaignConfig, seed: int) -> dict:
                             "detail": chain.to_json(),
                         }
             if "opt-bridge" in checks:
-                bridge = check_offline_bridge(inst, opt=opt, frozen=frozen)
+                bridge = check_offline_bridge(inst, opt)
                 results["opt-bridge"] = {"ok": bridge.ok, "detail": bridge.to_json()}
 
     if "submodularity" in checks:

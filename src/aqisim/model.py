@@ -513,6 +513,8 @@ def load_instance(text: str) -> Instance:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"document: invalid JSON ({exc})") from exc
+    except RecursionError:
+        raise ParseError("document: JSON nested too deeply") from None
     return instance_from_json(doc)
 
 

@@ -37,6 +37,7 @@ from fractions import Fraction
 
 from .model import (
     DISCARD,
+    INFINITE_SLOT,
     Allocation,
     AqiError,
     Bin,
@@ -97,9 +98,9 @@ def _packet_candidates(inst: Instance, tab: Tables, p, emin: int):
     extend([], p.arrival, 0)
     # ascending by padded key: generation order is depth-first with the
     # discard suffix emitted before longer schedules, which is NOT ascending;
-    # sort explicitly with discards ranked last.
-    infinity = (1 << 62, 0)
-    out.sort(key=lambda c: c[0] + (infinity,) * (p.subpackets - len(c[0])))
+    # sort explicitly with discards ranked last, at the discard bin's slot.
+    discard = (INFINITE_SLOT, 0)
+    out.sort(key=lambda c: c[0] + (discard,) * (p.subpackets - len(c[0])))
     return out
 
 

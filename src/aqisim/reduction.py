@@ -1,11 +1,12 @@
 """Reduction of the locking allocator to plain online greedy.
 
-A frozen-increment twin of an instance keeps the same resources and bins but
-drops locking: a (fragment, bin) pair whose bin would already be locked at
-the fragment's arrival is frozen at marginal value 0; every other pair keeps
-its exact marginal. Plain greedy on the twin, with ties resolved exactly like
-the locking allocator, reproduces its run step by step; the twin's offline
-maximum dominates the locking optimum. Both facts are checkable here.
+The frozen-increment twin of an instance is the instance itself under one gate
+rule: a (fragment, bin) pair is worth 0 once the bin locks before the
+fragment arrives (`arrival > b.lock_time`), and every other pair keeps its
+exact marginal. Locking is gone: a gated bin still takes the fragment. Plain
+greedy under the gate, with ties resolved exactly like the locking allocator,
+reproduces its run step by step; the twin's offline maximum dominates the
+locking optimum. Both facts are checkable here.
 
 The replay and the telescoping sum the integer gains of
 `valuation.marginal_gains`, over `tables(inst).scale`, and turn only the
@@ -28,7 +29,7 @@ from .model import (
     rational_to_json,
 )
 from .greedy import arrival_order, candidate_bins, first_max, run_online_greedy
-from .oracle import DEFAULT_BUDGET, OracleResult, offline_optimal
+from .oracle import OracleResult
 from .valuation import marginal_gains, tables
 
 
@@ -36,41 +37,21 @@ class TelescopingError(AqiError):
     """A locking optimum whose telescoped frozen value differs from its value."""
 
 
-@dataclass
-class FrozenInstance:
-    """Lock-free twin: same resources, bins and arrival order. A (fragment,
-    bin) pair is frozen at 0 once the bin locks before the fragment arrives
-    (`arrivals[ref] > b.lock_time`) and keeps its exact marginal otherwise."""
-
-    inst: Instance
-    resources: list[SubpacketRef]
-    arrivals: dict[SubpacketRef, int]
-    bins: list[Bin]
-
-
-def build_frozen(inst: Instance) -> FrozenInstance:
-    resources = arrival_order(inst)
-    arrivals = {ref: inst.packet(ref.packet).arrival for ref in resources}
-    return FrozenInstance(inst=inst, resources=resources, arrivals=arrivals,
-                          bins=candidate_bins(inst, 0))
-
-
-def telescoped_value(frozen: FrozenInstance, alloc: Allocation) -> Fraction:
+def telescoped_value(inst: Instance, alloc: Allocation) -> Fraction:
     """Value of an assignment as the sum of frozen marginals in arrival order.
 
     A bin that locks before its fragment arrives adds 0 but still holds the
-    fragment for the later ones. A fragment the twin does not have raises
+    fragment for the later ones. A fragment the instance does not have raises
     AllocationError.
     """
-    inst = frozen.inst
-    order = {ref: i for i, ref in enumerate(frozen.resources)}
+    order = {ref: i for i, ref in enumerate(arrival_order(inst))}
     for ref in alloc.entries:
         if ref not in order:
             raise AllocationError(f"{ref} is not a fragment of the instance")
     running = Allocation()
     total = 0  # over the tables' scale
     for ref, b in sorted(alloc.entries.items(), key=lambda e: order[e[0]]):
-        if frozen.arrivals[ref] <= b.lock_time:
+        if inst.packet(ref.packet).arrival <= b.lock_time:
             total += marginal_gains(inst, running, ref, (b,))[0]
         running.add(ref, b)
     return Fraction(total, tables(inst).scale)
@@ -91,8 +72,8 @@ class FrozenRun:
     steps: list[FrozenStep] = field(default_factory=list)
 
 
-def run_lockfree_greedy(frozen: FrozenInstance, perturb=None) -> FrozenRun:
-    """Plain greedy over all bins of the frozen twin.
+def run_lockfree_greedy(inst: Instance, perturb=None) -> FrozenRun:
+    """Plain greedy over all bins of the instance, under the twin's gate.
 
     Tie rule: a strictly positive maximum already forces a bin the fragment
     could still reach; at a zero maximum, candidates the fragment could not
@@ -102,15 +83,15 @@ def run_lockfree_greedy(frozen: FrozenInstance, perturb=None) -> FrozenRun:
     each candidate's gain in those units before the pick (fault injection for
     harness self-tests).
     """
-    inst, bins = frozen.inst, frozen.bins
+    bins = candidate_bins(inst, 0)
     scale = tables(inst).scale
     alloc = Allocation()
     steps: list[FrozenStep] = []
     total = 0  # over the tables' scale
-    for i, ref in enumerate(frozen.resources):
+    for i, ref in enumerate(arrival_order(inst)):
         # bins are in slot order with discard last: the fragment reaches the
         # bins from its arrival slot on, and the ones before it are gated
-        start = min(frozen.arrivals[ref], inst.horizon + 1) * inst.servers
+        start = min(inst.packet(ref.packet).arrival, inst.horizon + 1) * inst.servers
         ordered = bins[start:] + bins[:start]  # reachable, discard, gated
         # discard and gated bins are worth exactly 0 on the twin
         gains = marginal_gains(inst, alloc, ref, bins[start:-1]) + [0] * (1 + start)
@@ -124,7 +105,7 @@ def run_lockfree_greedy(frozen: FrozenInstance, perturb=None) -> FrozenRun:
     return FrozenRun(allocation=alloc, value=Fraction(total, scale), steps=steps)
 
 
-def frozen_optimal(frozen: FrozenInstance, opt: OracleResult) -> Fraction:
+def frozen_optimal(inst: Instance, opt: OracleResult) -> Fraction:
     """Offline maximum of the frozen twin's value, re-scored from `opt`.
 
     Assignments using unreachable (frozen-at-0) bins never help: they add
@@ -133,7 +114,7 @@ def frozen_optimal(frozen: FrozenInstance, opt: OracleResult) -> Fraction:
     value coincides with the plain allocation value. The oracle's optimum is
     therefore the twin's, re-scored and re-verified through the telescoping.
     """
-    y = telescoped_value(frozen, opt.allocation)
+    y = telescoped_value(inst, opt.allocation)
     if y != opt.valuation.total:
         raise TelescopingError(
             f"telescoped value {y} disagrees with allocation value {opt.valuation.total}"
@@ -165,19 +146,15 @@ class BridgeReport:
         }
 
 
-def check_offline_bridge(inst: Instance, opt: OracleResult | None = None,
-                         budget: int = DEFAULT_BUDGET,
-                         frozen: FrozenInstance | None = None) -> BridgeReport:
+def check_offline_bridge(inst: Instance, opt: OracleResult) -> BridgeReport:
     """Verify the locking optimum `opt` telescopes exactly and never beats the
-    frozen twin's optimum; `opt` and `frozen` are computed when not given.
+    frozen twin's optimum.
 
     A telescoped value that differs from the optimum's value is reported as
     `telescoping_ok: false`, not raised as in `frozen_optimal`.
     """
-    opt = offline_optimal(inst, budget=budget) if opt is None else opt
-    frozen = build_frozen(inst) if frozen is None else frozen
     z = opt.valuation.total
-    y = telescoped_value(frozen, opt.allocation)  # the twin's optimum when it equals z
+    y = telescoped_value(inst, opt.allocation)  # the twin's optimum when it equals z
     return BridgeReport(
         z_opt=z,
         y_opt_telescoped=y,
@@ -227,17 +204,13 @@ class ChainReport:
         }
 
 
-def check_guarantee_chain(inst: Instance, budget: int = DEFAULT_BUDGET,
-                          perturb=None, opt: OracleResult | None = None,
-                          frozen: FrozenInstance | None = None) -> ChainReport:
-    """Run every link of the halving argument on one instance, exactly.
-    `opt` and `frozen` are as in `check_offline_bridge`; raises
-    TelescopingError when `opt` does not telescope over the twin."""
-    opt = offline_optimal(inst, budget=budget) if opt is None else opt
-    frozen = build_frozen(inst) if frozen is None else frozen
+def check_guarantee_chain(inst: Instance, opt: OracleResult, perturb=None) -> ChainReport:
+    """Run every link of the halving argument on one instance, exactly, against
+    its locking optimum `opt`; raises TelescopingError when `opt` does not
+    telescope over the twin."""
     greedy_run = run_online_greedy(inst)
-    frozen_run = run_lockfree_greedy(frozen, perturb=perturb)
-    y_frozen_opt = frozen_optimal(frozen, opt)
+    frozen_run = run_lockfree_greedy(inst, perturb=perturb)
+    y_frozen_opt = frozen_optimal(inst, opt)
 
     mismatches = []
     for raw, fro in zip(greedy_run.state.steps, frozen_run.steps):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from aqisim import harness, oracle, reduction, valuation
+from aqisim import harness, oracle, valuation
 from aqisim.model import Allocation, CostFamily, Instance, Packet, linear, tabulated
 
 
@@ -51,7 +51,7 @@ def convex_energy() -> CostFamily:
 @pytest.fixture
 def oracle_calls(monkeypatch) -> list[Instance]:
     """Counts exact-oracle searches: every `offline_optimal` call made through
-    the oracle, reduction or harness module appends its instance here."""
+    the oracle or harness module appends its instance here."""
     calls: list[Instance] = []
     search = oracle.offline_optimal
 
@@ -59,7 +59,7 @@ def oracle_calls(monkeypatch) -> list[Instance]:
         calls.append(inst)
         return search(inst, *args, **kwargs)
 
-    for module in (oracle, reduction, harness):
+    for module in (oracle, harness):
         monkeypatch.setattr(module, "offline_optimal", counted)
     return calls
 

@@ -90,7 +90,7 @@ def test_single_server_unit_jobs_reduce_to_the_binary_case():
     inst = speed_scaling([(1, 0), (1, 1)], servers=1, powers=[SQUARE], horizon=3)
     assert inst.is_binary()
     assert offline_optimal_binary(inst).weight == offline_optimal(inst).valuation.total
-    assert check_guarantee_chain(inst).ok
+    assert check_guarantee_chain(inst, offline_optimal(inst)).ok
 
 
 def test_mandatory_mode_never_discards():

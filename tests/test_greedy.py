@@ -17,7 +17,7 @@ from aqisim.model import (
     rational_to_json,
     tabulated,
 )
-from aqisim.reduction import build_frozen, run_lockfree_greedy
+from aqisim.reduction import run_lockfree_greedy
 from aqisim.valuation import evaluate, marginal_value, tables
 from conftest import allocation_in_index_order, simple_instance, unit_packet
 
@@ -175,7 +175,7 @@ def test_step_logs_and_allocations_match_recorded_hashes():
     seen = []
     for name, inst in _recorded_cases():
         run = run_online_greedy(inst)
-        frozen = run_lockfree_greedy(build_frozen(inst))
+        frozen = run_lockfree_greedy(inst)
         lockfree = "\n".join(
             json.dumps([s.step, s.ref.packet, s.ref.index, s.chosen.id, rational_to_json(s.gain)])
             for s in frozen.steps

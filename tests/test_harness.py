@@ -12,7 +12,7 @@ from random import Random
 import pytest
 
 from aqisim import harness, matching, oracle
-from aqisim.cli import main
+from aqisim.cli import _budget, build_parser, main
 from aqisim.harness import (
     CampaignConfig,
     adversarial_lock_probe,
@@ -312,6 +312,35 @@ def test_cli_reports_parse_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_reports_an_instance_file_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "bin.json"
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    assert main(["run", str(bad), "--algorithm", "greedy"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not UTF-8") and "Traceback" not in err
+
+
+def test_cli_reports_deeply_nested_json(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    assert main(["run", str(deep), "--algorithm", "greedy"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nested too deeply" in err and "Traceback" not in err
+
+
+def test_campaign_cli_defaults_are_the_config_defaults():
+    # a repro command omits every field at its CampaignConfig default, so the
+    # CLI must parse an omitted flag to exactly that default
+    args = build_parser().parse_args(["campaign"])
+    default = CampaignConfig(seeds=[])
+    for key, value in default.to_json().items():
+        if key not in ("seeds", "budget"):
+            parsed = getattr(args, key)
+            assert (list(parsed) if isinstance(value, list) else parsed) == value, key
+    assert args.budget is None and _budget(args) == default.budget
+    assert build_parser().parse_args(["verify", "x.json"]).samples == default.samples
+
+
 @pytest.mark.parametrize("argv", [
     ["campaign", "--seeds", "a:b"],
     ["campaign", "--seeds", "3:"],
@@ -339,6 +368,8 @@ def test_cli_reports_parse_errors(tmp_path, capsys):
     ["verify", str(FIXTURES / "minimal.json"), "--budget", "0"],
     ["opt", str(FIXTURES / "minimal.json"), "--budget", "-5"],
     ["campaign", "--seeds", "0:3", "--budget", "0"],
+    # JSON nested deeper than the decoder's recursion limit
+    ["adapt-speedscale", "--jobs", "[" * 5000 + "]" * 5000, "--horizon", "2"],
 ])
 def test_cli_rejects_malformed_arguments_without_a_traceback(argv, capsys):
     assert main(argv) == 2

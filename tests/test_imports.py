@@ -1,6 +1,6 @@
 """Every imported name in the package and the tests is used, every
-module-level name of the package is read somewhere, and every function the
-benchmark's tracer wraps exists.
+module-level name of the package is read somewhere, every function the
+benchmark's tracer wraps exists, and every Python block of the README runs.
 
 A stdlib stand-in for a linter's unused-import rule: it parses each module
 and reports names bound by an import that no expression in the module
@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import ast
 import importlib
+import os
+import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -145,3 +148,14 @@ def test_every_traced_target_exists_in_the_package():
         if owner is None or method not in vars(owner):
             missing.append(f"{name}: {module}.{cls}.{method}")
     assert missing == []
+
+
+def test_every_readme_python_block_runs(tmp_path):
+    # a block that imports a deleted name fails here instead of in a reader's shell
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.S | re.M)
+    assert blocks
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for block in blocks:
+        done = subprocess.run([sys.executable, "-c", block], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr

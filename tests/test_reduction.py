@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from aqisim.greedy import run_online_greedy
+from aqisim.greedy import arrival_order, candidate_bins, run_online_greedy
 from aqisim import reduction
 from aqisim.harness import CampaignConfig, check_instance, generate, run_campaign
 from aqisim.model import (
@@ -25,7 +25,6 @@ from aqisim.model import (
 )
 from aqisim.oracle import offline_optimal
 from aqisim.reduction import (
-    build_frozen,
     check_guarantee_chain,
     check_offline_bridge,
     frozen_optimal,
@@ -50,23 +49,21 @@ def test_gate_zeroes_unreachable_bins():
     # a fragment placed in a bin locked before its arrival adds 0 whatever
     # the context, and still counts as placed
     inst = simple_instance([unit_packet(arrival=2), unit_packet(pid="p1", arrival=0)], horizon=3)
-    frozen = build_frozen(inst)
     late = SubpacketRef("p0", 1)
     for context in (Allocation(), Allocation([(SubpacketRef("p1", 1), Bin(slot=1))])):
-        base = telescoped_value(frozen, context)
-        assert telescoped_value(frozen, context.extended(late, Bin(slot=0))) == base
-        assert telescoped_value(frozen, context.extended(late, Bin(slot=1))) == base
-        assert telescoped_value(frozen, context.extended(late, Bin(slot=2))) != base
+        base = telescoped_value(inst, context)
+        assert telescoped_value(inst, context.extended(late, Bin(slot=0))) == base
+        assert telescoped_value(inst, context.extended(late, Bin(slot=1))) == base
+        assert telescoped_value(inst, context.extended(late, Bin(slot=2))) != base
 
 
 def test_reachable_bins_keep_their_exact_marginal():
     inst = simple_instance([unit_packet()], horizon=2)
-    frozen = build_frozen(inst)
     ref = SubpacketRef("p0", 1)
     for slot in range(3):
-        assert telescoped_value(frozen, Allocation([(ref, Bin(slot=slot))])) == \
+        assert telescoped_value(inst, Allocation([(ref, Bin(slot=slot))])) == \
             marginal_value(inst, Allocation(), ref, Bin(slot=slot))
-    assert telescoped_value(frozen, Allocation([(ref, DISCARD)])) == 0
+    assert telescoped_value(inst, Allocation([(ref, DISCARD)])) == 0
 
 
 def test_single_fragment_frozen_gain_formula():
@@ -74,32 +71,30 @@ def test_single_fragment_frozen_gain_formula():
     # for every slot t >= t0
     inst = simple_instance([unit_packet(arrival=1, value=9, slope=2)],
                            horizon=4, energy=[tabulated([0, 1, 3])])
-    frozen = build_frozen(inst)
     ref = SubpacketRef("p0", 1)
     for t in range(1, 5):
-        assert telescoped_value(frozen, Allocation([(ref, Bin(slot=t))])) == 9 - 2 * (t - 1) - 1
+        assert telescoped_value(inst, Allocation([(ref, Bin(slot=t))])) == 9 - 2 * (t - 1) - 1
 
 
 def test_telescoping_rejects_fragments_outside_the_twin():
     inst = generate(3, 2, 3, 0)
-    frozen = build_frozen(inst)
     opt = offline_optimal(inst)
     for stranger in (SubpacketRef("zz", 1), SubpacketRef("p00", 9)):
         with pytest.raises(AllocationError, match="not a fragment"):
-            telescoped_value(frozen, opt.allocation.extended(stranger, Bin(slot=1)))
+            telescoped_value(inst, opt.allocation.extended(stranger, Bin(slot=1)))
     opt.allocation.add(SubpacketRef("zz", 1), DISCARD)
     with pytest.raises(AllocationError, match="not a fragment"):
-        check_offline_bridge(inst, opt=opt, frozen=frozen)
+        check_offline_bridge(inst, opt)
     # a gated bin is the twin's own: it telescopes at 0
     late = simple_instance([unit_packet(arrival=2)], horizon=3)
-    assert telescoped_value(build_frozen(late), Allocation([(SubpacketRef("p0", 1), Bin(slot=0))])) == 0
+    assert telescoped_value(late, Allocation([(SubpacketRef("p0", 1), Bin(slot=0))])) == 0
 
 
 def test_lockfree_greedy_replays_the_locking_run():
     for seed in range(30):
         inst = generate(5, 3, 5, seed, deadline_prob=0.2)
         locking = run_online_greedy(inst)
-        frozen_run = run_lockfree_greedy(build_frozen(inst))
+        frozen_run = run_lockfree_greedy(inst)
         assert frozen_run.value == locking.valuation.total
         for raw, fro in zip(locking.state.steps, frozen_run.steps):
             assert raw.ref == fro.ref
@@ -110,14 +105,13 @@ def test_locking_optimum_telescopes_through_frozen_gains():
     for seed in range(20):
         inst = generate(4, 2, 4, seed)
         omega = offline_optimal(inst).allocation
-        frozen = build_frozen(inst)
-        assert telescoped_value(frozen, omega) == evaluate(inst, omega).total
+        assert telescoped_value(inst, omega) == evaluate(inst, omega).total
 
 
 def test_offline_bridge_reports_hold():
     for seed in range(20):
         inst = generate(4, 2, 4, seed, mode=("random", "adversarial-burst")[seed % 2])
-        report = check_offline_bridge(inst)
+        report = check_offline_bridge(inst, offline_optimal(inst))
         assert report.telescoping_ok and report.bridge_ok
 
 
@@ -127,8 +121,7 @@ def test_unreachable_assignments_never_help():
     rng = Random(31)
     for seed in range(15):
         inst = generate(3, 2, 3, seed)
-        frozen = build_frozen(inst)
-        refs = frozen.resources
+        refs = arrival_order(inst)
         if not refs:
             continue
         for _ in range(20):
@@ -143,15 +136,15 @@ def test_unreachable_assignments_never_help():
                     b = DISCARD if rng.random() < 0.3 else Bin(slot=rng.randint(p.arrival, inst.horizon))
                     with_gated.add(ref, b)
                     without_gated.add(ref, b)
-            assert telescoped_value(frozen, with_gated) <= telescoped_value(frozen, without_gated)
+            assert telescoped_value(inst, with_gated) <= telescoped_value(inst, without_gated)
 
 
 def exhaustive_frozen_max(inst, node_limit: int = 2_000_000):
     """Independent tiny-scale maximizer of the frozen value over ALL bins,
     including unreachable ones; the reference for frozen_optimal's
     reachable-schedules argument."""
-    frozen = build_frozen(inst)
-    refs = frozen.resources
+    refs = arrival_order(inst)
+    bins = candidate_bins(inst, 0)
     best: tuple[Fraction, Allocation] | None = None
     nodes = 0
 
@@ -165,9 +158,10 @@ def exhaustive_frozen_max(inst, node_limit: int = 2_000_000):
                 best = (total, alloc.copy())
             return
         ref = refs[i]
-        for b in frozen.bins:
+        arrival = inst.packet(ref.packet).arrival
+        for b in bins:
             # the twin's gate, restated here: 0 once the bin locks before the fragment arrives
-            g = F(0) if frozen.arrivals[ref] > b.lock_time else marginal_value(inst, alloc, ref, b)
+            g = F(0) if arrival > b.lock_time else marginal_value(inst, alloc, ref, b)
             alloc.add(ref, b)
             dfs(i + 1, alloc, total + g)
             alloc.remove(ref)
@@ -180,19 +174,20 @@ def exhaustive_frozen_max(inst, node_limit: int = 2_000_000):
 def test_exhaustive_frozen_search_agrees_with_reachable_argument():
     for seed in range(10):
         inst = generate(2, 2, 2, seed)
-        y_reachable = frozen_optimal(build_frozen(inst), offline_optimal(inst))
+        y_reachable = frozen_optimal(inst, offline_optimal(inst))
         _, y_everything = exhaustive_frozen_max(inst)
         assert y_reachable == y_everything
 
 
 def test_chain_on_the_worked_single_packet(single_packet_instance):
-    chain = check_guarantee_chain(single_packet_instance)
+    chain = check_guarantee_chain(single_packet_instance, offline_optimal(single_packet_instance))
     assert (chain.z_greedy, chain.y_frozen_greedy, chain.y_frozen_opt, chain.z_opt) == (4, 4, 4, 4)
     assert chain.ok and chain.composed_half_ok
 
 
 def test_chain_on_the_empty_instance():
-    chain = check_guarantee_chain(simple_instance([], horizon=2))
+    empty = simple_instance([], horizon=2)
+    chain = check_guarantee_chain(empty, offline_optimal(empty))
     assert (chain.z_greedy, chain.y_frozen_greedy, chain.y_frozen_opt, chain.z_opt) == (0, 0, 0, 0)
     assert chain.ok
 
@@ -242,7 +237,7 @@ def test_greedy_loses_the_half_bound_at_an_energy_step(m):
 def test_chain_holds_on_random_batch():
     for seed in range(25):
         inst = generate(4, 3, 4, seed, mode=("random", "adversarial-burst", "adversarial-lock")[seed % 3])
-        chain = check_guarantee_chain(inst)
+        chain = check_guarantee_chain(inst, offline_optimal(inst))
         assert chain.ok, chain.to_json()
         assert chain.composed_half_ok
 
@@ -252,7 +247,7 @@ def test_fault_injection_breaks_the_replay():
     inst = generate(4, 2, 4, seed=1)
     scale = tables(inst).scale  # gains are integers over it
     bias = lambda b, g: g + 2 * scale if b.is_discard else g
-    chain = check_guarantee_chain(inst, perturb=bias)
+    chain = check_guarantee_chain(inst, offline_optimal(inst), perturb=bias)
     assert not (chain.greedy_equal and chain.steps_equal)
     assert chain.step_mismatches
 
@@ -263,7 +258,7 @@ def test_frozen_optimal_rescores_without_searching(oracle_calls):
     for seed in range(6):
         inst = general_instance(seed)
         opt = offline_optimal(inst)  # bound at import, so not counted
-        assert frozen_optimal(build_frozen(inst), opt) == opt.valuation.total
+        assert frozen_optimal(inst, opt) == opt.valuation.total
     assert oracle_calls == []
 
 
@@ -272,15 +267,7 @@ def test_frozen_optimal_rejects_a_result_that_does_not_telescope(single_packet_i
     opt = offline_optimal(single_packet_instance)
     other = simple_instance([unit_packet(value=7)], horizon=2)
     with pytest.raises(AqiError, match="telescoped value"):
-        frozen_optimal(build_frozen(other), opt)
-
-
-def test_chain_and_bridge_called_alone_search_once_each(oracle_calls):
-    inst = general_instance(4)
-    check_guarantee_chain(inst)
-    assert len(oracle_calls) == 1
-    check_offline_bridge(inst)
-    assert len(oracle_calls) == 2
+        frozen_optimal(other, opt)
 
 
 def test_check_instance_searches_once_for_all_three_oracle_checks(oracle_calls):
@@ -322,7 +309,7 @@ def test_budget_error_from_the_single_search_skips_all_three_checks(oracle_calls
 
 def test_chain_and_bridge_reports_match_recorded_values():
     # reports recorded while each instance still ran four separate searches;
-    # sharing one search and one frozen twin must not change a value
+    # sharing one search must not change a value
     recorded = json.loads((ROOT / "tests" / "golden" / "reduction_reports.json").read_text())
     config = CampaignConfig(seeds=[], checks=ORACLE_CHECKS)
     assert len(recorded) == len(list((ROOT / "fixtures").glob("*.json"))) + 30
@@ -330,8 +317,9 @@ def test_chain_and_bridge_reports_match_recorded_values():
         kind, _, key = name.partition("/")
         if kind == "fixtures":
             inst = load_instance((ROOT / name).read_text())
-            assert check_guarantee_chain(inst).to_json() == want["chain"], name
-            assert check_offline_bridge(inst).to_json() == want["bridge"], name
+            opt = offline_optimal(inst)
+            assert check_guarantee_chain(inst, opt).to_json() == want["chain"], name
+            assert check_offline_bridge(inst, opt).to_json() == want["bridge"], name
         else:
             inst = general_instance(int(key))
         results = check_instance(inst, config, 0)
@@ -365,7 +353,7 @@ def test_opt_bridge_alone_runs_no_greedy(monkeypatch):
 def test_telescoping_disagreement_fails_checks_and_writes_repros(monkeypatch, tmp_path):
     telescope = reduction.telescoped_value
     monkeypatch.setattr(reduction, "telescoped_value",
-                        lambda frozen, alloc: telescope(frozen, alloc) + 1)
+                        lambda inst, alloc: telescope(inst, alloc) + 1)
     config = CampaignConfig(seeds=[0, 1], packets=5, max_k=3, horizon=5, checks=ORACLE_CHECKS)
     summary = run_campaign(config, out_dir=str(tmp_path))
     assert not summary["ok"]
