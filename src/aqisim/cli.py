@@ -29,6 +29,7 @@ from .model import (
     linear,
     load_instance,
     parse_rational,
+    shown,
     store_instance,
     validate_instance,
 )
@@ -40,7 +41,7 @@ def _parse(convert, text: str, what: str):
     try:
         return convert(text)
     except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deeply
-        raise AqiError(f"bad {what} {text!r}: {exc}") from None
+        raise AqiError(f"bad {what} {shown(text)}: {exc}") from None
 
 
 def _budget(args) -> int:
@@ -71,7 +72,7 @@ def _read_instance(path: str):
 def _checked(value, what: str, ok: bool, expected: str):
     """`value`, reported as an AqiError unless `ok`."""
     if not ok:
-        raise AqiError(f"bad {what} {value!r}: expected {expected}")
+        raise AqiError(f"bad {what} {shown(value)}: expected {expected}")
     return value
 
 
@@ -163,7 +164,7 @@ def _json_arg(text: str, what: str, shape: str, fits) -> object:
     document of the wrong shape is reported as an AqiError."""
     doc = _parse(json.loads, text, what)
     if not fits(doc):
-        raise AqiError(f"bad {what} {text!r}: expected {shape}")
+        raise AqiError(f"bad {what} {shown(text)}: expected {shape}")
     return doc
 
 
@@ -179,7 +180,7 @@ def cmd_adapt_aoi(args) -> int:
     try:
         values = {s: parse_rational(v, s) for s, v in raw.items()}
     except ParseError as exc:
-        raise AqiError(f"bad --values {args.values!r}: {exc}") from None
+        raise AqiError(f"bad --values {shown(args.values)}: {exc}") from None
     _, inst = aoi_multisource(events, values, args.horizon, capacity=args.capacity)
     _emit(store_instance(inst), args.out)
     return 0

@@ -28,6 +28,12 @@ class AllocationError(AqiError):
 INFINITE_SLOT = (1 << 62)  # sentinel slot for the discard bin / "never locks"
 
 
+def shown(value) -> str:
+    """`repr(value)` cut to 80 characters, so an error line echoing user input stays short."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:80] + "..."
+
+
 def parse_rational(value, where: str = "value") -> Fraction:
     """Parse an exact rational from JSON: int, "p/q" string or integer string."""
     if isinstance(value, bool):
@@ -40,7 +46,7 @@ def parse_rational(value, where: str = "value") -> Fraction:
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"{where}: bad rational literal {value!r}") from exc
+            raise ParseError(f"{where}: bad rational literal {shown(value)}") from exc
     raise ParseError(f"{where}: expected a rational, got {type(value).__name__}")
 
 

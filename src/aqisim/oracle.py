@@ -6,18 +6,24 @@ The search enumerates, per packet, every in-order schedule of its fragments
 (non-decreasing slots, any server, a discarded suffix) in ascending key
 order, packets by id, depth first, on the exact integer `valuation.tables`.
 
-Two upper bounds on what the packets not yet placed can still add prune it,
-the cheap one first:
+A schedule that puts m fragments into a bin holding c already pays that
+bin's exact energy step E(c + m) - E(c), read off the prefix sums of the
+energy increments; a candidate's counts change only when its child is
+entered. Energy curves are convex non-decreasing (the search checks this),
+so that step is >= 0 and never shrinks as c grows, and occupancy only grows
+deeper in the tree.
+
+Two upper bounds on what the packets not yet placed can still add prune the
+search, the cheap one first:
 
 - static: each packet's best schedule value less `emin`, the cheapest first
   energy increment of any server, per fragment, clamped at 0;
-- occupancy: each packet's best schedule value less the energy increments
-  its fragments would pay at the *current* occupancy of their bins, clamped
-  at 0. Energy curves are convex non-decreasing (the search checks this), so
-  increments are >= 0, never shrink as a bin fills, and occupancy only grows
-  deeper in the tree: a fragment placed there pays at least this much. That
-  also lets the scan over a packet's schedules, highest value first, stop at
-  the first value that cannot beat its running best.
+- occupancy: each packet's best schedule value less the energy steps its
+  bins would charge at the *current* occupancy, clamped at 0. Deeper in the
+  tree each of those bins holds at least as many fragments, so a schedule
+  placed there pays at least this much. That also lets the scan over a
+  packet's schedules, highest value first, stop at the first value that
+  cannot beat its running best.
 
 A subtree is pruned when `partial + bound < floor`. The floor is 0, the
 all-discard value, until a leaf is reached, and one more than the incumbent
@@ -25,15 +31,29 @@ after that (all values are integers, so this is `<=` against the
 incumbent). Leaves are visited in ascending key order and only a strict
 improvement replaces the incumbent; the strict comparison against the
 all-discard floor keeps every subtree that may hold an optimum of value 0.
-So no subtree holding the first maximizer in key order is ever pruned, and
-the reported optimum is the lexicographically smallest maximizer. `nodes`
-counts the schedules tried at the expanded search nodes.
+
+Occupancy memo: what packets i.. can add depends only on the occupancy of
+the cells they can reach, the slots from their earliest arrival on. The
+memo maps (i, that occupancy) to the highest partial value seen there, and
+a node whose partial value is no higher is skipped. This is safe for the
+same reason as pruning. Once the search leaves a subtree, every leaf in it
+is below the floor: it was rejected, set the floor one above itself, or was
+pruned while below a floor that never falls. The skipped node is visited
+later in key order, and each of its completions adds the same value to no
+more partial value, so it scores no more than the same completion of the
+earlier node: below the floor too, never a strict improvement. So no
+subtree holding the first maximizer in key order is pruned or skipped, and
+the reported optimum is the lexicographically smallest maximizer. The
+table is capped at `MEMO_CAP` entries; once full it only answers lookups
+(keeping or raising a stored value), which skips fewer nodes and changes no
+answer. `nodes` counts the schedules tried at the expanded search nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .model import (
     DISCARD,
@@ -49,6 +69,8 @@ from .matching import MatchingResult, expand_binary, max_weight_matching
 from .valuation import Tables, Valuation, evaluate, tables
 
 DEFAULT_BUDGET = 10_000_000
+# most occupancy-memo entries one search keeps; once full it stops inserting
+MEMO_CAP = 1 << 16
 
 
 class BudgetError(AqiError):
@@ -112,9 +134,8 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
     """
     tab = tables(inst)
     tab.require_convex_energy("the search bound")
-    g_inc = tab.energy_inc  # scaled marginal energy per server and occupancy
     packets = sorted(inst.packets, key=lambda p: p.id)
-    emin = min(row[0] for row in g_inc)
+    emin = min(row[0] for row in tab.energy_inc)
     candidates = [_packet_candidates(inst, tab, p, emin) for p in packets]
     static = [
         max(0, max((v - emin * len(e) for e, v in candidates[i]), default=0))
@@ -124,24 +145,50 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
     for i in range(len(packets) - 1, -1, -1):
         suffix_best[i] = suffix_best[i + 1] + static[i]
 
-    # occupancy per (server, slot), flattened; a candidate's entries become
-    # (energy increment row, cell) pairs
-    width = inst.horizon + 1
-    counts = [0] * (inst.servers * width)
-    cell_of = {(slot, server): (g_inc[server], server * width + slot)
-               for server in range(inst.servers) for slot in range(width)}
-    plans = [[(tuple(map(cell_of.__getitem__, entries)), value) for entries, value in cands]
-             for cands in candidates]
+    # occupancy per cell `slot * servers + server`. m more fragments in a bin
+    # of occupancy c cost E(c + m) - E(c) = `cost[server][m][c]`. `code` packs
+    # every count into `bits` bits per cell, lowest cell lowest, and a
+    # candidate adds its `step` to it.
+    servers = inst.servers
+    most = max((p.subpackets for p in packets), default=0)
+    cost = []
+    for row in tab.energy_inc:
+        cum = list(accumulate(row, initial=0))
+        cost.append([None] + [[b - a for a, b in zip(cum, cum[m:])] for m in range(1, most + 1)])
+    bits = sum(p.subpackets for p in packets).bit_length()
+    counts = [0] * (servers * (inst.horizon + 1))
+    plan_of: dict[tuple, tuple[tuple, int]] = {(): ((), 0)}  # packets share schedules
+
+    def plan(entries):
+        """(groups, step): one (cost row, cell, m) per bin the schedule uses,
+        built from the plan of its prefix (entries are sorted, so a bin's
+        fragments are adjacent)."""
+        if entries not in plan_of:
+            groups, step = plan(entries[:-1])
+            slot, server = entries[-1]
+            cell = slot * servers + server
+            m = groups[-1][2] + 1 if groups and groups[-1][1] == cell else 1
+            if m > 1:
+                groups = groups[:-1]
+            plan_of[entries] = groups + ((cost[server][m], cell, m),), step + (1 << bits * cell)
+        return plan_of[entries]
+
+    plans = [[(*plan(entries), value) for entries, value in cands] for cands in candidates]
     # the non-empty candidates by value, highest first, for the occupancy bound
-    ranked = [sorted((c for c in plan if c[0]), key=lambda c: -c[1]) for plan in plans]
+    ranked = [sorted(((g, v) for g, _, v in plan_i if g), key=lambda c: -c[1]) for plan_i in plans]
     n = len(packets)
+    # packets i.. reach only the cells from their earliest arrival on, a suffix
+    # of the cells, so `code >> shift[i]` is the occupancy they can see
+    shift = [bits * servers * min(p.arrival for p in packets[i:]) for i in range(n)]
+    memo: list[dict[int, int]] = [{} for _ in range(n)]
+    stored = 0
     chosen: list[int] = [0] * n
     best_choice: list[int] = []
     floor = 0  # a leaf must reach it: 0 (all-discard) first, then the incumbent + 1
     nodes = 0
 
-    def dfs(i: int, partial: int):
-        nonlocal nodes, best_choice, floor
+    def dfs(i: int, partial: int, code: int):
+        nonlocal nodes, best_choice, floor, stored
         if i == n:
             if partial >= floor:
                 best_choice = chosen.copy()
@@ -150,13 +197,24 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
         bound = partial + suffix_best[i]
         if bound < floor:
             return
+        # an earlier prefix reached the same visible occupancy with no less value
+        seen = memo[i]
+        key = code >> shift[i]
+        best_seen = seen.get(key)
+        if best_seen is not None:
+            if best_seen >= partial:
+                return
+            seen[key] = partial
+        elif stored < MEMO_CAP:
+            seen[key] = partial
+            stored += 1
         # replace each packet's static term by its term at the current occupancy
         for j in range(i, n):
             best = 0
-            for cells, value in ranked[j]:
+            for groups, value in ranked[j]:
                 if value <= best:
                     break
-                for row, cell in cells:
+                for row, cell, _ in groups:
                     value -= row[counts[cell]]
                 if value > best:
                     best = value
@@ -167,25 +225,26 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
                 return
         # occupancy only grows below, so the later packets' terms bound them
         # there too: a candidate whose child cannot reach the floor is not entered
-        rest = bound - partial - own
+        rest = bound - own
         # every candidate of this packet is tried, so count them all up front
         nodes += len(plans[i])
         if nodes > budget:
             raise BudgetError(f"instance too large for exact oracle: more than {budget} nodes")
-        for ci, (cells, value) in enumerate(plans[i]):
-            if partial + value + rest < floor:
+        for ci, (groups, step, value) in enumerate(plans[i]):
+            if rest + value < floor:
                 continue
-            delta = value
-            for row, cell in cells:
-                delta -= row[counts[cell]]
-                counts[cell] += 1
-            if partial + delta + rest >= floor:
-                chosen[i] = ci
-                dfs(i + 1, partial + delta)
-            for _, cell in cells:
-                counts[cell] -= 1
+            for row, cell, _ in groups:
+                value -= row[counts[cell]]
+            if rest + value < floor:
+                continue
+            for _, cell, m in groups:
+                counts[cell] += m
+            chosen[i] = ci
+            dfs(i + 1, partial + value, code + step)
+            for _, cell, m in groups:
+                counts[cell] -= m
 
-    dfs(0, 0)
+    dfs(0, 0, 0)
     assert floor > 0  # the all-discard assignment always reaches the first floor
     best_total = floor - 1
 

@@ -377,6 +377,19 @@ def test_cli_rejects_malformed_arguments_without_a_traceback(argv, capsys):
     assert err.startswith("error: bad --") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["adapt-aoi", "--events", "[" * 5000 + "]" * 5000, "--values", "{}", "--horizon", "3"],
+    ["adapt-aoi", "--events", '{"s1": [1]}', "--values", '{"s1": "' + "x" * 5000 + '"}',
+     "--horizon", "3"],
+    ["campaign", "--seeds", "9" * 5000 + ":x"],
+])
+def test_cli_error_line_does_not_echo_a_long_argument_whole(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad --") and err.count("\n") == 1
+    assert len(err) < 400 and "..." in err
+
+
 def test_cli_reports_unreadable_and_unwritable_paths(tmp_path, capsys):
     assert main(["opt", str(tmp_path / "missing.json")]) == 2
     assert main(["gen", "--out", str(tmp_path / "no-such-dir" / "x.json")]) == 2

@@ -3,11 +3,12 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
 
+from aqisim import oracle
 from aqisim.greedy import run_online_greedy
 from aqisim.harness import generate
 from aqisim.matching import expand_binary, run_online_matching
@@ -212,9 +213,135 @@ EMIN_BOUND_NODES = 2_271_389
 
 
 def test_occupancy_bound_keeps_the_adversarial_searches_small():
+    # 454,424 under the occupancy bound alone; 36,818 with each bin charged
+    # its exact multi-fragment energy and the occupancy memo
     nodes = sum(offline_optimal(generate(5, 3, 5, seed, mode=GENERATOR_MODES[seed % 3])).nodes
                 for seed in (25, 100, 190))
-    assert nodes <= EMIN_BOUND_NODES // 4
-    # each needed over a million nodes under the emin bound
+    assert nodes <= 40_000 < EMIN_BOUND_NODES
+    # each needed over a million nodes under the emin bound, and 54,317 and
+    # 92,641 under the occupancy bound alone; now 7,773 and 5,380
     for seed in (1, 2):
-        assert offline_optimal(generate(7, 3, 6, seed, mode="adversarial-burst")).nodes < 200_000
+        assert offline_optimal(generate(7, 3, 6, seed, mode="adversarial-burst")).nodes < 10_000
+
+
+@pytest.mark.parametrize("size", [(8, 3, 7), (10, 3, 8)])
+def test_oracle_envelope_stays_small(size):
+    # the envelope the README tabulates; the worst is 8x3x7 adversarial-lock
+    # seed 2 at 58,262 nodes (1,247,177 before the exact bin cost and memo)
+    for mode in ("adversarial-burst", "adversarial-lock"):
+        for seed in range(4):
+            assert offline_optimal(generate(*size, seed, mode=mode)).nodes < 64_000, (mode, seed)
+
+
+# --- occupancy memo --------------------------------------------------------------
+
+
+def _first_maximizer_in_key_order(inst) -> Allocation:
+    """Naive reference for unit packets: every packet's bins in the search's
+    key order (slots ascending, discard last), the first best allocation."""
+    bins = [Bin(slot=t, server=0) for t in range(inst.horizon + 1)] + [DISCARD]
+    refs = [SubpacketRef(p.id, 1) for p in sorted(inst.packets, key=lambda p: p.id)]
+    best, best_value = None, F(0)
+    for combo in product(bins, repeat=len(refs)):
+        alloc = Allocation(zip(refs, combo))
+        value = evaluate(inst, alloc).total
+        if best is None or value > best_value:
+            best, best_value = alloc, value
+    return best
+
+
+def _identical_packets():
+    # five identical unit packets, two slots, quadratic energy: any 3 + 2 split
+    # is worth 25 - 9 - 4 = 12, and equal prefixes meet the same occupancy at
+    # the same partial value, so the memo skips every later one
+    packets = [unit_packet(pid=f"p{i}", slope=0) for i in range(5)]
+    return simple_instance(packets, horizon=1, energy=[tabulated([0, 1, 4, 9, 16, 25])])
+
+
+def test_memo_reports_the_first_of_equal_maximizers(monkeypatch):
+    inst = _identical_packets()
+    res = offline_optimal(inst)
+    assert res.valuation.total == 12
+    assert res.allocation == _first_maximizer_in_key_order(inst)
+    assert [e["bin"] for e in res.allocation.to_json()] == ["t0s0"] * 3 + ["t1s0"] * 2
+    monkeypatch.setattr(oracle, "MEMO_CAP", 0)
+    unmemoized = offline_optimal(inst)
+    assert unmemoized.allocation == res.allocation
+    assert unmemoized.nodes > res.nodes
+
+
+def test_a_full_memo_changes_no_allocation(monkeypatch):
+    cases = [_identical_packets()] + [generate(5, 3, 5, seed, mode=GENERATOR_MODES[seed % 3])
+                                      for seed in (25, 100, 190)]
+    full = [offline_optimal(inst) for inst in cases]
+    monkeypatch.setattr(oracle, "MEMO_CAP", 8)
+    capped = [offline_optimal(inst) for inst in cases]
+    assert [_digest(r) for r in capped] == [_digest(r) for r in full]
+    # the capped table stops growing, so the memo skips fewer nodes
+    assert sum(r.nodes for r in capped) > sum(r.nodes for r in full)
+
+
+# --- independent cross-check by integer programming ------------------------------
+
+
+def milp_optimal(inst) -> Allocation:
+    """An optimal allocation from a `scipy.optimize.milp` model that shares no
+    code with the search: one binary per in-order schedule of each packet
+    (enumerated here, valued by `evaluate`), and per bin one continuous level
+    y[b, c] in [0, 1] per possible fragment, charged the energy increment
+    E(c + 1) - E(c). Increments are non-decreasing, so filling the levels
+    cheapest first prices a bin at exactly its energy."""
+    np = pytest.importorskip("numpy")
+    opt = pytest.importorskip("scipy.optimize")
+    bins = [Bin(slot=t, server=s) for t in range(inst.horizon + 1) for s in range(inst.servers)]
+    row = {b: len(inst.packets) + j for j, b in enumerate(bins)}
+    schedules, owners, values = [], [], []
+    for i, p in enumerate(inst.packets):
+        reach = [b for b in bins if b.slot >= p.arrival]
+        for m in range(p.subpackets + 1):
+            for schedule in combinations_with_replacement(reach, m):
+                alloc = Allocation((SubpacketRef(p.id, j), b) for j, b in enumerate(schedule, 1))
+                utility, delay = evaluate(inst, alloc).per_packet.get(p.id, (0, 0))
+                schedules.append(schedule)
+                owners.append(i)
+                values.append(utility - delay)
+    levels = []
+    for b in bins:
+        reaching = sum(p.subpackets for p in inst.packets if p.arrival <= b.slot)
+        energy = inst.energy[b.server]
+        levels += [(b, energy.value(c + 1) - energy.value(c)) for c in range(reaching)]
+    nx = len(schedules)
+    a = np.zeros((len(inst.packets) + len(bins), nx + len(levels)))
+    for x, (schedule, i) in enumerate(zip(schedules, owners)):
+        a[i, x] = 1  # one schedule per packet
+        for b in schedule:
+            a[row[b], x] += 1
+    for y, (b, _) in enumerate(levels):
+        a[row[b], nx + y] = -1  # a bin's levels sum to its occupancy
+    rhs = np.array([1.0] * len(inst.packets) + [0.0] * len(bins))
+    cost = np.array([-float(v) for v in values] + [float(inc) for _, inc in levels])
+    res = opt.milp(cost, constraints=opt.LinearConstraint(a, rhs, rhs), bounds=opt.Bounds(0, 1),
+                   integrality=np.array([1] * nx + [0] * len(levels)),
+                   options={"mip_rel_gap": 0})
+    assert res.success, res.message
+    alloc = Allocation()
+    for x in np.flatnonzero(res.x[:nx] > 0.5):
+        p, schedule = inst.packets[owners[x]], schedules[x]
+        for j in range(1, p.subpackets + 1):
+            alloc.add(SubpacketRef(p.id, j), schedule[j - 1] if j <= len(schedule) else DISCARD)
+    return alloc
+
+
+@pytest.mark.parametrize("size", [(8, 3, 7), (10, 3, 8)])
+def test_search_matches_an_integer_program(size):
+    for mode in GENERATOR_MODES:
+        for seed in range(3):
+            inst = generate(*size, seed, mode=mode)
+            # HiGHS works in floats: re-score its allocation exactly
+            assert evaluate(inst, milp_optimal(inst)).total == offline_optimal(inst).valuation.total, (mode, seed)
+
+
+def test_search_matches_an_integer_program_with_two_servers_and_deadlines():
+    for seed in range(6):
+        inst = generate(6, 3, 5, seed, mode=GENERATOR_MODES[seed % 3], servers=2, deadline_prob=0.4)
+        assert evaluate(inst, milp_optimal(inst)).total == offline_optimal(inst).valuation.total, seed
