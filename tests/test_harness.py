@@ -381,7 +381,7 @@ def test_cli_rejects_malformed_arguments_without_a_traceback(argv, capsys):
     ["adapt-aoi", "--events", "[" * 5000 + "]" * 5000, "--values", "{}", "--horizon", "3"],
     ["adapt-aoi", "--events", '{"s1": [1]}', "--values", '{"s1": "' + "x" * 5000 + '"}',
      "--horizon", "3"],
-    ["campaign", "--seeds", "9" * 5000 + ":x"],
+    ["campaign", "--seeds", "0:" + "x" * 5000],
 ])
 def test_cli_error_line_does_not_echo_a_long_argument_whole(argv, capsys):
     assert main(argv) == 2
