@@ -16,6 +16,7 @@ from .model import (
     Packet,
     linear,
     shannon_energy,
+    shown,
     tabulated,
     validate_instance,
 )
@@ -86,12 +87,12 @@ def aoi_multisource(events: dict[str, list[int]], values: dict[str, Fraction | i
     for source in sorted(events):
         times = events[source]
         if source not in value_map:
-            raise AqiError(f"source {source!r} has no per-event value")
+            raise AqiError(f"source {shown(source)} has no per-event value")
         if any(b <= a for a, b in zip(times, times[1:])):
-            raise AqiError(f"source {source!r}: event times must be strictly increasing")
+            raise AqiError(f"source {shown(source)}: event times must be strictly increasing")
         for k, t in enumerate(times, start=1):
             if not 0 <= t < horizon:
-                raise AqiError(f"source {source!r}: event time {t} not strictly within horizon {horizon}")
+                raise AqiError(f"source {shown(source)}: event time {t} not strictly within horizon {horizon}")
             eid = f"{source}e{k}"
             source_events.append(SourceEvent(id=eid, source=source, occurred=t))
             packets.append(Packet(

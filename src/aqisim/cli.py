@@ -178,7 +178,7 @@ def cmd_adapt_aoi(args) -> int:
                            isinstance(v, list) and all(map(_is_int, v)) for v in d.values()))
     raw = _json_arg(args.values, "--values", "an object", lambda d: isinstance(d, dict))
     try:
-        values = {s: parse_rational(v, s) for s, v in raw.items()}
+        values = {s: parse_rational(v, shown(s)) for s, v in raw.items()}
     except ParseError as exc:
         raise AqiError(f"bad --values {shown(args.values)}: {exc}") from None
     _, inst = aoi_multisource(events, values, args.horizon, capacity=args.capacity)

@@ -78,7 +78,7 @@ class CostFamily:
 
     def __post_init__(self):
         if self.kind not in COST_KINDS:
-            raise ParseError(f"unknown cost kind {self.kind!r}")
+            raise ParseError(f"unknown cost kind {shown(self.kind)}")
         if self.kind == "tabulated":
             if not self.table:
                 raise ParseError("tabulated cost family needs a non-empty table")
@@ -160,7 +160,7 @@ class CostFamily:
             raise ParseError(f"{where}: expected an object")
         kind = doc.get("kind")
         if kind not in COST_KINDS:
-            raise ParseError(f"{where}.kind: unknown cost kind {kind!r}")
+            raise ParseError(f"{where}.kind: unknown cost kind {shown(kind)}")
         if kind == "tabulated":
             raw = doc.get("table")
             if not isinstance(raw, list) or not raw:
@@ -203,13 +203,13 @@ class Packet:
 
     def __post_init__(self):
         if self.subpackets < 1:
-            raise ParseError(f"packet {self.id}: subpackets must be >= 1")
+            raise ParseError(f"packet {shown(self.id)}: subpackets must be >= 1")
         if self.arrival < 0:
-            raise ParseError(f"packet {self.id}: arrival must be >= 0")
+            raise ParseError(f"packet {shown(self.id)}: arrival must be >= 0")
         if self.weight <= 0:
-            raise ParseError(f"packet {self.id}: weight must be positive")
+            raise ParseError(f"packet {shown(self.id)}: weight must be positive")
         if self.deadline is not None and self.deadline < self.arrival:
-            raise ParseError(f"packet {self.id}: deadline precedes arrival")
+            raise ParseError(f"packet {shown(self.id)}: deadline precedes arrival")
 
     def utility(self, transmitted: int) -> Fraction:
         """Weighted utility of transmitting `transmitted` fragments (0 at 0)."""
@@ -241,7 +241,7 @@ class Instance:
         by_id: dict[str, Packet] = {}
         for p in self.packets:
             if p.id in by_id:
-                raise ParseError(f"duplicate packet id {p.id!r}")
+                raise ParseError(f"duplicate packet id {shown(p.id)}")
             by_id[p.id] = p
         object.__setattr__(self, "_by_id", by_id)
 
@@ -249,7 +249,7 @@ class Instance:
         try:
             return self._by_id[pid]
         except KeyError:
-            raise AllocationError(f"unknown packet {pid!r}") from None
+            raise AllocationError(f"unknown packet {shown(pid)}") from None
 
     @property
     def total_subpackets(self) -> int:

@@ -2,9 +2,12 @@
 general problem, one full-graph matching for the unit-packet case, and the
 ratio report comparing an online run against them.
 
-The search enumerates, per packet, every in-order schedule of its fragments
-(non-decreasing slots, any server, a discarded suffix) in ascending key
-order, packets by id, depth first, on the exact integer `valuation.tables`.
+The search tries, per packet, every in-order schedule of its fragments
+(cells `slot * servers + server` non-decreasing, then a discarded suffix),
+packets by id, depth first, on the exact integer `valuation.tables`. The
+packets of one (arrival, fragments) shape share its schedules, built once in
+ascending key order, where a discard ranks after every bin: each schedule
+comes after all of its extensions (post-order), which go by their next cell.
 
 A schedule that puts m fragments into a bin holding c already pays that
 bin's exact energy step E(c + m) - E(c), read off the prefix sums of the
@@ -53,11 +56,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
+from math import comb
 
 from .model import (
     DISCARD,
-    INFINITE_SLOT,
     Allocation,
     AqiError,
     Bin,
@@ -66,7 +70,7 @@ from .model import (
     rational_to_json,
 )
 from .matching import MatchingResult, expand_binary, max_weight_matching
-from .valuation import Tables, Valuation, evaluate, tables
+from .valuation import Valuation, evaluate, tables
 
 DEFAULT_BUDGET = 10_000_000
 # most occupancy-memo entries one search keeps; once full it stops inserting
@@ -84,96 +88,67 @@ class OracleResult:
     nodes: int
 
 
-def _packet_candidates(inst: Instance, tab: Tables, p, emin: int):
-    """All in-order schedules of one packet with their scaled values.
-
-    A schedule is a tuple of (slot, server) pairs, slots non-decreasing,
-    with discarded fragments as a trailing sentinel. Schedules whose value
-    cannot pay the minimum energy `emin` of their transmissions are dropped:
-    they are strictly dominated by discarding everything. A schedule's value
-    depends only on its length and last slot, so it is computed once per pair.
-    """
-    i = tab.index[p.id]
-    horizon = inst.horizon
-    out = []
-    values: dict[tuple[int, int], int | None] = {}  # None: dominated
-
-    def emit(entries):
-        key = (len(entries), entries[-1][0] if entries else p.arrival)
-        if key not in values:
-            value = tab.term(i, *key)
-            values[key] = None if value - emin * key[0] < 0 else value
-        if values[key] is not None:
-            out.append((tuple(entries), values[key]))
-
-    def extend(entries, min_slot, min_server):
-        emit(entries)  # discard the remaining suffix
-        if len(entries) == p.subpackets:
-            return
-        for slot in range(min_slot, horizon + 1):
-            first_server = min_server if slot == min_slot else 0
-            for server in range(first_server, inst.servers):
-                entries.append((slot, server))
-                extend(entries, slot, server)
-                entries.pop()
-
-    extend([], p.arrival, 0)
-    # ascending by padded key: generation order is depth-first with the
-    # discard suffix emitted before longer schedules, which is NOT ascending;
-    # sort explicitly with discards ranked last, at the discard bin's slot.
-    discard = (INFINITE_SLOT, 0)
-    out.sort(key=lambda c: c[0] + (discard,) * (p.subpackets - len(c[0])))
-    return out
-
-
 def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResult:
     """Exact maximum-value allocation by pruned exhaustive search.
 
-    Raises BudgetError once more than `budget` search nodes are expanded;
-    the result is never silently approximate.
+    Raises BudgetError, never approximating, once more than `budget` search
+    nodes are expanded, and before any schedule is built when the packets have
+    more than `budget` in-order schedules, so it caps the schedules built too.
     """
     tab = tables(inst)
     tab.require_convex_energy("the search bound")
     packets = sorted(inst.packets, key=lambda p: p.id)
-    emin = min(row[0] for row in tab.energy_inc)
-    candidates = [_packet_candidates(inst, tab, p, emin) for p in packets]
-    static = [
-        max(0, max((v - emin * len(e) for e, v in candidates[i]), default=0))
-        for i in range(len(packets))
-    ]
-    suffix_best = [0] * (len(packets) + 1)
-    for i in range(len(packets) - 1, -1, -1):
-        suffix_best[i] = suffix_best[i + 1] + static[i]
-
-    # occupancy per cell `slot * servers + server`. m more fragments in a bin
-    # of occupancy c cost E(c + m) - E(c) = `cost[server][m][c]`. `code` packs
-    # every count into `bits` bits per cell, lowest cell lowest, and a
-    # candidate adds its `step` to it.
     servers = inst.servers
+    ncells = servers * (inst.horizon + 1)
+    too_large = f"instance too large for exact oracle: more than {budget} nodes"
+    # k fragments over the n cells a packet reaches: comb(n + k, k) schedules
+    if sum(comb(max(ncells - p.arrival * servers, 0) + p.subpackets, p.subpackets)
+           for p in packets) > budget:
+        raise BudgetError(too_large)
+
+    # m more fragments in a bin of occupancy c cost E(c + m) - E(c) =
+    # `cost[server][m][c]`. `code` packs every cell's count into `bits` bits,
+    # lowest cell lowest, and a schedule adds its `step` to it.
+    emin = min(row[0] for row in tab.energy_inc)
     most = max((p.subpackets for p in packets), default=0)
     cost = []
     for row in tab.energy_inc:
         cum = list(accumulate(row, initial=0))
         cost.append([None] + [[b - a for a, b in zip(cum, cum[m:])] for m in range(1, most + 1)])
     bits = sum(p.subpackets for p in packets).bit_length()
-    counts = [0] * (servers * (inst.horizon + 1))
-    plan_of: dict[tuple, tuple[tuple, int]] = {(): ((), 0)}  # packets share schedules
+    counts = [0] * ncells
 
-    def plan(entries):
-        """(groups, step): one (cost row, cell, m) per bin the schedule uses,
-        built from the plan of its prefix (entries are sorted, so a bin's
-        fragments are adjacent)."""
-        if entries not in plan_of:
-            groups, step = plan(entries[:-1])
-            slot, server = entries[-1]
-            cell = slot * servers + server
-            m = groups[-1][2] + 1 if groups and groups[-1][1] == cell else 1
-            if m > 1:
-                groups = groups[:-1]
-            plan_of[entries] = groups + ((cost[server][m], cell, m),), step + (1 << bits * cell)
-        return plan_of[entries]
+    @cache  # every packet of one (arrival, k) shape shares its schedules
+    def shape(arrival: int, k: int) -> list:
+        """(groups, step, fragments sent, last slot) of every schedule of the
+        shape in key order, with one (cost row, cell, m) group per bin used."""
+        def extend(groups, step, sent, first):
+            for cell in range(first, ncells) if sent < k else ():
+                m = groups[-1][2] + 1 if groups and cell == first else 1
+                head = groups[:-1] if m > 1 else groups
+                yield from extend(head + ((cost[cell % servers][m], cell, m),),
+                                  step + (1 << bits * cell), sent + 1, cell)
+            yield groups, step, sent, groups[-1][1] // servers if groups else arrival
 
-    plans = [[(*plan(entries), value) for entries, value in cands] for cands in candidates]
+        return list(extend((), 0, 0, arrival * servers))
+
+    # per packet its schedules' values, less those that cannot pay `emin` per
+    # fragment sent: discarding everything strictly dominates them
+    plans, static = [], []
+    for p in packets:
+        i = tab.index[p.id]
+        plan_i, best = [], 0
+        for groups, step, sent, last in shape(p.arrival, p.subpackets):
+            value = tab.term(i, sent, last)
+            if value >= emin * sent:
+                plan_i.append((groups, step, value))
+                best = max(best, value - emin * sent)
+        plans.append(plan_i)
+        static.append(best)
+    suffix_best = [0] * (len(packets) + 1)
+    for i in range(len(packets) - 1, -1, -1):
+        suffix_best[i] = suffix_best[i + 1] + static[i]
+
     # the non-empty candidates by value, highest first, for the occupancy bound
     ranked = [sorted(((g, v) for g, _, v in plan_i if g), key=lambda c: -c[1]) for plan_i in plans]
     n = len(packets)
@@ -229,7 +204,7 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
         # every candidate of this packet is tried, so count them all up front
         nodes += len(plans[i])
         if nodes > budget:
-            raise BudgetError(f"instance too large for exact oracle: more than {budget} nodes")
+            raise BudgetError(too_large)
         for ci, (groups, step, value) in enumerate(plans[i]):
             if rest + value < floor:
                 continue
@@ -250,11 +225,10 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
 
     alloc = Allocation()
     for i, p in enumerate(packets):
-        entries, _ = candidates[i][best_choice[i]]
-        for j, (slot, server) in enumerate(entries, start=1):
-            alloc.add(SubpacketRef(p.id, j), Bin(slot=slot, server=server))
-        for j in range(len(entries) + 1, p.subpackets + 1):
-            alloc.add(SubpacketRef(p.id, j), DISCARD)
+        groups = plans[i][best_choice[i]][0]
+        bins = [Bin(slot=cell // servers, server=cell % servers) for _, cell, m in groups for _ in range(m)]
+        for j, b in enumerate(bins + [DISCARD] * (p.subpackets - len(bins)), start=1):
+            alloc.add(SubpacketRef(p.id, j), b)
     val = evaluate(inst, alloc)
     if val.total != Fraction(best_total, tab.scale):
         raise AqiError(

@@ -390,6 +390,44 @@ def test_cli_error_line_does_not_echo_a_long_argument_whole(argv, capsys):
     assert len(err) < 400 and "..." in err
 
 
+@pytest.mark.parametrize("case", ["cost kind", "packet id", "values key", "events key"])
+def test_cli_error_line_cuts_long_strings_from_the_input(case, tmp_path, capsys):
+    # each of these strings used to be echoed whole, 3,000 characters
+    long, linear = "x" * 3000, {"kind": "linear", "params": [1]}
+    packet = {"id": long, "arrival": 0, "subpackets": 1, "weight": 0,
+              "distortion": linear, "delay_cost": linear}
+    docs = {"cost kind": {"horizon": 2, "energy": [{"kind": long, "params": [1]}], "packets": []},
+            "packet id": {"horizon": 2, "energy": [linear], "packets": [packet]}}
+    if case in docs:
+        (tmp_path / "inst.json").write_text(json.dumps(docs[case]))
+        argv = ["opt", str(tmp_path / "inst.json")]
+    elif case == "values key":
+        argv = ["adapt-aoi", "--events", '{"s1": [1]}', "--values", json.dumps({long: "x"}),
+                "--horizon", "3"]
+    else:
+        argv = ["adapt-aoi", "--events", json.dumps({long: [1]}), "--values", "{}", "--horizon", "3"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) < 250 and "..." in err
+
+
+def test_greedy_run_reports_no_optimum_for_an_instance_past_the_budget():
+    # README's 300-packet instance has about 35M in-order schedules: the oracle
+    # must refuse it before building any, not grow until memory runs out
+    code = ("import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from aqisim.harness import generate, run_bundle\n"
+            "report, _ = run_bundle(generate(300, 3, 100, 0, servers=2), 'greedy', require_opt=False)\n"
+            "print(report['opt_value'])\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "None\n"
+
+
 def test_cli_reports_unreadable_and_unwritable_paths(tmp_path, capsys):
     assert main(["opt", str(tmp_path / "missing.json")]) == 2
     assert main(["gen", "--out", str(tmp_path / "no-such-dir" / "x.json")]) == 2

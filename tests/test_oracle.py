@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from pathlib import Path
@@ -234,13 +235,24 @@ def test_oracle_envelope_stays_small(size):
 
 
 def _first_maximizer_in_key_order(inst) -> Allocation:
-    """Naive reference for unit packets: every packet's bins in the search's
-    key order (slots ascending, discard last), the first best allocation."""
-    bins = [Bin(slot=t, server=0) for t in range(inst.horizon + 1)] + [DISCARD]
-    refs = [SubpacketRef(p.id, 1) for p in sorted(inst.packets, key=lambda p: p.id)]
+    """Naive reference: every packet's in-order schedules, enumerated as
+    multisets of its reachable bins and sorted by the search's key (bins by
+    slot then server, padded with discards, which rank last), packets by id;
+    the first best allocation in that order."""
+    cells = [Bin(slot=t, server=s) for t in range(inst.horizon + 1) for s in range(inst.servers)]
+
+    def key(schedule):
+        return [(math.inf, 0) if b.is_discard else (b.slot, b.server) for b in schedule]
+
+    options = []
+    for p in sorted(inst.packets, key=lambda p: p.id):
+        reach = [b for b in cells if b.slot >= p.arrival]
+        schedules = [s + (DISCARD,) * (p.subpackets - m)
+                     for m in range(p.subpackets + 1) for s in combinations_with_replacement(reach, m)]
+        options.append([(p.id, s) for s in sorted(schedules, key=key)])
     best, best_value = None, F(0)
-    for combo in product(bins, repeat=len(refs)):
-        alloc = Allocation(zip(refs, combo))
+    for combo in product(*options):
+        alloc = Allocation((SubpacketRef(pid, j), b) for pid, s in combo for j, b in enumerate(s, 1))
         value = evaluate(inst, alloc).total
         if best is None or value > best_value:
             best, best_value = alloc, value
@@ -265,6 +277,20 @@ def test_memo_reports_the_first_of_equal_maximizers(monkeypatch):
     unmemoized = offline_optimal(inst)
     assert unmemoized.allocation == res.allocation
     assert unmemoized.nodes > res.nodes
+
+
+def test_first_maximizer_in_key_order_on_three_servers_with_deadlines():
+    # multi-fragment packets on three servers; in the first instance identical
+    # servers and a flat lag tie each schedule with its server permutations
+    def packet(pid, arrival, k, deadline):
+        return Packet(id=pid, arrival=arrival, subpackets=k, weight=F(1), distortion=linear(6),
+                      delay_cost=linear(0), deadline=deadline)
+    tied = simple_instance([packet("p0", 0, 2, 1), packet("p1", 1, 2, None), packet("p2", 0, 1, 0)],
+                           horizon=1, energy=[tabulated([0, 1, 4, 9, 16, 25])] * 3, servers=3)
+    cases = [tied] + [generate(n, 2, 1, seed, mode=GENERATOR_MODES[seed % 3], servers=3, deadline_prob=0.5)
+                      for n, seed in [(2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 0), (3, 1)]]
+    for inst in cases:
+        assert offline_optimal(inst).allocation == _first_maximizer_in_key_order(inst)
 
 
 def test_a_full_memo_changes_no_allocation(monkeypatch):
