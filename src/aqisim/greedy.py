@@ -6,15 +6,24 @@ the discard bin. Ties break toward regular bins over discard, then earliest
 slot, then lowest server index; the discard bin guarantees every step's
 marginal is at least 0.
 
-A run lists its candidate bins once, in that order, and each step scores a
-slice of the list, from the first bin of the clock's slot, with
-`marginal_gains`: integers over the instance's table scale, so the choice is
-a first strict maximum of integers. The tables behind the scale are built
-once per instance from integer rows of the cost curves, with no `Fraction`
-on the way from curve to pick. A step keeps its integers and the index of
-its pick; its `gain` is the chosen one as a `Fraction`, and `alternatives`
-the full (bin, Fraction) list, both built only when read. A run sums the
-chosen integers and checks that sum once against `evaluate`.
+A run lists its candidate bins once, in that order, and keeps one integer
+price per regular bin, `energy_inc[server][occupancy]` from `tables(inst)`,
+laid out `slot * servers + server` as the list is. Packets arrive in
+(arrival, id) order; a packet's steps share one slice of the list, from its
+arrival slot on, and one copy of its lag row spread over those bins. A
+fragment's gains come from the packet's fragment count and last slot, kept
+in two local integers: every bin up to the last slot adds one fragment at
+the same completion slot, a later bin up to the deadline adds the utility
+step less its own lag, a bin past the deadline loses the packet's current
+term; each bin then pays its price, and the discard bin gains 0. The pick
+is the first strict maximum of those integers, and only the chosen bin's
+price changes after it. No step calls `valuation.marginal_gains`, which
+stays the reference that the lock-free replay, the telescoping and the
+tests price with; the `greedy-bridge` check compares the two. A step keeps
+its integers and the index of its pick; its `gain` is the chosen one as a
+`Fraction`, and `alternatives` the full (bin, Fraction) list, both built
+only when read. A run sums the chosen integers and checks that sum once
+against `evaluate`.
 
 The half-competitive bound holds, as checked, for the online matcher only;
 for greedy it fails under convex energy. With one slot, one server, energy
@@ -29,6 +38,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 from .model import (
     DISCARD,
@@ -36,16 +46,22 @@ from .model import (
     AllocationError,
     Bin,
     Instance,
+    Packet,
     SubpacketRef,
     rational_to_json,
 )
-from .valuation import Valuation, evaluate, marginal_gains, tables
+from .valuation import Valuation, evaluate, tables
+
+
+def packets_by_arrival(inst: Instance) -> list[Packet]:
+    """Packets in arrival order, ties by id."""
+    return sorted(inst.packets, key=lambda p: (p.arrival, p.id))
 
 
 def arrival_order(inst: Instance) -> list[SubpacketRef]:
     """Fragments in arrival order: packets by (arrival, id), fragments by index."""
     refs = []
-    for p in sorted(inst.packets, key=lambda p: (p.arrival, p.id)):
+    for p in packets_by_arrival(inst):
         refs.extend(SubpacketRef(p.id, j) for j in range(1, p.subpackets + 1))
     return refs
 
@@ -87,43 +103,24 @@ class GreedyStep:
 
 @dataclass
 class GreedyState:
-    """Running partial allocation plus the per-step decision log."""
+    """Running partial allocation, per-bin energy prices and the step log."""
 
     inst: Instance
     partial: Allocation = field(default_factory=Allocation)
-    clock: int = 0
     steps: list[GreedyStep] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     bins: list[Bin] = field(init=False)  # candidate_bins(inst, 0), listed once per run
+    prices: list[int] = field(init=False)  # energy_inc[server][occupancy] per regular bin
 
     def __post_init__(self):
         self.bins = candidate_bins(self.inst, 0)
+        energy_inc = tables(self.inst).energy_inc
+        self.prices = [energy_inc[b.server][0] for b in self.bins[:-1]]
 
 
 def first_max(gains: list) -> int:
     """Index of the first strict maximum: the tie-break order is the list's."""
     return gains.index(max(gains))
-
-
-def greedy_step(state: GreedyState, ref: SubpacketRef) -> GreedyStep:
-    """Allocate one fragment arriving at the state's clock; returns its logged
-    step, whose `chosen` bin and `gain` are the decision."""
-    inst = state.inst
-    bins = state.bins[min(state.clock, inst.horizon + 1) * inst.servers:]  # candidate_bins(inst, clock)
-    gains = marginal_gains(inst, state.partial, ref, bins)
-    k = first_max(gains)
-    chosen = bins[k]
-    # `chosen` is the first maximum, so every bin of an earlier slot scored
-    # strictly less: a choice at the horizon always beats the earlier slots
-    if not chosen.is_discard and chosen.slot == inst.horizon and state.clock < inst.horizon:
-        state.warnings.append(
-            f"{ref}: best bin sits exactly at the horizon; a longer horizon could change the choice"
-        )
-    state.partial.add(ref, chosen)
-    step = GreedyStep(step=len(state.steps), ref=ref, bins=bins, gains=gains,
-                      scale=tables(inst).scale, pick=k)
-    state.steps.append(step)
-    return step
 
 
 @dataclass
@@ -178,14 +175,55 @@ def run_online_greedy(inst: Instance) -> GreedyRun:
     (same value), while the step log keeps the raw per-fragment decisions.
     """
     state = GreedyState(inst=inst)
-    total = 0  # over the steps' common scale
-    for ref in arrival_order(inst):
-        state.clock = inst.packet(ref.packet).arrival
-        step = greedy_step(state, ref)
-        total += step.gains[step.pick]
-    alloc = canonicalize(inst, state.partial)
+    tab = tables(inst)
+    scale, energy_inc = tab.scale, tab.energy_inc
+    horizon, servers = inst.horizon, inst.servers
+    end = (horizon + 1) * servers  # the discard bin's position
+    partial, prices, steps = state.partial, state.prices, state.steps
+    total = 0  # over the tables' scale
+    for p in packets_by_arrival(inst):
+        i, arrival, deadline = tab.index[p.id], p.arrival, p.deadline
+        base = min(arrival, horizon + 1) * servers  # position of the first open bin
+        bins = state.bins[base:]  # candidate_bins(inst, arrival), shared by the packet's steps
+        utility, lag = tab.utility[i], tab.lag[i]
+        # the lag of each of `bins`' regular bins: lag[slot - arrival], once per server
+        bin_lag = lag if servers == 1 else list(chain.from_iterable(zip(*[lag] * servers)))
+        cutoff = horizon if deadline is None or deadline > horizon else deadline
+        count, last = 0, arrival  # as valuation._packet_state reads them
+        for j in range(1, p.subpackets + 1):
+            ref = SubpacketRef(p.id, j)
+            expired = deadline is not None and last > deadline
+            current = 0 if count == 0 or expired else utility[count] - lag[last - arrival]
+            early = (0 if expired else utility[count + 1] - lag[last - arrival]) - current
+            late = utility[count + 1] - current
+            mid = (last + 1) * servers  # first bin after the packet's last slot
+            past = max(mid, (cutoff + 1) * servers)  # first bin past the deadline
+            gains = [early - e for e in prices[base:mid]]
+            gains += [late - d - e
+                      for d, e in zip(bin_lag[mid - base:past - base], prices[mid:past])]
+            gains += [-current - e for e in prices[past:end]]
+            gains.append(0)  # the discard bin
+            k = first_max(gains)
+            chosen = bins[k]
+            partial.add(ref, chosen)
+            if not chosen.is_discard:
+                slot, server = chosen.slot, chosen.server
+                # `chosen` is the first maximum, so every bin of an earlier slot
+                # scored strictly less: a choice at the horizon always beats them
+                if slot == horizon and arrival < horizon:
+                    state.warnings.append(f"{ref}: best bin sits exactly at the horizon; "
+                                          "a longer horizon could change the choice")
+                row, occupancy = energy_inc[server], partial.occupancies[slot, server]
+                if occupancy < len(row):  # a full bin is never priced again
+                    prices[base + k] = row[occupancy]
+                count += 1
+                last = max(last, slot)
+            steps.append(GreedyStep(step=len(steps), ref=ref, bins=bins, gains=gains,
+                                    scale=scale, pick=k))
+            total += gains[k]
+    alloc = canonicalize(inst, partial)
     val = evaluate(inst, alloc)
-    raw_total = Fraction(total, state.steps[0].scale if state.steps else 1)
+    raw_total = Fraction(total, scale)
     if val.total != raw_total:
         raise AllocationError(
             f"greedy bookkeeping out of sync: steps sum to {raw_total}, allocation is worth {val.total}"

@@ -8,10 +8,13 @@ greedy under the gate, with ties resolved exactly like the locking allocator,
 reproduces its run step by step; the twin's offline maximum dominates the
 locking optimum. Both facts are checkable here.
 
-The replay and the telescoping sum the integer gains of
-`valuation.marginal_gains`, over `tables(inst).scale`, and turn only the
-totals and each logged step's gain into a `Fraction`. The replay's fault
-hook `perturb(b, gain) -> gain` works in the same integer units.
+The replay and the telescoping price with `valuation.marginal_gains`, the
+reference marginal, and sum its integers over `tables(inst).scale`; only the
+totals become a `Fraction` when computed, and each logged step's gain when
+read. Online greedy prices from running per-bin energy instead, so the
+replay is an independent implementation and the `greedy-bridge` check
+compares two of them. The replay's fault hook `perturb(b, gain) -> gain`
+works in the same integer units.
 """
 
 from __future__ import annotations
@@ -62,7 +65,13 @@ class FrozenStep:
     step: int
     ref: SubpacketRef
     chosen: Bin
-    gain: Fraction
+    scaled_gain: int  # the chosen bin's marginal, over `scale`
+    scale: int
+
+    @property
+    def gain(self) -> Fraction:
+        """The chosen bin's exact marginal."""
+        return Fraction(self.scaled_gain, self.scale)
 
 
 @dataclass
@@ -101,7 +110,7 @@ def run_lockfree_greedy(inst: Instance, perturb=None) -> FrozenRun:
         chosen = ordered[k]
         alloc.add(ref, chosen)
         total += gains[k]
-        steps.append(FrozenStep(step=i, ref=ref, chosen=chosen, gain=Fraction(gains[k], scale)))
+        steps.append(FrozenStep(step=i, ref=ref, chosen=chosen, scaled_gain=gains[k], scale=scale))
     return FrozenRun(allocation=alloc, value=Fraction(total, scale), steps=steps)
 
 

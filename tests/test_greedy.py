@@ -5,6 +5,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+from aqisim import greedy, reduction, valuation
 from aqisim.greedy import arrival_order, candidate_bins, run_online_greedy
 from aqisim.harness import generate
 from aqisim.model import (
@@ -18,7 +19,7 @@ from aqisim.model import (
     tabulated,
 )
 from aqisim.reduction import run_lockfree_greedy
-from aqisim.valuation import evaluate, marginal_value, tables
+from aqisim.valuation import evaluate, marginal_gains, marginal_value, tables
 from conftest import allocation_in_index_order, simple_instance, unit_packet
 
 F = Fraction
@@ -241,3 +242,45 @@ def test_alternatives_are_the_integer_gains_over_the_scale():
         assert step.alternatives == [(b, F(g, scale)) for b, g in zip(step.bins, step.gains)]
         assert step.bins == candidate_bins(inst, inst.packet(step.ref.packet).arrival)
         assert (step.chosen, step.gain) in step.alternatives
+
+
+def _reference_cases():
+    """The recorded cases, where fixtures/minimal.json's one fragment fills
+    its bin to the top of the energy row, plus one more multi-server
+    deadline instance."""
+    yield from _recorded_cases()
+    yield "deadlines/21", generate(30, 3, 12, 21, mode="random", servers=2, deadline_prob=0.5)
+
+
+def test_step_gains_are_the_reference_marginals():
+    # greedy prices from running per-bin energy; every step must equal
+    # marginal_gains on the allocation the earlier steps built
+    for name, inst in _reference_cases():
+        run = run_online_greedy(inst)
+        partial = Allocation()
+        for step in run.state.steps:
+            reference = marginal_gains(inst, partial, step.ref, step.bins)
+            assert step.gains == reference, (name, step.step)
+            partial.add(step.ref, step.chosen)
+
+
+def test_greedy_and_the_replay_price_independently(monkeypatch):
+    # greedy-bridge compares greedy with the replay; it is a check only while
+    # greedy makes no marginal_gains call and the replay makes one per fragment
+    calls = 0
+    reference = valuation.marginal_gains
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return reference(*args)
+
+    for module in (valuation, greedy, reduction):
+        if hasattr(module, "marginal_gains"):
+            monkeypatch.setattr(module, "marginal_gains", counted)
+    for name, inst in _reference_cases():
+        calls = 0
+        run_online_greedy(inst)
+        assert calls == 0, name
+        run_lockfree_greedy(inst)
+        assert calls == len(arrival_order(inst)), name
