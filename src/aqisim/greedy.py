@@ -6,24 +6,29 @@ the discard bin. Ties break toward regular bins over discard, then earliest
 slot, then lowest server index; the discard bin guarantees every step's
 marginal is at least 0.
 
-A run lists its candidate bins once, in that order, and keeps one integer
-price per regular bin, `energy_inc[server][occupancy]` from `tables(inst)`,
-laid out `slot * servers + server` as the list is. Packets arrive in
-(arrival, id) order; a packet's steps share one slice of the list, from its
-arrival slot on, and one copy of its lag row spread over those bins. A
-fragment's gains come from the packet's fragment count and last slot, kept
-in two local integers: every bin up to the last slot adds one fragment at
-the same completion slot, a later bin up to the deadline adds the utility
-step less its own lag, a bin past the deadline loses the packet's current
-term; each bin then pays its price, and the discard bin gains 0. The pick
-is the first strict maximum of those integers, and only the chosen bin's
-price changes after it. No step calls `valuation.marginal_gains`, which
-stays the reference that the lock-free replay, the telescoping and the
-tests price with; the `greedy-bridge` check compares the two. A step keeps
-its integers and the index of its pick; its `gain` is the chosen one as a
-`Fraction`, and `alternatives` the full (bin, Fraction) list, both built
-only when read. A run sums the chosen integers and checks that sum once
-against `evaluate`.
+A run lists its candidate bins once, in that order, and keeps two integer
+lists of its own laid out `slot * servers + server` as the list is: each
+regular bin's occupancy and its price, `energy_inc[server][occupancy]` from
+`tables(inst)`. Packets arrive in (arrival, id) order; a packet's steps
+share one slice of the list, from its arrival slot on, and one copy of its
+lag row spread over those bins. A fragment's gains come from the packet's
+fragment count and last slot, kept in two local integers: every bin up to
+the last slot adds one fragment at the same completion slot, a later bin up
+to the deadline adds the utility step less its own lag, a bin past the
+deadline loses the packet's current term; each bin then pays its price, and
+the discard bin gains 0. The pick is the first strict maximum of those
+integers, and only the chosen bin's occupancy and price change after it.
+When a packet's last fragment is placed, the run writes the packet's
+entries into its one allocation: the chosen bins in (slot, server) order
+take indices 1, 2, ... and the discards the rest.
+
+No step calls `valuation.marginal_gains`, which stays the reference that
+the lock-free replay, the telescoping and the tests price with; the
+`greedy-bridge` check compares the two. Both runs record a `GreedyStep`: its
+bins, their integers and the index of its pick; its `gain` is the chosen one
+as a `Fraction`, and `alternatives` the full (bin, Fraction) list, both
+built only when read. A run sums the chosen integers and checks that sum
+once against `evaluate`.
 
 The half-competitive bound holds, as checked, for the online matcher only;
 for greedy it fails under convex energy. With one slot, one server, energy
@@ -79,6 +84,8 @@ def candidate_bins(inst: Instance, clock: int) -> list[Bin]:
 
 @dataclass
 class GreedyStep:
+    """One pick, as online greedy and the lock-free replay both record it."""
+
     step: int
     ref: SubpacketRef
     bins: list[Bin]  # the candidate bins, in tie-break order
@@ -103,19 +110,11 @@ class GreedyStep:
 
 @dataclass
 class GreedyState:
-    """Running partial allocation, per-bin energy prices and the step log."""
+    """The candidate bins and what the run recorded at each step."""
 
-    inst: Instance
-    partial: Allocation = field(default_factory=Allocation)
+    bins: list[Bin]  # candidate_bins(inst, 0), listed once per run
     steps: list[GreedyStep] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
-    bins: list[Bin] = field(init=False)  # candidate_bins(inst, 0), listed once per run
-    prices: list[int] = field(init=False)  # energy_inc[server][occupancy] per regular bin
-
-    def __post_init__(self):
-        self.bins = candidate_bins(self.inst, 0)
-        energy_inc = tables(self.inst).energy_inc
-        self.prices = [energy_inc[b.server][0] for b in self.bins[:-1]]
 
 
 def first_max(gains: list) -> int:
@@ -151,35 +150,26 @@ class GreedyRun:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def canonicalize(inst: Instance, alloc: Allocation) -> Allocation:
-    """Relabel each packet's fragments so lower indices take earlier slots;
-    the value is label-invariant, the canonical form satisfies index order."""
-    out = Allocation()
-    for p in inst.packets:
-        entries = alloc.packet_entries(p.id)
-        slots = sorted(
-            (b for _, b in entries if not b.is_discard), key=lambda b: (b.slot, b.server)
-        )
-        for j, b in enumerate(slots, start=1):
-            out.add(SubpacketRef(p.id, j), b)
-        for j in range(len(slots) + 1, len(entries) + 1):
-            out.add(SubpacketRef(p.id, j), DISCARD)
-    return out
-
-
 def run_online_greedy(inst: Instance) -> GreedyRun:
     """Run the greedy allocator over the whole instance.
 
-    Fragments of one packet arrive together, processed in index order; the
-    returned allocation is the canonical relabeling of the greedy choices
-    (same value), while the step log keeps the raw per-fragment decisions.
+    Fragments of one packet arrive together, processed in index order. The
+    step log keeps each fragment's own pick. The allocation is written once
+    per packet, when its last fragment is placed, in canonical order: the
+    chosen regular bins by (slot, server) take indices 1, 2, ... and the
+    discarded fragments the rest. Relabeling keeps the value, and lower
+    indices take earlier slots.
     """
-    state = GreedyState(inst=inst)
     tab = tables(inst)
     scale, energy_inc = tab.scale, tab.energy_inc
     horizon, servers = inst.horizon, inst.servers
+    state = GreedyState(bins=candidate_bins(inst, 0))
     end = (horizon + 1) * servers  # the discard bin's position
-    partial, prices, steps = state.partial, state.prices, state.steps
+    # per regular bin, laid out like state.bins: fragments placed, and the
+    # energy step of one more, energy_inc[server][occupancy]
+    occupancy = [0] * end
+    prices = [energy_inc[b.server][0] for b in state.bins[:-1]]
+    alloc, steps = Allocation(), state.steps
     total = 0  # over the tables' scale
     for p in packets_by_arrival(inst):
         i, arrival, deadline = tab.index[p.id], p.arrival, p.deadline
@@ -190,6 +180,7 @@ def run_online_greedy(inst: Instance) -> GreedyRun:
         bin_lag = lag if servers == 1 else list(chain.from_iterable(zip(*[lag] * servers)))
         cutoff = horizon if deadline is None or deadline > horizon else deadline
         count, last = 0, arrival  # as valuation._packet_state reads them
+        placed = []  # positions in state.bins of the packet's regular picks
         for j in range(1, p.subpackets + 1):
             ref = SubpacketRef(p.id, j)
             expired = deadline is not None and last > deadline
@@ -205,23 +196,28 @@ def run_online_greedy(inst: Instance) -> GreedyRun:
             gains.append(0)  # the discard bin
             k = first_max(gains)
             chosen = bins[k]
-            partial.add(ref, chosen)
             if not chosen.is_discard:
-                slot, server = chosen.slot, chosen.server
+                slot, server, at = chosen.slot, chosen.server, base + k
                 # `chosen` is the first maximum, so every bin of an earlier slot
                 # scored strictly less: a choice at the horizon always beats them
                 if slot == horizon and arrival < horizon:
                     state.warnings.append(f"{ref}: best bin sits exactly at the horizon; "
                                           "a longer horizon could change the choice")
-                row, occupancy = energy_inc[server], partial.occupancies[slot, server]
-                if occupancy < len(row):  # a full bin is never priced again
-                    prices[base + k] = row[occupancy]
+                occupancy[at] += 1
+                row = energy_inc[server]
+                if occupancy[at] < len(row):  # a full bin is never priced again
+                    prices[at] = row[occupancy[at]]
+                placed.append(at)
                 count += 1
                 last = max(last, slot)
             steps.append(GreedyStep(step=len(steps), ref=ref, bins=bins, gains=gains,
                                     scale=scale, pick=k))
             total += gains[k]
-    alloc = canonicalize(inst, partial)
+        placed.sort()  # ascending position is (slot, server) order
+        for j, at in enumerate(placed, start=1):
+            alloc.add(SubpacketRef(p.id, j), state.bins[at])
+        for j in range(len(placed) + 1, p.subpackets + 1):
+            alloc.add(SubpacketRef(p.id, j), DISCARD)
     val = evaluate(inst, alloc)
     raw_total = Fraction(total, scale)
     if val.total != raw_total:

@@ -26,12 +26,10 @@ from .model import (
     Allocation,
     AllocationError,
     AqiError,
-    Bin,
     Instance,
-    SubpacketRef,
     rational_to_json,
 )
-from .greedy import arrival_order, candidate_bins, first_max, run_online_greedy
+from .greedy import GreedyStep, arrival_order, candidate_bins, first_max, run_online_greedy
 from .oracle import OracleResult
 from .valuation import marginal_gains, tables
 
@@ -61,24 +59,9 @@ def telescoped_value(inst: Instance, alloc: Allocation) -> Fraction:
 
 
 @dataclass
-class FrozenStep:
-    step: int
-    ref: SubpacketRef
-    chosen: Bin
-    scaled_gain: int  # the chosen bin's marginal, over `scale`
-    scale: int
-
-    @property
-    def gain(self) -> Fraction:
-        """The chosen bin's exact marginal."""
-        return Fraction(self.scaled_gain, self.scale)
-
-
-@dataclass
 class FrozenRun:
-    allocation: Allocation
     value: Fraction
-    steps: list[FrozenStep] = field(default_factory=list)
+    steps: list[GreedyStep] = field(default_factory=list)
 
 
 def run_lockfree_greedy(inst: Instance, perturb=None) -> FrozenRun:
@@ -90,12 +73,14 @@ def run_lockfree_greedy(inst: Instance, perturb=None) -> FrozenRun:
     lowest server win, matching the locking allocator's order. Gains are
     integers over `tables(inst).scale`; `perturb(b, gain)`, given one, rewrites
     each candidate's gain in those units before the pick (fault injection for
-    harness self-tests).
+    harness self-tests). Each step is a `GreedyStep` over the bins in that
+    order: reachable ones, the discard bin, then gated ones. The replay keeps
+    its own allocation only to price the next fragment.
     """
     bins = candidate_bins(inst, 0)
     scale = tables(inst).scale
     alloc = Allocation()
-    steps: list[FrozenStep] = []
+    steps: list[GreedyStep] = []
     total = 0  # over the tables' scale
     for i, ref in enumerate(arrival_order(inst)):
         # bins are in slot order with discard last: the fragment reaches the
@@ -107,11 +92,10 @@ def run_lockfree_greedy(inst: Instance, perturb=None) -> FrozenRun:
         if perturb is not None:
             gains = [perturb(b, g) for b, g in zip(ordered, gains)]
         k = first_max(gains)
-        chosen = ordered[k]
-        alloc.add(ref, chosen)
+        alloc.add(ref, ordered[k])
         total += gains[k]
-        steps.append(FrozenStep(step=i, ref=ref, chosen=chosen, scaled_gain=gains[k], scale=scale))
-    return FrozenRun(allocation=alloc, value=Fraction(total, scale), steps=steps)
+        steps.append(GreedyStep(step=i, ref=ref, bins=ordered, gains=gains, scale=scale, pick=k))
+    return FrozenRun(value=Fraction(total, scale), steps=steps)
 
 
 def frozen_optimal(inst: Instance, opt: OracleResult) -> Fraction:

@@ -9,10 +9,12 @@ from aqisim import greedy, reduction, valuation
 from aqisim.greedy import arrival_order, candidate_bins, run_online_greedy
 from aqisim.harness import generate
 from aqisim.model import (
+    DISCARD,
     Allocation,
     Bin,
     CostFamily,
     Packet,
+    SubpacketRef,
     linear,
     load_instance,
     rational_to_json,
@@ -284,3 +286,48 @@ def test_greedy_and_the_replay_price_independently(monkeypatch):
         assert calls == 0, name
         run_lockfree_greedy(inst)
         assert calls == len(arrival_order(inst)), name
+
+
+def _canonical_relabeling(steps) -> Allocation:
+    """The step log's picks, relabeled per packet: the chosen regular bins by
+    (slot, server) take indices 1, 2, ... and the discarded fragments the rest."""
+    picks: dict[str, list[Bin]] = {}
+    for step in steps:
+        picks.setdefault(step.ref.packet, []).append(step.chosen)
+    out = Allocation()
+    for pid, bins in picks.items():
+        regular = sorted((b for b in bins if not b.is_discard), key=lambda b: (b.slot, b.server))
+        for j, b in enumerate(regular + [DISCARD] * (len(bins) - len(regular)), start=1):
+            out.add(SubpacketRef(pid, j), b)
+    return out
+
+
+def test_allocation_is_written_once_in_canonical_labels(monkeypatch):
+    # one Allocation.add per fragment; a second, relabeled copy of the
+    # allocation doubled that
+    adds = 0
+    add = Allocation.add
+
+    def counted(self, ref, b):
+        nonlocal adds
+        adds += 1
+        add(self, ref, b)
+
+    for name, inst in _reference_cases():
+        adds = 0
+        with monkeypatch.context() as patch:
+            patch.setattr(Allocation, "add", counted)
+            run = run_online_greedy(inst)
+        assert adds == inst.total_subpackets, name
+        assert run.allocation == _canonical_relabeling(run.state.steps), name
+
+
+def test_greedy_and_the_replay_agree_step_by_step():
+    # the two pricings must pick the same bin at the same integer gain at
+    # every step, not only reach the same total
+    for name, inst in _reference_cases():
+        run, replay = run_online_greedy(inst), run_lockfree_greedy(inst)
+        assert len(run.state.steps) == len(replay.steps) == inst.total_subpackets, name
+        for mine, theirs in zip(run.state.steps, replay.steps):
+            assert (mine.ref, mine.chosen, mine.gains[mine.pick]) == \
+                (theirs.ref, theirs.chosen, theirs.gains[theirs.pick]), (name, mine.step)
