@@ -22,6 +22,13 @@ bins. An arrival costs one augmenting phase; when a bin locks, its tentative
 edge (if any) becomes permanent and both endpoints retire, which keeps the
 rest optimal at no cost. The marginals of all matched bins come from one
 reverse shortest-path pass over the duals (`_Hungarian.drop_losses`).
+
+Each event costs what it changes, not the whole graph. A phase takes its
+slacks from a heap and keeps its dual steps in one running offset, so a
+step touches no entry. Loss seeding reads each left's heaviest edge to a
+free bin off a heap of its edges, which each edge leaves at most once per
+run. An event stores its losses sparse, as integers over the scale, and
+renders the full `Fraction` view of every bin only when it is read.
 """
 
 from __future__ import annotations
@@ -141,6 +148,13 @@ class _Hungarian:
     one augmenting phase from it restores optimality. What that phase would
     cost for every matched right at once is `drop_losses`.
 
+    `phase` grows its tree from a heap of `(slack + offset, right)`: a dual
+    step adds to the running offset, and each tree node takes its dual
+    change once, when the phase ends. `drop_losses` seeds its search from
+    per-left max-heaps of real edges that only ever lose entries, since a
+    real right never goes from matched back to free; so every edge is
+    popped at most once per run.
+
     The secondary of edge (l, r) is `(C - r) << (B * (L - 1 - l))` with
     `L = |L|`, `C = |R|` and `B = C.bit_length()`; sink edges have 0. Every
     left owns a disjoint B-bit field, and a matching puts at most one value
@@ -167,9 +181,10 @@ class _Hungarian:
             edges = {ri: (w, (nr - ri) << shift) for ri, w in row.items()}
             edges[nr + li] = (0, 0)
             self.adj.append(edges)
-        # read-only: per-right [(left rank, primary weight)], built by the
-        # first `drop_losses`, so the offline solve never pays for it
+        # built by the first `drop_losses`: per-right [(left rank, primary
+        # weight)], read-only, and per-left max-heaps [(-primary, real right)]
         self.radj: list[list[tuple[int, int]]] | None = None
+        self.tops: list[list[tuple[int, int]]] | None = None
         self.lu: list = [None] * nl
         self.lv = [(0, 0)] * (nr + nl)
         self.match_l: list[int | None] = [None] * nl
@@ -196,6 +211,21 @@ class _Hungarian:
         """Remove the free left `li` (the mate `drop_right` returned) and its sink."""
         self.live[self.nr + li] = False
 
+    def _index_edges(self) -> None:
+        """Build `radj` and `tops`, on the first `drop_losses`, so the offline
+        solve never pays for them."""
+        self.radj = [[] for _ in self.lv]
+        self.tops = []
+        nr = self.nr
+        for li, row in enumerate(self.adj):
+            top = []
+            for ri, w in row.items():
+                self.radj[ri].append((li, w[0]))
+                if ri < nr:
+                    top.append((-w[0], ri))
+            heapq.heapify(top)
+            self.tops.append(top)
+
     def drop_losses(self) -> dict[int, int]:
         """{real right: primary weight lost by dropping it} for every matched
         real right, from one pass and without changing the state.
@@ -218,27 +248,43 @@ class _Hungarian:
         Dijkstra run backwards from the free live rights, over the in-edge
         lists `radj`, gives `d` for every active left at once: a right's
         distance is 0 if free and its mate's otherwise.
+
+        A left's seed is `u[l]` less its heaviest edge to a free live right.
+        A real right never goes from matched back to free (a phase only adds
+        rights to the matching, and a drop kills one), so the free live real
+        rights only shrink: `tops[l]`, a max-heap of `l`'s real edges, drops a
+        top once it is dead or matched, and every edge leaves its heap at
+        most once per run. A sink can go from matched to free, so it is read
+        directly: it seeds `u[l]` when free, which never beats a free real
+        right's `u[l] - w`.
         """
         if self.radj is None:
-            self.radj = [[] for _ in self.lv]
-            for li, row in enumerate(self.adj):
-                for ri, w in row.items():
-                    self.radj[ri].append((li, w[0]))
-        lv, radj, live, match_l, match_r = self.lv, self.radj, self.live, self.match_l, self.match_r
+            self._index_edges()
+        lv, radj, tops = self.lv, self.radj, self.tops
+        live, match_l, match_r = self.live, self.match_l, self.match_r
         nr, inf = self.nr, math.inf
+        heappop = heapq.heappop
         # primary duals of the active lefts (added, sink still live), else None
         u = [None if d is None or not live[nr + li] else d[0] for li, d in enumerate(self.lu)]
-        best: dict[int, int] = {}  # least distance offered so far, per active left
-        for ri, mate in enumerate(match_r):
-            if mate is None and live[ri]:  # free: distance 0 and dual 0
-                for li, w in radj[ri]:
-                    if u[li] is not None and u[li] - w < best.get(li, inf):
-                        best[li] = u[li] - w
-        heap = [(d, li) for li, d in best.items()]
+        heap = []  # (seed, left): the least distance via a free live right
+        for li, ul in enumerate(u):
+            if ul is None:
+                continue
+            top = tops[li]
+            while top:
+                w, ri = top[0]  # w is the weight negated
+                if match_r[ri] is None and live[ri]:
+                    heap.append((ul + w, li))
+                    break
+                heappop(top)
+            else:
+                if match_l[li] != nr + li:  # its sink is free
+                    heap.append((ul, li))
+        best = {li: d for d, li in heap}  # least distance offered so far
         heapq.heapify(heap)
         dist: dict[int, int] = {}
         while heap:
-            d, li = heapq.heappop(heap)
+            d, li = heappop(heap)
             if li in dist:
                 continue
             dist[li] = d
@@ -248,43 +294,48 @@ class _Hungarian:
                 if u[l2] is not None and d + u[l2] - w < best.get(l2, inf):
                     best[l2] = d + u[l2] - w
                     heapq.heappush(heap, (best[l2], l2))
-        return {ri: lv[ri][0] + dist[li] for ri, li in enumerate(match_r[:nr]) if li is not None}
+        # a left matched to a real right has a free sink, so it was seeded
+        return {ri: lv[ri][0] + dist[li] for li, ri in enumerate(match_l) if ri is not None and ri < nr}
 
     def phase(self, root: int) -> None:
-        """Augment along a shortest path from the free left `root`."""
+        """Augment along a shortest path from the free left `root`.
+
+        The tree's lefts S and rights T take their dual changes once, when
+        the phase ends. A running `offset` sums the dual steps so far; every
+        tree node keeps the offset it joined at, and a step by slack `s` only
+        adds `s` to `offset`. The heap holds `(slack + offset, right)`,
+        whose order a step leaves alone, with one entry per strict
+        improvement of a right's least slack; an entry whose right is
+        already in T is stale and skipped. So the next right is the least
+        slack, ties to the lowest right rank, and a right's tree parent is
+        the first left that offered that slack.
+        """
         lu, lv, adj, live = self.lu, self.lv, self.adj, self.live
         match_l, match_r = self.match_l, self.match_r
-        zero = (0, 0)
-        in_s = {root}
-        in_t: set[int] = set()
+        heappop, heappush = heapq.heappop, heapq.heappush
+        offset = (0, 0)
+        in_s = {root: offset}  # tree left -> offset when it joined
+        in_t: dict[int, tuple[int, int]] = {}  # tree right -> offset when it joined
         tree_parent: dict[int, int] = {}
-        min_slack: dict[int, tuple[tuple[int, int], int]] = {}
-        for ri, w in adj[root].items():
+        least: dict[int, tuple[int, int]] = {}  # right -> least slack + offset so far
+        heap = []
+        u0, u1 = lu[root]
+        for ri, (w0, w1) in adj[root].items():
             if live[ri]:
-                sl = (lu[root][0] + lv[ri][0] - w[0], lu[root][1] + lv[ri][1] - w[1])
-                min_slack[ri] = (sl, root)
+                v0, v1 = lv[ri]
+                key = least[ri] = (u0 + v0 - w0, u1 + v1 - w1)
+                heap.append((key, ri, root))
+        heapq.heapify(heap)
         while True:
-            best_ri = -1
-            best = None
-            for ri, (sl, _) in min_slack.items():
-                if ri in in_t:
-                    continue
-                if best is None or sl < best or (sl == best and ri < best_ri):
-                    best = sl
-                    best_ri = ri
-            if best is None:
+            if not heap:
                 raise MatchingError("no augmenting path; dummy sinks missing")
-            if best > zero:
-                for li in in_s:
-                    lu[li] = (lu[li][0] - best[0], lu[li][1] - best[1])
-                for ri in in_t:
-                    lv[ri] = (lv[ri][0] + best[0], lv[ri][1] + best[1])
-                for ri in list(min_slack):
-                    if ri not in in_t:
-                        sl, src = min_slack[ri]
-                        min_slack[ri] = ((sl[0] - best[0], sl[1] - best[1]), src)
-            in_t.add(best_ri)
-            tree_parent[best_ri] = min_slack[best_ri][1]
+            key, best_ri, src = heappop(heap)
+            if best_ri in in_t:
+                continue
+            if key > offset:  # a dual step by the positive slack
+                offset = key
+            in_t[best_ri] = offset
+            tree_parent[best_ri] = src
             occupant = match_r[best_ri]
             if occupant is None:
                 ri = best_ri
@@ -298,22 +349,57 @@ class _Hungarian:
                         break
                     ri = prev
                 break
-            in_s.add(occupant)
-            for ri, w in adj[occupant].items():
+            in_s[occupant] = offset
+            u0, u1 = lu[occupant]
+            u0 += offset[0]
+            u1 += offset[1]
+            for ri, (w0, w1) in adj[occupant].items():
                 if ri in in_t or not live[ri]:
                     continue
-                sl = (lu[occupant][0] + lv[ri][0] - w[0], lu[occupant][1] + lv[ri][1] - w[1])
-                if ri not in min_slack or sl < min_slack[ri][0]:
-                    min_slack[ri] = (sl, occupant)
+                v0, v1 = lv[ri]
+                key = (u0 + v0 - w0, u1 + v1 - w1)
+                if ri not in least or key < least[ri]:
+                    least[ri] = key
+                    heappush(heap, (key, ri, occupant))
+        off0, off1 = offset
+        for li, (j0, j1) in in_s.items():
+            u0, u1 = lu[li]
+            lu[li] = (u0 - off0 + j0, u1 - off1 + j1)
+        for ri, (j0, j1) in in_t.items():
+            v0, v1 = lv[ri]
+            lv[ri] = (v0 + off0 - j0, v1 + off1 - j1)
 
 
 # ---------------------------------------------------------------------------
 # Online algorithm with vertex locking
 # ---------------------------------------------------------------------------
 
+class LockLog:
+    """The bins an online run has locked to a mate, in lock order; shared by
+    the run and its events, which read their marginals from it."""
+
+    def __init__(self, right_order: list[str], scale: int):
+        self.right_order, self.scale = right_order, scale
+        self.locked: dict[int, tuple[int, int]] = {}  # right rank -> (lock index, weight)
+
+    def add(self, ri: int, weight: int) -> None:
+        self.locked[ri] = (len(self.locked), weight)
+
+    def marginal(self, ri: int, locks: int, losses: dict[int, int]) -> int:
+        """Right `ri`'s marginal over the scale at an event that followed the
+        first `locks` locks and recorded `losses`."""
+        lock = self.locked.get(ri)
+        return lock[1] if lock is not None and lock[0] < locks else losses.get(ri, 0)
+
+
 @dataclass
 class MatchEvent:
-    """One processed event: a single arrival or a batch of simultaneous locks."""
+    """One processed event: a single arrival or a batch of simultaneous locks.
+
+    Marginals are kept sparse, in integers over the graph's scale: `losses`
+    holds the drop loss of each matched unlocked bin, and `locks` counts the
+    entries of `log` made so far. Every other bin's marginal is 0.
+    `marginals` renders the full `Fraction` view afresh on each read."""
 
     clock: Fraction
     kind: str  # "arrival" | "lock"
@@ -321,8 +407,22 @@ class MatchEvent:
     temp_weight: Fraction
     perm_weight: Fraction
     total_weight: Fraction
-    marginals: dict[str, Fraction]
+    losses: dict[int, int]  # right rank -> drop loss over the scale
+    locks: int
+    log: LockLog = field(repr=False, compare=False)
     arrival_gain: Fraction | None = None
+
+    @property
+    def marginals(self) -> dict[str, Fraction]:
+        """{bin: marginal value}, over every bin of the graph."""
+        log, right_order = self.log, self.log.right_order
+        view = dict.fromkeys(right_order, ZERO)
+        for ri, x in self.losses.items():
+            view[right_order[ri]] = Fraction(x, log.scale)
+        for ri, (k, w) in log.locked.items():
+            if k < self.locks:
+                view[right_order[ri]] = Fraction(w, log.scale)
+        return view
 
 
 @dataclass
@@ -330,6 +430,7 @@ class MatchRun:
     graph: BipartiteGraph
     perm: dict[str, tuple[str, Fraction]]  # right -> (left, weight)
     weight: Fraction
+    log: LockLog = field(repr=False, compare=False)
     events: list[MatchEvent] = field(default_factory=list)
 
     def trace_jsonl(self) -> str:
@@ -363,14 +464,10 @@ def run_online_matching(graph: BipartiteGraph) -> MatchRun:
     arrivals = sorted((t, graph._left_rank[a], a) for a, t in graph.arrivals.items())
     locks = sorted((t, graph._right_rank[b], b) for b, t in graph.locks.items())
     live = _Hungarian(graph)
+    log = LockLog(graph.right_order, live.scale)
     perm: dict[str, tuple[str, Fraction]] = {}
     perm_weight = ZERO
     events: list[MatchEvent] = []
-
-    def marginals() -> dict[str, Fraction]:
-        losses = live.drop_losses()
-        return {b: perm[b][1] if b in perm else Fraction(losses[ri], live.scale) if ri in losses else ZERO
-                for ri, b in enumerate(graph.right_order)}
 
     def record(clock, kind, subject, arrival_gain=None) -> None:
         temp_weight = Fraction(live.total, live.scale)
@@ -378,7 +475,8 @@ def run_online_matching(graph: BipartiteGraph) -> MatchRun:
             clock=clock, kind=kind, subject=subject,
             temp_weight=temp_weight, perm_weight=perm_weight,
             total_weight=temp_weight + perm_weight,
-            marginals=marginals(), arrival_gain=arrival_gain,
+            losses=live.drop_losses(), locks=len(log.locked), log=log,
+            arrival_gain=arrival_gain,
         ))
 
     ai = 0
@@ -402,30 +500,43 @@ def run_online_matching(graph: BipartiteGraph) -> MatchRun:
                 batch.append(b)
                 mate = live.drop_right(ri)
                 if mate is not None:
-                    w = Fraction(live.adj[mate][ri][0], live.scale)
-                    perm[b] = (graph.left_order[mate], w)
-                    perm_weight += w
+                    w = live.adj[mate][ri][0]
+                    log.add(ri, w)
+                    perm[b] = (graph.left_order[mate], Fraction(w, live.scale))
+                    perm_weight += perm[b][1]
                     live.drop_left(mate)
             record(clock, "lock", batch)
-    return MatchRun(graph=graph, perm=perm, weight=perm_weight, events=events)
+    return MatchRun(graph=graph, perm=perm, weight=perm_weight, log=log, events=events)
 
 
 def bin_marginal_series(run: MatchRun, right_id: str) -> list[Fraction]:
     """Per-event marginal values of one bin across the run's whole lifetime."""
     if right_id not in run.graph._right_rank:
         raise MatchingError(f"unknown right node {right_id!r}")
-    return [ev.marginals[right_id] for ev in run.events]
+    ri, log = run.graph._right_rank[right_id], run.log
+    return [Fraction(log.marginal(ri, ev.locks, ev.losses), log.scale) for ev in run.events]
 
 
 def marginal_monotonicity_violations(run: MatchRun) -> list[tuple[str, int, Fraction, Fraction]]:
-    """(bin, event index, previous, current) wherever a bin's marginal drops."""
-    out = []
-    for b in run.graph.right_order:
-        series = bin_marginal_series(run, b)
-        for i in range(1, len(series)):
-            if series[i] < series[i - 1]:
-                out.append((b, i, series[i - 1], series[i]))
-    return out
+    """(bin, event index, previous, current) wherever a bin's marginal drops,
+    in bin rank order, then event order.
+
+    Marginals are non-negative, so a drop starts from a nonzero value, and a
+    locked bin keeps its weight for good: only the bins with a nonzero loss
+    at the previous event can drop. They are compared in integers over the
+    scale."""
+    log = run.log
+    drops = []
+    for i in range(1, len(run.events)):
+        prev, cur = run.events[i - 1], run.events[i]
+        for ri, before in prev.losses.items():
+            if before:
+                after = log.marginal(ri, cur.locks, cur.losses)
+                if after < before:
+                    drops.append((ri, i, before, after))
+    drops.sort()
+    return [(log.right_order[ri], i, Fraction(x, log.scale), Fraction(y, log.scale))
+            for ri, i, x, y in drops]
 
 
 # ---------------------------------------------------------------------------

@@ -352,6 +352,53 @@ def test_trace_jsonl_is_parseable():
     assert lines[1]["perm_weight"] == 5
 
 
+def _full_view_drops(run):
+    """The drops a scan of every bin's rendered series finds, bin by bin: how
+    `marginal_monotonicity_violations` worked while every event stored the
+    full `Fraction` view."""
+    views = [ev.marginals for ev in run.events]
+    out = []
+    for b in run.graph.right_order:
+        series = [view[b] for view in views]
+        out += [(b, i, series[i - 1], series[i]) for i in range(1, len(series)) if series[i] < series[i - 1]]
+    return out
+
+
+def test_marginal_drops_of_a_hand_built_run():
+    # the matcher's marginals never drop, so a run whose marginals do is built
+    # by hand, in halves: b1 falls from 2 to 3/2, then to 0 while unlocked;
+    # b2 locks at 1/2, below its loss of 1; b3 falls from 1/2 to 0
+    g = graph(["a"], ["b1", "b2", "b3"], {("a", "b1"): F(1, 2), ("a", "b2"): 1, ("a", "b3"): F(3, 2)})
+    assert g.scale == 2
+    log = matching.LockLog(g.right_order, g.scale)
+    events = []
+    for k, (losses, lock) in enumerate([({0: 4, 1: 2}, None), ({0: 3, 1: 2, 2: 1}, None),
+                                        ({0: 3}, (1, 1)), ({}, None)]):
+        if lock:
+            log.add(*lock)
+        events.append(matching.MatchEvent(
+            clock=F(k), kind="lock" if lock else "arrival", subject=[], temp_weight=F(0),
+            perm_weight=F(0), total_weight=F(0), losses=losses, locks=len(log.locked), log=log))
+    run = matching.MatchRun(graph=g, perm={}, weight=F(0), log=log, events=events)
+    expected = [("b1", 1, F(2), F(3, 2)), ("b1", 3, F(3, 2), F(0)),
+                ("b2", 2, F(1), F(1, 2)), ("b3", 2, F(1, 2), F(0))]
+    assert marginal_monotonicity_violations(run) == _full_view_drops(run) == expected
+    assert bin_marginal_series(run, "b1") == [2, F(3, 2), F(3, 2), 0]
+    assert bin_marginal_series(run, "b2") == [1, 1, F(1, 2), F(1, 2)]
+    for b in g.right_order:
+        assert bin_marginal_series(run, b) == [ev.marginals[b] for ev in run.events]
+
+
+def test_sparse_marginals_render_the_full_view():
+    # on real runs the integer paths agree with the rendered view everywhere
+    for seed in range(12):
+        run = run_online_matching(expand_binary(_online_matching_instance(seed)))
+        assert marginal_monotonicity_violations(run) == _full_view_drops(run) == []
+        views = [ev.marginals for ev in run.events]
+        for b in run.graph.right_order:
+            assert bin_marginal_series(run, b) == [view[b] for view in views]
+
+
 # --- expansion -------------------------------------------------------------
 
 def test_expansion_single_packet():
@@ -581,10 +628,39 @@ def test_online_run_and_expansion_do_bounded_work(monkeypatch):
     # utility, per shared lag row and per server's energy
     assert calls["value"] == 0
     assert 0 < calls["row"] <= 2 * len(inst.packets) + inst.servers < PER_EDGE_VALUE_CALLS // 4
+    heaps = []
+    index_edges = matching._Hungarian._index_edges
+
+    def counted_index_edges(self):
+        index_edges(self)
+        self.tops = [_ReadCountingHeap(top) for top in self.tops]
+        heaps.extend(self.tops)
+
+    monkeypatch.setattr(matching._Hungarian, "_index_edges", counted_index_edges)
     run = run_online_matching(g)
     assert run.events and calls["solve"] == 0
     # one phase per arrival: the traced marginals cost none
     assert calls["phase"] == len(inst.packets) == 20
+    # loss seeding reads each left's heaviest edge to a free bin off a heap of
+    # its edges, and a bin once matched or locked never comes back free: each
+    # edge leaves its heap at most once per run, and every event reads one top
+    # per left on top of those
+    edges, lefts, events = sum(map(len, g.rows)), len(g.left_order), len(run.events)
+    assert sum(h.built for h in heaps) == edges
+    assert sum(h.built - len(h) for h in heaps) <= edges + lefts
+    assert sum(h.reads for h in heaps) <= edges + events * lefts < events * edges // 4
+
+
+class _ReadCountingHeap(list):
+    """A heap that counts its reads by index; `heapq` pops it as a list."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.built, self.reads = len(items), 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
 
 
 def test_solver_secondaries_fit_the_rank_fields():
@@ -595,6 +671,104 @@ def test_solver_secondaries_fit_the_rank_fields():
         solver = matching._Hungarian(g)
         bits = len(g.left_order) * len(g.right_order).bit_length()
         assert max(sec.bit_length() for row in solver.adj for _, sec in row.values()) <= bits
+
+
+def certify(solver, g: BipartiteGraph) -> list[str]:
+    """Why `solver`'s matching and duals do not prove it optimal over its live
+    nodes; empty if they do. Shares no code with `_Hungarian`.
+
+    The nodes are the active lefts (added, sink still live), the live rights
+    and the active lefts' sinks: sink `nr + l` is left l's weight-0 way of
+    staying unmatched. Weights are (primary, rank-field secondary) pairs,
+    rebuilt here from `g.rows`, compared lexicographically. The checks, in
+    exact integers: `lu + lv >= w` on every edge, `==` on every matched edge,
+    `lv >= 0` on every right, and `lv == 0` on every free right."""
+    nl, nr = len(g.left_order), len(g.right_order)
+    field_bits = nr.bit_length()
+    lu, lv, live, match_l, match_r = solver.lu, solver.lv, solver.live, solver.match_l, solver.match_r
+    active = [a for a in range(nl) if lu[a] is not None and live[nr + a]]
+    problems = []
+
+    def weight(a, b):
+        return (0, 0) if b == nr + a else (g.rows[a][b], (nr - b) << (field_bits * (nl - 1 - a)))
+
+    def cover(a, b):
+        return (lu[a][0] + lv[b][0], lu[a][1] + lv[b][1])
+
+    for a in active:
+        for b in [*g.rows[a], nr + a]:
+            if live[b] and cover(a, b) < weight(a, b):
+                problems.append(f"edge ({a}, {b}) is not covered")
+        b = match_l[a]
+        if b is None or not live[b] or match_r[b] != a or (b not in g.rows[a] and b != nr + a):
+            problems.append(f"left {a} is not matched along a live edge")
+        elif cover(a, b) != weight(a, b):
+            problems.append(f"matched edge ({a}, {b}) is not tight")
+    for b in [b for b in range(nr) if live[b]] + [nr + a for a in active]:
+        if lv[b] < (0, 0):
+            problems.append(f"right {b} has a negative dual")
+        if match_r[b] is None and lv[b] != (0, 0):
+            problems.append(f"free right {b} has a nonzero dual")
+        if match_r[b] is not None and match_l[match_r[b]] != b:
+            problems.append(f"right {b} and its mate disagree")
+    return problems
+
+
+@pytest.fixture
+def certified_phases(monkeypatch):
+    """Certifies every solver after each of its phases; yields the count."""
+    done = []
+    init, phase = matching._Hungarian.__init__, matching._Hungarian.phase
+
+    def keeping_graph(self, g):
+        init(self, g)
+        self.certified_graph = g
+
+    def certified_phase(self, root):
+        phase(self, root)
+        problems = certify(self, self.certified_graph)
+        assert not problems, problems[:5]
+        done.append(root)
+
+    monkeypatch.setattr(matching._Hungarian, "__init__", keeping_graph)
+    monkeypatch.setattr(matching._Hungarian, "phase", certified_phase)
+    yield done
+
+
+def test_every_phase_is_certified_by_its_duals(certified_phases):
+    # online and offline, on every recorded case and a 100-packet run
+    phases = 0
+    for _, online, offline, _ in _recorded_cases():
+        run_online_matching(online)
+        max_weight_matching(offline)
+        phases += 2 * len(online.left_order)
+    g = expand_binary(generate(100, 1, 50, 0))
+    run_online_matching(g)
+    phases += len(g.left_order)
+    assert len(certified_phases) == phases
+
+
+def test_certify_rejects_a_perturbed_dual_or_a_swapped_pair():
+    g = expand_binary(_online_matching_instance(0))
+    solver = matching._Hungarian(g)
+    for li in range(len(g.left_order)):
+        solver.add_left(li)
+    assert certify(solver, g) == []
+    nr = solver.nr
+    real = [(a, b) for a, b in enumerate(solver.match_l) if b < nr]
+    a, b = real[0]
+    for duals, node, step in ((solver.lu, a, 1), (solver.lu, a, -1), (solver.lv, b, 1), (solver.lv, b, -1)):
+        kept = duals[node]
+        duals[node] = (kept[0] + step, kept[1])
+        assert certify(solver, g), (node, step)
+        duals[node] = kept
+    assert certify(solver, g) == []
+    # a swap between two lefts whose crossed edges both exist: by the tie
+    # rule's uniqueness, both cannot be tight
+    a2, b2 = next((a2, b2) for a2, b2 in real if b2 in g.rows[a] and b in g.rows[a2] and a2 != a)
+    solver.match_l[a], solver.match_l[a2] = b2, b
+    solver.match_r[b], solver.match_r[b2] = a2, a
+    assert any("not tight" in p for p in certify(solver, g))
 
 
 def test_every_expanded_edge_is_its_transmit_weight():
