@@ -27,8 +27,10 @@ Each event costs what it changes, not the whole graph. A phase takes its
 slacks from a heap and keeps its dual steps in one running offset, so a
 step touches no entry. Loss seeding reads each left's heaviest edge to a
 free bin off a heap of its edges, which each edge leaves at most once per
-run. An event stores its losses sparse, as integers over the scale, and
-renders the full `Fraction` view of every bin only when it is read.
+run. An event stores its weights and sparse losses as integers over the
+scale and renders their `Fraction` views, weights and marginals alike, only
+when they are read. The event loop orders events on integer clocks and builds
+one `Fraction` per permanent lock, plus the run's weight.
 """
 
 from __future__ import annotations
@@ -39,12 +41,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
+from numbers import Rational
+from operator import itemgetter
 
-from .model import (
-    AqiError,
-    Instance,
-    rational_to_json,
-)
+from .model import AqiError, Instance, rational_to_json, shown
 from .valuation import tables
 
 ZERO = Fraction(0)
@@ -72,9 +73,11 @@ class BipartiteGraph:
         left, right = self._left_rank, self._right_rank
         for (a, b), w in weights.items():
             if a not in left or b not in right:
-                raise MatchingError(f"edge ({a!r}, {b!r}) references unknown nodes")
+                raise MatchingError(f"edge ({shown(a)}, {shown(b)}) references unknown nodes")
+            if isinstance(w, bool) or not isinstance(w, Rational):
+                raise MatchingError(f"edge ({shown(a)}, {shown(b)}) has weight {shown(w)}, not an int or Fraction")
             if w < 0:
-                raise MatchingError(f"edge ({a!r}, {b!r}) has negative weight {w}")
+                raise MatchingError(f"edge ({shown(a)}, {shown(b)}) has negative weight {w}")
         self.scale = scale = math.lcm(*(w.denominator for w in weights.values()))
         self.rows: list[dict[int, int]] = [{} for _ in left_order]
         for (a, b), w in weights.items():
@@ -102,10 +105,12 @@ class BipartiteGraph:
                                          ("right", "lock", self._right_rank, locks)):
             for x in nodes:
                 if x not in times:
-                    raise MatchingError(f"{side} node {x!r} has no {what} time")
-            for x in times:
+                    raise MatchingError(f"{side} node {shown(x)} has no {what} time")
+            for x, t in times.items():
                 if x not in nodes:
-                    raise MatchingError(f"{what} time for unknown {side} node {x!r}")
+                    raise MatchingError(f"{what} time for unknown {side} node {shown(x)}")
+                if isinstance(t, bool) or not isinstance(t, Rational):
+                    raise MatchingError(f"{side} node {shown(x)} has {what} time {shown(t)}, not an int or Fraction")
 
     @cached_property
     def weights(self) -> dict[tuple[str, str], Fraction]:
@@ -143,10 +148,14 @@ class _Hungarian:
       - lv >= 0, and lv == 0 on every free right.
     Complementary slackness then makes the matching optimal, and the
     secondaries make the optimum unique. Dropping a node only removes
-    constraints, so the rest stays optimal; a new left (its lu set to cover
-    its edges) or the mate of a dropped right is then the only free left, and
-    one augmenting phase from it restores optimality. What that phase would
-    cost for every matched right at once is `drop_losses`.
+    constraints, so the rest stays optimal; a new left, or the mate of a
+    dropped right, is then the only free left, and one augmenting phase from
+    it restores optimality. `phase` runs it for a new left, whose dual enters
+    unset (None): its heap keys are `v - w`, the slack less `lu` once `lu =
+    max(w - v)` covers its heaviest live edge, so the heap's top gives that
+    dual and the phase's starting offset, and an arrival reads its edges
+    once. What a phase from the mate would cost, for every matched right at
+    once, is `drop_losses`; the online run retires a locked bin's mate.
 
     `phase` grows its tree from a heap of `(slack + offset, right)`: a dual
     step adds to the running offset, and each tree node takes its dual
@@ -193,9 +202,6 @@ class _Hungarian:
         self.total = 0  # primary weight of the matched real edges
 
     def add_left(self, li: int) -> None:
-        lv = self.lv
-        self.lu[li] = max((w[0] - lv[ri][0], w[1] - lv[ri][1])
-                          for ri, w in self.adj[li].items() if self.live[ri])
         self.phase(li)
 
     def drop_right(self, ri: int) -> int | None:
@@ -298,7 +304,7 @@ class _Hungarian:
         return {ri: lv[ri][0] + dist[li] for li, ri in enumerate(match_l) if ri is not None and ri < nr}
 
     def phase(self, root: int) -> None:
-        """Augment along a shortest path from the free left `root`.
+        """Augment along a shortest path from `root`, a left just added.
 
         The tree's lefts S and rights T take their dual changes once, when
         the phase ends. A running `offset` sums the dual steps so far; every
@@ -308,24 +314,25 @@ class _Hungarian:
         improvement of a right's least slack; an entry whose right is
         already in T is stale and skipped. So the next right is the least
         slack, ties to the lowest right rank, and a right's tree parent is
-        the first left that offered that slack.
+        the first left that offered that slack. The root's dual enters
+        unset and is set from the heap's top (see the class docstring).
         """
         lu, lv, adj, live = self.lu, self.lv, self.adj, self.live
         match_l, match_r = self.match_l, self.match_r
         heappop, heappush = heapq.heappop, heapq.heappush
-        offset = (0, 0)
-        in_s = {root: offset}  # tree left -> offset when it joined
         in_t: dict[int, tuple[int, int]] = {}  # tree right -> offset when it joined
         tree_parent: dict[int, int] = {}
         least: dict[int, tuple[int, int]] = {}  # right -> least slack + offset so far
         heap = []
-        u0, u1 = lu[root]
         for ri, (w0, w1) in adj[root].items():
             if live[ri]:
                 v0, v1 = lv[ri]
-                key = least[ri] = (u0 + v0 - w0, u1 + v1 - w1)
+                key = least[ri] = (v0 - w0, v1 - w1)
                 heap.append((key, ri, root))
         heapq.heapify(heap)
+        offset = heap[0][0]
+        lu[root] = (-offset[0], -offset[1])  # covers every live edge, the heaviest tightly
+        in_s = {root: offset}  # tree left -> offset when it joined
         while True:
             if not heap:
                 raise MatchingError("no augmenting path; dummy sinks missing")
@@ -396,21 +403,25 @@ class LockLog:
 class MatchEvent:
     """One processed event: a single arrival or a batch of simultaneous locks.
 
-    Marginals are kept sparse, in integers over the graph's scale: `losses`
-    holds the drop loss of each matched unlocked bin, and `locks` counts the
-    entries of `log` made so far. Every other bin's marginal is 0.
-    `marginals` renders the full `Fraction` view afresh on each read."""
+    Numbers are integers over the graph's scale: weights `temp` and `perm`,
+    an arrival's `gain`, and `losses`, each matched unlocked bin's drop loss;
+    `locks` counts the entries of `log` made so far, and every other bin's
+    marginal is 0. The `Fraction` views are rendered afresh on each read."""
 
-    clock: Fraction
+    clock: Fraction  # the graph's own time object
     kind: str  # "arrival" | "lock"
     subject: list[str]
-    temp_weight: Fraction
-    perm_weight: Fraction
-    total_weight: Fraction
+    temp: int
+    perm: int
     losses: dict[int, int]  # right rank -> drop loss over the scale
     locks: int
     log: LockLog = field(repr=False, compare=False)
-    arrival_gain: Fraction | None = None
+    gain: int | None = None
+
+    temp_weight = property(lambda self: Fraction(self.temp, self.log.scale))
+    perm_weight = property(lambda self: Fraction(self.perm, self.log.scale))
+    total_weight = property(lambda self: Fraction(self.temp + self.perm, self.log.scale))
+    arrival_gain = property(lambda self: None if self.gain is None else Fraction(self.gain, self.log.scale))
 
     @property
     def marginals(self) -> dict[str, Fraction]:
@@ -450,8 +461,7 @@ class MatchRun:
 
 
 def run_online_matching(graph: BipartiteGraph) -> MatchRun:
-    """Run the online matching algorithm over the graph's arrival and lock
-    times.
+    """Run the online matching algorithm over the graph's arrival and lock times.
 
     Arrivals are processed one at a time, each extending the tentative
     matching by one augmenting phase; locks sharing a timestamp fire as one
@@ -460,59 +470,49 @@ def run_online_matching(graph: BipartiteGraph) -> MatchRun:
     rank order. The trace records, at every event, the constrained matching
     weight and each bin's marginal value: its weight contribution while
     unlocked (`_Hungarian.drop_losses`), its locked-in edge weight afterwards.
+    Events are ordered on integer clocks, over the lcm of the times'
+    denominators.
     """
-    arrivals = sorted((t, graph._left_rank[a], a) for a, t in graph.arrivals.items())
-    locks = sorted((t, graph._right_rank[b], b) for b, t in graph.locks.items())
+    den = math.lcm(*(t.denominator for t in (*graph.arrivals.values(), *graph.locks.values())))
+    queue = sorted([(t.numerator * (den // t.denominator), kind, rank[x], x, t)
+                    for kind, times, rank in ((0, graph.arrivals, graph._left_rank),
+                                              (1, graph.locks, graph._right_rank))
+                    for x, t in times.items()])
     live = _Hungarian(graph)
     log = LockLog(graph.right_order, live.scale)
     perm: dict[str, tuple[str, Fraction]] = {}
-    perm_weight = ZERO
+    perm_weight = 0
     events: list[MatchEvent] = []
 
-    def record(clock, kind, subject, arrival_gain=None) -> None:
-        temp_weight = Fraction(live.total, live.scale)
-        events.append(MatchEvent(
-            clock=clock, kind=kind, subject=subject,
-            temp_weight=temp_weight, perm_weight=perm_weight,
-            total_weight=temp_weight + perm_weight,
-            losses=live.drop_losses(), locks=len(log.locked), log=log,
-            arrival_gain=arrival_gain,
-        ))
+    def record(clock, kind, subject, gain=None) -> None:
+        events.append(MatchEvent(clock, kind, subject, live.total, perm_weight,
+                                 live.drop_losses(), len(log.locked), log, gain))
 
-    ai = 0
-    li = 0
-    while ai < len(arrivals) or li < len(locks):
-        next_arrival = arrivals[ai][0] if ai < len(arrivals) else None
-        next_lock = locks[li][0] if li < len(locks) else None
-        # arrivals strictly before locks at the same clock
-        if next_lock is None or (next_arrival is not None and next_arrival <= next_lock):
-            clock, rank, a = arrivals[ai]
-            ai += 1
-            before = live.total
-            live.add_left(rank)
-            record(clock, "arrival", [a], Fraction(live.total - before, live.scale))
-        else:
-            clock = next_lock
-            batch = []
-            while li < len(locks) and locks[li][0] == clock:
-                _, ri, b = locks[li]
-                li += 1
-                batch.append(b)
-                mate = live.drop_right(ri)
-                if mate is not None:
-                    w = live.adj[mate][ri][0]
-                    log.add(ri, w)
-                    perm[b] = (graph.left_order[mate], Fraction(w, live.scale))
-                    perm_weight += perm[b][1]
-                    live.drop_left(mate)
-            record(clock, "lock", batch)
-    return MatchRun(graph=graph, perm=perm, weight=perm_weight, log=log, events=events)
+    # arrivals (kind 0) strictly before locks (kind 1) at the same clock
+    for (_, kind), group in groupby(queue, itemgetter(0, 1)):
+        if kind == 0:
+            for _, _, rank, a, clock in group:
+                before = live.total
+                live.add_left(rank)
+                record(clock, "arrival", [a], live.total - before)
+            continue
+        batch = list(group)
+        for _, _, ri, b, _ in batch:
+            mate = live.drop_right(ri)
+            if mate is not None:
+                w = live.adj[mate][ri][0]
+                log.add(ri, w)
+                perm[b] = (graph.left_order[mate], Fraction(w, live.scale))
+                perm_weight += w
+                live.drop_left(mate)
+        record(batch[0][4], "lock", [b for _, _, _, b, _ in batch])
+    return MatchRun(graph=graph, perm=perm, weight=Fraction(perm_weight, live.scale), log=log, events=events)
 
 
 def bin_marginal_series(run: MatchRun, right_id: str) -> list[Fraction]:
     """Per-event marginal values of one bin across the run's whole lifetime."""
     if right_id not in run.graph._right_rank:
-        raise MatchingError(f"unknown right node {right_id!r}")
+        raise MatchingError(f"unknown right node {shown(right_id)}")
     ri, log = run.graph._right_rank[right_id], run.log
     return [Fraction(log.marginal(ri, ev.locks, ev.losses), log.scale) for ev in run.events]
 

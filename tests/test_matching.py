@@ -176,6 +176,51 @@ def test_times_for_unknown_nodes_rejected(arrivals, locks, unknown):
         BipartiteGraph(["a"], ["b"], arrivals, locks, {("a", "b"): 1})
 
 
+@pytest.mark.parametrize("arrival, lock, weight, message", [
+    (0.5, 1, F(2), "left node 'a' has arrival time 0.5, not an int or Fraction"),
+    (0, "1", F(2), "right node 'b' has lock time '1', not an int or Fraction"),
+    (True, 1, F(2), "left node 'a' has arrival time True, not an int or Fraction"),
+    (0, False, F(2), "right node 'b' has lock time False, not an int or Fraction"),
+    (0, 1, 2.0, r"edge \('a', 'b'\) has weight 2.0, not an int or Fraction"),
+    (0, 1, True, r"edge \('a', 'b'\) has weight True, not an int or Fraction"),
+    (0, 1, "2", r"edge \('a', 'b'\) has weight '2', not an int or Fraction"),
+], ids=["float-arrival", "str-lock", "bool-arrival", "bool-lock", "float-weight", "bool-weight", "str-weight"])
+def test_non_rational_times_and_weights_rejected(arrival, lock, weight, message):
+    # a float time used to pass, and the run's trace then failed on it
+    with pytest.raises(MatchingError, match=message):
+        BipartiteGraph(["a"], ["b"], {"a": arrival}, {"b": lock}, {("a", "b"): weight})
+
+
+def test_int_times_and_weights_are_accepted():
+    g = BipartiteGraph(["a"], ["b"], {"a": 0}, {"b": 1}, {("a", "b"): 2})
+    run = run_online_matching(g)
+    assert run.weight == 2 and json.loads(run.trace_jsonl().splitlines()[-1])["perm_weight"] == 2
+
+
+LONG = "n" * 200
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: BipartiteGraph(["a"], ["b"], {"a": 0}, {"b": 1}, {(LONG, "b"): 1}),
+     "edge ('nnn"),
+    (lambda: BipartiteGraph(["a"], ["b"], {"a": 0}, {"b": 1}, {("a", LONG): -1}),
+     "edge ('a', 'nnn"),
+    (lambda: BipartiteGraph([LONG], ["b"], {}, {"b": 1}, {}),
+     "left node 'nnn"),
+    (lambda: BipartiteGraph(["a"], ["b"], {"a": 0, LONG: 1}, {"b": 1}, {}),
+     "unknown left node 'nnn"),
+    (lambda: bin_marginal_series(run_online_matching(two_stage_scenario()), LONG),
+     "unknown right node 'nnn"),
+], ids=["edge-node", "negative-edge", "missing-time", "unknown-time", "series-bin"])
+def test_errors_echo_node_ids_cut_short(build, message):
+    # every message that names a node id echoes it through `model.shown`
+    with pytest.raises(MatchingError) as info:
+        build()
+    text = str(info.value)
+    assert text.startswith(message) or f" {message}" in text, text
+    assert LONG not in text and "n" * 79 + "..." in text, text
+
+
 def test_solver_agrees_with_brute_force():
     # the weight and, among equal weights, the pairs the rank order selects
     rng = Random(17)
@@ -278,6 +323,55 @@ def test_probe_family_ratio_close_to_half():
         assert marginal_monotonicity_violations(run) == []
 
 
+def _fraction_event_order(g: BipartiteGraph) -> list[tuple]:
+    """(clock, kind, subject) of every event, ordered on `Fraction` clocks:
+    arrivals one by one, before any lock at the same clock, and the locks
+    sharing a clock as one batch, each in rank order. The clock of a batch is
+    its first lock's."""
+    keyed = sorted([(F(t), 0, i, a, t) for i, a in enumerate(g.left_order) for t in [g.arrivals[a]]]
+                   + [(F(t), 1, i, b, t) for i, b in enumerate(g.right_order) for t in [g.locks[b]]])
+    out = []
+    for k, entry in enumerate(keyed):
+        if entry[1] == 0:
+            out.append((entry[4], "arrival", [entry[3]]))
+        elif k and keyed[k - 1][:2] == entry[:2]:
+            out[-1][2].append(entry[3])
+        else:
+            out.append((entry[4], "lock", [entry[3]]))
+    return out
+
+
+def _mixed_clock_graphs():
+    thirds = [F(1, 3), F(1, 2), F(2, 3), F(3, 2)]
+    # an arrival and a lock at 1/2, locks at 2/3 given as two equal objects,
+    # and int times next to Fractions of the same value
+    yield graph(["a1", "a2", "a3"], ["b1", "b2", "b3", "b4"],
+                {("a1", "b1"): 3, ("a1", "b2"): 2, ("a2", "b1"): 4, ("a2", "b3"): 1, ("a3", "b4"): F(5, 2),
+                 ("a3", "b2"): 2},
+                arrivals={"a1": F(1, 3), "a2": F(1, 2), "a3": 1},
+                locks={"b1": F(1, 2), "b2": F(2, 3), "b3": F(4, 6), "b4": F(3, 2)})
+    rng = Random(20)
+    for _ in range(60):
+        lefts = [f"a{i}" for i in range(rng.randint(1, 5))]
+        rights = [f"b{j}" for j in range(rng.randint(1, 6))]
+        times = thirds + [0, 1, 2, F(2)]
+        weights = {(a, b): F(rng.randint(0, 6), rng.choice([1, 2, 3])) for a in lefts for b in rights
+                   if rng.random() < 0.7}
+        yield graph(lefts, rights, weights, arrivals={a: rng.choice(times) for a in lefts},
+                    locks={b: rng.choice(times) for b in rights})
+    for w, eps in ((100, 1), (1000, 7), (50, F(1, 2)), (3, F(1, 3))):
+        yield adversarial_lock_probe(w, eps)
+
+
+def test_integer_clocks_order_events_as_fractions_do():
+    for g in _mixed_clock_graphs():
+        run = run_online_matching(g)
+        expected = _fraction_event_order(g)
+        assert [(ev.clock, ev.kind, ev.subject) for ev in run.events] == expected, g.label
+        # each clock is the graph's own time object, not a rebuilt one
+        assert all(ev.clock is clock for ev, (clock, _, _) in zip(run.events, expected))
+
+
 def test_arrival_gains_sum_to_final_weight():
     # every arrival's tentative-weight gain, summed, telescopes to the output
     for seed in range(25):
@@ -377,8 +471,8 @@ def test_marginal_drops_of_a_hand_built_run():
         if lock:
             log.add(*lock)
         events.append(matching.MatchEvent(
-            clock=F(k), kind="lock" if lock else "arrival", subject=[], temp_weight=F(0),
-            perm_weight=F(0), total_weight=F(0), losses=losses, locks=len(log.locked), log=log))
+            clock=F(k), kind="lock" if lock else "arrival", subject=[], temp=0,
+            perm=0, losses=losses, locks=len(log.locked), log=log))
     run = matching.MatchRun(graph=g, perm={}, weight=F(0), log=log, events=events)
     expected = [("b1", 1, F(2), F(3, 2)), ("b1", 3, F(3, 2), F(0)),
                 ("b2", 2, F(1), F(1, 2)), ("b3", 2, F(1, 2), F(0))]
@@ -618,6 +712,21 @@ def test_online_run_and_expansion_do_bounded_work(monkeypatch):
     monkeypatch.setattr(CostFamily, "value", counted_value)
     monkeypatch.setattr(CostFamily, "row", counted_row)
     monkeypatch.setattr(matching, "max_weight_matching", counted_solve)
+    init, add_left = matching._Hungarian.__init__, matching._Hungarian.add_left
+
+    def counting_rows(self, g):
+        init(self, g)
+        self.adj = [_ItemWalkCountingRow(row) for row in self.adj]
+
+    def counted_add_left(self, li):
+        row = self.adj[li]
+        before = row.item_walks
+        add_left(self, li)
+        arrival_walks.append(row.item_walks - before)
+
+    arrival_walks = []  # per arrival: walks over the new left's edge row
+    monkeypatch.setattr(matching._Hungarian, "__init__", counting_rows)
+    monkeypatch.setattr(matching._Hungarian, "add_left", counted_add_left)
     monkeypatch.setattr(matching._Hungarian, "phase", counted_phase)
     monkeypatch.setattr(matching, "Fraction", counted_fraction)
     # the graph takes the tables' integers: a Fraction per arrival and one
@@ -637,10 +746,26 @@ def test_online_run_and_expansion_do_bounded_work(monkeypatch):
         heaps.extend(self.tops)
 
     monkeypatch.setattr(matching._Hungarian, "_index_edges", counted_index_edges)
+    calls["fraction"] = 0
     run = run_online_matching(g)
     assert run.events and calls["solve"] == 0
-    # one phase per arrival: the traced marginals cost none
+    # the event loop keeps clocks and weights in integers: a Fraction per
+    # permanent lock, for `perm`, and one for the run's weight
+    assert calls["fraction"] <= len(run.perm) + 1 < len(run.events)
+    # one phase per arrival: the traced marginals cost none; and a phase
+    # walks its new left's edges once, setting its dual on the same walk
     assert calls["phase"] == len(inst.packets) == 20
+    assert arrival_walks == [1] * 20
+    # every event's weights are integers over the scale, rendered on read
+    for ev in run.events:
+        assert all(type(x) is int for x in (ev.temp, ev.perm))
+        assert (ev.temp_weight, ev.perm_weight) == (F(ev.temp, g.scale), F(ev.perm, g.scale))
+        assert ev.total_weight == ev.temp_weight + ev.perm_weight
+        assert ev.arrival_gain == (F(ev.gain, g.scale) if ev.kind == "arrival" else None)
+    # the offline solve makes the same single walk per left
+    arrival_walks.clear()
+    solve(g)
+    assert arrival_walks == [1] * 20
     # loss seeding reads each left's heaviest edge to a free bin off a heap of
     # its edges, and a bin once matched or locked never comes back free: each
     # edge leaves its heap at most once per run, and every event reads one top
@@ -649,6 +774,16 @@ def test_online_run_and_expansion_do_bounded_work(monkeypatch):
     assert sum(h.built for h in heaps) == edges
     assert sum(h.built - len(h) for h in heaps) <= edges + lefts
     assert sum(h.reads for h in heaps) <= edges + events * lefts < events * edges // 4
+
+
+class _ItemWalkCountingRow(dict):
+    """An edge row that counts the walks over its `items()`."""
+
+    item_walks = 0
+
+    def items(self):
+        self.item_walks += 1
+        return super().items()
 
 
 class _ReadCountingHeap(list):
