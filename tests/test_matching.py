@@ -328,8 +328,8 @@ def _fraction_event_order(g: BipartiteGraph) -> list[tuple]:
     arrivals one by one, before any lock at the same clock, and the locks
     sharing a clock as one batch, each in rank order. The clock of a batch is
     its first lock's."""
-    keyed = sorted([(F(t), 0, i, a, t) for i, a in enumerate(g.left_order) for t in [g.arrivals[a]]]
-                   + [(F(t), 1, i, b, t) for i, b in enumerate(g.right_order) for t in [g.locks[b]]])
+    keyed = sorted([(F(g.arrivals[a]), 0, i, a, g.arrivals[a]) for i, a in enumerate(g.left_order)]
+                   + [(F(g.locks[b]), 1, i, b, g.locks[b]) for i, b in enumerate(g.right_order)])
     out = []
     for k, entry in enumerate(keyed):
         if entry[1] == 0:
