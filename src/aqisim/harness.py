@@ -395,17 +395,18 @@ def check_instance(inst: Instance, config: CampaignConfig, seed: int) -> dict:
     needs_oracle = checks & {"greedy-halfopt", "opt-bridge", "greedy-bridge"}
     if needs_oracle:
         try:
-            # one exact search serves all three checks
             opt = offline_optimal(inst, budget=config.budget)
         except BudgetError as exc:
             for name in needs_oracle:
                 results[name] = {"ok": True, "skipped": str(exc)}
         else:
+            # one exact search, telescoped once, serves all three checks
+            bridge = check_offline_bridge(inst, opt)
             chain_checks = checks & {"greedy-halfopt", "greedy-bridge"}
             if chain_checks:
                 # only these two need online greedy and its lock-free replay
                 try:
-                    chain = check_guarantee_chain(inst, opt, perturb=perturb)
+                    chain = check_guarantee_chain(inst, bridge, perturb=perturb)
                 except TelescopingError as exc:
                     for name in sorted(chain_checks):
                         results[name] = {"ok": False, "detail": {"error": str(exc)}}
@@ -419,7 +420,6 @@ def check_instance(inst: Instance, config: CampaignConfig, seed: int) -> dict:
                             "detail": chain.to_json(),
                         }
             if "opt-bridge" in checks:
-                bridge = check_offline_bridge(inst, opt)
                 results["opt-bridge"] = {"ok": bridge.ok, "detail": bridge.to_json()}
 
     if "submodularity" in checks:

@@ -94,6 +94,7 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
     Raises BudgetError, never approximating, once more than `budget` search
     nodes are expanded, and before any schedule is built when the packets have
     more than `budget` in-order schedules, so it caps the schedules built too.
+    Recursing past Python's limit, once per fragment or packet, raises it too.
     """
     tab = tables(inst)
     tab.require_convex_energy("the search bound")
@@ -101,6 +102,7 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
     servers = inst.servers
     ncells = servers * (inst.horizon + 1)
     too_large = f"instance too large for exact oracle: more than {budget} nodes"
+    too_deep = "instance too deep for exact oracle: past Python's recursion limit"
     # k fragments over the n cells a packet reaches: comb(n + k, k) schedules
     if sum(comb(max(ncells - p.arrival * servers, 0) + p.subpackets, p.subpackets)
            for p in packets) > budget:
@@ -132,13 +134,17 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
 
         return list(extend((), 0, 0, arrival * servers))
 
+    try:
+        schedules = [shape(p.arrival, p.subpackets) for p in packets]
+    except RecursionError:
+        raise BudgetError(too_deep) from None
     # per packet its schedules' values, less those that cannot pay `emin` per
     # fragment sent: discarding everything strictly dominates them
     plans, static = [], []
-    for p in packets:
+    for p, schedules_p in zip(packets, schedules):
         i = tab.index[p.id]
         plan_i, best = [], 0
-        for groups, step, sent, last in shape(p.arrival, p.subpackets):
+        for groups, step, sent, last in schedules_p:
             value = tab.term(i, sent, last)
             if value >= emin * sent:
                 plan_i.append((groups, step, value))
@@ -219,7 +225,10 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
             for _, cell, m in groups:
                 counts[cell] -= m
 
-    dfs(0, 0, 0)
+    try:
+        dfs(0, 0, 0)
+    except RecursionError:
+        raise BudgetError(too_deep) from None
     assert floor > 0  # the all-discard assignment always reaches the first floor
     best_total = floor - 1
 

@@ -6,7 +6,7 @@ fragment arrives (`arrival > b.lock_time`), and every other pair keeps its
 exact marginal. Locking is gone: a gated bin still takes the fragment. Plain
 greedy under the gate, with ties resolved exactly like the locking allocator,
 reproduces its run step by step; the twin's offline maximum dominates the
-locking optimum. Both facts are checkable here.
+locking optimum. Both are checked here; the chain builds on the bridge.
 
 The replay and the telescoping price with `valuation.marginal_gains`, the
 reference marginal, and sum its integers over `tables(inst).scale`; only the
@@ -98,30 +98,12 @@ def run_lockfree_greedy(inst: Instance, perturb=None) -> FrozenRun:
     return FrozenRun(value=Fraction(total, scale), steps=steps)
 
 
-def frozen_optimal(inst: Instance, opt: OracleResult) -> Fraction:
-    """Offline maximum of the frozen twin's value, re-scored from `opt`.
-
-    Assignments using unreachable (frozen-at-0) bins never help: they add
-    nothing themselves and only crowd slots or raise fragment counts, so the
-    maximizer can be searched over reachable schedules, where the telescoped
-    value coincides with the plain allocation value. The oracle's optimum is
-    therefore the twin's, re-scored and re-verified through the telescoping.
-    """
-    y = telescoped_value(inst, opt.allocation)
-    if y != opt.valuation.total:
-        raise TelescopingError(
-            f"telescoped value {y} disagrees with allocation value {opt.valuation.total}"
-        )
-    return y
-
-
 @dataclass
 class BridgeReport:
     """Offline bridge: locking optimum vs the frozen twin's optimum."""
 
     z_opt: Fraction
-    y_opt_telescoped: Fraction
-    y_frozen_opt: Fraction
+    y_opt_telescoped: Fraction  # also the twin's optimum, once it equals z_opt
     telescoping_ok: bool
     bridge_ok: bool
 
@@ -133,28 +115,35 @@ class BridgeReport:
         return {
             "z_opt": rational_to_json(self.z_opt),
             "y_opt_telescoped": rational_to_json(self.y_opt_telescoped),
-            "y_frozen_opt": rational_to_json(self.y_frozen_opt),
+            "y_frozen_opt": rational_to_json(self.y_opt_telescoped),
             "telescoping_ok": self.telescoping_ok,
             "bridge_ok": self.bridge_ok,
         }
 
 
 def check_offline_bridge(inst: Instance, opt: OracleResult) -> BridgeReport:
-    """Verify the locking optimum `opt` telescopes exactly and never beats the
-    frozen twin's optimum.
-
-    A telescoped value that differs from the optimum's value is reported as
-    `telescoping_ok: false`, not raised as in `frozen_optimal`.
-    """
+    """Telescope the locking optimum `opt` over the frozen twin, once; `opt`
+    must never beat the twin's optimum. A telescoped value that differs from
+    `opt`'s is reported (`telescoping_ok: false`), not raised as in `frozen_optimal`."""
     z = opt.valuation.total
-    y = telescoped_value(inst, opt.allocation)  # the twin's optimum when it equals z
-    return BridgeReport(
-        z_opt=z,
-        y_opt_telescoped=y,
-        y_frozen_opt=y,
-        telescoping_ok=(z == y),
-        bridge_ok=(z <= y),
-    )
+    y = telescoped_value(inst, opt.allocation)
+    return BridgeReport(z_opt=z, y_opt_telescoped=y, telescoping_ok=(z == y), bridge_ok=(z <= y))
+
+
+def frozen_optimal(bridge: BridgeReport) -> Fraction:
+    """Offline maximum of the frozen twin's value: the bridge's telescoped
+    optimum, or TelescopingError when it disagrees with the optimum's value.
+
+    Assignments using unreachable (frozen-at-0) bins never help: they add
+    nothing themselves and only crowd slots or raise fragment counts, so the
+    maximizer can be searched over reachable schedules, where the telescoped
+    value coincides with the plain allocation value. The oracle's optimum is
+    therefore the twin's, re-scored and re-verified through the telescoping.
+    """
+    if not bridge.telescoping_ok:
+        raise TelescopingError(f"telescoped value {bridge.y_opt_telescoped} disagrees with "
+                               f"allocation value {bridge.z_opt}")
+    return bridge.y_opt_telescoped
 
 
 @dataclass
@@ -197,13 +186,13 @@ class ChainReport:
         }
 
 
-def check_guarantee_chain(inst: Instance, opt: OracleResult, perturb=None) -> ChainReport:
-    """Run every link of the halving argument on one instance, exactly, against
-    its locking optimum `opt`; raises TelescopingError when `opt` does not
-    telescope over the twin."""
+def check_guarantee_chain(inst: Instance, bridge: BridgeReport, perturb=None) -> ChainReport:
+    """Run every link of the halving argument on one instance, exactly, on top
+    of the offline bridge of its locking optimum; raises TelescopingError when
+    that optimum does not telescope over the twin."""
     greedy_run = run_online_greedy(inst)
     frozen_run = run_lockfree_greedy(inst, perturb=perturb)
-    y_frozen_opt = frozen_optimal(inst, opt)
+    y_frozen_opt = frozen_optimal(bridge)
 
     mismatches = []
     for raw, fro in zip(greedy_run.state.steps, frozen_run.steps):
@@ -220,10 +209,10 @@ def check_guarantee_chain(inst: Instance, opt: OracleResult, perturb=None) -> Ch
         z_greedy=z_greedy,
         y_frozen_greedy=frozen_run.value,
         y_frozen_opt=y_frozen_opt,
-        z_opt=opt.valuation.total,
+        z_opt=bridge.z_opt,
         greedy_equal=(z_greedy == frozen_run.value),
         steps_equal=not mismatches,
         frozen_half_ok=(2 * frozen_run.value >= y_frozen_opt),
-        bridge_ok=(y_frozen_opt >= opt.valuation.total),
+        bridge_ok=bridge.bridge_ok,
         step_mismatches=mismatches,
     )

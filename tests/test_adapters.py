@@ -8,7 +8,7 @@ from aqisim.adapters import aoi_multisource, remote_sampling_family, speed_scali
 from aqisim.greedy import run_online_greedy
 from aqisim.model import AqiError, CostFamily, store_instance, tabulated, validate_instance
 from aqisim.oracle import offline_optimal, offline_optimal_binary
-from aqisim.reduction import check_guarantee_chain
+from aqisim.reduction import check_guarantee_chain, check_offline_bridge
 
 F = Fraction
 SQUARE = CostFamily("power", params=(F(1), F(2)))
@@ -90,7 +90,7 @@ def test_single_server_unit_jobs_reduce_to_the_binary_case():
     inst = speed_scaling([(1, 0), (1, 1)], servers=1, powers=[SQUARE], horizon=3)
     assert inst.is_binary()
     assert offline_optimal_binary(inst).weight == offline_optimal(inst).valuation.total
-    assert check_guarantee_chain(inst, offline_optimal(inst)).ok
+    assert check_guarantee_chain(inst, check_offline_bridge(inst, offline_optimal(inst))).ok
 
 
 def test_mandatory_mode_never_discards():

@@ -25,7 +25,16 @@ from aqisim.harness import (
     submodularity_samples,
 )
 from aqisim.matching import max_weight_matching, run_online_matching
-from aqisim.model import AqiError, load_instance, store_instance, validate_instance
+from aqisim.model import (
+    AqiError,
+    Packet,
+    linear,
+    load_instance,
+    store_instance,
+    tabulated,
+    validate_instance,
+)
+from conftest import simple_instance, unit_packet
 
 F = Fraction
 ROOT = Path(__file__).resolve().parent.parent
@@ -426,6 +435,28 @@ def test_greedy_run_reports_no_optimum_for_an_instance_past_the_budget():
                           timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "None\n"
+
+
+@pytest.mark.parametrize("shape", ["1000 unit packets", "one packet of 1000 fragments"])
+def test_cli_reports_an_instance_too_deep_for_the_oracle(shape, tmp_path, capsys):
+    # the search recurses once per packet and schedule building once per
+    # fragment; past Python's recursion limit that is a budget error
+    if shape == "1000 unit packets":
+        packets = [unit_packet(f"p{i:04d}") for i in range(1000)]
+    else:
+        packets = [Packet(id="p0", arrival=0, subpackets=1000, weight=F(1),
+                          distortion=tabulated(range(1001)), delay_cost=linear(1))]
+    path = tmp_path / "deep.json"
+    path.write_text(store_instance(simple_instance(packets, horizon=0)))
+    for argv in (["opt", str(path)], ["run", str(path), "--algorithm", "greedy", "--require-opt"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: instance too deep for exact oracle: past Python's recursion limit\n"
+    assert main(["run", str(path), "--algorithm", "greedy"]) == 0
+    assert json.loads(capsys.readouterr().out)["opt_value"] is None
+    assert main(["verify", str(path), "--checks", "greedy-halfopt", "greedy-bridge", "opt-bridge"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert all("too deep" in r["skipped"] for r in checks.values())
 
 
 def test_cli_reports_unreadable_and_unwritable_paths(tmp_path, capsys):

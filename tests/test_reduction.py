@@ -174,20 +174,21 @@ def exhaustive_frozen_max(inst, node_limit: int = 2_000_000):
 def test_exhaustive_frozen_search_agrees_with_reachable_argument():
     for seed in range(10):
         inst = generate(2, 2, 2, seed)
-        y_reachable = frozen_optimal(inst, offline_optimal(inst))
+        y_reachable = frozen_optimal(check_offline_bridge(inst, offline_optimal(inst)))
         _, y_everything = exhaustive_frozen_max(inst)
         assert y_reachable == y_everything
 
 
 def test_chain_on_the_worked_single_packet(single_packet_instance):
-    chain = check_guarantee_chain(single_packet_instance, offline_optimal(single_packet_instance))
+    opt = offline_optimal(single_packet_instance)
+    chain = check_guarantee_chain(single_packet_instance, check_offline_bridge(single_packet_instance, opt))
     assert (chain.z_greedy, chain.y_frozen_greedy, chain.y_frozen_opt, chain.z_opt) == (4, 4, 4, 4)
     assert chain.ok and chain.composed_half_ok
 
 
 def test_chain_on_the_empty_instance():
     empty = simple_instance([], horizon=2)
-    chain = check_guarantee_chain(empty, offline_optimal(empty))
+    chain = check_guarantee_chain(empty, check_offline_bridge(empty, offline_optimal(empty)))
     assert (chain.z_greedy, chain.y_frozen_greedy, chain.y_frozen_opt, chain.z_opt) == (0, 0, 0, 0)
     assert chain.ok
 
@@ -237,7 +238,7 @@ def test_greedy_loses_the_half_bound_at_an_energy_step(m):
 def test_chain_holds_on_random_batch():
     for seed in range(25):
         inst = generate(4, 3, 4, seed, mode=("random", "adversarial-burst", "adversarial-lock")[seed % 3])
-        chain = check_guarantee_chain(inst, offline_optimal(inst))
+        chain = check_guarantee_chain(inst, check_offline_bridge(inst, offline_optimal(inst)))
         assert chain.ok, chain.to_json()
         assert chain.composed_half_ok
 
@@ -247,7 +248,7 @@ def test_fault_injection_breaks_the_replay():
     inst = generate(4, 2, 4, seed=1)
     scale = tables(inst).scale  # gains are integers over it
     bias = lambda b, g: g + 2 * scale if b.is_discard else g
-    chain = check_guarantee_chain(inst, offline_optimal(inst), perturb=bias)
+    chain = check_guarantee_chain(inst, check_offline_bridge(inst, offline_optimal(inst)), perturb=bias)
     assert not (chain.greedy_equal and chain.steps_equal)
     assert chain.step_mismatches
 
@@ -258,7 +259,7 @@ def test_frozen_optimal_rescores_without_searching(oracle_calls):
     for seed in range(6):
         inst = general_instance(seed)
         opt = offline_optimal(inst)  # bound at import, so not counted
-        assert frozen_optimal(inst, opt) == opt.valuation.total
+        assert frozen_optimal(check_offline_bridge(inst, opt)) == opt.valuation.total
     assert oracle_calls == []
 
 
@@ -267,18 +268,26 @@ def test_frozen_optimal_rejects_a_result_that_does_not_telescope(single_packet_i
     opt = offline_optimal(single_packet_instance)
     other = simple_instance([unit_packet(value=7)], horizon=2)
     with pytest.raises(AqiError, match="telescoped value"):
-        frozen_optimal(other, opt)
+        frozen_optimal(check_offline_bridge(other, opt))
 
 
-def test_check_instance_searches_once_for_all_three_oracle_checks(oracle_calls):
+def test_check_instance_searches_once_for_all_three_oracle_checks(oracle_calls, monkeypatch):
+    # the bridge telescopes the one optimum and the chain reads its report
+    telescopings = []
+    telescope = reduction.telescoped_value
+    monkeypatch.setattr(reduction, "telescoped_value",
+                        lambda inst, alloc: telescopings.append(inst) or telescope(inst, alloc))
     config = CampaignConfig(seeds=[], checks=ORACLE_CHECKS)
     for seed in range(9):
         results = check_instance(general_instance(seed), config, seed)
         assert len(oracle_calls) == seed + 1
+        assert len(telescopings) == seed + 1
         assert sorted(results) == sorted(ORACLE_CHECKS)
         assert all(r["ok"] and not r.get("skipped") for r in results.values())
     for name in ORACLE_CHECKS:
+        telescopings.clear()
         check_instance(general_instance(0), CampaignConfig(seeds=[], checks=(name,)), 0)
+        assert len(telescopings) == 1, name
     assert len(oracle_calls) == 9 + len(ORACLE_CHECKS)
 
 
@@ -318,7 +327,7 @@ def test_chain_and_bridge_reports_match_recorded_values():
         if kind == "fixtures":
             inst = load_instance((ROOT / name).read_text())
             opt = offline_optimal(inst)
-            assert check_guarantee_chain(inst, opt).to_json() == want["chain"], name
+            assert check_guarantee_chain(inst, check_offline_bridge(inst, opt)).to_json() == want["chain"], name
             assert check_offline_bridge(inst, opt).to_json() == want["bridge"], name
         else:
             inst = general_instance(int(key))
