@@ -370,11 +370,15 @@ def check_instance(inst: Instance, config: CampaignConfig, seed: int) -> dict:
     if checks & set(BINARY_CHECKS):
         skip = ("needs a unit-packet instance" if not inst.is_binary()
                 else "needs a single-server unit-packet instance" if inst.servers != 1 else None)
+        if not skip:
+            graph = expand_binary(inst)  # the online run and the offline optimum share it
+            # each arrival's phase may walk every edge: lefts x edges bounds the matcher's work
+            if len(graph.left_order) * sum(map(len, graph.rows)) > config.budget:
+                skip = f"instance too large for the binary checks: more than {config.budget} left-edge steps"
         if skip:
             for name in checks & set(BINARY_CHECKS):
                 results[name] = {"ok": True, "skipped": skip}
         else:
-            graph = expand_binary(inst)  # the online run and the offline optimum share it
             run = run_online_matching(graph)
             if "matching-halfopt" in checks:
                 report = competitive_ratio(run.weight, max_weight_matching(graph).weight)

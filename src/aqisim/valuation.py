@@ -31,19 +31,34 @@ from .model import (
 )
 
 ZERO = Fraction(0)
+Pair = tuple[int, int]  # an exact rational as an unreduced (numerator, denominator > 0)
 
 
 @dataclass
 class Valuation:
-    """Value breakdown of one allocation; total is recomputable from parts."""
+    """Value breakdown of one allocation; total is recomputable from parts.
+
+    The parts are kept as integer pairs: `packets` maps a packet id to its
+    (utility, delay) pairs and `slots` maps (slot, server) to its energy
+    pair. `per_packet` and `per_slot` render them as `Fraction`s afresh on
+    each read."""
 
     total: Fraction
-    per_packet: dict[str, tuple[Fraction, Fraction]] = field(default_factory=dict)  # pid -> (utility, delay)
-    per_slot: dict[tuple[int, int], Fraction] = field(default_factory=dict)  # (slot, server) -> energy
+    packets: dict[str, tuple[Pair, Pair]] = field(repr=False)
+    slots: dict[tuple[int, int], Pair] = field(repr=False)
+
+    @property
+    def per_packet(self) -> dict[str, tuple[Fraction, Fraction]]:  # pid -> (utility, delay)
+        return {pid: (Fraction(*u), Fraction(*d)) for pid, (u, d) in self.packets.items()}
+
+    @property
+    def per_slot(self) -> dict[tuple[int, int], Fraction]:  # (slot, server) -> energy
+        return {key: Fraction(*e) for key, e in self.slots.items()}
 
     def recompute_total(self) -> Fraction:
-        util = sum((u for u, _ in self.per_packet.values()), ZERO)
-        delay = sum((d for _, d in self.per_packet.values()), ZERO)
+        per_packet = self.per_packet.values()
+        util = sum((u for u, _ in per_packet), ZERO)
+        delay = sum((d for _, d in per_packet), ZERO)
         energy = sum(self.per_slot.values(), ZERO)
         return util - delay - energy
 
@@ -91,21 +106,32 @@ class Tables:
     With weight w = u/v, a utility entry w * (D(c) - D(0)) is
     (u * (n_c*d_0 - n_0*d_c), v * d_c*d_0), a lag entry w * C(d) is
     (u * n_d, v * d_d), and an energy increment E(c+1) - E(c) is
-    (n_1*d_0 - n_0*d_1, d_0*d_1). `scale` is the lcm of the entries' reduced
-    denominators, the least that makes every entry an integer, and a scaled
-    entry is num * scale // den.
+    (n_1*d_0 - n_0*d_1, d_0*d_1). With D the lcm of the distinct unreduced
+    denominators, each entry n/d lifts to N = n * (D // d) over D, and with
+    g = gcd(D, N_1, ..., N_k), `scale` = D // g and an entry is N // g. That
+    is the lcm of the entries' reduced denominators, the least scale that
+    makes every entry an integer, at one gcd in all rather than one per
+    entry: the lcm over i of D / gcd(N_i, D) is D / gcd(D, N_1, ..., N_k).
 
     Packets with the same weight and delay-cost family share one lag row, as
     long as the longest of them needs; each `lag[i]` is a slice of it. The
-    slices together hold exactly the row's entries, so `scale` is the same as
-    with one row per packet."""
+    row key is made of integers, the weight's numerator and denominator, the
+    family's kind and each parameter or table entry as (numerator,
+    denominator), so no `Fraction` is hashed. The slices together hold
+    exactly the row's entries, so `scale` is the same as with one row per
+    packet."""
 
     def __init__(self, inst: Instance):
         self.packets = inst.packets
         self.index = {p.id: i for i, p in enumerate(inst.packets)}
         spans = [max(inst.horizon, p.arrival) - p.arrival + 1 for p in inst.packets]
-        rows: dict[tuple, int] = {}  # (weight, delay_cost) -> lag row; hashed once per packet
-        row_of = [rows.setdefault((p.weight, p.delay_cost), len(rows)) for p in inst.packets]
+        rows: dict[tuple, int] = {}  # integer (weight, delay-cost family) key -> lag row
+        row_of = []
+        for p in inst.packets:
+            c = p.delay_cost
+            key = (*p.weight.as_integer_ratio(), c.kind,
+                   *[x.as_integer_ratio() for x in c.params or c.table])
+            row_of.append(rows.setdefault(key, len(rows)))
         longest: list[tuple[int, Packet | None]] = [(0, None)] * len(rows)  # (span, packet) per row
         for p, r, n in zip(inst.packets, row_of, spans):
             if n > longest[r][0]:
@@ -121,17 +147,23 @@ class Tables:
             values = p.distortion.row(p.subpackets + 1)
             n0, d0 = values[0]
             utility.append([(u * (n * d0 - n0 * d), v * d * d0) for n, d in values])
-        gcd = math.gcd
-        self.scale = scale = math.lcm(*(d // gcd(n, d) for table in (utility, lags, energy_inc)
-                                        for row in table for n, d in row))
-
-        def scaled(row: list[tuple[int, int]]) -> list[int]:
-            return [n * scale // d for n, d in row]
-
-        lags = [scaled(row) for row in lags]
-        self.utility = [scaled(row) for row in utility]
+        dens = {d for table in (utility, lags, energy_inc) for row in table for _, d in row}
+        common = math.lcm(*dens)
+        lift = {d: common // d for d in dens}
+        utility, lags, energy_inc = [[[n * lift[d] for n, d in row] for row in table]
+                                     for table in (utility, lags, energy_inc)]
+        g = common
+        for row in (*utility, *lags, *energy_inc):
+            g = math.gcd(g, *row)
+            if g == 1:
+                break
+        self.scale = common // g
+        if g != 1:
+            utility, lags, energy_inc = [[[n // g for n in row] for row in table]
+                                         for table in (utility, lags, energy_inc)]
+        self.utility = utility
         self.lag = [lags[r][:n] for r, n in zip(row_of, spans)]
-        self.energy_inc = [scaled(row) for row in energy_inc]
+        self.energy_inc = energy_inc
 
     def term(self, i: int, count: int, last: int) -> int:
         """Scaled utility minus lag cost of row `i` sending `count` fragments
@@ -162,29 +194,38 @@ def tables(inst: Instance) -> Tables:
 
 
 def evaluate(inst: Instance, alloc: Allocation) -> Valuation:
-    """Exact value of `alloc` with a per-packet and per-slot breakdown."""
+    """Exact value of `alloc` with a per-packet and per-slot breakdown.
+
+    The reference that `tables` and `CostFamily.row` are checked against, so
+    it reads neither: every curve value comes from `CostFamily.value`. The
+    weight and utility-difference arithmetic runs on integer (numerator,
+    denominator) pairs, and the total is one `Fraction` over the lcm of
+    their denominators."""
     check_allocation(inst, alloc)
-    per_packet: dict[str, tuple[Fraction, Fraction]] = {}
     counts: dict[tuple[int, int], int] = {}
     for ref, b in alloc.entries.items():
         if not b.is_discard:
             key = (b.slot, b.server)
             counts[key] = counts.get(key, 0) + 1
+    packets: dict[str, tuple[Pair, Pair]] = {}
     for p in inst.packets:
-        entries = alloc.packet_entries(p.id)
-        count, last = _packet_state(p, entries)
+        count, last = _packet_state(p, alloc.packet_entries(p.id))
         if count == 0:
             continue
         if p.deadline is not None and last > p.deadline:
-            per_packet[p.id] = (ZERO, ZERO)
+            packets[p.id] = ((0, 1), (0, 1))
             continue
-        per_packet[p.id] = (p.utility(count), p.lag_cost(last - p.arrival))
-    per_slot = {
-        (slot, server): inst.energy[server].value(c) for (slot, server), c in counts.items()
-    }
-    val = Valuation(total=ZERO, per_packet=per_packet, per_slot=per_slot)
-    val.total = val.recompute_total()
-    return val
+        u, v = p.weight.as_integer_ratio()
+        ns, ds = p.distortion.value(count).as_integer_ratio()
+        n0, d0 = p.distortion.value(0).as_integer_ratio()
+        nl, dl = p.delay_cost.value(last - p.arrival).as_integer_ratio()
+        packets[p.id] = ((u * (ns * d0 - n0 * ds), v * ds * d0), (u * nl, v * dl))
+    slots = {key: inst.energy[key[1]].value(c).as_integer_ratio() for key, c in counts.items()}
+    common = math.lcm(*{d for pair in packets.values() for _, d in pair},
+                      *{d for _, d in slots.values()})
+    total = (sum(nu * (common // du) - nd * (common // dd) for (nu, du), (nd, dd) in packets.values())
+             - sum(n * (common // d) for n, d in slots.values()))
+    return Valuation(total=Fraction(total, common), packets=packets, slots=slots)
 
 
 def marginal_gains(inst: Instance, alloc: Allocation, ref: SubpacketRef,

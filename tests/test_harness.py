@@ -142,6 +142,24 @@ def test_matching_run_and_binary_checks_expand_each_instance_once(monkeypatch):
     assert calls == [inst, inst]
 
 
+def test_binary_checks_skip_an_instance_past_the_budget(tmp_path, capsys):
+    # 400 unit packets in one slot: 160,000 positive edges, and each of the
+    # 400 arrival phases may walk them all, past the default budget of 10M
+    many = simple_instance([unit_packet(f"p{i:03d}") for i in range(400)], horizon=0)
+    results = check_instance(many, CampaignConfig(seeds=[0], checks=harness.BINARY_CHECKS), seed=0)
+    skipped = "instance too large for the binary checks: more than 10000000 left-edge steps"
+    assert results == {name: {"ok": True, "skipped": skipped} for name in harness.BINARY_CHECKS}
+    # `--budget` sets the gate: a six-packet instance runs under the default
+    # and is skipped under a budget of 10
+    path = tmp_path / "small.json"
+    path.write_text(store_instance(generate(6, 1, 5, seed=1, mode="adversarial-burst")))
+    for budget, skip in ((None, None), ("10", "more than 10 left-edge steps")):
+        argv = ["verify", str(path), "--checks", *harness.BINARY_CHECKS]
+        assert main(argv + (["--budget", budget] if budget else [])) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert all((skip in r["skipped"]) if skip else "skipped" not in r for r in checks.values())
+
+
 def test_run_bundle_rejects_matching_on_general_instances():
     inst = generate(3, 3, 4, seed=11)
     assert not inst.is_binary()

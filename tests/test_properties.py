@@ -4,6 +4,8 @@ random order. Skipped when hypothesis is not installed."""
 
 from __future__ import annotations
 
+import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,7 @@ from aqisim.model import (  # noqa: E402
     Packet,
     SubpacketRef,
     load_instance,
+    rational_to_json,
     store_instance,
     tabulated,
     validate_instance,
@@ -40,12 +43,13 @@ positive = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9
 
 
 @st.composite
-def families(draw):
-    """Any cost family with rational parameters, including bases below 1."""
+def families(draw, min_table: int = 1):
+    """Any cost family with rational parameters, including bases below 1;
+    a table has at least `min_table` entries."""
     kind = draw(st.sampled_from(["linear", "power", "exponential", "saturating", "tabulated"]))
     if kind == "tabulated":
-        return CostFamily(kind, table=tuple(draw(st.lists(st.fractions(max_denominator=9), min_size=1,
-                                                              max_size=8))))
+        return CostFamily(kind, table=tuple(draw(st.lists(st.fractions(max_denominator=9), min_size=min_table,
+                                                              max_size=max(8, min_table + 2)))))
     if kind == "linear":
         return CostFamily(kind, params=(draw(st.fractions(max_denominator=9)),))
     second = Fraction(draw(st.integers(1, 4))) if kind == "power" else draw(positive)
@@ -108,6 +112,73 @@ def test_integer_gains_are_the_marginals_times_the_scale(case, data):
     for b, v in zip(bins, values):
         if b.is_discard or b.slot >= arrival:  # evaluate rejects a slot before the arrival
             assert v == evaluate(inst, alloc.extended(target, b)).total - base
+
+
+@st.composite
+def family_instances(draw):
+    """Up to three packets on up to two servers whose every curve is any
+    rational family, with fractional weights and deadlines: curves the
+    generator never makes. Tables cover the reachable domain (count <= 3,
+    lag <= 3, occupancy <= 9)."""
+    horizon, servers = draw(st.integers(0, 3)), draw(st.integers(1, 2))
+    packets = []
+    for i in range(draw(st.integers(0, 3))):
+        arrival = draw(st.integers(0, horizon))
+        packets.append(Packet(f"p{i}", arrival, draw(st.integers(1, 3)), draw(positive),
+                              draw(families(10)), draw(families(10)),
+                              draw(st.none() | st.integers(arrival, horizon))))
+    return Instance(tuple(packets), horizon, servers, tuple(draw(families(10)) for _ in range(servers)))
+
+
+@st.composite
+def allocations(draw):
+    """An instance and a random partial allocation of its fragments: any
+    subset, each in the discard bin or any bin from its arrival on, so
+    packets finish past their deadlines too."""
+    inst = draw(instances() | family_instances())
+    entries = []
+    for p in inst.packets:
+        pool = [Bin(t, s) for t in range(p.arrival, inst.horizon + 1) for s in range(inst.servers)]
+        for j in range(1, p.subpackets + 1):
+            if draw(st.booleans()):
+                entries.append((SubpacketRef(p.id, j), draw(st.sampled_from(pool + [DISCARD]))))
+    return inst, Allocation(entries)
+
+
+def fraction_valuation(inst: Instance, alloc: Allocation) -> tuple[Fraction, dict]:
+    """The value and `Valuation.to_json` document of `alloc`, summed in
+    `Fraction`s from `Packet.utility`, `Packet.lag_cost` and
+    `CostFamily.value`."""
+    per_packet, counts = {}, Counter()
+    for p in inst.packets:
+        bins = [b for r, b in alloc.entries.items() if r.packet == p.id and not b.is_discard]
+        if not bins:
+            continue
+        last = max([p.arrival] + [b.slot for b in bins])
+        if p.deadline is not None and last > p.deadline:
+            per_packet[p.id] = (Fraction(0), Fraction(0))
+        else:
+            per_packet[p.id] = (p.utility(len(bins)), p.lag_cost(last - p.arrival))
+        counts.update((b.slot, b.server) for b in bins)
+    per_slot = {(t, s): inst.energy[s].value(c) for (t, s), c in counts.items()}
+    total = sum((u - d for u, d in per_packet.values()), Fraction(0)) - sum(per_slot.values(), Fraction(0))
+    r = rational_to_json
+    return total, {
+        "total": r(total),
+        "per_packet": {pid: [r(u), r(d)] for pid, (u, d) in sorted(per_packet.items())},
+        "per_slot": {f"t{t}s{s}": r(e) for (t, s), e in sorted(per_slot.items())},
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(allocations())
+def test_evaluate_is_the_fraction_sum_of_the_curves(case):
+    inst, alloc = case
+    for allocation in (alloc, Allocation()):
+        total, doc = fraction_valuation(inst, allocation)
+        val = evaluate(inst, allocation)
+        assert val.total == total
+        assert json.dumps(val.to_json()) == json.dumps(doc)
 
 
 @settings(max_examples=150, deadline=None)

@@ -9,6 +9,7 @@ import pytest
 
 from aqisim.greedy import arrival_order, candidate_bins, run_online_greedy
 from aqisim import reduction
+from aqisim.cli import main
 from aqisim.harness import CampaignConfig, check_instance, generate, run_campaign
 from aqisim.model import (
     Allocation,
@@ -377,3 +378,40 @@ def test_telescoping_disagreement_fails_checks_and_writes_repros(monkeypatch, tm
         assert "telescoped value" in slot["counterexamples"][0]["detail"]["error"]
     repros = sorted(p.name for p in tmp_path.glob("fail_*.json"))
     assert repros == sorted(f"fail_{name}_{seed}.json" for name in ORACLE_CHECKS for seed in (0, 1))
+
+
+def _speedscale_quarter():
+    return load_instance((ROOT / "tests" / "fixtures" / "speedscale_greedy_quarter.json").read_text())
+
+
+def test_speedscale_fixture_is_the_adapter_output(tmp_path):
+    out = tmp_path / "speedscale.json"
+    assert main(["adapt-speedscale", "--jobs", "[[1,2],[2,0],[1,3],[3,1]]", "--powers", "2",
+                 "--horizon", "5", "--unit-value", "2", "--out", str(out)]) == 0
+    fixture = ROOT / "tests" / "fixtures" / "speedscale_greedy_quarter.json"
+    assert out.read_text() == fixture.read_text()
+
+
+@pytest.mark.parametrize("case, greedy, optimum", [
+    ("speedscale", 1, 4),
+    ("burst-seed-31", F(9, 2), 11),
+], ids=["speedscale", "burst-seed-31"])
+def test_known_greedy_halfopt_counterexamples_fail_only_the_frozen_half_link(case, greedy, optimum):
+    # the paper's speed-scaling case with a discard option (four jobs, x**2
+    # power, unit value 2) and a two-server deadline burst: greedy keeps less
+    # than half the optimum, and the one link of the chain that breaks is
+    # frozen_half_ok; both sides' totals come from `evaluate`
+    inst = (_speedscale_quarter() if case == "speedscale" else
+            generate(4, 2, 4, 31, mode="adversarial-burst", servers=2, deadline_prob=0.4))
+    results = check_instance(inst, CampaignConfig(seeds=[0], checks=ORACLE_CHECKS), 0)
+    halfopt = results["greedy-halfopt"]
+    assert not halfopt["ok"] and halfopt["detail"]["violation"]
+    assert halfopt["detail"]["alg_value"] == rational_to_json(F(greedy))
+    assert halfopt["detail"]["opt_value"] == optimum
+    assert halfopt["detail"]["ratio"] == rational_to_json(F(greedy) / optimum)
+    links = results["greedy-bridge"]["detail"]["links"]
+    assert links["frozen_half_ok"] is False
+    assert links["greedy_equal"] and links["steps_equal"] and links["bridge_ok"]
+    assert results["greedy-bridge"]["ok"] and results["opt-bridge"]["ok"]
+    assert evaluate(inst, run_online_greedy(inst).allocation).total == greedy
+    assert evaluate(inst, offline_optimal(inst).allocation).total == optimum

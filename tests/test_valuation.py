@@ -10,6 +10,7 @@ from random import Random
 
 import pytest
 
+from aqisim import valuation
 from aqisim.adapters import remote_sampling_family
 from aqisim.harness import GENERATOR_MODES, generate
 from aqisim.model import (
@@ -86,6 +87,81 @@ def test_deadline_voids_utility_and_delay_but_not_energy():
     val = evaluate(inst, Allocation([(ref("p0"), Bin(slot=2))]))
     assert val.per_packet["p0"] == (0, 0)
     assert val.total == -1  # the transmission still burns energy
+
+
+def _evaluated_allocations():
+    """Greedy's and the oracle's allocations, the empty one and a seeded
+    random one per instance, on the table instances that the exact oracle
+    finishes quickly; built before any test patches the valuation."""
+    from aqisim.greedy import run_online_greedy
+    from aqisim.oracle import offline_optimal
+
+    rng = Random(3)
+    out = []
+    for inst in _table_instances():
+        allocs = [Allocation(), run_online_greedy(inst).allocation]
+        if inst.total_subpackets <= 15:
+            allocs.append(offline_optimal(inst).allocation)
+        entries = []
+        for p in inst.packets:
+            for j in range(1, p.subpackets + 1):
+                slot = rng.randint(p.arrival, max(inst.horizon, p.arrival))
+                b = DISCARD if rng.random() < 0.2 else Bin(slot, rng.randrange(inst.servers))
+                entries.append((SubpacketRef(p.id, j), b))
+        allocs.append(Allocation(entries))
+        out += [(inst, alloc) for alloc in allocs]
+    return out
+
+
+def test_evaluate_reads_neither_the_tables_nor_cost_rows(monkeypatch):
+    # `evaluate` is the reference the tables and `CostFamily.row` are checked
+    # against: with all three broken it must return the same values
+    cases = _evaluated_allocations()
+    want = [json.dumps(evaluate(inst, alloc).to_json()) for inst, alloc in cases]
+
+    def broken(*args, **kwargs):
+        raise AssertionError("evaluate read the integer tables")
+
+    monkeypatch.setattr(valuation, "tables", broken)
+    monkeypatch.setattr(valuation, "Tables", broken)
+    monkeypatch.setattr(CostFamily, "row", broken)
+    for (inst, alloc), text in zip(cases, want):
+        val = evaluate(inst, alloc)
+        assert json.dumps(val.to_json()) == text and val.recompute_total() == val.total, inst.label
+
+
+@pytest.fixture
+def fraction_sums(monkeypatch) -> Counter:
+    """Counts `Fraction` additions and subtractions made outside
+    `CostFamily.value`, whose own arithmetic is the curve's definition."""
+    counts: Counter = Counter()
+    inside = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__"):
+        def counted(self, other, _original=getattr(Fraction, name), _name=name):
+            if not inside:
+                counts[_name] += 1
+            return _original(self, other)
+        monkeypatch.setattr(Fraction, name, counted)
+    value = CostFamily.value
+
+    def curve(self, x):
+        inside.append(x)
+        try:
+            return value(self, x)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(CostFamily, "value", curve)
+    return counts
+
+
+def test_evaluate_adds_no_fractions_until_the_breakdown_is_read(fraction_sums):
+    cases = _evaluated_allocations()
+    fraction_sums.clear()  # greedy and the oracle ran to build them
+    vals = [evaluate(inst, alloc) for inst, alloc in cases]
+    assert fraction_sums == Counter()
+    assert all(val.recompute_total() == val.total for val in vals)
+    assert fraction_sums["__add__"] > 0  # reading the breakdown sums Fractions
 
 
 # --- marginal_value --------------------------------------------------------
@@ -331,6 +407,53 @@ def test_tables_read_each_curve_as_integer_rows(monkeypatch):
     for inst in instances:
         assert tables(inst).scale > 0
     assert calls == Counter()
+
+
+def test_tables_hash_no_fraction(monkeypatch):
+    # the lag rows are keyed on integers: building the tables of the table
+    # instances hashes no `Fraction`, and neither does anything it calls
+    calls = Counter()
+    original = Fraction.__hash__
+
+    def counted(self):
+        calls["hash"] += 1
+        return original(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    instances = _table_instances()
+    calls.clear()  # building the instances may hash; only the tables count
+    for inst in instances:
+        assert valuation.Tables(inst).scale > 0
+    assert calls == Counter()
+    assert hash(Fraction(1, 3)) and calls["hash"] == 1  # the counter sees hashes
+
+
+def test_lag_rows_are_shared_only_by_equal_weight_and_delay_family(monkeypatch):
+    # equal parameters under different kinds, the same values under
+    # different kinds and the same family under different weights each get
+    # a row of their own; equal weight and family share one
+    delays = {
+        "lin": linear(1), "lin-again": linear(1), "table": tabulated(range(8)),
+        "power": _family("power", 2, 3), "exponential": _family("exponential", 2, 3),
+        "saturating": _family("saturating", 2, 3),
+    }
+    packets = [Packet(f"{name}-w{w}", arrival=w, subpackets=1, weight=Fraction(w, 2),
+                      distortion=tabulated([0, 9]), delay_cost=fam)
+               for name, fam in delays.items() for w in (1, 2)]
+    inst = Instance(packets=tuple(packets), horizon=5, energy=(linear(1),))
+    rows = []
+    row = CostFamily.row
+
+    def counted(self, n):
+        if any(self is fam for fam in delays.values()):
+            rows.append(self)
+        return row(self, n)
+
+    monkeypatch.setattr(CostFamily, "row", counted)
+    tab = valuation.Tables(inst)
+    assert len(rows) == 2 * (len(delays) - 1)  # "lin" and "lin-again" share, per weight
+    for i, p in enumerate(inst.packets):
+        assert [Fraction(x, tab.scale) for x in tab.lag[i]] == [p.lag_cost(d) for d in range(6 - p.arrival)]
 
 
 def test_hand_built_instances_are_admissible():
