@@ -197,15 +197,25 @@ def adversarial_lock_probe(w: int = 100, eps: Fraction | int = 1) -> BipartiteGr
 # Single runs
 # ---------------------------------------------------------------------------
 
+def require_matcher_budget(graph: BipartiteGraph, budget: int, what: str) -> None:
+    """Raise BudgetError when the matcher's work on `graph` may pass `budget`:
+    each arrival's phase may walk every edge, so lefts x edges bounds it."""
+    if len(graph.left_order) * sum(map(len, graph.rows)) > budget:
+        raise BudgetError(f"instance too large for {what}: more than {budget} left-edge steps")
+
+
 def run_bundle(inst: Instance, algorithm: str, budget: int = DEFAULT_BUDGET,
                require_opt: bool = True):
-    """Run one algorithm against its oracle; returns (report dict, traces)."""
+    """Run one algorithm against its oracle; returns (report dict, traces).
+    `budget` bounds the exact oracle's nodes and the matcher's left-edge steps;
+    the matcher is refused past it, the oracle only when `require_opt`."""
     started = time.perf_counter()
     traces = {}
     if algorithm == "matching":
         if not inst.is_binary():
             raise AqiError("the matching algorithm needs a unit-packet instance")
         graph = expand_binary(inst)  # the online run and the offline optimum share it
+        require_matcher_budget(graph, budget, "the matcher")
         traces["matching"] = run = run_online_matching(graph)
         alg_value, opt_value = run.weight, max_weight_matching(graph).weight
     elif algorithm == "greedy":
@@ -372,9 +382,10 @@ def check_instance(inst: Instance, config: CampaignConfig, seed: int) -> dict:
                 else "needs a single-server unit-packet instance" if inst.servers != 1 else None)
         if not skip:
             graph = expand_binary(inst)  # the online run and the offline optimum share it
-            # each arrival's phase may walk every edge: lefts x edges bounds the matcher's work
-            if len(graph.left_order) * sum(map(len, graph.rows)) > config.budget:
-                skip = f"instance too large for the binary checks: more than {config.budget} left-edge steps"
+            try:
+                require_matcher_budget(graph, config.budget, "the binary checks")
+            except BudgetError as exc:
+                skip = str(exc)
         if skip:
             for name in checks & set(BINARY_CHECKS):
                 results[name] = {"ok": True, "skipped": skip}

@@ -118,14 +118,14 @@ class CostFamily:
           power       (c*x**e, d)
           exponential (s*(p**x - q**x), t*q**x)
           saturating  (s*(p**x - q**x), t*p**x)
-          tabulated   table[x] as (numerator, denominator)
+          tabulated   table[x].as_integer_ratio()
 
         p**x and q**x take one multiply per entry. A table shorter than n
         raises the error `value` raises at its end."""
         if self.kind == "tabulated":
             if n > len(self.table):
                 raise self._past_table(len(self.table))
-            return [(v.numerator, v.denominator) for v in self.table[:n]]
+            return [v.as_integer_ratio() for v in self.table[:n]]
         num, den = self.params[0].numerator, self.params[0].denominator
         if self.kind == "linear":
             return [(num * x, den) for x in range(n)]

@@ -28,25 +28,34 @@ search, the cheap one first:
   packet's schedules, highest value first, stop at the first value that
   cannot beat its running best.
 
-A subtree is pruned when `partial + bound < floor`. The floor is 0, the
-all-discard value, until a leaf is reached, and one more than the incumbent
-after that (all values are integers, so this is `<=` against the
-incumbent). Leaves are visited in ascending key order and only a strict
-improvement replaces the incumbent; the strict comparison against the
-all-discard floor keeps every subtree that may hold an optimum of value 0.
+A subtree is pruned when `partial + bound < floor`. One greedy dive sets
+the first floor: packets by descending static term, ties by id, each take
+their best candidate at the dive's own occupancy (the occupancy bound's
+scan) or are discarded when none gains more than 0. The dive charges each
+bin's energy steps in sequence, so its total D is the exact value of a
+feasible allocation, and D <= the optimum; it expands no search node and is
+not charged to the budget. The floor is D until a leaf reaches it, and one
+more than the incumbent after that (all values are integers, so this is
+`<=` against the incumbent). Leaves are visited in ascending key order and
+a leaf is accepted when `partial >= floor`: the first leaf worth the
+optimum reaches the floor even when D is the optimum itself, as it is on
+110 of the 200 general acceptance instances. The dive's own allocation is
+never reported unless it is that first leaf.
 
 Occupancy memo: what packets i.. can add depends only on the occupancy of
 the cells they can reach, the slots from their earliest arrival on. The
 memo maps (i, that occupancy) to the highest partial value seen there, and
 a node whose partial value is no higher is skipped. This is safe for the
 same reason as pruning. Once the search leaves a subtree, every leaf in it
-is below the floor: it was rejected, set the floor one above itself, or was
-pruned while below a floor that never falls. The skipped node is visited
-later in key order, and each of its completions adds the same value to no
-more partial value, so it scores no more than the same completion of the
-earlier node: below the floor too, never a strict improvement. So no
-subtree holding the first maximizer in key order is pruned or skipped, and
-the reported optimum is the lexicographically smallest maximizer. The
+is below the floor: it was rejected (below D or the incumbent), set the
+floor one above itself, or was pruned while below a floor that never falls.
+The skipped node is visited later in key order, and each of its
+completions adds the same value to no more partial value, so it scores no
+more than the same completion of the earlier node: below the floor too,
+never accepted. The first maximizer in key order is worth at least D and
+more than every leaf before it, so it is at or above the floor when the
+search reaches it; no subtree holding it is pruned or skipped, and the
+reported optimum is the lexicographically smallest maximizer. The
 table is capped at `MEMO_CAP` entries; once full it only answers lookups
 (keeping or raising a stored value), which skips fewer nodes and changes no
 answer. `nodes` counts the schedules tried at the expanded search nodes.
@@ -164,8 +173,24 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
     memo: list[dict[int, int]] = [{} for _ in range(n)]
     stored = 0
     chosen: list[int] = [0] * n
-    best_choice: list[int] = []
-    floor = 0  # a leaf must reach it: 0 (all-discard) first, then the incumbent + 1
+    best_choice: list[int] | None = None
+    # a leaf must reach the floor: the greedy dive's value first, then the
+    # incumbent + 1. The dive places packets by descending static term, each in
+    # its best schedule at the dive's own occupancy, or discards it
+    occupancy = [0] * ncells
+    floor = 0
+    for j in sorted(range(n), key=lambda j: -static[j]):
+        best, pick = 0, ()
+        for groups, value in ranked[j]:
+            if value <= best:
+                break
+            for row, cell, _ in groups:
+                value -= row[occupancy[cell]]
+            if value > best:
+                best, pick = value, groups
+        for _, cell, m in pick:
+            occupancy[cell] += m
+        floor += best
     nodes = 0
 
     def dfs(i: int, partial: int, code: int):
@@ -229,7 +254,8 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
         dfs(0, 0, 0)
     except RecursionError:
         raise BudgetError(too_deep) from None
-    assert floor > 0  # the all-discard assignment always reaches the first floor
+    # the optimum is a leaf worth no less than the dive, so it reaches the first floor
+    assert best_choice is not None
     best_total = floor - 1
 
     alloc = Allocation()

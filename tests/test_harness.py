@@ -160,6 +160,22 @@ def test_binary_checks_skip_an_instance_past_the_budget(tmp_path, capsys):
         assert all((skip in r["skipped"]) if skip else "skipped" not in r for r in checks.values())
 
 
+def test_run_refuses_a_matching_past_the_budget(tmp_path, capsys):
+    # the same 400 single-slot unit packets: `run --algorithm matching` ran
+    # for longer than 20 s before the left-edge gate covered it
+    path = tmp_path / "many.json"
+    gen = ["gen", "--packets", "400", "--max-k", "1", "--horizon", "0", "--seed", "0", "--out", str(path)]
+    assert main(gen) == 0
+    capsys.readouterr()
+    assert main(["run", str(path), "--algorithm", "matching"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: instance too large for the matcher: more than 10000000 left-edge steps\n"
+    # a small instance still runs under the default budget
+    assert main(["run", str(ROOT / "fixtures" / "worked_binary.json"), "--algorithm", "matching"]) == 0
+    assert json.loads(capsys.readouterr().out)["algorithm"] == "matching"
+
+
 def test_run_bundle_rejects_matching_on_general_instances():
     inst = generate(3, 3, 4, seed=11)
     assert not inst.is_binary()

@@ -51,7 +51,8 @@ def test_empty_instance_optimum():
 
 def test_zero_optimum_reports_the_first_zero_valued_schedule():
     # sending p0 at slot 0 earns exactly its energy, a tie with discarding it;
-    # the all-discard floor is strict, so the earlier schedule is reported
+    # no schedule gains more than 0, so the dive's floor is 0, and a leaf that
+    # reaches the floor is accepted: the earlier schedule is reported
     inst = simple_instance([unit_packet(value=5)], horizon=1, energy=[linear(5)])
     res = offline_optimal(inst)
     assert res.valuation.total == 0
@@ -211,21 +212,36 @@ def test_optima_match_recorded_hashes():
 def test_occupancy_bound_keeps_the_adversarial_searches_small():
     # general acceptance seeds 25, 100 and 190 took 2,271,389 nodes when every
     # fragment was bounded by the cheapest first energy increment, 454,424
-    # under the occupancy bound alone, and 36,818 with each bin charged its
-    # exact multi-fragment energy and the occupancy memo
+    # under the occupancy bound alone, 36,818 with each bin charged its exact
+    # multi-fragment energy and the occupancy memo, and 24,894 with the floor
+    # started at the greedy dive
     nodes = sum(offline_optimal(generate(5, 3, 5, seed, mode=GENERATOR_MODES[seed % 3])).nodes
                 for seed in (25, 100, 190))
-    assert nodes <= 40_000
-    # each needed over a million nodes under the emin bound, and 54,317 and
-    # 92,641 under the occupancy bound alone; now 7,773 and 5,380
+    assert nodes <= 26_000
+    # each needed over a million nodes under the emin bound, 54,317 and 92,641
+    # under the occupancy bound alone, 7,773 and 5,380 with the exact bin cost
+    # and memo; now 3,149 and 3,145
     for seed in (1, 2):
-        assert offline_optimal(generate(7, 3, 6, seed, mode="adversarial-burst")).nodes < 10_000
+        assert offline_optimal(generate(7, 3, 6, seed, mode="adversarial-burst")).nodes < 4_000
+
+
+def test_dive_floor_keeps_the_campaign_searches_small():
+    # with the floor at 0 until the first leaf, the general acceptance seeds
+    # took 133,245 nodes and the two-server deadline seeds 10,808; starting it
+    # at the greedy dive's value brings them to 82,378 and 5,841
+    general = sum(offline_optimal(generate(5, 3, 5, seed, mode=GENERATOR_MODES[seed % 3])).nodes
+                  for seed in range(200))
+    assert general <= 85_000
+    deadlines = sum(offline_optimal(generate(4, 2, 4, seed, mode=GENERATOR_MODES[seed % 3],
+                                             servers=2, deadline_prob=0.4)).nodes for seed in range(60))
+    assert deadlines <= 6_000
 
 
 @pytest.mark.parametrize("size", [(8, 3, 7), (10, 3, 8)])
 def test_oracle_envelope_stays_small(size):
     # the envelope the README tabulates; the worst is 8x3x7 adversarial-lock
-    # seed 2 at 58,262 nodes (1,247,177 before the exact bin cost and memo)
+    # seed 2 at 54,110 nodes (1,247,177 before the exact bin cost and memo,
+    # 58,262 before the dive floor)
     for mode in ("adversarial-burst", "adversarial-lock"):
         for seed in range(4):
             assert offline_optimal(generate(*size, seed, mode=mode)).nodes < 64_000, (mode, seed)
@@ -273,6 +289,12 @@ def test_memo_reports_the_first_of_equal_maximizers(monkeypatch):
     assert res.valuation.total == 12
     assert res.allocation == _first_maximizer_in_key_order(inst)
     assert [e["bin"] for e in res.allocation.to_json()] == ["t0s0"] * 3 + ["t1s0"] * 2
+    # the greedy dive reaches 12 too, with p0 and p2 in t0, p1 and p3 in t1 and
+    # p4 discarded: a maximizer that is not the first in key order, so the
+    # floor starts at the optimum and only the first leaf to reach it is kept
+    t0, t1 = Bin(slot=0, server=0), Bin(slot=1, server=0)
+    dive = Allocation((SubpacketRef(f"p{i}", 1), b) for i, b in enumerate([t0, t1, t0, t1, DISCARD]))
+    assert evaluate(inst, dive).total == 12 and dive != res.allocation
     monkeypatch.setattr(oracle, "MEMO_CAP", 0)
     unmemoized = offline_optimal(inst)
     assert unmemoized.allocation == res.allocation
@@ -285,10 +307,19 @@ def test_first_maximizer_in_key_order_on_three_servers_with_deadlines():
     def packet(pid, arrival, k, deadline):
         return Packet(id=pid, arrival=arrival, subpackets=k, weight=F(1), distortion=linear(6),
                       delay_cost=linear(0), deadline=deadline)
+    square = tabulated([0, 1, 4, 9, 16, 25])
     tied = simple_instance([packet("p0", 0, 2, 1), packet("p1", 1, 2, None), packet("p2", 0, 1, 0)],
-                           horizon=1, energy=[tabulated([0, 1, 4, 9, 16, 25])] * 3, servers=3)
-    cases = [tied] + [generate(n, 2, 1, seed, mode=GENERATOR_MODES[seed % 3], servers=3, deadline_prob=0.5)
-                      for n, seed in [(2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 0), (3, 1)]]
+                           horizon=1, energy=[square] * 3, servers=3)
+    # five unit packets in one slot: the greedy dive spreads them s0, s1, s2,
+    # s0, s1 for the optimum, 30 - 4 - 4 - 1 = 21, but the first maximizer in
+    # key order fills s0 first
+    spread = simple_instance([packet(f"p{i}", 0, 1, 0) for i in range(5)], horizon=0,
+                             energy=[square] * 3, servers=3)
+    dive = Allocation((SubpacketRef(f"p{i}", 1), Bin(slot=0, server=s)) for i, s in enumerate([0, 1, 2, 0, 1]))
+    opt = offline_optimal(spread)
+    assert evaluate(spread, dive).total == 21 == opt.valuation.total and opt.allocation != dive
+    cases = [tied, spread] + [generate(n, 2, 1, seed, mode=GENERATOR_MODES[seed % 3], servers=3, deadline_prob=0.5)
+                              for n, seed in [(2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 0), (3, 1)]]
     for inst in cases:
         assert offline_optimal(inst).allocation == _first_maximizer_in_key_order(inst)
 
