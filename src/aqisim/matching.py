@@ -7,8 +7,10 @@ one preferring edges in (left rank, right rank) order wins. That is, at the
 first left, in rank order, where two matchings differ, the one matching it to
 the lower-ranked right wins, and a matched left beats an unmatched one. Edge
 (l, r) carries `|R| - r` in a bit field of its own for left l, fields ordered
-by left rank (`_Hungarian` shows why this orders matchings exactly as the
-rule says), so runs and traces are reproducible.
+by left rank, below its weight in one packed integer per edge
+(`BipartiteGraph.packed`; `_Hungarian` shows why comparing packed sums
+orders matchings exactly as the rule says), so runs and traces are
+reproducible.
 
 One solver state (matching plus duals) serves both uses. Between operations
 every edge is dual-feasible, every matched edge is tight, and right duals are
@@ -26,11 +28,12 @@ reverse shortest-path pass over the duals (`_Hungarian.drop_losses`).
 Each event costs what it changes, not the whole graph. A phase takes its
 slacks from a heap and keeps its dual steps in one running offset, so a
 step touches no entry. Loss seeding reads each left's heaviest edge to a
-free bin off a heap of its edges, which each edge leaves at most once per
-run. An event stores its weights and sparse losses as integers over the
-scale and renders their `Fraction` views, weights and marginals alike, only
-when they are read. The event loop orders events on integer clocks and builds
-one `Fraction` per permanent lock, plus the run's weight.
+free bin off a cursor into its edges in weight order, which passes each
+edge at most once per run. An event stores its weights and sparse losses as
+integers over the scale and renders their `Fraction` views, weights and
+marginals alike, only when they are read. The event loop orders events on
+integer clocks and builds one `Fraction` per permanent lock, plus the run's
+weight.
 """
 
 from __future__ import annotations
@@ -55,6 +58,12 @@ class MatchingError(AqiError):
     pass
 
 
+def _rational(x) -> bool:
+    """Whether `x` is an int or a Fraction (or another `Rational`), never a
+    bool; the two exact types, nearly every value, skip the abc check."""
+    return type(x) is int or type(x) is Fraction or (not isinstance(x, bool) and isinstance(x, Rational))
+
+
 class BipartiteGraph:
     """Weighted bipartite instance with timed left arrivals and right locks.
 
@@ -62,8 +71,8 @@ class BipartiteGraph:
     tie-breaking. Absent weight entries are unmatchable pairs; stored weights
     must be non-negative. The weights are kept once, as integers over one
     common `scale`: `rows[l]` maps a right rank to the scaled weight of
-    (left l, that right). `weights` is the exact `Fraction` mapping, built
-    when first read.
+    (left l, that right). `weights` is the exact `Fraction` mapping, and
+    `packed` the solver's table, each built when first read.
     """
 
     def __init__(self, left_order: list[str], right_order: list[str],
@@ -74,7 +83,7 @@ class BipartiteGraph:
         for (a, b), w in weights.items():
             if a not in left or b not in right:
                 raise MatchingError(f"edge ({shown(a)}, {shown(b)}) references unknown nodes")
-            if isinstance(w, bool) or not isinstance(w, Rational):
+            if not _rational(w):
                 raise MatchingError(f"edge ({shown(a)}, {shown(b)}) has weight {shown(w)}, not an int or Fraction")
             if w < 0:
                 raise MatchingError(f"edge ({shown(a)}, {shown(b)}) has negative weight {w}")
@@ -109,7 +118,7 @@ class BipartiteGraph:
             for x, t in times.items():
                 if x not in nodes:
                     raise MatchingError(f"{what} time for unknown {side} node {shown(x)}")
-                if isinstance(t, bool) or not isinstance(t, Rational):
+                if not _rational(t):
                     raise MatchingError(f"{side} node {shown(x)} has {what} time {shown(t)}, not an int or Fraction")
 
     @cached_property
@@ -117,6 +126,29 @@ class BipartiteGraph:
         left, right, scale = self.left_order, self.right_order, self.scale
         return {(left[li], right[ri]): Fraction(w, scale)
                 for li, row in enumerate(self.rows) for ri, w in row.items()}
+
+    @property
+    def packed_shift(self) -> int:
+        """K = |L| * bit_length(|R|) + 1: a weight's place in `packed`, one
+        bit above the rank fields (`_Hungarian.drop_losses` needs that bit)."""
+        return len(self.left_order) * len(self.right_order).bit_length() + 1
+
+    @cached_property
+    def packed(self) -> list[dict[int, int]]:
+        """The solver's exact edge weights, one integer per edge, built once
+        and shared by every solver over this graph: `packed[l]` maps right
+        rank r to `(rows[l][r] << K) | ((|R| - r) << B * (|L| - 1 - l))`, with
+        `B = bit_length(|R|)` and `K = packed_shift`, and left l's dummy sink,
+        right `|R| + l`, to 0. Read-only."""
+        nl, nr, k = len(self.left_order), len(self.right_order), self.packed_shift
+        bits = nr.bit_length()
+        table = []
+        for li, row in enumerate(self.rows):
+            shift = bits * (nl - 1 - li)
+            edges = {ri: (w << k) | ((nr - ri) << shift) for ri, w in row.items()}
+            edges[nr + li] = 0
+            table.append(edges)
+        return table
 
 
 @dataclass
@@ -140,66 +172,64 @@ class _Hungarian:
     """Matching plus duals over lefts x (rights + one dummy sink per left).
 
     Nodes are graph ranks; right `nr + li` is the dummy sink of left `li`, a
-    weight-0 edge meaning "unmatched". Weights are (primary, secondary)
-    integer pairs compared lexicographically. Between operations, over the
-    lefts added and not dropped and the live rights:
-      - every edge is dual-feasible: lu[l] + lv[r] >= w(l, r);
-      - every matched edge is tight: lu[l] + lv[r] == w(l, r);
+    weight-0 edge meaning "unmatched". Weights are the graph's `packed`
+    integers, and every dual, slack and heap key is an exact integer on the
+    same scale. Between operations, over the lefts added and not dropped and
+    the live rights:
+      - every edge is dual-feasible: lu[l] + lv[r] >= W(l, r);
+      - every matched edge is tight: lu[l] + lv[r] == W(l, r);
       - lv >= 0, and lv == 0 on every free right.
-    Complementary slackness then makes the matching optimal, and the
-    secondaries make the optimum unique. Dropping a node only removes
+    Complementary slackness then makes the matching optimal for W, and the
+    rank fields make the optimum unique. Dropping a node only removes
     constraints, so the rest stays optimal; a new left, or the mate of a
     dropped right, is then the only free left, and one augmenting phase from
     it restores optimality. `phase` runs it for a new left, whose dual enters
-    unset (None): its heap keys are `v - w`, the slack less `lu` once `lu =
-    max(w - v)` covers its heaviest live edge, so the heap's top gives that
+    unset (None): its heap keys are `v - W`, the slack less `lu` once `lu =
+    max(W - v)` covers its heaviest live edge, so the heap's top gives that
     dual and the phase's starting offset, and an arrival reads its edges
     once. What a phase from the mate would cost, for every matched right at
     once, is `drop_losses`; the online run retires a locked bin's mate.
 
     `phase` grows its tree from a heap of `(slack + offset, right)`: a dual
     step adds to the running offset, and each tree node takes its dual
-    change once, when the phase ends. `drop_losses` seeds its search from
-    per-left max-heaps of real edges that only ever lose entries, since a
-    real right never goes from matched back to free; so every edge is
-    popped at most once per run.
+    change once, when the phase ends. `drop_losses` seeds its search from a
+    cursor per left into its real edges in W order, which only moves
+    forward, since a real right never goes from matched back to free; so
+    every edge is passed at most once per run.
 
-    The secondary of edge (l, r) is `(C - r) << (B * (L - 1 - l))` with
-    `L = |L|`, `C = |R|` and `B = C.bit_length()`; sink edges have 0. Every
-    left owns a disjoint B-bit field, and a matching puts at most one value
-    `v_l = C - r` in it, with 1 <= v_l <= C < 2**B, so summing never
-    carries: a matching's secondary spells out its vector (v_0, ..., v_{L-1}),
-    with v_l = 0 where l is unmatched, and comparing two sums compares those
-    vectors lexicographically. That is the module's tie rule, and distinct
-    matchings have distinct vectors, so the optimum is unique. (A one-hot
-    secondary `1 << (L*C - l*C - r)` spells out the same vector, one C-bit
-    block per left, and orders matchings identically with |L| x |R| bits.)
-    The primaries are untouched, so the matching, its weight and
-    `drop_losses`, which reads primaries only, do not depend on the encoding.
+    Why W orders matchings by (weight, tie rule). With `L = |L|`,
+    `C = |R|`, `B = C.bit_length()` and `K = L*B + 1`, edge (l, r) packs
+    its weight w over the scale as `W = (w << K) | ((C - r) << (B * (L - 1
+    - l)))`; sink edges have 0. Every left owns a disjoint B-bit field, and
+    a matching puts at most one value `v_l = C - r` in it, with 1 <= v_l <=
+    C < 2**B, so summing never carries: a matching's W sum is `P << K`
+    plus a secondary S < 2**(K-1) that spells out its vector (v_0, ...,
+    v_{L-1}), with v_l = 0 where l is unmatched. Comparing W sums is
+    comparing (P, S) lexicographically, and comparing the S parts compares
+    those vectors lexicographically: the module's tie rule. Distinct
+    matchings have distinct vectors, so the optimum is unique, and an online
+    state, the optimum over its live nodes, does not depend on the path
+    that reached it. `total`, the weight of the matched real edges, and the
+    locked weights are read from the graph's `rows`.
     """
 
     def __init__(self, graph: BipartiteGraph):
-        self.scale = graph.scale
+        self.scale, self.rows = graph.scale, graph.rows
+        self.adj = graph.packed  # per left {right rank: W}, sink included; read-only
+        self.shift = graph.packed_shift
         nl = len(graph.left_order)
         self.nr = nr = len(graph.right_order)
-        bits = nr.bit_length()
-        # read-only: per-left {right rank: (primary, secondary)}
-        self.adj: list[dict[int, tuple[int, int]]] = []
-        for li, row in enumerate(graph.rows):
-            shift = bits * (nl - 1 - li)
-            edges = {ri: (w, (nr - ri) << shift) for ri, w in row.items()}
-            edges[nr + li] = (0, 0)
-            self.adj.append(edges)
-        # built by the first `drop_losses`: per-right [(left rank, primary
-        # weight)], read-only, and per-left max-heaps [(-primary, real right)]
-        self.radj: list[list[tuple[int, int]]] | None = None
-        self.tops: list[list[tuple[int, int]]] | None = None
-        self.lu: list = [None] * nl
-        self.lv = [(0, 0)] * (nr + nl)
+        # built by the first `drop_losses`: per right, its lefts (read-only);
+        # per left, its real rights in W order and a cursor into them
+        self.radj: list[list[int]] | None = None
+        self.seeds: list[list[int]] | None = None
+        self.cursor: list[int] | None = None
+        self.lu: list[int | None] = [None] * nl
+        self.lv = [0] * (nr + nl)
         self.match_l: list[int | None] = [None] * nl
         self.match_r: list[int | None] = [None] * (nr + nl)
         self.live = [True] * (nr + nl)
-        self.total = 0  # primary weight of the matched real edges
+        self.total = 0  # weight over the scale of the matched real edges
 
     def add_left(self, li: int) -> None:
         self.phase(li)
@@ -210,7 +240,7 @@ class _Hungarian:
         li = self.match_r[ri]
         if li is not None:
             self.match_r[ri] = self.match_l[li] = None
-            self.total -= self.adj[li][ri][0]
+            self.total -= self.rows[li][ri]
         return li
 
     def drop_left(self, li: int) -> None:
@@ -218,74 +248,74 @@ class _Hungarian:
         self.live[self.nr + li] = False
 
     def _index_edges(self) -> None:
-        """Build `radj` and `tops`, on the first `drop_losses`, so the offline
-        solve never pays for them."""
-        self.radj = [[] for _ in self.lv]
-        self.tops = []
+        """Build `radj`, `seeds` and `cursor`, on the first `drop_losses`, so
+        the offline solve never pays for them."""
         nr = self.nr
+        self.radj = radj = [[] for _ in self.lv]
         for li, row in enumerate(self.adj):
-            top = []
-            for ri, w in row.items():
-                self.radj[ri].append((li, w[0]))
-                if ri < nr:
-                    top.append((-w[0], ri))
-            heapq.heapify(top)
-            self.tops.append(top)
+            for ri in row:
+                radj[ri].append(li)
+        # W order: heavier weight first, then the lower right rank
+        self.seeds = [sorted([ri for ri in row if ri < nr], key=row.__getitem__, reverse=True)
+                      for row in self.adj]
+        self.cursor = [0] * len(self.adj)
 
     def drop_losses(self) -> dict[int, int]:
-        """{real right: primary weight lost by dropping it} for every matched
-        real right, from one pass and without changing the state.
+        """{real right: weight over the scale lost by dropping it} for every
+        matched real right, from one pass and without changing the state.
 
         Dropping right `r` frees only its mate `l`, and one phase from `l`
         follows a shortest augmenting path in reduced costs
-        `lu[l2] + lv[r2] - w(l2, r2)`, ending at a free live right (`l`'s own
+        `lu[l2] + lv[r2] - W(l2, r2)`, ending at a free live right (`l`'s own
         sink at worst). Along an alternating path the matched edges are tight
-        and the end right's dual is 0, so the path's weight gain telescopes to
+        and the end right's dual is 0, so the path's W gain telescopes to
         `lu[l]` minus its reduced cost: a shortest path of cost `d(l)` gains
-        `lu[l] - d(l)`, and the loss is `w(l, r) - lu[l] + d(l) = lv[r] + d(l)`
-        since `(l, r)` is tight. A path through `r` returns to `l`, a cycle of
-        non-negative cost, so `d(l)` is the same with `r` still live.
+        `lu[l] - d(l)`, and the W loss is `W(l, r) - lu[l] + d(l) = lv[r] +
+        d(l)` since `(l, r)` is tight. A path through `r` returns to `l`, a
+        cycle of non-negative cost, so `d(l)` is the same with `r` still live.
+        One multi-source Dijkstra run backwards from the free live rights,
+        over the in-edge lists `radj`, gives `d` for every active left at
+        once: a right's distance is 0 if free and its mate's otherwise.
 
-        The primary parts alone give the primary loss. The primary duals are
-        feasible (a lexicographic `>=` implies `>=` on the first component),
-        tight on matched edges and 0 on free rights, so the argument holds for
-        them; and the phase's lexicographically shortest path has as its first
-        component the least first component of any path. One multi-source
-        Dijkstra run backwards from the free live rights, over the in-edge
-        lists `radj`, gives `d` for every active left at once: a right's
-        distance is 0 if free and its mate's otherwise.
+        The W loss is the difference of two optimal W sums, `dP << K` plus
+        the difference of their secondaries, each below 2**(K-1); so it is
+        `dP * 2**K + dS` with `|dS| < 2**(K-1)`, and rounding it to the
+        nearest multiple of 2**K, `(loss + 2**(K-1)) >> K`, gives the weight
+        loss dP exactly. The optimum without `r` has the greatest weight of
+        any matching without it, so dP is the weight a re-solve would lose.
 
-        A left's seed is `u[l]` less its heaviest edge to a free live right.
-        A real right never goes from matched back to free (a phase only adds
-        rights to the matching, and a drop kills one), so the free live real
-        rights only shrink: `tops[l]`, a max-heap of `l`'s real edges, drops a
-        top once it is dead or matched, and every edge leaves its heap at
-        most once per run. A sink can go from matched to free, so it is read
+        A left's seed is `u[l]` less its heaviest W edge to a free live
+        right. A real right never goes from matched back to free (a phase
+        only adds rights to the matching, and a drop kills one), so the free
+        live real rights only shrink: `seeds[l]` lists `l`'s real rights in W
+        order, `cursor[l]` moves past each one once it is dead or matched,
+        and never back. A sink can go from matched to free, so it is read
         directly: it seeds `u[l]` when free, which never beats a free real
-        right's `u[l] - w`.
+        right's `u[l] - W`.
         """
         if self.radj is None:
             self._index_edges()
-        lv, radj, tops = self.lv, self.radj, self.tops
+        adj, lv, radj, seeds, cursor = self.adj, self.lv, self.radj, self.seeds, self.cursor
         live, match_l, match_r = self.live, self.match_l, self.match_r
         nr, inf = self.nr, math.inf
-        heappop = heapq.heappop
-        # primary duals of the active lefts (added, sink still live), else None
-        u = [None if d is None or not live[nr + li] else d[0] for li, d in enumerate(self.lu)]
+        heappop, heappush = heapq.heappop, heapq.heappush
+        # duals of the active lefts (added, sink still live), else None
+        u = [None if d is None or not live[nr + li] else d for li, d in enumerate(self.lu)]
         heap = []  # (seed, left): the least distance via a free live right
         for li, ul in enumerate(u):
             if ul is None:
                 continue
-            top = tops[li]
-            while top:
-                w, ri = top[0]  # w is the weight negated
+            seed, at = seeds[li], cursor[li]
+            while at < len(seed):
+                ri = seed[at]
                 if match_r[ri] is None and live[ri]:
-                    heap.append((ul + w, li))
+                    heap.append((ul - adj[li][ri], li))
                     break
-                heappop(top)
+                at += 1
             else:
                 if match_l[li] != nr + li:  # its sink is free
                     heap.append((ul, li))
+            cursor[li] = at
         best = {li: d for d, li in heap}  # least distance offered so far
         heapq.heapify(heap)
         dist: dict[int, int] = {}
@@ -295,13 +325,18 @@ class _Hungarian:
                 continue
             dist[li] = d
             ri = match_l[li]  # its distance is d, and its in-edges lead on
-            d += lv[ri][0]
-            for l2, w in radj[ri]:
-                if u[l2] is not None and d + u[l2] - w < best.get(l2, inf):
-                    best[l2] = d + u[l2] - w
-                    heapq.heappush(heap, (best[l2], l2))
+            d += lv[ri]
+            for l2 in radj[ri]:
+                if u[l2] is not None:
+                    d2 = d + u[l2] - adj[l2][ri]
+                    if d2 < best.get(l2, inf):
+                        best[l2] = d2
+                        heappush(heap, (d2, l2))
         # a left matched to a real right has a free sink, so it was seeded
-        return {ri: lv[ri][0] + dist[li] for li, ri in enumerate(match_l) if ri is not None and ri < nr}
+        k = self.shift
+        half = 1 << (k - 1)
+        return {ri: (lv[ri] + dist[li] + half) >> k
+                for li, ri in enumerate(match_l) if ri is not None and ri < nr}
 
     def phase(self, root: int) -> None:
         """Augment along a shortest path from `root`, a left just added.
@@ -317,21 +352,20 @@ class _Hungarian:
         the first left that offered that slack. The root's dual enters
         unset and is set from the heap's top (see the class docstring).
         """
-        lu, lv, adj, live = self.lu, self.lv, self.adj, self.live
+        lu, lv, adj, rows, live = self.lu, self.lv, self.adj, self.rows, self.live
         match_l, match_r = self.match_l, self.match_r
         heappop, heappush = heapq.heappop, heapq.heappush
-        in_t: dict[int, tuple[int, int]] = {}  # tree right -> offset when it joined
+        in_t: dict[int, int] = {}  # tree right -> offset when it joined
         tree_parent: dict[int, int] = {}
-        least: dict[int, tuple[int, int]] = {}  # right -> least slack + offset so far
+        least: dict[int, int] = {}  # right -> least slack + offset so far
         heap = []
-        for ri, (w0, w1) in adj[root].items():
+        for ri, w in adj[root].items():
             if live[ri]:
-                v0, v1 = lv[ri]
-                key = least[ri] = (v0 - w0, v1 - w1)
+                key = least[ri] = lv[ri] - w
                 heap.append((key, ri, root))
         heapq.heapify(heap)
         offset = heap[0][0]
-        lu[root] = (-offset[0], -offset[1])  # covers every live edge, the heaviest tightly
+        lu[root] = -offset  # covers every live edge, the heaviest tightly
         in_s = {root: offset}  # tree left -> offset when it joined
         while True:
             if not heap:
@@ -351,30 +385,25 @@ class _Hungarian:
                     prev = match_l[li]
                     match_l[li] = ri
                     match_r[ri] = li
-                    self.total += adj[li][ri][0] - (0 if prev is None else adj[li][prev][0])
+                    row = rows[li]  # a sink is absent: weight 0
+                    self.total += row.get(ri, 0) - (0 if prev is None else row.get(prev, 0))
                     if prev is None:
                         break
                     ri = prev
                 break
             in_s[occupant] = offset
-            u0, u1 = lu[occupant]
-            u0 += offset[0]
-            u1 += offset[1]
-            for ri, (w0, w1) in adj[occupant].items():
+            u = lu[occupant] + offset
+            for ri, w in adj[occupant].items():
                 if ri in in_t or not live[ri]:
                     continue
-                v0, v1 = lv[ri]
-                key = (u0 + v0 - w0, u1 + v1 - w1)
+                key = u + lv[ri] - w
                 if ri not in least or key < least[ri]:
                     least[ri] = key
                     heappush(heap, (key, ri, occupant))
-        off0, off1 = offset
-        for li, (j0, j1) in in_s.items():
-            u0, u1 = lu[li]
-            lu[li] = (u0 - off0 + j0, u1 - off1 + j1)
-        for ri, (j0, j1) in in_t.items():
-            v0, v1 = lv[ri]
-            lv[ri] = (v0 + off0 - j0, v1 + off1 - j1)
+        for li, joined in in_s.items():
+            lu[li] += joined - offset
+        for ri, joined in in_t.items():
+            lv[ri] += offset - joined
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +529,7 @@ def run_online_matching(graph: BipartiteGraph) -> MatchRun:
         for _, _, ri, b, _ in batch:
             mate = live.drop_right(ri)
             if mate is not None:
-                w = live.adj[mate][ri][0]
+                w = graph.rows[mate][ri]
                 log.add(ri, w)
                 perm[b] = (graph.left_order[mate], Fraction(w, live.scale))
                 perm_weight += w

@@ -737,13 +737,14 @@ def test_online_run_and_expansion_do_bounded_work(monkeypatch):
     # utility, per shared lag row and per server's energy
     assert calls["value"] == 0
     assert 0 < calls["row"] <= 2 * len(inst.packets) + inst.servers < PER_EDGE_VALUE_CALLS // 4
-    heaps = []
+    seeds, cursors = [], []
     index_edges = matching._Hungarian._index_edges
 
     def counted_index_edges(self):
         index_edges(self)
-        self.tops = [_ReadCountingHeap(top) for top in self.tops]
-        heaps.extend(self.tops)
+        self.seeds = [_ReadCountingList(seed) for seed in self.seeds]
+        seeds.extend(self.seeds)
+        cursors.append(self.cursor)
 
     monkeypatch.setattr(matching._Hungarian, "_index_edges", counted_index_edges)
     calls["fraction"] = 0
@@ -766,14 +767,14 @@ def test_online_run_and_expansion_do_bounded_work(monkeypatch):
     arrival_walks.clear()
     solve(g)
     assert arrival_walks == [1] * 20
-    # loss seeding reads each left's heaviest edge to a free bin off a heap of
-    # its edges, and a bin once matched or locked never comes back free: each
-    # edge leaves its heap at most once per run, and every event reads one top
-    # per left on top of those
+    # loss seeding reads each left's heaviest edge to a free bin through a
+    # cursor into its edges in weight order, and a bin once matched or locked
+    # never comes back free: the cursors pass each edge at most once per run,
+    # and every event reads one entry per left on top of those
     edges, lefts, events = sum(map(len, g.rows)), len(g.left_order), len(run.events)
-    assert sum(h.built for h in heaps) == edges
-    assert sum(h.built - len(h) for h in heaps) <= edges + lefts
-    assert sum(h.reads for h in heaps) <= edges + events * lefts < events * edges // 4
+    assert len(cursors) == 1 and sum(map(len, seeds)) == edges
+    assert sum(cursors[0]) <= edges
+    assert sum(seed.reads for seed in seeds) <= edges + events * lefts < events * edges // 4
 
 
 class _ItemWalkCountingRow(dict):
@@ -786,26 +787,48 @@ class _ItemWalkCountingRow(dict):
         return super().items()
 
 
-class _ReadCountingHeap(list):
-    """A heap that counts its reads by index; `heapq` pops it as a list."""
+class _ReadCountingList(list):
+    """A list that counts its reads by index."""
 
-    def __init__(self, items):
-        super().__init__(items)
-        self.built, self.reads = len(items), 0
+    reads = 0
 
     def __getitem__(self, i):
         self.reads += 1
         return super().__getitem__(i)
 
 
-def test_solver_secondaries_fit_the_rank_fields():
-    # the tie-break costs |L| * bit_length(|R|) bits per edge (1,200 on the
-    # online graph at 100 / h=50), not |L| * |R| (about 259,000); structural,
-    # so it holds at any speed, and on the deeper reference graph too
+def test_packed_weights_hold_the_weight_above_the_rank_fields(monkeypatch):
+    # one exact integer per edge: the weight over the scale from bit K up, and
+    # below it the rank field of (l, r), under 2**(|L| * B) with B =
+    # bit_length(|R|): 1,200 bits on the online graph at 100 / h=50, not the
+    # |L| * |R| (about 259,000) of one power of two per edge; structural, so
+    # it holds at any speed, and on the deeper reference graph too
     for g in (expand_binary(generate(100, 1, 50, 0)), reference_expansion(generate(30, 1, 15, 0))):
-        solver = matching._Hungarian(g)
-        bits = len(g.left_order) * len(g.right_order).bit_length()
-        assert max(sec.bit_length() for row in solver.adj for _, sec in row.values()) <= bits
+        nl, nr = len(g.left_order), len(g.right_order)
+        bits = nr.bit_length()
+        k = nl * bits + 1
+        assert g.packed_shift == k
+        assert len(g.packed) == nl
+        for a, row in enumerate(g.packed):
+            assert set(row) == {*g.rows[a], nr + a} and row[nr + a] == 0
+            for b, w in g.rows[a].items():
+                packed = row[b]
+                assert type(packed) is int and packed >> k == w
+                rank_field = packed & ((1 << k) - 1)
+                assert rank_field == (nr - b) << (bits * (nl - 1 - a)) < 1 << (nl * bits)
+    # one graph's online run and offline solve read the same table object
+    tables_read = []
+    init = matching._Hungarian.__init__
+
+    def recording_table(self, graph):
+        init(self, graph)
+        tables_read.append(self.adj)
+
+    monkeypatch.setattr(matching._Hungarian, "__init__", recording_table)
+    g = expand_binary(_online_matching_instance(0))
+    run_online_matching(g)
+    max_weight_matching(g)
+    assert len(tables_read) == 2 and all(t is g.packed for t in tables_read)
 
 
 def certify(solver, g: BipartiteGraph) -> list[str]:
@@ -814,35 +837,34 @@ def certify(solver, g: BipartiteGraph) -> list[str]:
 
     The nodes are the active lefts (added, sink still live), the live rights
     and the active lefts' sinks: sink `nr + l` is left l's weight-0 way of
-    staying unmatched. Weights are (primary, rank-field secondary) pairs,
-    rebuilt here from `g.rows`, compared lexicographically. The checks, in
-    exact integers: `lu + lv >= w` on every edge, `==` on every matched edge,
-    `lv >= 0` on every right, and `lv == 0` on every free right."""
+    staying unmatched. Weights are the packed integers, the weight over the
+    scale shifted above the rank-field secondary, rebuilt here from
+    `g.rows`. The checks, in exact integers: `lu + lv >= w` on every edge,
+    `==` on every matched edge, `lv >= 0` on every right, and `lv == 0` on
+    every free right."""
     nl, nr = len(g.left_order), len(g.right_order)
     field_bits = nr.bit_length()
+    shift = nl * field_bits + 1
     lu, lv, live, match_l, match_r = solver.lu, solver.lv, solver.live, solver.match_l, solver.match_r
     active = [a for a in range(nl) if lu[a] is not None and live[nr + a]]
     problems = []
 
     def weight(a, b):
-        return (0, 0) if b == nr + a else (g.rows[a][b], (nr - b) << (field_bits * (nl - 1 - a)))
-
-    def cover(a, b):
-        return (lu[a][0] + lv[b][0], lu[a][1] + lv[b][1])
+        return 0 if b == nr + a else (g.rows[a][b] << shift) + ((nr - b) << (field_bits * (nl - 1 - a)))
 
     for a in active:
         for b in [*g.rows[a], nr + a]:
-            if live[b] and cover(a, b) < weight(a, b):
+            if live[b] and lu[a] + lv[b] < weight(a, b):
                 problems.append(f"edge ({a}, {b}) is not covered")
         b = match_l[a]
         if b is None or not live[b] or match_r[b] != a or (b not in g.rows[a] and b != nr + a):
             problems.append(f"left {a} is not matched along a live edge")
-        elif cover(a, b) != weight(a, b):
+        elif lu[a] + lv[b] != weight(a, b):
             problems.append(f"matched edge ({a}, {b}) is not tight")
     for b in [b for b in range(nr) if live[b]] + [nr + a for a in active]:
-        if lv[b] < (0, 0):
+        if lv[b] < 0:
             problems.append(f"right {b} has a negative dual")
-        if match_r[b] is None and lv[b] != (0, 0):
+        if match_r[b] is None and lv[b] != 0:
             problems.append(f"free right {b} has a nonzero dual")
         if match_r[b] is not None and match_l[match_r[b]] != b:
             problems.append(f"right {b} and its mate disagree")
@@ -892,11 +914,14 @@ def test_certify_rejects_a_perturbed_dual_or_a_swapped_pair():
     nr = solver.nr
     real = [(a, b) for a, b in enumerate(solver.match_l) if b < nr]
     a, b = real[0]
-    for duals, node, step in ((solver.lu, a, 1), (solver.lu, a, -1), (solver.lv, b, 1), (solver.lv, b, -1)):
-        kept = duals[node]
-        duals[node] = (kept[0] + step, kept[1])
-        assert certify(solver, g), (node, step)
-        duals[node] = kept
+    # one unit of the secondary, and one of the weight over the scale
+    weight_unit = 1 << (len(g.left_order) * nr.bit_length() + 1)
+    for duals, node in ((solver.lu, a), (solver.lv, b)):
+        for step in (1, -1, weight_unit, -weight_unit):
+            kept = duals[node]
+            duals[node] = kept + step
+            assert certify(solver, g), (node, step)
+            duals[node] = kept
     assert certify(solver, g) == []
     # a swap between two lefts whose crossed edges both exist: by the tie
     # rule's uniqueness, both cannot be tight
