@@ -6,29 +6,44 @@ the discard bin. Ties break toward regular bins over discard, then earliest
 slot, then lowest server index; the discard bin guarantees every step's
 marginal is at least 0.
 
-A run lists its candidate bins once, in that order, and keeps two integer
-lists of its own laid out `slot * servers + server` as the list is: each
-regular bin's occupancy and its price, `energy_inc[server][occupancy]` from
-`tables(inst)`. Packets arrive in (arrival, id) order; a packet's steps
-share one slice of the list, from its arrival slot on, and one copy of its
-lag row spread over those bins. A fragment's gains come from the packet's
-fragment count and last slot, kept in two local integers: every bin up to
-the last slot adds one fragment at the same completion slot, a later bin up
-to the deadline adds the utility step less its own lag, a bin past the
-deadline loses the packet's current term; each bin then pays its price, and
-the discard bin gains 0. The pick is the first strict maximum of those
-integers, and only the chosen bin's occupancy and price change after it.
-When a packet's last fragment is placed, the run writes the packet's
-entries into its one allocation: the chosen bins in (slot, server) order
-take indices 1, 2, ... and the discards the rest.
+A run lists its candidate bins once, in that order, and keeps integer lists
+of its own: per regular bin, laid out `slot * servers + server` as the list
+is, its occupancy and its price, `energy_inc[server][occupancy]` from
+`tables(inst)`; per slot, the lowest price among its bins. Packets arrive in
+(arrival, id) order, and a packet's steps share one slice of the bin list,
+from its arrival slot on. A fragment's gains row follows from the packet's
+fragment count and last slot, kept in two local integers, and three more
+integers: a bin up to the last slot gains `early - price` (one more fragment
+at the same completion slot), a later bin up to the deadline
+`late - (lag + price)` (the utility step less its own lag), a bin past the
+deadline `-current - price` (the packet loses its current term), and the
+discard bin 0.
+
+The pick is the row's first strict maximum, found without building the
+row. Within a segment the integer a bin's gain starts from is the same, so
+its first maximum is the first minimum of what the bins subtract: one
+`min` and one `index` over a slice of the per-slot lowest prices (plus the
+packet's lag row in the middle segment), then the first server of that
+slot at that price. Across segments an earlier one wins a tie and any
+regular bin beats the discard bin's 0, as the row's order has it. After a
+pick only the chosen bin's occupancy and price, and its slot's lowest
+price, change. When a packet's last fragment is placed, the run writes the
+packet's entries into its one allocation, with one `SubpacketRef` per
+fragment shared with the steps: the chosen bins in (slot, server) order
+take indices 1, 2, ... and the discards the rest. A run sums the chosen
+integers and checks that sum once against `evaluate`.
 
 No step calls `valuation.marginal_gains`, which stays the reference that
 the lock-free replay, the telescoping and the tests price with; the
 `greedy-bridge` check compares the two. Both runs record a `GreedyStep`: its
-bins, their integers and the index of its pick; its `gain` is the chosen one
-as a `Fraction`, and `alternatives` the full (bin, Fraction) list, both
-built only when read. A run sums the chosen integers and checks that sum
-once against `evaluate`.
+bins, the index of its pick and its `gains`, integers over the tables'
+scale. The replay passes its row as a list. Greedy passes what the row is
+made of, a copy of the step's prices, the packet's lag row, the three
+integers and the two cut points, and `render_gains` builds the row when
+`gains` is first read. A step's `gain`, the chosen one as a `Fraction`,
+and `alternatives`, the full (bin, Fraction) list, are built when read.
+`step_log_jsonl` joins each line from JSON fragments made once per run,
+byte for byte what `json.dumps(..., sort_keys=True)` writes.
 
 The half-competitive bound holds, as checked, for the online matcher only;
 for greedy it fails under convex energy. With one slot, one server, energy
@@ -43,7 +58,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from operator import add
 
 from .model import (
     DISCARD,
@@ -82,16 +97,34 @@ def candidate_bins(inst: Instance, clock: int) -> list[Bin]:
     return bins
 
 
-@dataclass
 class GreedyStep:
-    """One pick, as online greedy and the lock-free replay both record it."""
+    """One pick, as online greedy and the lock-free replay both record it.
 
-    step: int
-    ref: SubpacketRef
-    bins: list[Bin]  # the candidate bins, in tie-break order
-    gains: list[int]  # their marginals, over `scale`
-    scale: int
-    pick: int  # index of the chosen bin in `bins`
+    The replay passes its `gains` list. Greedy passes `row` instead:
+    (prices, lag, servers, early, late, current, mid, past), the step's
+    prices from its first bin on, the packet's lag row by slot, the three
+    integers the segments start from and the positions in `bins` where the
+    second and third segments begin; `gains` is rendered from it by
+    `render_gains` when first read, and kept."""
+
+    __slots__ = ("step", "ref", "bins", "scale", "pick", "_gains", "_row")
+
+    def __init__(self, step: int, ref: SubpacketRef, bins: list[Bin], gains: list[int] | None,
+                 scale: int, pick: int, row: tuple | None = None):
+        self.step = step
+        self.ref = ref
+        self.bins = bins  # the candidate bins, in tie-break order
+        self.scale = scale
+        self.pick = pick  # index of the chosen bin in `bins`
+        self._gains = gains
+        self._row = row
+
+    @property
+    def gains(self) -> list[int]:
+        """The bins' marginals, over `scale`."""
+        if self._gains is None:
+            self._gains, self._row = render_gains(self._row), None
+        return self._gains
 
     @property
     def chosen(self) -> Bin:
@@ -106,6 +139,20 @@ class GreedyStep:
     def alternatives(self) -> list[tuple[Bin, Fraction]]:
         """Every candidate bin with its exact marginal, in tie-break order."""
         return [(b, Fraction(g, self.scale)) for b, g in zip(self.bins, self.gains)]
+
+
+def render_gains(row: tuple) -> list[int]:
+    """A greedy step's gains row from its `GreedyStep` row: `early - price`
+    up to the packet's last slot, `late - (lag + price)` up to the deadline,
+    `-current - price` past it, then the discard bin's 0."""
+    prices, lag, servers, early, late, current, mid, past = row
+    if servers > 1:
+        lag = [d for d in lag for _ in range(servers)]
+    gains = [early - e for e in prices[:mid]]
+    gains += [late - d - e for d, e in zip(lag[mid:past], prices[mid:past])]
+    gains += [-current - e for e in prices[past:]]
+    gains.append(0)
+    return gains
 
 
 @dataclass
@@ -129,24 +176,26 @@ class GreedyRun:
     state: GreedyState
 
     def step_log_jsonl(self) -> str:
-        """One JSON line per step. A step's alternatives are rendered from its
-        integer gains; each distinct gain is converted to a rational once."""
-        rho: dict[int, int | str] = {}  # gain -> JSON value; a run's steps share one scale
-        ids = [b.id for b in self.state.bins]  # each step's bins are a suffix of these
+        """One JSON line per step, as `json.dumps(..., sort_keys=True)` writes
+        it, joined from fragments made once per run: each bin's
+        `{"bin": <id>, "rho": ` head, each distinct gain's text and each
+        packet id's JSON string."""
+        ids = [json.dumps(b.id) for b in self.state.bins]  # each step's bins are a suffix of these
+        heads = ['{"bin": ' + i + ', "rho": ' for i in ids]
+        rho: dict[int, str] = {}  # gain -> JSON text; a run's steps share one scale
+        names: dict[str, str] = {}  # packet id -> JSON text
         lines = []
         for s in self.state.steps:
-            for g in set(s.gains).difference(rho):
-                rho[g] = rational_to_json(Fraction(g, s.scale))
-            lines.append(json.dumps({
-                "step": s.step,
-                "packet": s.ref.packet,
-                "index": s.ref.index,
-                "chosen_bin": s.chosen.id,
-                "rho": rho[s.gains[s.pick]],
-                "alternatives": [
-                    {"bin": b, "rho": rho[g]} for b, g in zip(ids[len(ids) - len(s.bins):], s.gains)
-                ],
-            }, sort_keys=True))
+            gains, at, pid = s.gains, len(ids) - len(s.bins), s.ref.packet
+            for g in set(gains).difference(rho):
+                rho[g] = json.dumps(rational_to_json(Fraction(g, s.scale)))
+            if pid not in names:
+                names[pid] = json.dumps(pid)
+            texts = list(map(rho.__getitem__, gains))
+            alternatives = "}, ".join(map(add, heads[at:], texts))
+            lines.append(f'{{"alternatives": [{alternatives}}}], "chosen_bin": {ids[at + s.pick]}, '
+                         f'"index": {s.ref.index}, "packet": {names[pid]}, '
+                         f'"rho": {texts[s.pick]}, "step": {s.step}}}')
         return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -166,9 +215,12 @@ def run_online_greedy(inst: Instance) -> GreedyRun:
     state = GreedyState(bins=candidate_bins(inst, 0))
     end = (horizon + 1) * servers  # the discard bin's position
     # per regular bin, laid out like state.bins: fragments placed, and the
-    # energy step of one more, energy_inc[server][occupancy]
+    # energy step of one more, energy_inc[server][occupancy]; per slot, the
+    # lowest of its bins' prices
     occupancy = [0] * end
     prices = [energy_inc[b.server][0] for b in state.bins[:-1]]
+    lows = prices if servers == 1 else [min(prices[at:at + servers])
+                                        for at in range(0, end, servers)]
     alloc, steps = Allocation(), state.steps
     total = 0  # over the tables' scale
     for p in packets_by_arrival(inst):
@@ -176,48 +228,65 @@ def run_online_greedy(inst: Instance) -> GreedyRun:
         base = min(arrival, horizon + 1) * servers  # position of the first open bin
         bins = state.bins[base:]  # candidate_bins(inst, arrival), shared by the packet's steps
         utility, lag = tab.utility[i], tab.lag[i]
-        # the lag of each of `bins`' regular bins: lag[slot - arrival], once per server
-        bin_lag = lag if servers == 1 else list(chain.from_iterable(zip(*[lag] * servers)))
         cutoff = horizon if deadline is None or deadline > horizon else deadline
+        refs = [SubpacketRef(p.id, j) for j in range(1, p.subpackets + 1)]
         count, last = 0, arrival  # as valuation._packet_state reads them
         placed = []  # positions in state.bins of the packet's regular picks
-        for j in range(1, p.subpackets + 1):
-            ref = SubpacketRef(p.id, j)
+        for ref in refs:
             expired = deadline is not None and last > deadline
             current = 0 if count == 0 or expired else utility[count] - lag[last - arrival]
             early = (0 if expired else utility[count + 1] - lag[last - arrival]) - current
             late = utility[count + 1] - current
-            mid = (last + 1) * servers  # first bin after the packet's last slot
-            past = max(mid, (cutoff + 1) * servers)  # first bin past the deadline
-            gains = [early - e for e in prices[base:mid]]
-            gains += [late - d - e
-                      for d, e in zip(bin_lag[mid - base:past - base], prices[mid:past])]
-            gains += [-current - e for e in prices[past:end]]
-            gains.append(0)  # the discard bin
-            k = first_max(gains)
-            chosen = bins[k]
-            if not chosen.is_discard:
-                slot, server, at = chosen.slot, chosen.server, base + k
-                # `chosen` is the first maximum, so every bin of an earlier slot
+            # the row's first strict maximum, segment by segment from the
+            # last, so that an earlier segment wins a tie; `best` starts at
+            # the discard bin's 0, which any regular bin's tie beats
+            after, beyond = last + 1, max(last + 1, cutoff + 1)  # first slots of segments 2 and 3
+            best, slot = 0, None
+            if beyond <= horizon:
+                tail = lows[beyond:]
+                low = min(tail)
+                if -current - low >= best:
+                    best, slot = -current - low, beyond + tail.index(low)
+            if after < beyond:
+                costs = list(map(add, lag[after - arrival:beyond - arrival], lows[after:beyond]))
+                low = min(costs)
+                if late - low >= best:
+                    best, slot = late - low, after + costs.index(low)
+            if arrival <= horizon:
+                head = lows[arrival:after]
+                low = min(head)
+                if early - low >= best:
+                    best, slot = early - low, arrival + head.index(low)
+            priced = prices[base:end]  # the step's prices, before its pick changes one
+            if slot is None:
+                k = len(bins) - 1
+            else:
+                first = slot * servers
+                at = first + prices[first:first + servers].index(lows[slot])
+                k = at - base
+                # `k` is the first maximum, so every bin of an earlier slot
                 # scored strictly less: a choice at the horizon always beats them
                 if slot == horizon and arrival < horizon:
                     state.warnings.append(f"{ref}: best bin sits exactly at the horizon; "
                                           "a longer horizon could change the choice")
                 occupancy[at] += 1
-                row = energy_inc[server]
+                row = energy_inc[at - first]
                 if occupancy[at] < len(row):  # a full bin is never priced again
                     prices[at] = row[occupancy[at]]
+                    if servers > 1:
+                        lows[slot] = min(prices[first:first + servers])
                 placed.append(at)
                 count += 1
                 last = max(last, slot)
-            steps.append(GreedyStep(step=len(steps), ref=ref, bins=bins, gains=gains,
-                                    scale=scale, pick=k))
-            total += gains[k]
+            steps.append(GreedyStep(len(steps), ref, bins, None, scale, k,
+                                    (priced, lag, servers, early, late, current,
+                                     (after - arrival) * servers, (beyond - arrival) * servers)))
+            total += best
         placed.sort()  # ascending position is (slot, server) order
-        for j, at in enumerate(placed, start=1):
-            alloc.add(SubpacketRef(p.id, j), state.bins[at])
-        for j in range(len(placed) + 1, p.subpackets + 1):
-            alloc.add(SubpacketRef(p.id, j), DISCARD)
+        for ref, at in zip(refs, placed):
+            alloc.add(ref, state.bins[at])
+        for ref in refs[len(placed):]:
+            alloc.add(ref, DISCARD)
     val = evaluate(inst, alloc)
     raw_total = Fraction(total, scale)
     if val.total != raw_total:

@@ -474,18 +474,46 @@ class MatchRun:
     events: list[MatchEvent] = field(default_factory=list)
 
     def trace_jsonl(self) -> str:
-        lines = []
+        """One JSON line per event, as `json.dumps(..., sort_keys=True)` writes
+        it, joined from fragments made once per run: each bin's JSON key, its
+        item at marginal 0, and the text of each distinct integer over the
+        scale. An event's `rho` starts from the items of the bins locked by
+        then and rewrites those with a loss."""
+        log, lines = self.log, []
+        right_order = log.right_order
+        keys = [json.dumps(b) + ": " for b in right_order]  # per right rank
+        order = sorted(range(len(right_order)), key=right_order.__getitem__)  # `rho`'s key order
+        place = [0] * len(order)  # right rank -> its item's place in `rho`
+        for at, ri in enumerate(order):
+            place[ri] = at
+        texts = {0: "0"}  # integer over the scale -> JSON text
+
+        def text(x: int) -> str:
+            if x not in texts:
+                texts[x] = json.dumps(rational_to_json(Fraction(x, log.scale)))
+            return texts[x]
+
+        zeros = [keys[ri] + "0" for ri in order]
+        locked = sorted((k, ri, w) for ri, (k, w) in log.locked.items())  # entry k has lock index k
+        fixed, done = zeros[:], 0  # `rho` once the first `done` locks are made
         for ev in self.events:
-            lines.append(json.dumps({
-                "clock": rational_to_json(ev.clock),
-                "kind": ev.kind,
-                "subject": ev.subject,
-                "temp_weight": rational_to_json(ev.temp_weight),
-                "perm_weight": rational_to_json(ev.perm_weight),
-                "total_weight": rational_to_json(ev.total_weight),
-                "arrival_gain": None if ev.arrival_gain is None else rational_to_json(ev.arrival_gain),
-                "rho": {b: rational_to_json(v) for b, v in sorted(ev.marginals.items())},
-            }, sort_keys=True))
+            if ev.locks < done:  # a run records `locks` non-decreasing; a hand-built one may not
+                fixed, done = zeros[:], 0
+            for _, ri, w in locked[done:ev.locks]:
+                fixed[place[ri]] = keys[ri] + text(w)
+            done = ev.locks
+            rho = fixed[:]
+            for ri, x in ev.losses.items():
+                lock = log.locked.get(ri)
+                if lock is None or lock[0] >= ev.locks:
+                    rho[place[ri]] = keys[ri] + text(x)
+            lines.append(
+                f'{{"arrival_gain": {"null" if ev.gain is None else text(ev.gain)}, '
+                f'"clock": {json.dumps(rational_to_json(ev.clock))}, "kind": {json.dumps(ev.kind)}, '
+                f'"perm_weight": {text(ev.perm)}, "rho": {{{", ".join(rho)}}}, '
+                f'"subject": {json.dumps(ev.subject)}, "temp_weight": {text(ev.temp)}, '
+                f'"total_weight": {text(ev.temp + ev.perm)}}}'
+            )
         return "\n".join(lines) + ("\n" if lines else "")
 
 

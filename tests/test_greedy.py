@@ -4,6 +4,7 @@ import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 from aqisim import greedy, reduction, valuation
 from aqisim.greedy import arrival_order, candidate_bins, run_online_greedy
@@ -254,10 +255,44 @@ def _reference_cases():
     yield "deadlines/21", generate(30, 3, 12, 21, mode="random", servers=2, deadline_prob=0.5)
 
 
+def _sweep_instance(seed: int):
+    """A small seeded instance built to hit the pick's edge cases: small
+    integer curves that tie often, the discard bin's 0 included; deadlines
+    at the arrival, inside and beyond the horizon, so a segment is often
+    empty; 1-3 servers; arrivals at and past the horizon."""
+    rng = Random(seed)
+    horizon, servers = rng.randint(0, 4), rng.randint(1, 3)
+    packets = []
+    for i in range(rng.randint(1, 5)):
+        arrival = rng.randint(0, horizon + 1)
+        k = rng.randint(1, 3)
+        utility = [0]
+        for _ in range(k):
+            utility.append(utility[-1] + rng.randint(0, 4))
+        deadline = rng.choice([None, arrival, arrival + rng.randint(0, horizon + 1)])
+        weight = F(rng.choice([1, 1, 2]), rng.choice([1, 2]))
+        packets.append(Packet(id=f"p{i}", arrival=arrival, subpackets=k, weight=weight,
+                              distortion=tabulated(utility), delay_cost=linear(rng.randint(0, 2)),
+                              deadline=deadline))
+    levels = sum(p.subpackets for p in packets) + 2
+    energy = []
+    for _ in range(servers):
+        steps = sorted(rng.randint(0, 3) for _ in range(levels))
+        energy.append(tabulated([sum(steps[:c]) for c in range(levels)]))
+    return simple_instance(packets, horizon=horizon, energy=energy, servers=servers)
+
+
+def _pick_cases():
+    """The reference cases and 300 small instances from `_sweep_instance`."""
+    yield from _reference_cases()
+    for seed in range(300):
+        yield f"sweep/{seed}", _sweep_instance(seed)
+
+
 def test_step_gains_are_the_reference_marginals():
     # greedy prices from running per-bin energy; every step must equal
     # marginal_gains on the allocation the earlier steps built
-    for name, inst in _reference_cases():
+    for name, inst in _pick_cases():
         run = run_online_greedy(inst)
         partial = Allocation()
         for step in run.state.steps:
@@ -331,3 +366,92 @@ def test_greedy_and_the_replay_agree_step_by_step():
         for mine, theirs in zip(run.state.steps, replay.steps):
             assert (mine.ref, mine.chosen, mine.gains[mine.pick]) == \
                 (theirs.ref, theirs.chosen, theirs.gains[theirs.pick]), (name, mine.step)
+
+
+# --- the pick without the row -----------------------------------------------------
+
+def test_the_pick_is_the_first_strict_maximum_of_the_row():
+    # greedy finds its pick from segment minima without building the row;
+    # the row, rendered on read, must put the first strict maximum there
+    # (test_step_gains_are_the_reference_marginals holds the row to the
+    # reference), and the picks must sum to the total
+    seen = {"discard tie": 0, "empty deadline segment": 0, "past the horizon": 0, "at the horizon": 0}
+    servers = set()
+    for name, inst in _pick_cases():
+        run = run_online_greedy(inst)
+        scale = tables(inst).scale
+        for step in run.state.steps:
+            gains = step.gains
+            assert step.pick == greedy.first_max(gains), (name, step.step)
+            seen["discard tie"] += gains[step.pick] == 0 and not step.chosen.is_discard
+            p = inst.packet(step.ref.packet)
+            seen["empty deadline segment"] += p.deadline == p.arrival  # no slot after the first is on time
+            seen["at the horizon"] += p.arrival == inst.horizon
+            seen["past the horizon"] += p.arrival > inst.horizon
+        servers.add(inst.servers)
+        assert F(sum(s.gains[s.pick] for s in run.state.steps), scale) == run.valuation.total, name
+    assert all(seen.values()) and servers == {1, 2, 3}, (seen, servers)
+
+
+def test_greedy_renders_no_gains_row_until_one_is_read(monkeypatch):
+    # the run finds each pick from segment minima; a step's row is rendered
+    # when first read, once, and the replay's rows are its own lists
+    rendered = 0
+    render = greedy.render_gains
+
+    def counted(row):
+        nonlocal rendered
+        rendered += 1
+        return render(row)
+
+    monkeypatch.setattr(greedy, "render_gains", counted)
+    for name, inst in _reference_cases():
+        rendered = 0
+        run = run_online_greedy(inst)
+        run_lockfree_greedy(inst)
+        assert rendered == 0, name
+        step = run.state.steps[-1]
+        assert step.gains is step.gains and step.gain == F(step.gains[step.pick], step.scale), name
+        assert len(step.alternatives) == len(step.bins), name
+        assert rendered == 1, name
+
+
+def _reference_step_log(run) -> str:
+    """The step log as one `json.dumps` of each step's dict writes it."""
+    lines = [json.dumps({
+        "step": s.step,
+        "packet": s.ref.packet,
+        "index": s.ref.index,
+        "chosen_bin": s.chosen.id,
+        "rho": rational_to_json(s.gain),
+        "alternatives": [{"bin": b.id, "rho": rational_to_json(g)} for b, g in s.alternatives],
+    }, sort_keys=True) for s in run.state.steps]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+# Packet ids that JSON must escape: a quote, a backslash, a newline, a tab,
+# non-ASCII characters in and beyond the basic plane, and one id that only
+# looks like an escape.
+AWKWARD_IDS = ['say "hi"', "back\\slash", "new\nline", "tab\there", "café", "ü€𝄞", "\\u0041"]
+
+
+def _awkward_instance():
+    """A two-server instance whose packet ids need escaping, loaded from JSON."""
+    doc = json.loads((ROOT / "fixtures" / "minimal.json").read_text())
+    doc["servers"] = 2
+    doc["energy"] = [{"kind": "tabulated", "table": [c * (c + 1) // 2 for c in range(15)]}] * 2
+    template = doc["packets"][0]
+    doc["packets"] = [
+        {**template, "id": pid, "arrival": i % 3, "subpackets": 1 + i % 2,
+         "distortion": {"kind": "tabulated", "table": [0, 5, 8]}}
+        for i, pid in enumerate(AWKWARD_IDS)
+    ]
+    return load_instance(json.dumps(doc))
+
+
+def test_step_log_is_what_json_dumps_writes():
+    awkward = _awkward_instance()
+    assert [p.id for p in awkward.packets] == AWKWARD_IDS
+    for name, inst in [*_reference_cases(), ("awkward ids", awkward)]:
+        run = run_online_greedy(inst)
+        assert run.step_log_jsonl() == _reference_step_log(run), name

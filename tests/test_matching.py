@@ -481,6 +481,12 @@ def test_marginal_drops_of_a_hand_built_run():
     assert bin_marginal_series(run, "b2") == [1, 1, F(1, 2), F(1, 2)]
     for b in g.right_order:
         assert bin_marginal_series(run, b) == [ev.marginals[b] for ev in run.events]
+    # a hand-built run may also list events whose lock counts fall
+    unlocked = matching.MatchEvent(clock=F(4), kind="arrival", subject=[], temp=0, perm=0,
+                                   losses={}, locks=0, log=log)
+    for order in (events, [*events, unlocked]):
+        listed = matching.MatchRun(graph=g, perm={}, weight=F(0), log=log, events=order)
+        assert listed.trace_jsonl() == _reference_trace(listed)
 
 
 def test_sparse_marginals_render_the_full_view():
@@ -673,6 +679,73 @@ def test_traces_and_matchings_match_recorded_hashes():
         assert max_weight_matching(online) == max_weight_matching(offline), name
         seen.append(name)
     assert sorted(seen) == sorted(recorded)
+
+
+def _reference_trace(run) -> str:
+    """The trace as one `json.dumps` of each event's dict writes it."""
+    lines = [json.dumps({
+        "clock": rational_to_json(ev.clock),
+        "kind": ev.kind,
+        "subject": ev.subject,
+        "temp_weight": rational_to_json(ev.temp_weight),
+        "perm_weight": rational_to_json(ev.perm_weight),
+        "total_weight": rational_to_json(ev.total_weight),
+        "arrival_gain": None if ev.arrival_gain is None else rational_to_json(ev.arrival_gain),
+        "rho": {b: rational_to_json(v) for b, v in ev.marginals.items()},
+    }, sort_keys=True) for ev in run.events]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+# Node ids that JSON must escape or that sort apart from their rank order: a
+# quote, a backslash, a newline, non-ASCII in and beyond the basic plane.
+AWKWARD_IDS = ['say "hi"', "back\\slash", "new\nline", "café", "ü€𝄞", "\\u0041", "Z"]
+
+
+def _awkward_graphs():
+    lefts = AWKWARD_IDS[:4]
+    rights = [f"{x}/bin" for x in AWKWARD_IDS]
+    rng = Random(5)
+    weights = {(a, b): F(rng.randint(0, 6), rng.choice([1, 2, 3])) for a in lefts for b in rights}
+    yield "awkward graph", graph(lefts, rights, weights,
+                                 arrivals={a: F(i, 2) for i, a in enumerate(lefts)},
+                                 locks={b: F(j % 4, 2) for j, b in enumerate(rights)})
+    packets = [unit_packet(pid=x, arrival=i % 3, value=4 + i, slope=F(1, 2))
+               for i, x in enumerate(AWKWARD_IDS)]
+    inst = simple_instance(packets, horizon=4, energy=[tabulated(range(0, 60, 2))])
+    yield "awkward packets", expand_binary(inst)
+
+
+def test_trace_is_what_json_dumps_writes():
+    for name, g in [*((name, online) for name, online, _, _ in _recorded_cases()), *_awkward_graphs()]:
+        run = run_online_matching(g)
+        assert run.trace_jsonl() == _reference_trace(run), name
+
+
+def test_trace_renders_each_distinct_number_once(monkeypatch):
+    # each bin's key is made once and each distinct integer over the scale is
+    # rendered once; the zero that most marginals are is never rendered
+    calls = 0
+    render = matching.rational_to_json
+
+    def counted(value):
+        nonlocal calls
+        calls += 1
+        return render(value)
+
+    monkeypatch.setattr(matching, "rational_to_json", counted)
+    for seed in range(20):
+        run = run_online_matching(expand_binary(_online_matching_instance(seed)))
+        numbers = {w for _, w in run.log.locked.values()}
+        for ev in run.events:
+            numbers.update(ev.losses.values(), (ev.temp, ev.perm, ev.temp + ev.perm))
+            if ev.gain is not None:
+                numbers.add(ev.gain)
+        numbers.discard(0)
+        calls = 0
+        run.trace_jsonl()
+        # one call per event renders its clock
+        assert calls <= len(run.events) + len(numbers), seed
+        assert calls < len(run.events) * len(run.graph.right_order) // 4, seed
 
 
 # Cost-family evaluations of `expand_binary` on online-matching seed 0 when
