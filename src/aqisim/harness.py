@@ -199,7 +199,9 @@ def adversarial_lock_probe(w: int = 100, eps: Fraction | int = 1) -> BipartiteGr
 
 def require_matcher_budget(graph: BipartiteGraph, budget: int, what: str) -> None:
     """Raise BudgetError when the matcher's work on `graph` may pass `budget`:
-    each arrival's phase may walk every edge, so lefts x edges bounds it."""
+    a phase walks the row of each left in its tree once, pushing only some of
+    those edges, so each arrival's phase may walk every edge, and lefts x
+    edges bounds it."""
     if len(graph.left_order) * sum(map(len, graph.rows)) > budget:
         raise BudgetError(f"instance too large for {what}: more than {budget} left-edge steps")
 

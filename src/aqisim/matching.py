@@ -27,9 +27,12 @@ reverse shortest-path pass over the duals (`_Hungarian.drop_losses`).
 
 Each event costs what it changes, not the whole graph. A phase takes its
 slacks from a heap and keeps its dual steps in one running offset, so a
-step touches no entry. Loss seeding reads each left's heaviest edge to a
-free bin off a cursor into its edges in weight order, which passes each
-edge at most once per run. An event stores its weights and sparse losses as
+step touches no entry. Of each tree left's edges a phase pushes only those
+to matched bins, to its heaviest free bin and to its own free sink: a phase
+ends at the first free bin it pops, and among one left's free bins the
+heaviest has the least slack. That bin, and each left's seed in loss
+passes, is read off a cursor into the left's edges in weight order, which
+passes each edge at most once per solver. An event stores its weights and sparse losses as
 integers over the scale and renders their `Fraction` views, weights and
 marginals alike, only when they are read. The event loop orders events on
 integer clocks and builds one `Fraction` per permanent lock, plus the run's
@@ -192,10 +195,11 @@ class _Hungarian:
 
     `phase` grows its tree from a heap of `(slack + offset, right)`: a dual
     step adds to the running offset, and each tree node takes its dual
-    change once, when the phase ends. `drop_losses` seeds its search from a
-    cursor per left into its real edges in W order, which only moves
-    forward, since a real right never goes from matched back to free; so
-    every edge is passed at most once per run.
+    change once, when the phase ends. `phase` finds each tree left's
+    heaviest free right, and `drop_losses` its seed, from a cursor per left
+    into its real edges in W order, which only moves forward, since a real
+    right never goes from matched back to free, online or offline; so every
+    edge is passed at most once per solver.
 
     Why W orders matchings by (weight, tie rule). With `L = |L|`,
     `C = |R|`, `B = C.bit_length()` and `K = L*B + 1`, edge (l, r) packs
@@ -219,9 +223,10 @@ class _Hungarian:
         self.shift = graph.packed_shift
         nl = len(graph.left_order)
         self.nr = nr = len(graph.right_order)
-        # built by the first `drop_losses`: per right, its lefts (read-only);
-        # per left, its real rights in W order and a cursor into them
+        # built by the first `drop_losses`: per right, its lefts (read-only)
         self.radj: list[list[int]] | None = None
+        # built by the first phase: per left, its real rights in W order and
+        # a cursor into them
         self.seeds: list[list[int]] | None = None
         self.cursor: list[int] | None = None
         self.lu: list[int | None] = [None] * nl
@@ -248,13 +253,10 @@ class _Hungarian:
         self.live[self.nr + li] = False
 
     def _index_edges(self) -> None:
-        """Build `radj`, `seeds` and `cursor`, on the first `drop_losses`, so
-        the offline solve never pays for them."""
+        """Build `seeds` and `cursor`, on the first phase: the online run and
+        the offline solve each build their own, and the offline solve never
+        builds `radj`, which only `drop_losses` reads."""
         nr = self.nr
-        self.radj = radj = [[] for _ in self.lv]
-        for li, row in enumerate(self.adj):
-            for ri in row:
-                radj[ri].append(li)
         # W order: heavier weight first, then the lower right rank
         self.seeds = [sorted([ri for ri in row if ri < nr], key=row.__getitem__, reverse=True)
                       for row in self.adj]
@@ -293,8 +295,11 @@ class _Hungarian:
         directly: it seeds `u[l]` when free, which never beats a free real
         right's `u[l] - W`.
         """
-        if self.radj is None:
-            self._index_edges()
+        if self.radj is None:  # the offline solve never builds it
+            self.radj = [[] for _ in self.lv]
+            for li, row in enumerate(self.adj):
+                for ri in row:
+                    self.radj[ri].append(li)
         adj, lv, radj, seeds, cursor = self.adj, self.lv, self.radj, self.seeds, self.cursor
         live, match_l, match_r = self.live, self.match_l, self.match_r
         nr, inf = self.nr, math.inf
@@ -350,20 +355,56 @@ class _Hungarian:
         already in T is stale and skipped. So the next right is the least
         slack, ties to the lowest right rank, and a right's tree parent is
         the first left that offered that slack. The root's dual enters
-        unset and is set from the heap's top (see the class docstring).
+        unset and is set from the heap's top (see the class docstring): it
+        joins at `u = 0`, so its keys are `v - W`.
+
+        Each tree left walks its row once but pushes only three kinds of
+        edge: to matched live rights outside T, to its heaviest free live
+        real right (off its cursor), and to its sink when free. A phase
+        ends at the first free right it pops. Every free right has dual 0, so
+        among one left's free rights the least key is its heaviest W, unique
+        by the rank fields. Any other free edge of that left has a strictly
+        greater key than that one, which is on the heap, so it is never the
+        first free right popped; nor is a later left's edge to the same right,
+        which it would have kept off the heap. Matched rights get the same
+        entries either way. The heap therefore pops the same rights, in the
+        same order, with the same tree parents and dual steps as pushing
+        every live edge would.
         """
+        if self.seeds is None:
+            self._index_edges()
         lu, lv, adj, rows, live = self.lu, self.lv, self.adj, self.rows, self.live
-        match_l, match_r = self.match_l, self.match_r
+        match_l, match_r, seeds, cursor, nr = self.match_l, self.match_r, self.seeds, self.cursor, self.nr
         heappop, heappush = heapq.heappop, heapq.heappush
         in_t: dict[int, int] = {}  # tree right -> offset when it joined
         tree_parent: dict[int, int] = {}
         least: dict[int, int] = {}  # right -> least slack + offset so far
         heap = []
-        for ri, w in adj[root].items():
-            if live[ri]:
-                key = least[ri] = lv[ri] - w
-                heap.append((key, ri, root))
-        heapq.heapify(heap)
+
+        def offer(ri: int, key: int, li: int) -> None:
+            if ri not in least or key < least[ri]:
+                least[ri] = key
+                heappush(heap, (key, ri, li))
+
+        def grow(li: int, u: int) -> None:
+            """Offer the edges of `li`, a left joining the tree at `u` = its
+            dual plus the offset: to every matched live right outside T, to
+            its heaviest free live real right, and to its sink when free."""
+            for ri, w in adj[li].items():
+                if match_r[ri] is not None and live[ri] and ri not in in_t:
+                    offer(ri, u + lv[ri] - w, li)
+            seed, at = seeds[li], cursor[li]
+            while at < len(seed):
+                ri = seed[at]
+                if match_r[ri] is None and live[ri]:
+                    offer(ri, u - adj[li][ri], li)
+                    break
+                at += 1
+            cursor[li] = at
+            if match_r[nr + li] is None:  # a tree left's sink is live
+                offer(nr + li, u, li)
+
+        grow(root, 0)
         offset = heap[0][0]
         lu[root] = -offset  # covers every live edge, the heaviest tightly
         in_s = {root: offset}  # tree left -> offset when it joined
@@ -392,14 +433,7 @@ class _Hungarian:
                     ri = prev
                 break
             in_s[occupant] = offset
-            u = lu[occupant] + offset
-            for ri, w in adj[occupant].items():
-                if ri in in_t or not live[ri]:
-                    continue
-                key = u + lv[ri] - w
-                if ri not in least or key < least[ri]:
-                    least[ri] = key
-                    heappush(heap, (key, ri, occupant))
+            grow(occupant, lu[occupant] + offset)
         for li, joined in in_s.items():
             lu[li] += joined - offset
         for ri, joined in in_t.items():

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
@@ -790,6 +792,7 @@ def test_online_run_and_expansion_do_bounded_work(monkeypatch):
     def counting_rows(self, g):
         init(self, g)
         self.adj = [_ItemWalkCountingRow(row) for row in self.adj]
+        solvers.append(self)
 
     def counted_add_left(self, li):
         row = self.adj[li]
@@ -798,6 +801,7 @@ def test_online_run_and_expansion_do_bounded_work(monkeypatch):
         arrival_walks.append(row.item_walks - before)
 
     arrival_walks = []  # per arrival: walks over the new left's edge row
+    solvers = []
     monkeypatch.setattr(matching._Hungarian, "__init__", counting_rows)
     monkeypatch.setattr(matching._Hungarian, "add_left", counted_add_left)
     monkeypatch.setattr(matching._Hungarian, "phase", counted_phase)
@@ -810,16 +814,42 @@ def test_online_run_and_expansion_do_bounded_work(monkeypatch):
     # utility, per shared lag row and per server's energy
     assert calls["value"] == 0
     assert 0 < calls["row"] <= 2 * len(inst.packets) + inst.servers < PER_EDGE_VALUE_CALLS // 4
-    seeds, cursors = [], []
+    indexes = []  # per solver, in build order: (its seeds, its cursor)
     index_edges = matching._Hungarian._index_edges
 
     def counted_index_edges(self):
         index_edges(self)
         self.seeds = [_ReadCountingList(seed) for seed in self.seeds]
-        seeds.extend(self.seeds)
-        cursors.append(self.cursor)
+        indexes.append((self.seeds, self.cursor))
+
+    def work(self):
+        """(seed reads, cursor sum, row walks) of a solver so far."""
+        if self.seeds is None:
+            return 0, 0, 0
+        return (sum(seed.reads for seed in self.seeds), sum(self.cursor),
+                sum(row.item_walks for row in self.adj))
+
+    phase_work = []  # per phase: (seed reads, cursor moves, tree lefts, heap pushes, bound)
+    pushes = 0
+
+    def counted_heappush(heap, item):
+        nonlocal pushes
+        pushes += 1
+        heapq.heappush(heap, item)
+
+    def measured_phase(self, root):
+        matched = sum(1 for ri, li in enumerate(self.match_r) if li is not None and self.live[ri])
+        reads, moved, walks = work(self)
+        pushed = pushes
+        counted_phase(self, root)
+        after = work(self)
+        tree = after[2] - walks  # each tree left walks its row once
+        phase_work.append((after[0] - reads, after[1] - moved, tree, pushes - pushed, tree * (matched + 2)))
 
     monkeypatch.setattr(matching._Hungarian, "_index_edges", counted_index_edges)
+    monkeypatch.setattr(matching._Hungarian, "phase", measured_phase)
+    monkeypatch.setattr(matching, "heapq", SimpleNamespace(heappush=counted_heappush, heappop=heapq.heappop,
+                                                           heapify=heapq.heapify))
     calls["fraction"] = 0
     run = run_online_matching(g)
     assert run.events and calls["solve"] == 0
@@ -836,18 +866,31 @@ def test_online_run_and_expansion_do_bounded_work(monkeypatch):
         assert (ev.temp_weight, ev.perm_weight) == (F(ev.temp, g.scale), F(ev.perm, g.scale))
         assert ev.total_weight == ev.temp_weight + ev.perm_weight
         assert ev.arrival_gain == (F(ev.gain, g.scale) if ev.kind == "arrival" else None)
-    # the offline solve makes the same single walk per left
+    online_phases = phase_work[:]
+    # the offline solve makes the same single walk per left, and never builds
+    # the in-edge lists that only loss passes read
     arrival_walks.clear()
     solve(g)
-    assert arrival_walks == [1] * 20
-    # loss seeding reads each left's heaviest edge to a free bin through a
-    # cursor into its edges in weight order, and a bin once matched or locked
-    # never comes back free: the cursors pass each edge at most once per run,
-    # and every event reads one entry per left on top of those
+    assert arrival_walks == [1] * 20 and solvers[-1].radj is None
+    # a phase and loss seeding read each left's heaviest edge to a free bin
+    # through a cursor into its edges in weight order, and a bin once matched
+    # or locked never comes back free: each solver's cursors pass each edge
+    # at most once, the online run's and the offline solve's alike
     edges, lefts, events = sum(map(len, g.rows)), len(g.left_order), len(run.events)
-    assert len(cursors) == 1 and sum(map(len, seeds)) == edges
-    assert sum(cursors[0]) <= edges
-    assert sum(seed.reads for seed in seeds) <= edges + events * lefts < events * edges // 4
+    assert len(indexes) == 2
+    for seeds, cursor in indexes:
+        assert sum(map(len, seeds)) == edges and sum(cursor) <= edges
+    # a phase reads one entry per cursor move, plus one where each tree
+    # left's cursor stops; it pushes, per tree left, only its edges to matched
+    # rights, to its heaviest free bin and to its free sink
+    for reads, moved, tree, pushed, bound in phase_work:
+        assert reads <= moved + tree and pushed <= bound
+    # loss seeding reads one entry per cursor move, plus one per left and event
+    seeds, cursor = indexes[0]
+    phase_reads = sum(reads for reads, *_ in online_phases)
+    phase_moves = sum(moved for _, moved, *_ in online_phases)
+    loss_reads = sum(seed.reads for seed in seeds) - phase_reads
+    assert loss_reads <= sum(cursor) - phase_moves + events * lefts < events * edges // 4
 
 
 class _ItemWalkCountingRow(dict):
@@ -1002,6 +1045,129 @@ def test_certify_rejects_a_perturbed_dual_or_a_swapped_pair():
     solver.match_l[a], solver.match_l[a2] = b2, b
     solver.match_r[b], solver.match_r[b2] = a2, a
     assert any("not tight" in p for p in certify(solver, g))
+
+
+class _FullPushSolver(matching._Hungarian):
+    """The solver with a phase that pushes every live edge of every tree left
+    onto its heap: the reference for the phase that pushes only the edges
+    that can lead on or end it."""
+
+    def phase(self, root):
+        lu, lv, adj, rows, live = self.lu, self.lv, self.adj, self.rows, self.live
+        match_l, match_r = self.match_l, self.match_r
+        in_t, tree_parent, least = {}, {}, {}
+        heap = []
+        for ri, w in adj[root].items():
+            if live[ri]:
+                key = least[ri] = lv[ri] - w
+                heap.append((key, ri, root))
+        heapq.heapify(heap)
+        offset = heap[0][0]
+        lu[root] = -offset
+        in_s = {root: offset}
+        while True:
+            key, best_ri, src = heapq.heappop(heap)
+            if best_ri in in_t:
+                continue
+            offset = max(offset, key)
+            in_t[best_ri] = offset
+            tree_parent[best_ri] = src
+            occupant = match_r[best_ri]
+            if occupant is None:
+                ri = best_ri
+                while True:
+                    li = tree_parent[ri]
+                    prev = match_l[li]
+                    match_l[li], match_r[ri] = ri, li
+                    self.total += rows[li].get(ri, 0) - (0 if prev is None else rows[li].get(prev, 0))
+                    if prev is None:
+                        break
+                    ri = prev
+                break
+            in_s[occupant] = offset
+            u = lu[occupant] + offset
+            for ri, w in adj[occupant].items():
+                if ri not in in_t and live[ri]:
+                    key = u + lv[ri] - w
+                    if ri not in least or key < least[ri]:
+                        least[ri] = key
+                        heapq.heappush(heap, (key, ri, occupant))
+        for li, joined in in_s.items():
+            lu[li] += joined - offset
+        for ri, joined in in_t.items():
+            lv[ri] += offset - joined
+
+
+def _shadowed_solver(compared: list):
+    """A solver class that runs a `_FullPushSolver` beside itself and checks,
+    after every added left and every lock, that both hold the same matching,
+    duals and total; each check appends to `compared`."""
+
+    class Shadowed(matching._Hungarian):
+        def __init__(self, g):
+            super().__init__(g)
+            self.reference = _FullPushSolver(g)
+
+        def compare(self):
+            ref = self.reference
+            for name in ("match_l", "match_r", "lu", "lv", "total"):
+                assert getattr(self, name) == getattr(ref, name), name
+            compared.append(1)
+
+        def add_left(self, li):
+            super().add_left(li)
+            self.reference.add_left(li)
+            self.compare()
+
+        def drop_right(self, ri):
+            mate = super().drop_right(ri)
+            assert self.reference.drop_right(ri) == mate
+            self.compare()
+            return mate
+
+        def drop_left(self, li):
+            super().drop_left(li)
+            self.reference.drop_left(li)
+            self.compare()
+
+    return Shadowed
+
+
+def _tie_prone_graphs():
+    """Random graphs built to tie: one weight per right shared by every left,
+    weights of 0 and 1 (zero-weight real edges kept), small thirds, and every
+    fifth graph with one right; times mix ints and Fractions."""
+    rng = Random(26)
+    instants = [0, 1, 2, F(1, 2), F(3, 2)]
+    for k in range(300):
+        nl, nr = rng.randint(1, 7), 1 if k % 5 == 0 else rng.randint(2, 7)
+        by_right = [rng.randint(0, 2) for _ in range(nr)]
+        weigh = (lambda j: by_right[j], lambda j: rng.randint(0, 1),
+                 lambda j: F(rng.randint(0, 4), 3))[k % 3]
+        lefts, rights = [f"a{i}" for i in range(nl)], [f"b{j}" for j in range(nr)]
+        weights = {(a, b): weigh(j) for a in lefts for j, b in enumerate(rights) if rng.random() < 0.85}
+        rng.shuffle(lefts)
+        rng.shuffle(rights)
+        yield graph(lefts, rights, weights, arrivals={a: rng.choice(instants) for a in lefts},
+                    locks={b: rng.choice(instants) for b in rights})
+
+
+def test_phase_matches_the_full_push_reference(monkeypatch):
+    # a phase pushes per tree left only its edges to matched rights, to its
+    # heaviest free right and to its free sink; the reference pushes every
+    # live edge, and after every added left and every lock both states agree,
+    # online and offline, on expanded instances and on graphs built to tie
+    compared = []
+    monkeypatch.setattr(matching, "_Hungarian", _shadowed_solver(compared))
+    graphs = [*(expand_binary(_online_matching_instance(seed)) for seed in range(12)),
+              expand_binary(generate(60, 1, 20, 0)), *_tie_prone_graphs()]
+    expected = 0
+    for g in graphs:
+        run = run_online_matching(g)
+        max_weight_matching(g)
+        # two phases per left, a drop per bin, and one per locked mate
+        expected += 2 * len(g.left_order) + len(g.right_order) + len(run.perm)
+    assert len(compared) == expected
 
 
 def test_every_expanded_edge_is_its_transmit_weight():
