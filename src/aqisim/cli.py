@@ -32,8 +32,9 @@ from .model import (
     shown,
     store_instance,
     validate_instance,
+    validation_points,
 )
-from .oracle import DEFAULT_BUDGET, offline_optimal
+from .oracle import DEFAULT_BUDGET, BudgetError, offline_optimal
 
 
 def _parse(convert, text: str, what: str):
@@ -57,12 +58,16 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _read_instance(path: str):
+def _read_instance(path: str, budget: int):
+    """The valid instance in `path`; refused before validation when that
+    would evaluate more than `budget` curve points."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise AqiError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
     inst = load_instance(text)
+    if validation_points(inst) > budget:
+        raise BudgetError(f"{path}: instance too large to validate: more than {budget} curve points")
     report = validate_instance(inst)
     if not report.ok:
         raise AqiError(f"{path}: invalid instance: " + "; ".join(report.problems))
@@ -101,8 +106,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_run(args) -> int:
-    inst = _read_instance(args.instance)
-    report, traces = run_bundle(inst, args.algorithm, budget=_budget(args),
+    budget = _budget(args)
+    inst = _read_instance(args.instance, budget)
+    report, traces = run_bundle(inst, args.algorithm, budget=budget,
                                 require_opt=args.require_opt)
     if args.trace_out:
         for name, run in traces.items():
@@ -117,8 +123,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_opt(args) -> int:
-    inst = _read_instance(args.instance)
-    res = offline_optimal(inst, budget=_budget(args))
+    budget = _budget(args)
+    inst = _read_instance(args.instance, budget)
+    res = offline_optimal(inst, budget=budget)
     doc = {
         "opt_value": res.valuation.to_json(),
         "allocation": res.allocation.to_json(),
@@ -129,8 +136,9 @@ def cmd_opt(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    inst = _read_instance(args.instance)
-    config = CampaignConfig(seeds=[0], checks=tuple(args.checks), budget=_budget(args),
+    budget = _budget(args)
+    inst = _read_instance(args.instance, budget)
+    config = CampaignConfig(seeds=[0], checks=tuple(args.checks), budget=budget,
                             samples=_samples(args))
     results = check_instance(inst, config, seed=args.seed)
     ok = all(r["ok"] for r in results.values())

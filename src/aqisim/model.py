@@ -427,6 +427,15 @@ def _check_curve(report: ValidationReport, fam: CostFamily, upto: int, name: str
             report.note(f"{name}: increments decrease at i={i + 1} (not convex)")
 
 
+def validation_points(inst: Instance) -> int:
+    """How many curve points `validate_instance` evaluates, in closed form:
+    each energy curve on 0..total fragments, and each packet within the
+    horizon's distortion on 0..fragments and delay on 0..horizon - arrival."""
+    total = max(inst.total_subpackets, 1) + 1
+    return len(inst.energy) * total + sum(p.subpackets + 1 + inst.horizon - p.arrival + 1
+                                          for p in inst.packets if p.arrival <= inst.horizon)
+
+
 def validate_instance(inst: Instance) -> ValidationReport:
     """Check every structural assumption the model places on an instance.
 

@@ -101,8 +101,9 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
     """Exact maximum-value allocation by pruned exhaustive search.
 
     Raises BudgetError, never approximating, once more than `budget` search
-    nodes are expanded, and before any schedule is built when the packets have
-    more than `budget` in-order schedules, so it caps the schedules built too.
+    nodes are expanded, and before any schedule is built when the packets'
+    in-order schedules times the cells, the fields of each schedule's step
+    integer, pass `budget`, so it caps the schedules built and their size.
     Recursing past Python's limit, once per fragment or packet, raises it too.
     """
     tab = tables(inst)
@@ -112,9 +113,10 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
     ncells = servers * (inst.horizon + 1)
     too_large = f"instance too large for exact oracle: more than {budget} nodes"
     too_deep = "instance too deep for exact oracle: past Python's recursion limit"
-    # k fragments over the n cells a packet reaches: comb(n + k, k) schedules
-    if sum(comb(max(ncells - p.arrival * servers, 0) + p.subpackets, p.subpackets)
-           for p in packets) > budget:
+    # k fragments over the n cells a packet reaches: comb(n + k, k) schedules,
+    # each with a `step` integer of a field per cell
+    if ncells * sum(comb(max(ncells - p.arrival * servers, 0) + p.subpackets, p.subpackets)
+                    for p in packets) > budget:
         raise BudgetError(too_large)
 
     # m more fragments in a bin of occupancy c cost E(c + m) - E(c) =

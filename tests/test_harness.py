@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 from random import Random
 
@@ -27,12 +28,14 @@ from aqisim.harness import (
 from aqisim.matching import max_weight_matching, run_online_matching
 from aqisim.model import (
     AqiError,
+    CostFamily,
     Packet,
     linear,
     load_instance,
     store_instance,
     tabulated,
     validate_instance,
+    validation_points,
 )
 from conftest import simple_instance, unit_packet
 
@@ -149,15 +152,21 @@ def test_binary_checks_skip_an_instance_past_the_budget(tmp_path, capsys):
     results = check_instance(many, CampaignConfig(seeds=[0], checks=harness.BINARY_CHECKS), seed=0)
     skipped = "instance too large for the binary checks: more than 10000000 left-edge steps"
     assert results == {name: {"ok": True, "skipped": skipped} for name in harness.BINARY_CHECKS}
-    # `--budget` sets the gate: a six-packet instance runs under the default
-    # and is skipped under a budget of 10
+    # `--budget` sets the gate: a six-packet instance (49 curve points to
+    # validate, 222 left-edge steps) runs under the default and is skipped
+    # under a budget of 100
     path = tmp_path / "small.json"
     path.write_text(store_instance(generate(6, 1, 5, seed=1, mode="adversarial-burst")))
-    for budget, skip in ((None, None), ("10", "more than 10 left-edge steps")):
-        argv = ["verify", str(path), "--checks", *harness.BINARY_CHECKS]
+    argv = ["verify", str(path), "--checks", *harness.BINARY_CHECKS]
+    for budget, skip in ((None, None), ("100", "more than 100 left-edge steps")):
         assert main(argv + (["--budget", budget] if budget else [])) == 0
         checks = json.loads(capsys.readouterr().out)["checks"]
         assert all((skip in r["skipped"]) if skip else "skipped" not in r for r in checks.values())
+    # under a budget of 10 it is refused before validation
+    assert main(argv + ["--budget", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: instance too large to validate: more than 10 curve points\n"
 
 
 def test_run_refuses_a_matching_past_the_budget(tmp_path, capsys):
@@ -174,6 +183,57 @@ def test_run_refuses_a_matching_past_the_budget(tmp_path, capsys):
     # a small instance still runs under the default budget
     assert main(["run", str(ROOT / "fixtures" / "worked_binary.json"), "--algorithm", "matching"]) == 0
     assert json.loads(capsys.readouterr().out)["algorithm"] == "matching"
+
+
+def test_huge_inputs_are_refused_before_the_work_they_would_cost(tmp_path, capsys, monkeypatch):
+    # fixtures/minimal.json with a horizon of 1,000,000: `opt --budget 20000`
+    # spent seconds validating its million-point delay curve before its
+    # budget error; it is refused before any curve point is evaluated
+    doc = json.loads((ROOT / "fixtures" / "minimal.json").read_text())
+    doc["horizon"] = 1_000_000
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    values = 0
+    value = CostFamily.value
+
+    def counted_value(self, x):
+        nonlocal values
+        values += 1
+        return value(self, x)
+
+    monkeypatch.setattr(CostFamily, "value", counted_value)
+    assert main(["opt", str(path), "--budget", "20000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: instance too large to validate: more than 20000 curve points\n"
+    assert values == 0
+    # the gate counts what validation evaluates: each energy curve on 0..total
+    # fragments, and each packet's distortion and delay curves
+    doc["horizon"] = 1_000
+    inst = load_instance(json.dumps(doc))
+    values = 0
+    validate_instance(inst)
+    assert values == validation_points(inst) == 2 + 2 + 1_001
+    # the oracle's gate charges each schedule's cells: one unit packet over
+    # 20,001 slots has 20,001 schedules, under the default budget, but each
+    # would carry a step integer with a field per cell; it is refused before
+    # the search builds its energy prefix sums or any schedule
+    doc["horizon"] = 20_000
+    inst = load_instance(json.dumps(doc))
+    sums = 0
+
+    def counted_accumulate(*args, **kwargs):
+        nonlocal sums
+        sums += 1
+        return accumulate(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "accumulate", counted_accumulate)
+    with pytest.raises(oracle.BudgetError, match="too large for exact oracle"):
+        oracle.offline_optimal(inst)
+    assert sums == 0
+    # at 1,000 slots (1,001 schedules x 1,001 cells) it still runs
+    doc["horizon"] = 999
+    assert oracle.offline_optimal(load_instance(json.dumps(doc))).valuation.total == 4 and sums > 0
 
 
 def test_run_bundle_rejects_matching_on_general_instances():

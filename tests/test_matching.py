@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import importlib.util
 import json
 from fractions import Fraction
 from functools import cache
@@ -1168,6 +1169,19 @@ def test_phase_matches_the_full_push_reference(monkeypatch):
         # two phases per left, a drop per bin, and one per locked mate
         expected += 2 * len(g.left_order) + len(g.right_order) + len(run.perm)
     assert len(compared) == expected
+
+
+def test_ladder_tool_hashes_the_whole_trace_in_slices():
+    # tools/ladder.py renders the trace a slice of events at a time, so that
+    # the largest rungs never hold the whole text; the digest is the whole's
+    spec = importlib.util.spec_from_file_location("ladder", ROOT / "tools" / "ladder.py")
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    run = run_online_matching(expand_binary(generate(60, 1, 20, 0)))
+    assert len(run.events) > ladder.SLICE
+    assert ladder.trace_sha256(run) == _sha256(run.trace_jsonl())
+    out = ladder.rung(20, 10)
+    assert out["events"] == 30 and out["online_weight"] == "369/2" and out["offline_weight"] == "381/2"
 
 
 def test_every_expanded_edge_is_its_transmit_weight():

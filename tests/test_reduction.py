@@ -392,17 +392,25 @@ def test_speedscale_fixture_is_the_adapter_output(tmp_path):
     assert out.read_text() == fixture.read_text()
 
 
+KNOWN_GREEDY_FAILURES = {
+    "speedscale": _speedscale_quarter,
+    "burst-seed-31": lambda: generate(4, 2, 4, 31, mode="adversarial-burst", servers=2, deadline_prob=0.4),
+    "burst-p30-seed-49": lambda: generate(30, 3, 10, 49, mode="adversarial-burst"),
+}
+
+
 @pytest.mark.parametrize("case, greedy, optimum", [
     ("speedscale", 1, 4),
     ("burst-seed-31", F(9, 2), 11),
-], ids=["speedscale", "burst-seed-31"])
+    ("burst-p30-seed-49", 44, 101),
+], ids=list(KNOWN_GREEDY_FAILURES))
 def test_known_greedy_halfopt_counterexamples_fail_only_the_frozen_half_link(case, greedy, optimum):
     # the paper's speed-scaling case with a discard option (four jobs, x**2
-    # power, unit value 2) and a two-server deadline burst: greedy keeps less
-    # than half the optimum, and the one link of the chain that breaks is
+    # power, unit value 2), a two-server deadline burst and a 30-packet
+    # single-server burst (59,514 oracle nodes): greedy keeps less than half
+    # the optimum, and the one link of the chain that breaks is
     # frozen_half_ok; both sides' totals come from `evaluate`
-    inst = (_speedscale_quarter() if case == "speedscale" else
-            generate(4, 2, 4, 31, mode="adversarial-burst", servers=2, deadline_prob=0.4))
+    inst = KNOWN_GREEDY_FAILURES[case]()
     results = check_instance(inst, CampaignConfig(seeds=[0], checks=ORACLE_CHECKS), 0)
     halfopt = results["greedy-halfopt"]
     assert not halfopt["ok"] and halfopt["detail"]["violation"]

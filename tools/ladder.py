@@ -1,0 +1,76 @@
+"""One rung of the matcher scale ladder, in one process.
+
+    python3 tools/ladder.py N H
+
+Expands `generate(N, 1, H, 0)` with `expand_binary`, then times
+`run_online_matching` and `max_weight_matching` on that one graph, as
+`aqisim run --algorithm matching` does. Prints one JSON object: the two
+solve times in seconds, peak RSS in MB (read after both solves, so it covers
+the instance, the graph and both solves), bins, edges, events, both weights
+and the SHA-256 of the online trace. Standard library only; it imports
+aqisim from the `src/` next to this directory.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import resource
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from aqisim.harness import generate  # noqa: E402
+from aqisim.matching import MatchRun, expand_binary, max_weight_matching, run_online_matching  # noqa: E402
+from aqisim.model import rational_to_json  # noqa: E402
+
+SLICE = 50  # events rendered at a time when hashing the trace
+
+
+def trace_sha256(run: MatchRun) -> str:
+    """SHA-256 of `run.trace_jsonl()`, rendered a slice of events at a time:
+    a slice renders its events' lines exactly as the whole trace does, and
+    the whole text (about 0.5 GB at 800 / 100) is never held at once."""
+    digest = hashlib.sha256()
+    for at in range(0, len(run.events), SLICE):
+        part = MatchRun(run.graph, run.perm, run.weight, run.log, run.events[at:at + SLICE])
+        digest.update(part.trace_jsonl().encode())
+    return digest.hexdigest()
+
+
+def rung(n: int, h: int) -> dict:
+    graph = expand_binary(generate(n, 1, h, 0))
+    started = time.perf_counter()
+    run = run_online_matching(graph)
+    online_s = time.perf_counter() - started
+    started = time.perf_counter()
+    offline = max_weight_matching(graph)
+    offline_s = time.perf_counter() - started
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # kB on Linux
+    return {
+        "n": n,
+        "h": h,
+        "online_s": round(online_s, 3),
+        "offline_s": round(offline_s, 3),
+        "peak_rss_mb": round(peak_mb, 1),
+        "bins": len(graph.right_order),
+        "edges": sum(map(len, graph.rows)),
+        "events": len(run.events),
+        "online_weight": rational_to_json(run.weight),
+        "offline_weight": rational_to_json(offline.weight),
+        "trace_sha256": trace_sha256(run),
+    }
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2 or not all(a.isdigit() for a in argv):
+        sys.stderr.write("usage: python3 tools/ladder.py N H\n")
+        return 2
+    print(json.dumps(rung(int(argv[0]), int(argv[1])), sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
