@@ -380,40 +380,43 @@ class _Hungarian:
         tree_parent: dict[int, int] = {}
         least: dict[int, int] = {}  # right -> least slack + offset so far
         heap = []
-
-        def offer(ri: int, key: int, li: int) -> None:
-            if ri not in least or key < least[ri]:
-                least[ri] = key
-                heappush(heap, (key, ri, li))
-
-        def grow(li: int, u: int) -> None:
-            """Offer the edges of `li`, a left joining the tree at `u` = its
-            dual plus the offset: to every matched live right outside T, to
-            its heaviest free live real right, and to its sink when free."""
+        # u is the joining left's dual plus the offset; the root's is unset, so
+        # it joins at u = 0 and its keys are v - W
+        li, u, offset = root, 0, None
+        while True:
+            # offer li's edges: to every matched live right outside T, to its
+            # heaviest free live real right, and to its sink when free
             for ri, w in adj[li].items():
                 if match_r[ri] is not None and live[ri] and ri not in in_t:
-                    offer(ri, u + lv[ri] - w, li)
+                    key = u + lv[ri] - w
+                    if ri not in least or key < least[ri]:
+                        least[ri] = key
+                        heappush(heap, (key, ri, li))
             seed, at = seeds[li], cursor[li]
             while at < len(seed):
                 ri = seed[at]
                 if match_r[ri] is None and live[ri]:
-                    offer(ri, u - adj[li][ri], li)
+                    key = u - adj[li][ri]
+                    if ri not in least or key < least[ri]:
+                        least[ri] = key
+                        heappush(heap, (key, ri, li))
                     break
                 at += 1
             cursor[li] = at
-            if match_r[nr + li] is None:  # a tree left's sink is live
-                offer(nr + li, u, li)
-
-        grow(root, 0)
-        offset = heap[0][0]
-        lu[root] = -offset  # covers every live edge, the heaviest tightly
-        in_s = {root: offset}  # tree left -> offset when it joined
-        while True:
-            if not heap:
-                raise MatchingError("no augmenting path; dummy sinks missing")
-            key, best_ri, src = heappop(heap)
-            if best_ri in in_t:
-                continue
+            ri = nr + li
+            if match_r[ri] is None and (ri not in least or u < least[ri]):  # a tree left's sink is live
+                least[ri] = u
+                heappush(heap, (u, ri, li))
+            if offset is None:
+                offset = heap[0][0]
+                lu[root] = -offset  # covers every live edge, the heaviest tightly
+                in_s = {root: offset}  # tree left -> offset when it joined
+            while True:
+                if not heap:
+                    raise MatchingError("no augmenting path; dummy sinks missing")
+                key, best_ri, src = heappop(heap)
+                if best_ri not in in_t:
+                    break
             if key > offset:  # a dual step by the positive slack
                 offset = key
             in_t[best_ri] = offset
@@ -433,7 +436,7 @@ class _Hungarian:
                     ri = prev
                 break
             in_s[occupant] = offset
-            grow(occupant, lu[occupant] + offset)
+            li, u = occupant, lu[occupant] + offset
         for li, joined in in_s.items():
             lu[li] += joined - offset
         for ri, joined in in_t.items():
