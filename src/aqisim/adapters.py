@@ -15,10 +15,10 @@ from .model import (
     Instance,
     Packet,
     linear,
+    require_valid,
     shannon_energy,
     shown,
     tabulated,
-    validate_instance,
 )
 
 ZERO = Fraction(0)
@@ -111,10 +111,7 @@ def aoi_multisource(events: dict[str, list[int]], values: dict[str, Fraction | i
         energy=(tabulated(table[: total + 1]) if total else linear(1),),
         label="aoi-multisource",
     )
-    report = validate_instance(inst)
-    if not report.ok:
-        raise AqiError("freshness instance failed validation: " + "; ".join(report.problems))
-    return FreshnessOracle(source_events, value_map), inst
+    return FreshnessOracle(source_events, value_map), require_valid(inst, inst.label)
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +150,7 @@ def speed_scaling(jobs: list[tuple[int, int]], servers: int,
         packets=tuple(packets), horizon=horizon, servers=servers,
         energy=tuple(powers), label="speed-scaling",
     )
-    report = validate_instance(inst)
-    if not report.ok:
-        raise AqiError("speed-scaling instance failed validation: " + "; ".join(report.problems))
-    return inst
+    return require_valid(inst, inst.label)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +199,4 @@ def remote_sampling_family(sources: int, samples_per_source: int, horizon: int,
         packets=tuple(packets), horizon=horizon, servers=1, energy=(energy,),
         label=f"remote-sampling seed={seed}",
     )
-    report = validate_instance(inst)
-    if not report.ok:
-        raise AqiError("sampling instance failed validation: " + "; ".join(report.problems))
-    return inst
+    return require_valid(inst, inst.label)

@@ -29,12 +29,11 @@ from .model import (
     linear,
     load_instance,
     parse_rational,
+    require_valid,
     shown,
     store_instance,
-    validate_instance,
-    validation_points,
 )
-from .oracle import DEFAULT_BUDGET, BudgetError, offline_optimal
+from .oracle import DEFAULT_BUDGET, offline_optimal
 
 
 def _parse(convert, text: str, what: str):
@@ -65,13 +64,7 @@ def _read_instance(path: str, budget: int):
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise AqiError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
-    inst = load_instance(text)
-    if validation_points(inst) > budget:
-        raise BudgetError(f"{path}: instance too large to validate: more than {budget} curve points")
-    report = validate_instance(inst)
-    if not report.ok:
-        raise AqiError(f"{path}: invalid instance: " + "; ".join(report.problems))
-    return inst
+    return require_valid(load_instance(text), path, budget)
 
 
 def _checked(value, what: str, ok: bool, expected: str):
@@ -314,7 +307,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (AqiError, OSError) as exc:  # OSError: an unreadable input or unwritable --out path
-        sys.stderr.write(f"error: {exc}\n")
+        # one line, even when the message echoes an id holding a newline
+        sys.stderr.write("error: " + str(exc).replace("\n", "\\n") + "\n")
         return 2
 
 

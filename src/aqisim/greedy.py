@@ -9,7 +9,8 @@ marginal is at least 0.
 A run lists its candidate bins once, in that order, and keeps integer lists
 of its own: per regular bin, laid out `slot * servers + server` as the list
 is, its occupancy and its price, `energy_inc[server][occupancy]` from
-`tables(inst)`; per slot, the lowest price among its bins. Packets arrive in
+`tables(inst)`; per slot, the lowest price among its bins, a list of its
+own for any server count. Packets arrive in
 (arrival, id) order, and a packet's steps share one slice of the bin list,
 from its arrival slot on. A fragment's gains row follows from the packet's
 fragment count and last slot, kept in two local integers, and three more
@@ -144,10 +145,10 @@ class GreedyStep:
 def render_gains(row: tuple) -> list[int]:
     """A greedy step's gains row from its `GreedyStep` row: `early - price`
     up to the packet's last slot, `late - (lag + price)` up to the deadline,
-    `-current - price` past it, then the discard bin's 0."""
+    `-current - price` past it, then the discard bin's 0. The lag row, by
+    slot, is spread to one entry per bin, whatever the server count."""
     prices, lag, servers, early, late, current, mid, past = row
-    if servers > 1:
-        lag = [d for d in lag for _ in range(servers)]
+    lag = [d for d in lag for _ in range(servers)]  # by bin, as `prices` is
     gains = [early - e for e in prices[:mid]]
     gains += [late - d - e for d, e in zip(lag[mid:past], prices[mid:past])]
     gains += [-current - e for e in prices[past:]]
@@ -219,8 +220,7 @@ def run_online_greedy(inst: Instance) -> GreedyRun:
     # lowest of its bins' prices
     occupancy = [0] * end
     prices = [energy_inc[b.server][0] for b in state.bins[:-1]]
-    lows = prices if servers == 1 else [min(prices[at:at + servers])
-                                        for at in range(0, end, servers)]
+    lows = [min(prices[at:at + servers]) for at in range(0, end, servers)]
     alloc, steps = Allocation(), state.steps
     total = 0  # over the tables' scale
     for p in packets_by_arrival(inst):
@@ -273,8 +273,7 @@ def run_online_greedy(inst: Instance) -> GreedyRun:
                 row = energy_inc[at - first]
                 if occupancy[at] < len(row):  # a full bin is never priced again
                     prices[at] = row[occupancy[at]]
-                    if servers > 1:
-                        lows[slot] = min(prices[first:first + servers])
+                    lows[slot] = min(prices[first:first + servers])
                 placed.append(at)
                 count += 1
                 last = max(last, slot)

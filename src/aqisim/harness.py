@@ -27,9 +27,9 @@ from .model import (
     instance_to_json,
     linear,
     rational_to_json,
+    require_valid,
     shannon_energy,
     tabulated,
-    validate_instance,
 )
 from .matching import (
     BipartiteGraph,
@@ -161,10 +161,7 @@ def generate(packets: int, max_k: int, horizon: int, seed: int,
         packets=tuple(out), horizon=horizon, servers=servers, energy=energy,
         label=f"{mode} seed={seed}",
     )
-    report = validate_instance(inst)
-    if not report.ok:
-        raise AqiError("generator produced an invalid instance: " + "; ".join(report.problems))
-    return inst
+    return require_valid(inst, inst.label)
 
 
 def adversarial_lock_probe(w: int = 100, eps: Fraction | int = 1) -> BipartiteGraph:

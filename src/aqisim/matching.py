@@ -165,7 +165,7 @@ def max_weight_matching(graph: BipartiteGraph) -> MatchingResult:
     tie rule; left nodes may stay unmatched at value 0."""
     solver = _Hungarian(graph)
     for li in range(len(graph.left_order)):
-        solver.add_left(li)
+        solver.phase(li)
     pairs = {graph.left_order[li]: graph.right_order[ri]
              for li, ri in enumerate(solver.match_l) if ri < solver.nr}
     return MatchingResult(pairs=pairs, weight=Fraction(solver.total, solver.scale))
@@ -197,9 +197,10 @@ class _Hungarian:
     step adds to the running offset, and each tree node takes its dual
     change once, when the phase ends. `phase` finds each tree left's
     heaviest free right, and `drop_losses` its seed, from a cursor per left
-    into its real edges in W order, which only moves forward, since a real
-    right never goes from matched back to free, online or offline; so every
-    edge is passed at most once per solver.
+    into its real edges in W order, both built with the solver. A cursor
+    only moves forward, since a real right never goes from matched back to
+    free, online or offline; so every edge is passed at most once per
+    solver.
 
     Why W orders matchings by (weight, tie rule). With `L = |L|`,
     `C = |R|`, `B = C.bit_length()` and `K = L*B + 1`, edge (l, r) packs
@@ -225,19 +226,17 @@ class _Hungarian:
         self.nr = nr = len(graph.right_order)
         # built by the first `drop_losses`: per right, its lefts (read-only)
         self.radj: list[list[int]] | None = None
-        # built by the first phase: per left, its real rights in W order and
-        # a cursor into them
-        self.seeds: list[list[int]] | None = None
-        self.cursor: list[int] | None = None
+        # per left, its real rights in W order (heavier weight first, then the
+        # lower right rank) and a cursor into them
+        self.seeds = [sorted([ri for ri in row if ri < nr], key=row.__getitem__, reverse=True)
+                      for row in self.adj]
+        self.cursor = [0] * nl
         self.lu: list[int | None] = [None] * nl
         self.lv = [0] * (nr + nl)
         self.match_l: list[int | None] = [None] * nl
         self.match_r: list[int | None] = [None] * (nr + nl)
         self.live = [True] * (nr + nl)
         self.total = 0  # weight over the scale of the matched real edges
-
-    def add_left(self, li: int) -> None:
-        self.phase(li)
 
     def drop_right(self, ri: int) -> int | None:
         """Remove right `ri`; returns its former mate, now free."""
@@ -251,16 +250,6 @@ class _Hungarian:
     def drop_left(self, li: int) -> None:
         """Remove the free left `li` (the mate `drop_right` returned) and its sink."""
         self.live[self.nr + li] = False
-
-    def _index_edges(self) -> None:
-        """Build `seeds` and `cursor`, on the first phase: the online run and
-        the offline solve each build their own, and the offline solve never
-        builds `radj`, which only `drop_losses` reads."""
-        nr = self.nr
-        # W order: heavier weight first, then the lower right rank
-        self.seeds = [sorted([ri for ri in row if ri < nr], key=row.__getitem__, reverse=True)
-                      for row in self.adj]
-        self.cursor = [0] * len(self.adj)
 
     def drop_losses(self) -> dict[int, int]:
         """{real right: weight over the scale lost by dropping it} for every
@@ -371,8 +360,6 @@ class _Hungarian:
         same order, with the same tree parents and dual steps as pushing
         every live edge would.
         """
-        if self.seeds is None:
-            self._index_edges()
         lu, lv, adj, rows, live = self.lu, self.lv, self.adj, self.rows, self.live
         match_l, match_r, seeds, cursor, nr = self.match_l, self.match_r, self.seeds, self.cursor, self.nr
         heappop, heappush = heapq.heappop, heapq.heappush
@@ -587,7 +574,7 @@ def run_online_matching(graph: BipartiteGraph) -> MatchRun:
         if kind == 0:
             for _, _, rank, a, clock in group:
                 before = live.total
-                live.add_left(rank)
+                live.phase(rank)
                 record(clock, "arrival", [a], live.total - before)
             continue
         batch = list(group)

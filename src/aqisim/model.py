@@ -25,6 +25,13 @@ class AllocationError(AqiError):
     """Allocation violates a structural constraint of its instance."""
 
 
+class BudgetError(AqiError):
+    """A layer would exceed its work budget; never approximated."""
+
+
+# the default work budget: validation curve points, oracle nodes and matcher steps
+DEFAULT_BUDGET = 10_000_000
+
 INFINITE_SLOT = (1 << 62)  # sentinel slot for the discard bin / "never locks"
 
 
@@ -458,6 +465,18 @@ def validate_instance(inst: Instance) -> ValidationReport:
         _check_curve(report, p.delay_cost, inst.horizon - p.arrival, f"packet {p.id}: C",
                      concave=False, zero_at_zero=True)
     return report
+
+
+def require_valid(inst: Instance, where: str, budget: int = DEFAULT_BUDGET) -> Instance:
+    """`inst`, once `validate_instance` finds no problem with it. It is
+    refused first, with no curve evaluated, when validation would evaluate
+    more than `budget` curve points. Errors start with `where`."""
+    if validation_points(inst) > budget:
+        raise BudgetError(f"{where}: instance too large to validate: more than {budget} curve points")
+    report = validate_instance(inst)
+    if not report.ok:
+        raise AqiError(f"{where}: invalid instance: " + "; ".join(report.problems))
+    return inst
 
 
 # ---------------------------------------------------------------------------

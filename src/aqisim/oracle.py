@@ -44,21 +44,22 @@ never reported unless it is that first leaf.
 
 Occupancy memo: what packets i.. can add depends only on the occupancy of
 the cells they can reach, the slots from their earliest arrival on. The
-memo maps (i, that occupancy) to the highest partial value seen there, and
-a node whose partial value is no higher is skipped. This is safe for the
-same reason as pruning. Once the search leaves a subtree, every leaf in it
-is below the floor: it was rejected (below D or the incumbent), set the
-floor one above itself, or was pruned while below a floor that never falls.
-The skipped node is visited later in key order, and each of its
-completions adds the same value to no more partial value, so it scores no
-more than the same completion of the earlier node: below the floor too,
-never accepted. The first maximizer in key order is worth at least D and
-more than every leaf before it, so it is at or above the floor when the
-search reaches it; no subtree holding it is pruned or skipped, and the
-reported optimum is the lexicographically smallest maximizer. The
-table is capped at `MEMO_CAP` entries; once full it only answers lookups
-(keeping or raising a stored value), which skips fewer nodes and changes no
-answer. `nodes` counts the schedules tried at the expanded search nodes.
+memo maps (i, that occupancy), the tuple of those cells' counts, to the
+highest partial value seen there, and a node whose partial value is no
+higher is skipped. This is safe for the same reason as pruning. Once the
+search leaves a subtree, every leaf in it is below the floor: it was
+rejected (below D or the incumbent), set the floor one above itself, or was
+pruned while below a floor that never falls. The skipped node is visited
+later in key order, and each of its completions adds the same value to no
+more partial value, so it scores no more than the same completion of the
+earlier node: below the floor too, never accepted. The first maximizer in
+key order is worth at least D and more than every leaf before it, so it is
+at or above the floor when the search reaches it; no subtree holding it is
+pruned or skipped, and the reported optimum is the lexicographically
+smallest maximizer. The table is capped at `MEMO_CAP` entries; once full it
+only answers lookups (keeping or raising a stored value), which skips fewer
+nodes and changes no answer. `nodes` counts the schedules tried at the
+expanded search nodes.
 """
 
 from __future__ import annotations
@@ -70,10 +71,12 @@ from itertools import accumulate
 from math import comb
 
 from .model import (
+    DEFAULT_BUDGET,
     DISCARD,
     Allocation,
     AqiError,
     Bin,
+    BudgetError,
     Instance,
     SubpacketRef,
     rational_to_json,
@@ -81,13 +84,8 @@ from .model import (
 from .matching import MatchingResult, expand_binary, max_weight_matching
 from .valuation import Valuation, evaluate, tables
 
-DEFAULT_BUDGET = 10_000_000
 # most occupancy-memo entries one search keeps; once full it stops inserting
 MEMO_CAP = 1 << 16
-
-
-class BudgetError(AqiError):
-    """The exact search would exceed its node budget; never approximated."""
 
 
 @dataclass
@@ -102,9 +100,9 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
 
     Raises BudgetError, never approximating, once more than `budget` search
     nodes are expanded, and before any schedule is built when the packets'
-    in-order schedules times the cells, the fields of each schedule's step
-    integer, pass `budget`, so it caps the schedules built and their size.
-    Recursing past Python's limit, once per fragment or packet, raises it too.
+    in-order schedules times the cells pass `budget`, so it caps both the
+    schedules built and the cells each memo key reads. Recursing past
+    Python's limit, once per fragment or packet, raises it too.
     """
     tab = tables(inst)
     tab.require_convex_energy("the search bound")
@@ -114,36 +112,33 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
     too_large = f"instance too large for exact oracle: more than {budget} nodes"
     too_deep = "instance too deep for exact oracle: past Python's recursion limit"
     # k fragments over the n cells a packet reaches: comb(n + k, k) schedules,
-    # each with a `step` integer of a field per cell
+    # each charged once per cell, since every memo key holds a count per cell
     if ncells * sum(comb(max(ncells - p.arrival * servers, 0) + p.subpackets, p.subpackets)
                     for p in packets) > budget:
         raise BudgetError(too_large)
 
     # m more fragments in a bin of occupancy c cost E(c + m) - E(c) =
-    # `cost[server][m][c]`. `code` packs every cell's count into `bits` bits,
-    # lowest cell lowest, and a schedule adds its `step` to it.
+    # `cost[server][m][c]`
     emin = min(row[0] for row in tab.energy_inc)
     most = max((p.subpackets for p in packets), default=0)
     cost = []
     for row in tab.energy_inc:
         cum = list(accumulate(row, initial=0))
         cost.append([None] + [[b - a for a, b in zip(cum, cum[m:])] for m in range(1, most + 1)])
-    bits = sum(p.subpackets for p in packets).bit_length()
-    counts = [0] * ncells
+    counts = [0] * ncells  # fragments per cell on the current search path
 
     @cache  # every packet of one (arrival, k) shape shares its schedules
     def shape(arrival: int, k: int) -> list:
-        """(groups, step, fragments sent, last slot) of every schedule of the
-        shape in key order, with one (cost row, cell, m) group per bin used."""
-        def extend(groups, step, sent, first):
+        """(groups, fragments sent, last slot) of every schedule of the shape
+        in key order, with one (cost row, cell, m) group per bin used."""
+        def extend(groups, sent, first):
             for cell in range(first, ncells) if sent < k else ():
                 m = groups[-1][2] + 1 if groups and cell == first else 1
                 head = groups[:-1] if m > 1 else groups
-                yield from extend(head + ((cost[cell % servers][m], cell, m),),
-                                  step + (1 << bits * cell), sent + 1, cell)
-            yield groups, step, sent, groups[-1][1] // servers if groups else arrival
+                yield from extend(head + ((cost[cell % servers][m], cell, m),), sent + 1, cell)
+            yield groups, sent, groups[-1][1] // servers if groups else arrival
 
-        return list(extend((), 0, 0, arrival * servers))
+        return list(extend((), 0, arrival * servers))
 
     try:
         schedules = [shape(p.arrival, p.subpackets) for p in packets]
@@ -155,10 +150,10 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
     for p, schedules_p in zip(packets, schedules):
         i = tab.index[p.id]
         plan_i, best = [], 0
-        for groups, step, sent, last in schedules_p:
+        for groups, sent, last in schedules_p:
             value = tab.term(i, sent, last)
             if value >= emin * sent:
-                plan_i.append((groups, step, value))
+                plan_i.append((groups, value))
                 best = max(best, value - emin * sent)
         plans.append(plan_i)
         static.append(best)
@@ -167,12 +162,12 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
         suffix_best[i] = suffix_best[i + 1] + static[i]
 
     # the non-empty candidates by value, highest first, for the occupancy bound
-    ranked = [sorted(((g, v) for g, _, v in plan_i if g), key=lambda c: -c[1]) for plan_i in plans]
+    ranked = [sorted(((g, v) for g, v in plan_i if g), key=lambda c: -c[1]) for plan_i in plans]
     n = len(packets)
-    # packets i.. reach only the cells from their earliest arrival on, a suffix
-    # of the cells, so `code >> shift[i]` is the occupancy they can see
-    shift = [bits * servers * min(p.arrival for p in packets[i:]) for i in range(n)]
-    memo: list[dict[int, int]] = [{} for _ in range(n)]
+    # packets i.. reach only the cells from their earliest arrival on, so
+    # `counts[first_cell[i]:]` is the occupancy they can see
+    first_cell = [servers * min(p.arrival for p in packets[i:]) for i in range(n)]
+    memo: list[dict[tuple[int, ...], int]] = [{} for _ in range(n)]
     stored = 0
     chosen: list[int] = [0] * n
     best_choice: list[int] | None = None
@@ -195,7 +190,7 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
         floor += best
     nodes = 0
 
-    def dfs(i: int, partial: int, code: int):
+    def dfs(i: int, partial: int):
         nonlocal nodes, best_choice, floor, stored
         if i == n:
             if partial >= floor:
@@ -207,7 +202,7 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
             return
         # an earlier prefix reached the same visible occupancy with no less value
         seen = memo[i]
-        key = code >> shift[i]
+        key = tuple(counts[first_cell[i]:])
         best_seen = seen.get(key)
         if best_seen is not None:
             if best_seen >= partial:
@@ -238,7 +233,7 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
         nodes += len(plans[i])
         if nodes > budget:
             raise BudgetError(too_large)
-        for ci, (groups, step, value) in enumerate(plans[i]):
+        for ci, (groups, value) in enumerate(plans[i]):
             if rest + value < floor:
                 continue
             for row, cell, _ in groups:
@@ -248,12 +243,12 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
             for _, cell, m in groups:
                 counts[cell] += m
             chosen[i] = ci
-            dfs(i + 1, partial + value, code + step)
+            dfs(i + 1, partial + value)
             for _, cell, m in groups:
                 counts[cell] -= m
 
     try:
-        dfs(0, 0, 0)
+        dfs(0, 0)
     except RecursionError:
         raise BudgetError(too_deep) from None
     # the optimum is a leaf worth no less than the dive, so it reaches the first floor

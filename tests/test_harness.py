@@ -214,10 +214,11 @@ def test_huge_inputs_are_refused_before_the_work_they_would_cost(tmp_path, capsy
     values = 0
     validate_instance(inst)
     assert values == validation_points(inst) == 2 + 2 + 1_001
-    # the oracle's gate charges each schedule's cells: one unit packet over
-    # 20,001 slots has 20,001 schedules, under the default budget, but each
-    # would carry a step integer with a field per cell; it is refused before
-    # the search builds its energy prefix sums or any schedule
+    # the oracle's gate charges each schedule once per cell, since every memo
+    # key holds a count per cell: one unit packet over 20,001 slots has
+    # 20,001 schedules, under the default budget, but 20,001 x 20,001 cells
+    # is not; it is refused before the search builds its energy prefix sums
+    # or any schedule
     doc["horizon"] = 20_000
     inst = load_instance(json.dumps(doc))
     sums = 0
@@ -234,6 +235,35 @@ def test_huge_inputs_are_refused_before_the_work_they_would_cost(tmp_path, capsy
     # at 1,000 slots (1,001 schedules x 1,001 cells) it still runs
     doc["horizon"] = 999
     assert oracle.offline_optimal(load_instance(json.dumps(doc))).valuation.total == 4 and sums > 0
+
+
+@pytest.mark.parametrize("argv, values", [
+    (["gen", "--packets", "1", "--horizon", "100000000"], 0),
+    (["adapt-sampling", "--horizon", "100000000"], 0),
+    # the unit value reads one increment of the power curve, two points
+    (["adapt-speedscale", "--jobs", "[[1,0]]", "--horizon", "100000000"], 2),
+    (["adapt-aoi", "--events", '{"s1": [0]}', "--values", '{"s1": 5}', "--horizon", "100000000"], 0),
+    (["campaign", "--seeds", "0:1", "--packets", "1", "--horizon", "100000000", "--checks", "submodularity"], 0),
+])
+def test_built_instances_past_the_budget_are_refused_before_validation(argv, values, capsys, monkeypatch):
+    # the generator and the adapters validate what they build: over 100M
+    # slots each delay curve has 100M points, and validating them ended in a
+    # MemoryError; now the same curve-point gate as a read file refuses them
+    calls = 0
+    value = CostFamily.value
+
+    def counted_value(self, x):
+        nonlocal calls
+        calls += 1
+        return value(self, x)
+
+    monkeypatch.setattr(CostFamily, "value", counted_value)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(": instance too large to validate: more than 10000000 curve points\n")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert calls == values
 
 
 def test_run_bundle_rejects_matching_on_general_instances():

@@ -779,7 +779,10 @@ def test_online_run_and_expansion_do_bounded_work(monkeypatch):
 
     def counted_phase(self, root):
         calls["phase"] += 1
-        return phase(self, root)
+        row = self.adj[root]
+        before = row.item_walks
+        phase(self, root)
+        arrival_walks.append(row.item_walks - before)
 
     def counted_fraction(*args):
         calls["fraction"] += 1
@@ -788,23 +791,16 @@ def test_online_run_and_expansion_do_bounded_work(monkeypatch):
     monkeypatch.setattr(CostFamily, "value", counted_value)
     monkeypatch.setattr(CostFamily, "row", counted_row)
     monkeypatch.setattr(matching, "max_weight_matching", counted_solve)
-    init, add_left = matching._Hungarian.__init__, matching._Hungarian.add_left
+    init = matching._Hungarian.__init__
 
     def counting_rows(self, g):
         init(self, g)
         self.adj = [_ItemWalkCountingRow(row) for row in self.adj]
         solvers.append(self)
 
-    def counted_add_left(self, li):
-        row = self.adj[li]
-        before = row.item_walks
-        add_left(self, li)
-        arrival_walks.append(row.item_walks - before)
-
-    arrival_walks = []  # per arrival: walks over the new left's edge row
+    arrival_walks = []  # per phase: walks over its new left's edge row
     solvers = []
     monkeypatch.setattr(matching._Hungarian, "__init__", counting_rows)
-    monkeypatch.setattr(matching._Hungarian, "add_left", counted_add_left)
     monkeypatch.setattr(matching._Hungarian, "phase", counted_phase)
     monkeypatch.setattr(matching, "Fraction", counted_fraction)
     # the graph takes the tables' integers: a Fraction per arrival and one
@@ -816,17 +812,14 @@ def test_online_run_and_expansion_do_bounded_work(monkeypatch):
     assert calls["value"] == 0
     assert 0 < calls["row"] <= 2 * len(inst.packets) + inst.servers < PER_EDGE_VALUE_CALLS // 4
     indexes = []  # per solver, in build order: (its seeds, its cursor)
-    index_edges = matching._Hungarian._index_edges
 
-    def counted_index_edges(self):
-        index_edges(self)
+    def counted_index(self, g):
+        counting_rows(self, g)
         self.seeds = [_ReadCountingList(seed) for seed in self.seeds]
         indexes.append((self.seeds, self.cursor))
 
     def work(self):
         """(seed reads, cursor sum, row walks) of a solver so far."""
-        if self.seeds is None:
-            return 0, 0, 0
         return (sum(seed.reads for seed in self.seeds), sum(self.cursor),
                 sum(row.item_walks for row in self.adj))
 
@@ -847,7 +840,7 @@ def test_online_run_and_expansion_do_bounded_work(monkeypatch):
         tree = after[2] - walks  # each tree left walks its row once
         phase_work.append((after[0] - reads, after[1] - moved, tree, pushes - pushed, tree * (matched + 2)))
 
-    monkeypatch.setattr(matching._Hungarian, "_index_edges", counted_index_edges)
+    monkeypatch.setattr(matching._Hungarian, "__init__", counted_index)
     monkeypatch.setattr(matching._Hungarian, "phase", measured_phase)
     monkeypatch.setattr(matching, "heapq", SimpleNamespace(heappush=counted_heappush, heappop=heapq.heappop,
                                                            heapify=heapq.heapify))
@@ -1026,7 +1019,7 @@ def test_certify_rejects_a_perturbed_dual_or_a_swapped_pair():
     g = expand_binary(_online_matching_instance(0))
     solver = matching._Hungarian(g)
     for li in range(len(g.left_order)):
-        solver.add_left(li)
+        solver.phase(li)
     assert certify(solver, g) == []
     nr = solver.nr
     real = [(a, b) for a, b in enumerate(solver.match_l) if b < nr]
@@ -1115,9 +1108,9 @@ def _shadowed_solver(compared: list):
                 assert getattr(self, name) == getattr(ref, name), name
             compared.append(1)
 
-        def add_left(self, li):
-            super().add_left(li)
-            self.reference.add_left(li)
+        def phase(self, root):
+            super().phase(root)
+            self.reference.phase(root)
             self.compare()
 
         def drop_right(self, ri):

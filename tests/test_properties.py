@@ -1,18 +1,23 @@
 """Property tests of the exact valuation and the instance schema on small
 generated instances: one or two servers, deadlines, fragments added in a
-random order. Skipped when hypothesis is not installed."""
+random order; and of the command line on generated and mutated instance
+files. Skipped when hypothesis is not installed."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from aqisim.cli import main  # noqa: E402
 from aqisim.harness import GENERATOR_MODES, generate  # noqa: E402
 from aqisim.model import (  # noqa: E402
     DISCARD,
@@ -23,11 +28,13 @@ from aqisim.model import (  # noqa: E402
     Instance,
     Packet,
     SubpacketRef,
+    instance_to_json,
     load_instance,
     rational_to_json,
     store_instance,
     tabulated,
     validate_instance,
+    validation_points,
 )
 from aqisim.valuation import evaluate, marginal_gains, tables  # noqa: E402
 
@@ -241,3 +248,74 @@ def test_validator_flags_exactly_the_curves_that_are_not_convex_non_decreasing(c
     assert flagged == {name for name, values in checked.items()
                        if not _convex_non_decreasing_from_zero(values)}, problems
     assert all(any(text.startswith(name + ":") for name in checked) for text in problems), problems
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+FIXTURE_DOCS = [json.loads(path.read_text()) for path in sorted(FIXTURES.glob("*.json"))]
+# every command below runs under this budget: validation refuses an instance
+# of more curve points, the oracle stops past this many nodes and the
+# matcher refuses more left-edge steps, so no example's work can grow with
+# the numbers a mutation writes
+CLI_BUDGET = 400
+junk = st.one_of(
+    st.integers(-3, 12), st.sampled_from([-1, 10**6, 10**9, 10**30, 2**63]), st.none(), st.booleans(),
+    st.text(max_size=4), st.sampled_from(["1/2", "-3/4", "0/0", "1e9", "nan"]), st.floats(),
+    st.lists(st.integers(-3, 12), max_size=4),
+    st.dictionaries(st.sampled_from(["kind", "params", "table"]), st.integers(-2, 5), max_size=2),
+)
+
+
+@st.composite
+def instance_documents(draw):
+    """A fixture's or a generated instance's JSON with up to three mutations,
+    each replacing, deleting or duplicating one entry at any depth."""
+    if draw(st.booleans()):
+        doc = json.loads(json.dumps(draw(st.sampled_from(FIXTURE_DOCS))))
+    else:
+        doc = instance_to_json(draw(instances()))
+    for _ in range(draw(st.integers(0, 3))):
+        node = doc
+        while isinstance(node, (dict, list)) and node:
+            key = draw(st.sampled_from(sorted(node)) if isinstance(node, dict) else st.integers(0, len(node) - 1))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+                node = child
+                continue
+            action = draw(st.sampled_from(["replace", "delete", "duplicate"]))
+            if action == "replace":
+                node[key] = draw(junk)
+            elif action == "delete":
+                del node[key]
+            elif isinstance(node, list):
+                node.append(json.loads(json.dumps(child)))
+            break
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance_documents(), st.sampled_from([["verify"], ["opt"], ["run", "--algorithm", "greedy"],
+                                              ["run", "--algorithm", "matching"]]))
+def test_the_cli_exits_0_1_or_2_with_one_error_line(tmp_path_factory, doc, command):
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(doc))
+    values = 0
+    value = CostFamily.value
+
+    def counted_value(self, x):
+        nonlocal values
+        values += 1
+        return value(self, x)
+
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        patch.setattr(CostFamily, "value", counted_value)
+        code = main([command[0], str(path), *command[1:], "--budget", str(CLI_BUDGET)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+        # an instance too large to validate is refused before any curve point
+        if "too large to validate" in err.getvalue():
+            assert values == 0
+    else:
+        # only an instance of at most the budget's curve points gets past validation
+        assert validation_points(load_instance(path.read_text())) <= CLI_BUDGET
