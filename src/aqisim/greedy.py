@@ -67,9 +67,9 @@ from .model import (
     AllocationError,
     Bin,
     Instance,
+    NumberTexts,
     Packet,
     SubpacketRef,
-    rational_to_json,
 )
 from .valuation import Valuation, evaluate, tables
 
@@ -183,13 +183,12 @@ class GreedyRun:
         packet id's JSON string."""
         ids = [json.dumps(b.id) for b in self.state.bins]  # each step's bins are a suffix of these
         heads = ['{"bin": ' + i + ', "rho": ' for i in ids]
-        rho: dict[int, str] = {}  # gain -> JSON text; a run's steps share one scale
+        steps = self.state.steps
+        rho = NumberTexts(steps[0].scale if steps else 1)  # gain -> JSON text; a run's steps share one scale
         names: dict[str, str] = {}  # packet id -> JSON text
         lines = []
-        for s in self.state.steps:
+        for s in steps:
             gains, at, pid = s.gains, len(ids) - len(s.bins), s.ref.packet
-            for g in set(gains).difference(rho):
-                rho[g] = json.dumps(rational_to_json(Fraction(g, s.scale)))
             if pid not in names:
                 names[pid] = json.dumps(pid)
             texts = list(map(rho.__getitem__, gains))

@@ -35,8 +35,8 @@ passes, is read off a cursor into the left's edges in weight order, which
 passes each edge at most once per solver. An event stores its weights and sparse losses as
 integers over the scale and renders their `Fraction` views, weights and
 marginals alike, only when they are read. The event loop orders events on
-integer clocks and builds one `Fraction` per permanent lock, plus the run's
-weight.
+integer clocks and builds no `Fraction`: a run's locks, its `perm` and its
+weight are one record of integers, rendered when read.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from itertools import groupby
 from numbers import Rational
 from operator import itemgetter
 
-from .model import AqiError, Instance, rational_to_json, shown
+from .model import AqiError, Instance, NumberTexts, rational_to_json, shown
 from .valuation import tables
 
 ZERO = Fraction(0)
@@ -435,21 +435,21 @@ class _Hungarian:
 # ---------------------------------------------------------------------------
 
 class LockLog:
-    """The bins an online run has locked to a mate, in lock order; shared by
-    the run and its events, which read their marginals from it."""
+    """The run's one record of its permanent edges: each locked bin's lock
+    index, mate and weight, in lock order; its events read marginals from it."""
 
     def __init__(self, right_order: list[str], scale: int):
         self.right_order, self.scale = right_order, scale
-        self.locked: dict[int, tuple[int, int]] = {}  # right rank -> (lock index, weight)
+        self.locked: dict[int, tuple[int, int, int]] = {}  # right rank -> (lock index, mate, weight)
 
-    def add(self, ri: int, weight: int) -> None:
-        self.locked[ri] = (len(self.locked), weight)
+    def add(self, ri: int, mate: int, weight: int) -> None:
+        self.locked[ri] = (len(self.locked), mate, weight)
 
     def marginal(self, ri: int, locks: int, losses: dict[int, int]) -> int:
         """Right `ri`'s marginal over the scale at an event that followed the
         first `locks` locks and recorded `losses`."""
         lock = self.locked.get(ri)
-        return lock[1] if lock is not None and lock[0] < locks else losses.get(ri, 0)
+        return lock[2] if lock is not None and lock[0] < locks else losses.get(ri, 0)
 
 
 @dataclass
@@ -483,7 +483,7 @@ class MatchEvent:
         view = dict.fromkeys(right_order, ZERO)
         for ri, x in self.losses.items():
             view[right_order[ri]] = Fraction(x, log.scale)
-        for ri, (k, w) in log.locked.items():
+        for ri, (k, _, w) in log.locked.items():
             if k < self.locks:
                 view[right_order[ri]] = Fraction(w, log.scale)
         return view
@@ -491,11 +491,16 @@ class MatchEvent:
 
 @dataclass
 class MatchRun:
+    """An online run. `perm`, {bin: (mate, weight)} in lock order, and
+    `weight`, their sum, are rendered from `log` on each read."""
+
     graph: BipartiteGraph
-    perm: dict[str, tuple[str, Fraction]]  # right -> (left, weight)
-    weight: Fraction
     log: LockLog = field(repr=False, compare=False)
     events: list[MatchEvent] = field(default_factory=list)
+
+    perm = property(lambda self: {self.log.right_order[ri]: (self.graph.left_order[li], Fraction(w, self.log.scale))
+                                  for ri, (_, li, w) in self.log.locked.items()})
+    weight = property(lambda self: Fraction(sum(w for _, _, w in self.log.locked.values()), self.log.scale))
 
     def trace_jsonl(self) -> str:
         """One JSON line per event, as `json.dumps(..., sort_keys=True)` writes
@@ -510,33 +515,27 @@ class MatchRun:
         place = [0] * len(order)  # right rank -> its item's place in `rho`
         for at, ri in enumerate(order):
             place[ri] = at
-        texts = {0: "0"}  # integer over the scale -> JSON text
-
-        def text(x: int) -> str:
-            if x not in texts:
-                texts[x] = json.dumps(rational_to_json(Fraction(x, log.scale)))
-            return texts[x]
-
+        texts = NumberTexts(log.scale)  # integer over the scale -> JSON text
         zeros = [keys[ri] + "0" for ri in order]
-        locked = sorted((k, ri, w) for ri, (k, w) in log.locked.items())  # entry k has lock index k
+        locked = sorted((k, ri, w) for ri, (k, _, w) in log.locked.items())  # entry k has lock index k
         fixed, done = zeros[:], 0  # `rho` once the first `done` locks are made
         for ev in self.events:
             if ev.locks < done:  # a run records `locks` non-decreasing; a hand-built one may not
                 fixed, done = zeros[:], 0
             for _, ri, w in locked[done:ev.locks]:
-                fixed[place[ri]] = keys[ri] + text(w)
+                fixed[place[ri]] = keys[ri] + texts[w]
             done = ev.locks
             rho = fixed[:]
             for ri, x in ev.losses.items():
                 lock = log.locked.get(ri)
                 if lock is None or lock[0] >= ev.locks:
-                    rho[place[ri]] = keys[ri] + text(x)
+                    rho[place[ri]] = keys[ri] + texts[x]
             lines.append(
-                f'{{"arrival_gain": {"null" if ev.gain is None else text(ev.gain)}, '
+                f'{{"arrival_gain": {"null" if ev.gain is None else texts[ev.gain]}, '
                 f'"clock": {json.dumps(rational_to_json(ev.clock))}, "kind": {json.dumps(ev.kind)}, '
-                f'"perm_weight": {text(ev.perm)}, "rho": {{{", ".join(rho)}}}, '
-                f'"subject": {json.dumps(ev.subject)}, "temp_weight": {text(ev.temp)}, '
-                f'"total_weight": {text(ev.temp + ev.perm)}}}'
+                f'"perm_weight": {texts[ev.perm]}, "rho": {{{", ".join(rho)}}}, '
+                f'"subject": {json.dumps(ev.subject)}, "temp_weight": {texts[ev.temp]}, '
+                f'"total_weight": {texts[ev.temp + ev.perm]}}}'
             )
         return "\n".join(lines) + ("\n" if lines else "")
 
@@ -561,7 +560,6 @@ def run_online_matching(graph: BipartiteGraph) -> MatchRun:
                     for x, t in times.items()])
     live = _Hungarian(graph)
     log = LockLog(graph.right_order, live.scale)
-    perm: dict[str, tuple[str, Fraction]] = {}
     perm_weight = 0
     events: list[MatchEvent] = []
 
@@ -578,16 +576,15 @@ def run_online_matching(graph: BipartiteGraph) -> MatchRun:
                 record(clock, "arrival", [a], live.total - before)
             continue
         batch = list(group)
-        for _, _, ri, b, _ in batch:
+        for _, _, ri, _, _ in batch:
             mate = live.drop_right(ri)
             if mate is not None:
                 w = graph.rows[mate][ri]
-                log.add(ri, w)
-                perm[b] = (graph.left_order[mate], Fraction(w, live.scale))
+                log.add(ri, mate, w)
                 perm_weight += w
                 live.drop_left(mate)
         record(batch[0][4], "lock", [b for _, _, _, b, _ in batch])
-    return MatchRun(graph=graph, perm=perm, weight=Fraction(perm_weight, live.scale), log=log, events=events)
+    return MatchRun(graph=graph, log=log, events=events)
 
 
 def bin_marginal_series(run: MatchRun, right_id: str) -> list[Fraction]:

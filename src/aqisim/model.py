@@ -64,6 +64,19 @@ def rational_to_json(value: Fraction):
     return f"{value.numerator}/{value.denominator}"
 
 
+class NumberTexts(dict):
+    """{integer x: JSON text of x / scale}, each rendered on its first read;
+    0 is seeded, so a zero is never rendered."""
+
+    def __init__(self, scale: int):
+        super().__init__({0: "0"})
+        self.scale = scale
+
+    def __missing__(self, x: int) -> str:
+        self[x] = text = json.dumps(rational_to_json(Fraction(x, self.scale)))
+        return text
+
+
 COST_KINDS = ("linear", "power", "exponential", "saturating", "tabulated")
 
 
@@ -413,15 +426,14 @@ class ValidationReport:
         self.problems.append(text)
 
 
-def _check_curve(report: ValidationReport, fam: CostFamily, upto: int, name: str,
-                 *, concave: bool, zero_at_zero: bool) -> None:
-    """Check monotonicity plus concave/convex increments of `fam` on 0..upto."""
+def _check_curve(report: ValidationReport, fam: CostFamily, upto: int, name: str, *, concave: bool) -> None:
+    """Check value 0 at 0, monotonicity and concave/convex increments of `fam` on 0..upto."""
     try:
         values = [fam.value(x) for x in range(upto + 1)]
     except AqiError as exc:
         report.note(f"{name}: {exc}")
         return
-    if zero_at_zero and values[0] != 0:
+    if values[0] != 0:
         report.note(f"{name}: value at 0 is {values[0]}, expected 0")
     deltas = [b - a for a, b in zip(values, values[1:])]
     for i, d in enumerate(deltas):
@@ -454,16 +466,15 @@ def validate_instance(inst: Instance) -> ValidationReport:
     report = ValidationReport()
     total = inst.total_subpackets
     for srv, fam in enumerate(inst.energy):
-        _check_curve(report, fam, max(total, 1), f"energy[{srv}]", concave=False, zero_at_zero=True)
+        _check_curve(report, fam, max(total, 1), f"energy[{srv}]", concave=False)
     for p in inst.packets:
         if p.arrival > inst.horizon:
-            report.note(f"packet {p.id}: arrival {p.arrival} beyond horizon {inst.horizon}")
+            report.note(f"packet {shown(p.id)}: arrival {p.arrival} beyond horizon {inst.horizon}")
             continue
         if p.deadline is not None and p.deadline > inst.horizon:
-            report.note(f"packet {p.id}: deadline {p.deadline} beyond horizon {inst.horizon}")
-        _check_curve(report, p.distortion, p.subpackets, f"packet {p.id}: D", concave=True, zero_at_zero=True)
-        _check_curve(report, p.delay_cost, inst.horizon - p.arrival, f"packet {p.id}: C",
-                     concave=False, zero_at_zero=True)
+            report.note(f"packet {shown(p.id)}: deadline {p.deadline} beyond horizon {inst.horizon}")
+        _check_curve(report, p.distortion, p.subpackets, f"packet {shown(p.id)}: D", concave=True)
+        _check_curve(report, p.delay_cost, inst.horizon - p.arrival, f"packet {shown(p.id)}: C", concave=False)
     return report
 
 

@@ -100,12 +100,13 @@ def run_lockfree_greedy(inst: Instance, perturb=None) -> FrozenRun:
 
 @dataclass
 class BridgeReport:
-    """Offline bridge: locking optimum vs the frozen twin's optimum."""
+    """Offline bridge: locking optimum vs the frozen twin's optimum; both verdicts derive from them."""
 
     z_opt: Fraction
     y_opt_telescoped: Fraction  # also the twin's optimum, once it equals z_opt
-    telescoping_ok: bool
-    bridge_ok: bool
+
+    telescoping_ok = property(lambda self: self.z_opt == self.y_opt_telescoped)
+    bridge_ok = property(lambda self: self.z_opt <= self.y_opt_telescoped)
 
     @property
     def ok(self) -> bool:
@@ -125,9 +126,7 @@ def check_offline_bridge(inst: Instance, opt: OracleResult) -> BridgeReport:
     """Telescope the locking optimum `opt` over the frozen twin, once; `opt`
     must never beat the twin's optimum. A telescoped value that differs from
     `opt`'s is reported (`telescoping_ok: false`), not raised as in `frozen_optimal`."""
-    z = opt.valuation.total
-    y = telescoped_value(inst, opt.allocation)
-    return BridgeReport(z_opt=z, y_opt_telescoped=y, telescoping_ok=(z == y), bridge_ok=(z <= y))
+    return BridgeReport(z_opt=opt.valuation.total, y_opt_telescoped=telescoped_value(inst, opt.allocation))
 
 
 def frozen_optimal(bridge: BridgeReport) -> Fraction:
@@ -149,25 +148,25 @@ def frozen_optimal(bridge: BridgeReport) -> Fraction:
 @dataclass
 class ChainReport:
     """The halving chain: greedy equals its frozen twin, which halves the
-    frozen optimum, which dominates the locking optimum."""
+    frozen optimum, which dominates the locking optimum. Every link derives
+    from the two greedy values, the bridge's optima and the step mismatches."""
 
     z_greedy: Fraction
     y_frozen_greedy: Fraction
-    y_frozen_opt: Fraction
-    z_opt: Fraction
-    greedy_equal: bool
-    steps_equal: bool
-    frozen_half_ok: bool
-    bridge_ok: bool
+    bridge: BridgeReport
     step_mismatches: list[dict] = field(default_factory=list)
+
+    z_opt = property(lambda self: self.bridge.z_opt)
+    y_frozen_opt = property(lambda self: self.bridge.y_opt_telescoped)
+    bridge_ok = property(lambda self: self.bridge.bridge_ok)
+    greedy_equal = property(lambda self: self.z_greedy == self.y_frozen_greedy)
+    steps_equal = property(lambda self: not self.step_mismatches)
+    frozen_half_ok = property(lambda self: 2 * self.y_frozen_greedy >= self.y_frozen_opt)
+    composed_half_ok = property(lambda self: 2 * self.z_greedy >= self.z_opt)
 
     @property
     def ok(self) -> bool:
         return self.greedy_equal and self.steps_equal and self.frozen_half_ok and self.bridge_ok
-
-    @property
-    def composed_half_ok(self) -> bool:
-        return 2 * self.z_greedy >= self.z_opt
 
     def to_json(self) -> dict:
         return {
@@ -192,7 +191,7 @@ def check_guarantee_chain(inst: Instance, bridge: BridgeReport, perturb=None) ->
     that optimum does not telescope over the twin."""
     greedy_run = run_online_greedy(inst)
     frozen_run = run_lockfree_greedy(inst, perturb=perturb)
-    y_frozen_opt = frozen_optimal(bridge)
+    frozen_optimal(bridge)  # raises unless the telescoped optimum is the twin's
 
     mismatches = []
     for raw, fro in zip(greedy_run.state.steps, frozen_run.steps):
@@ -204,15 +203,5 @@ def check_guarantee_chain(inst: Instance, bridge: BridgeReport, perturb=None) ->
                 "locking_bin": raw.chosen.id,
                 "frozen_bin": fro.chosen.id,
             })
-    z_greedy = greedy_run.valuation.total
-    return ChainReport(
-        z_greedy=z_greedy,
-        y_frozen_greedy=frozen_run.value,
-        y_frozen_opt=y_frozen_opt,
-        z_opt=bridge.z_opt,
-        greedy_equal=(z_greedy == frozen_run.value),
-        steps_equal=not mismatches,
-        frozen_half_ok=(2 * frozen_run.value >= y_frozen_opt),
-        bridge_ok=bridge.bridge_ok,
-        step_mismatches=mismatches,
-    )
+    return ChainReport(z_greedy=greedy_run.valuation.total, y_frozen_greedy=frozen_run.value,
+                       bridge=bridge, step_mismatches=mismatches)

@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 from random import Random
 
-from aqisim import greedy, reduction, valuation
+from aqisim import greedy, model, reduction, valuation
 from aqisim.greedy import arrival_order, candidate_bins, run_online_greedy
 from aqisim.harness import generate
 from aqisim.model import (
@@ -455,3 +455,26 @@ def test_step_log_is_what_json_dumps_writes():
     for name, inst in [*_reference_cases(), ("awkward ids", awkward)]:
         run = run_online_greedy(inst)
         assert run.step_log_jsonl() == _reference_step_log(run), name
+
+
+def test_step_log_renders_each_distinct_gain_once(monkeypatch):
+    # each distinct gain's text is rendered once per run, by the number-text
+    # cache in `model`; the zero that the discard bin always scores is never
+    # rendered
+    calls = 0
+    render = model.rational_to_json
+
+    def counted(value):
+        nonlocal calls
+        calls += 1
+        return render(value)
+
+    monkeypatch.setattr(model, "rational_to_json", counted)
+    for seed in range(10):
+        run = run_online_greedy(generate(30, 3, 10, seed, servers=2))
+        numbers = {g for s in run.state.steps for g in s.gains}
+        numbers.discard(0)
+        calls = 0
+        run.step_log_jsonl()
+        assert calls <= len(numbers), seed
+        assert calls < sum(len(s.bins) for s in run.state.steps) // 4, seed

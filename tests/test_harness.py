@@ -523,14 +523,17 @@ def test_cli_error_line_does_not_echo_a_long_argument_whole(argv, capsys):
     assert len(err) < 400 and "..." in err
 
 
-@pytest.mark.parametrize("case", ["cost kind", "packet id", "values key", "events key"])
+@pytest.mark.parametrize("case", ["cost kind", "packet id", "validated packet id", "values key", "events key"])
 def test_cli_error_line_cuts_long_strings_from_the_input(case, tmp_path, capsys):
     # each of these strings used to be echoed whole, 3,000 characters
     long, linear = "x" * 3000, {"kind": "linear", "params": [1]}
     packet = {"id": long, "arrival": 0, "subpackets": 1, "weight": 0,
               "distortion": linear, "delay_cost": linear}
+    late = json.loads((ROOT / "fixtures" / "minimal.json").read_text())
+    late["packets"][0].update(id=long, arrival=9)  # past the horizon: the validator names the packet
     docs = {"cost kind": {"horizon": 2, "energy": [{"kind": long, "params": [1]}], "packets": []},
-            "packet id": {"horizon": 2, "energy": [linear], "packets": [packet]}}
+            "packet id": {"horizon": 2, "energy": [linear], "packets": [packet]},
+            "validated packet id": late}
     if case in docs:
         (tmp_path / "inst.json").write_text(json.dumps(docs[case]))
         argv = ["opt", str(tmp_path / "inst.json")]

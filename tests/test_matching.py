@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from aqisim import matching
+from aqisim import matching, model
 from aqisim.harness import adversarial_lock_probe, generate
 from aqisim.matching import (
     BipartiteGraph,
@@ -470,13 +470,14 @@ def test_marginal_drops_of_a_hand_built_run():
     log = matching.LockLog(g.right_order, g.scale)
     events = []
     for k, (losses, lock) in enumerate([({0: 4, 1: 2}, None), ({0: 3, 1: 2, 2: 1}, None),
-                                        ({0: 3}, (1, 1)), ({}, None)]):
+                                        ({0: 3}, (1, 0, 1)), ({}, None)]):
         if lock:
             log.add(*lock)
         events.append(matching.MatchEvent(
             clock=F(k), kind="lock" if lock else "arrival", subject=[], temp=0,
             perm=0, losses=losses, locks=len(log.locked), log=log))
-    run = matching.MatchRun(graph=g, perm={}, weight=F(0), log=log, events=events)
+    run = matching.MatchRun(graph=g, log=log, events=events)
+    assert run.perm == {"b2": ("a", F(1, 2))} and run.weight == F(1, 2)
     expected = [("b1", 1, F(2), F(3, 2)), ("b1", 3, F(3, 2), F(0)),
                 ("b2", 2, F(1), F(1, 2)), ("b3", 2, F(1, 2), F(0))]
     assert marginal_monotonicity_violations(run) == _full_view_drops(run) == expected
@@ -488,7 +489,7 @@ def test_marginal_drops_of_a_hand_built_run():
     unlocked = matching.MatchEvent(clock=F(4), kind="arrival", subject=[], temp=0, perm=0,
                                    losses={}, locks=0, log=log)
     for order in (events, [*events, unlocked]):
-        listed = matching.MatchRun(graph=g, perm={}, weight=F(0), log=log, events=order)
+        listed = matching.MatchRun(graph=g, log=log, events=order)
         assert listed.trace_jsonl() == _reference_trace(listed)
 
 
@@ -726,19 +727,21 @@ def test_trace_is_what_json_dumps_writes():
 
 def test_trace_renders_each_distinct_number_once(monkeypatch):
     # each bin's key is made once and each distinct integer over the scale is
-    # rendered once; the zero that most marginals are is never rendered
+    # rendered once, by the number-text cache in `model`; the zero that most
+    # marginals are is never rendered
     calls = 0
-    render = matching.rational_to_json
+    render = model.rational_to_json
 
     def counted(value):
         nonlocal calls
         calls += 1
         return render(value)
 
-    monkeypatch.setattr(matching, "rational_to_json", counted)
+    monkeypatch.setattr(model, "rational_to_json", counted)  # the cache's renders
+    monkeypatch.setattr(matching, "rational_to_json", counted)  # the clocks'
     for seed in range(20):
         run = run_online_matching(expand_binary(_online_matching_instance(seed)))
-        numbers = {w for _, w in run.log.locked.values()}
+        numbers = {w for _, _, w in run.log.locked.values()}
         for ev in run.events:
             numbers.update(ev.losses.values(), (ev.temp, ev.perm, ev.temp + ev.perm))
             if ev.gain is not None:
@@ -847,9 +850,9 @@ def test_online_run_and_expansion_do_bounded_work(monkeypatch):
     calls["fraction"] = 0
     run = run_online_matching(g)
     assert run.events and calls["solve"] == 0
-    # the event loop keeps clocks and weights in integers: a Fraction per
-    # permanent lock, for `perm`, and one for the run's weight
-    assert calls["fraction"] <= len(run.perm) + 1 < len(run.events)
+    # the event loop keeps clocks, weights and its lock record in integers:
+    # `perm` and the run's weight are rendered only when read
+    assert calls["fraction"] == 0
     # one phase per arrival: the traced marginals cost none; and a phase
     # walks its new left's edges once, setting its dual on the same walk
     assert calls["phase"] == len(inst.packets) == 20

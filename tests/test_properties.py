@@ -31,6 +31,7 @@ from aqisim.model import (  # noqa: E402
     instance_to_json,
     load_instance,
     rational_to_json,
+    shown,
     store_instance,
     tabulated,
     validate_instance,
@@ -235,7 +236,7 @@ def curve_instances(draw):
     energy = tuple(draw(curves(max(total, 1))) for _ in range(draw(st.integers(1, 2))))
     inst = Instance(packets=tuple(packets), horizon=horizon, servers=len(energy), energy=energy)
     checked = {f"energy[{s}]": fam.table[:max(total, 1) + 1] for s, fam in enumerate(energy)}
-    checked.update({f"packet {p.id}: C": p.delay_cost.table[:horizon - p.arrival + 1] for p in packets})
+    checked.update({f"packet {shown(p.id)}: C": p.delay_cost.table[:horizon - p.arrival + 1] for p in packets})
     return inst, checked
 
 

@@ -35,7 +35,7 @@ def trace_sha256(run: MatchRun) -> str:
     the whole text (about 0.5 GB at 800 / 100) is never held at once."""
     digest = hashlib.sha256()
     for at in range(0, len(run.events), SLICE):
-        part = MatchRun(run.graph, run.perm, run.weight, run.log, run.events[at:at + SLICE])
+        part = MatchRun(run.graph, run.log, run.events[at:at + SLICE])
         digest.update(part.trace_jsonl().encode())
     return digest.hexdigest()
 
