@@ -426,8 +426,49 @@ class ValidationReport:
         self.problems.append(text)
 
 
+def _curve_holds(fam: CostFamily, upto: int, concave: bool) -> bool:
+    """Whether `fam` passes every check of `_check_curve` on 0..upto, decided
+    without a Fraction per point. A parametric curve is 0 at 0 and its
+    increments keep one sign and change in one direction throughout:
+
+      kind         increment sign   sign of the increments' change
+      linear       slope            0
+      power        coeff            coeff, 0 if the exponent is 1
+      exponential  scale*(base-1)   scale, 0 if the base is 1
+      saturating   scale*(base-1)   -scale, 0 if the base is 1
+
+    A table is scanned once on its entries' integer ratios, each increment
+    an unreduced pair and each comparison cross-multiplied."""
+    if fam.kind == "tabulated":
+        if upto >= len(fam.table):
+            return False
+        pairs = [v.as_integer_ratio() for v in fam.table[:upto + 1]]
+        if pairs[0][0]:
+            return False
+        last_num, last_den = 0, 0  # compares equal to the first increment
+        for (n0, d0), (n1, d1) in zip(pairs, pairs[1:]):
+            num, den = n1 * d0 - n0 * d1, d0 * d1
+            bend = num * last_den - last_num * den
+            if num < 0 or (bend > 0 if concave else bend < 0):
+                return False
+            last_num, last_den = num, den
+        return True
+    if fam.kind in ("linear", "power"):
+        step = fam.params[0]
+        bend = 0 if fam.kind == "linear" or fam.params[1] == 1 else step
+    else:
+        scale, base = fam.params
+        step = scale * (base - 1)
+        bend = 0 if base == 1 else scale if fam.kind == "exponential" else -scale
+    return not (upto >= 1 and step < 0 or upto >= 2 and (bend > 0 if concave else bend < 0))
+
+
 def _check_curve(report: ValidationReport, fam: CostFamily, upto: int, name: str, *, concave: bool) -> None:
-    """Check value 0 at 0, monotonicity and concave/convex increments of `fam` on 0..upto."""
+    """Check value 0 at 0, monotonicity and concave/convex increments of `fam`
+    on 0..upto. `_curve_holds` decides; only a curve it fails is evaluated
+    point by point, to write its problems."""
+    if _curve_holds(fam, upto, concave):
+        return
     try:
         values = [fam.value(x) for x in range(upto + 1)]
     except AqiError as exc:
@@ -446,13 +487,23 @@ def _check_curve(report: ValidationReport, fam: CostFamily, upto: int, name: str
             report.note(f"{name}: increments decrease at i={i + 1} (not convex)")
 
 
+def _charge(fam: CostFamily, points: int) -> int:
+    """What `points` values of `fam` cost: a power curve's point is charged
+    its exponent, as x**exponent holds about exponent times the bits of x."""
+    return points * int(fam.params[1]) if fam.kind == "power" else points
+
+
 def validation_points(inst: Instance) -> int:
-    """How many curve points `validate_instance` evaluates, in closed form:
-    each energy curve on 0..total fragments, and each packet within the
-    horizon's distortion on 0..fragments and delay on 0..horizon - arrival."""
+    """The curve points an instance's checks range over, in closed form: each
+    energy curve on 0..total fragments, and each packet within the horizon's
+    distortion on 0..fragments and delay on 0..horizon - arrival. Validation
+    decides most curves without evaluating them, but later layers such as
+    `valuation.Tables` read these points, so the gate counts them, each point
+    of a power curve charged its exponent."""
     total = max(inst.total_subpackets, 1) + 1
-    return len(inst.energy) * total + sum(p.subpackets + 1 + inst.horizon - p.arrival + 1
-                                          for p in inst.packets if p.arrival <= inst.horizon)
+    return sum(_charge(fam, total) for fam in inst.energy) + sum(
+        _charge(p.distortion, p.subpackets + 1) + _charge(p.delay_cost, inst.horizon - p.arrival + 1)
+        for p in inst.packets if p.arrival <= inst.horizon)
 
 
 def validate_instance(inst: Instance) -> ValidationReport:
@@ -461,7 +512,9 @@ def validate_instance(inst: Instance) -> ValidationReport:
     Returns an empty report iff the instance is admissible: distortion curves
     have non-increasing positive-direction increments and start at 0, delay
     and energy curves are convex non-decreasing with value 0 at 0, and all
-    arrivals/deadlines fit the horizon.
+    arrivals/deadlines fit the horizon. Each curve is decided by its shape
+    (`_curve_holds`): in O(1) from a parametric curve's parameters, in one
+    integer scan of a table. Only a failing curve is evaluated point by point.
     """
     report = ValidationReport()
     total = inst.total_subpackets
@@ -480,8 +533,9 @@ def validate_instance(inst: Instance) -> ValidationReport:
 
 def require_valid(inst: Instance, where: str, budget: int = DEFAULT_BUDGET) -> Instance:
     """`inst`, once `validate_instance` finds no problem with it. It is
-    refused first, with no curve evaluated, when validation would evaluate
-    more than `budget` curve points. Errors start with `where`."""
+    refused first, with no curve evaluated, when its curves have more than
+    `budget` points as `validation_points` charges them. Errors start with
+    `where`."""
     if validation_points(inst) > budget:
         raise BudgetError(f"{where}: instance too large to validate: more than {budget} curve points")
     report = validate_instance(inst)

@@ -152,9 +152,9 @@ def test_binary_checks_skip_an_instance_past_the_budget(tmp_path, capsys):
     results = check_instance(many, CampaignConfig(seeds=[0], checks=harness.BINARY_CHECKS), seed=0)
     skipped = "instance too large for the binary checks: more than 10000000 left-edge steps"
     assert results == {name: {"ok": True, "skipped": skipped} for name in harness.BINARY_CHECKS}
-    # `--budget` sets the gate: a six-packet instance (49 curve points to
-    # validate, 222 left-edge steps) runs under the default and is skipped
-    # under a budget of 100
+    # `--budget` sets the gate: a six-packet instance (59 curve points as the
+    # validation gate charges them, 222 left-edge steps) runs under the
+    # default and is skipped under a budget of 100
     path = tmp_path / "small.json"
     path.write_text(store_instance(generate(6, 1, 5, seed=1, mode="adversarial-burst")))
     argv = ["verify", str(path), "--checks", *harness.BINARY_CHECKS]
@@ -207,13 +207,22 @@ def test_huge_inputs_are_refused_before_the_work_they_would_cost(tmp_path, capsy
     assert captured.out == ""
     assert captured.err == f"error: {path}: instance too large to validate: more than 20000 curve points\n"
     assert values == 0
-    # the gate counts what validation evaluates: each energy curve on 0..total
-    # fragments, and each packet's distortion and delay curves
+    # the gate counts the points each curve's checks range over: each energy
+    # curve on 0..total fragments, and each packet's distortion and delay
+    # curves; validation decides a valid curve by its shape, with no point
+    # evaluated
     doc["horizon"] = 1_000
     inst = load_instance(json.dumps(doc))
     values = 0
-    validate_instance(inst)
-    assert values == validation_points(inst) == 2 + 2 + 1_001
+    assert validate_instance(inst).ok
+    assert values == 0
+    assert validation_points(inst) == 2 + 2 + 1_001
+    # one packet of 20,000 fragments with a saturating distortion took 4-6 s
+    # to validate point by point
+    many = simple_instance([Packet("p0", 0, 20_000, F(1), CostFamily("saturating", params=(F(1, 3), F(10))),
+                                   linear(1))], horizon=5)
+    assert validate_instance(many).ok
+    assert values == 0
     # the oracle's gate charges each schedule once per cell, since every memo
     # key holds a count per cell: one unit packet over 20,001 slots has
     # 20,001 schedules, under the default budget, but 20,001 x 20,001 cells
@@ -235,6 +244,32 @@ def test_huge_inputs_are_refused_before_the_work_they_would_cost(tmp_path, capsy
     # at 1,000 slots (1,001 schedules x 1,001 cells) it still runs
     doc["horizon"] = 999
     assert oracle.offline_optimal(load_instance(json.dumps(doc))).valuation.total == 4 and sums > 0
+
+
+def test_a_power_curve_is_charged_its_exponent_before_it_is_computed(tmp_path, capsys, monkeypatch):
+    # fixtures/minimal.json with a delay curve of x**1,000,000,000: its four
+    # points kept `opt` busy past a 20 s timeout, computing x**e to validate
+    # them; each point is charged its exponent, so the file is refused
+    # before any value or row of a curve is computed
+    doc = json.loads((FIXTURES / "minimal.json").read_text())
+    doc["packets"][0]["delay_cost"] = {"kind": "power", "params": [1, 1_000_000_000]}
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(doc))
+    assert validation_points(load_instance(path.read_text())) == 2 + 2 + 4 * 1_000_000_000
+    calls = 0
+
+    def refused(self, *args):
+        nonlocal calls
+        calls += 1
+        raise AssertionError("a curve was computed")
+
+    monkeypatch.setattr(CostFamily, "value", refused)
+    monkeypatch.setattr(CostFamily, "row", refused)
+    assert main(["opt", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: instance too large to validate: more than 10000000 curve points\n"
+    assert calls == 0
 
 
 @pytest.mark.parametrize("argv, values", [

@@ -17,9 +17,11 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from aqisim import model  # noqa: E402
 from aqisim.cli import main  # noqa: E402
 from aqisim.harness import GENERATOR_MODES, generate  # noqa: E402
 from aqisim.model import (  # noqa: E402
+    COST_KINDS,
     DISCARD,
     Allocation,
     AqiError,
@@ -28,6 +30,7 @@ from aqisim.model import (  # noqa: E402
     Instance,
     Packet,
     SubpacketRef,
+    ValidationReport,
     instance_to_json,
     load_instance,
     rational_to_json,
@@ -249,6 +252,48 @@ def test_validator_flags_exactly_the_curves_that_are_not_convex_non_decreasing(c
     assert flagged == {name for name, values in checked.items()
                        if not _convex_non_decreasing_from_zero(values)}, problems
     assert all(any(text.startswith(name + ":") for name in checked) for text in problems), problems
+
+
+# zero, negative, fractional, unit and > 1 values; bases are positive
+SHAPE_VALUES = [Fraction(0), Fraction(-2), Fraction(-1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(3)]
+BASES = [Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(3)]
+
+
+@st.composite
+def shaped_families(draw) -> CostFamily:
+    """A family of any kind from SHAPE_VALUES and BASES; a table of up to 9
+    entries sums drawn increments, made non-negative half the time and
+    sorted either way or not at all, so that admissible concave and convex
+    tables are both common."""
+    kind = draw(st.sampled_from(COST_KINDS))
+    if kind == "tabulated":
+        steps = draw(st.lists(st.sampled_from(SHAPE_VALUES), max_size=8))
+        if draw(st.booleans()):
+            steps = [abs(step) for step in steps]
+        descending = draw(st.none() | st.booleans())
+        if descending is not None:
+            steps.sort(reverse=descending)
+        values = [draw(st.sampled_from([Fraction(0), Fraction(0), Fraction(1, 2)]))]
+        for step in steps:
+            values.append(values[-1] + step)
+        return tabulated(values)
+    if kind == "linear":
+        return CostFamily(kind, params=(draw(st.sampled_from(SHAPE_VALUES)),))
+    second = Fraction(draw(st.integers(1, 3))) if kind == "power" else draw(st.sampled_from(BASES))
+    return CostFamily(kind, params=(draw(st.sampled_from(SHAPE_VALUES)), second))
+
+
+@settings(max_examples=500, deadline=None)
+@given(shaped_families(), st.integers(0, 6), st.booleans())
+def test_a_curve_decided_by_its_shape_gets_the_problems_of_the_point_walk(fam, upto, concave):
+    report = ValidationReport()
+    model._check_curve(report, fam, upto, "curve", concave=concave)
+    walked = ValidationReport()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "_curve_holds", lambda fam, upto, concave: False)
+        model._check_curve(walked, fam, upto, "curve", concave=concave)
+    assert model._curve_holds(fam, upto, concave) == walked.ok
+    assert report.problems == walked.problems
 
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
