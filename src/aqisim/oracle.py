@@ -24,14 +24,24 @@ search, the cheap one first:
 - occupancy: each packet's best schedule value less the energy steps its
   bins would charge at the *current* occupancy, clamped at 0. Deeper in the
   tree each of those bins holds at least as many fragments, so a schedule
-  placed there pays at least this much. That also lets the scan over a
-  packet's schedules, highest value first, stop at the first value that
-  cannot beat its running best.
+  placed there pays at least this much.
+
+The occupancy bound scans a packet's schedules by their `top`, highest
+first: the schedule's value less what its bins charge when empty, the sum
+of E(m) - E(0) over its bins. A step never shrinks as its bin fills, so no
+schedule is worth more at any occupancy than its top, and the scan stops at
+the first top no better than its running best, with the same best as a
+scan of every schedule. Each schedule's top is summed up as its shape is
+built, one bin at a time, and the search loop skips a candidate whose top
+cannot reach the floor before it reads the occupancy.
 
 A subtree is pruned when `partial + bound < floor`. One greedy dive sets
 the first floor: packets by descending static term, ties by id, each take
-their best candidate at the dive's own occupancy (the occupancy bound's
-scan) or are discarded when none gains more than 0. The dive charges each
+their best candidate at the dive's own occupancy or are discarded when none
+gains more than 0. Of the candidates that gain the most, the dive takes the
+one of highest raw value, then of lowest index in key order, so it reads
+the same top-ordered list but stops only at a top below its best gain: a
+candidate whose top equals that gain can still tie it. The dive charges each
 bin's energy steps in sequence, so its total D is the exact value of a
 feasible allocation, and D <= the optimum; it expands no search node and is
 not charged to the budget. The floor is D until a leaf reaches it, and one
@@ -60,6 +70,14 @@ smallest maximizer. The table is capped at `MEMO_CAP` entries; once full it
 only answers lookups (keeping or raising a stored value), which skips fewer
 nodes and changes no answer. `nodes` counts the schedules tried at the
 expanded search nodes.
+
+Before it builds the energy step table or any schedule, the search charges
+both against the node budget, in closed form: the schedules times the cells,
+and the table's entries, len(row) + 1 - m per server row and m up to the
+largest packet, times the machine words of its widest prefix sum. Steep
+energy on a long packet makes the table, not the search, the cost (3,000
+fragments of energy 2**(64 c) - 1 in one bin hold 4.5M entries of up to
+3,000 words), so it is refused there with the same budget error.
 """
 
 from __future__ import annotations
@@ -99,10 +117,12 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
     """Exact maximum-value allocation by pruned exhaustive search.
 
     Raises BudgetError, never approximating, once more than `budget` search
-    nodes are expanded, and before any schedule is built when the packets'
-    in-order schedules times the cells pass `budget`, so it caps both the
-    schedules built and the cells each memo key reads. Recursing past
-    Python's limit, once per fragment or packet, raises it too.
+    nodes are expanded, and before any schedule or energy step is built when
+    the packets' in-order schedules times the cells, plus the step table's
+    entries times its words, pass `budget` (see the module docstring): that
+    caps the schedules built, the cells each memo key reads and the table's
+    memory. Recursing past Python's limit, once per fragment or packet,
+    raises it too.
     """
     tab = tables(inst)
     tab.require_convex_energy("the search bound")
@@ -113,14 +133,19 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
     too_deep = "instance too deep for exact oracle: past Python's recursion limit"
     # k fragments over the n cells a packet reaches: comb(n + k, k) schedules,
     # each charged once per cell, since every memo key holds a count per cell
-    if ncells * sum(comb(max(ncells - p.arrival * servers, 0) + p.subpackets, p.subpackets)
-                    for p in packets) > budget:
+    schedule_cells = ncells * sum(comb(max(ncells - p.arrival * servers, 0) + p.subpackets, p.subpackets)
+                                  for p in packets)
+    # the energy table below holds len(row) + 1 - m entries per row and m <=
+    # most, each charged the machine words of the widest prefix sum, E(len) - E(0)
+    most = max((p.subpackets for p in packets), default=0)
+    entries = sum(most * (len(row) + 1) - most * (most + 1) // 2 for row in tab.energy_inc)
+    words = 1 + max(sum(row).bit_length() for row in tab.energy_inc) // 64
+    if schedule_cells + entries * words > budget:
         raise BudgetError(too_large)
 
     # m more fragments in a bin of occupancy c cost E(c + m) - E(c) =
     # `cost[server][m][c]`
     emin = min(row[0] for row in tab.energy_inc)
-    most = max((p.subpackets for p in packets), default=0)
     cost = []
     for row in tab.energy_inc:
         cum = list(accumulate(row, initial=0))
@@ -129,31 +154,34 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
 
     @cache  # every packet of one (arrival, k) shape shares its schedules
     def shape(arrival: int, k: int) -> list:
-        """(groups, fragments sent, last slot) of every schedule of the shape
-        in key order, with one (cost row, cell, m) group per bin used."""
-        def extend(groups, sent, first):
+        """(groups, fragments sent, last slot, empty energy) of every schedule
+        of the shape in key order, with one (cost row, cell, m) group per bin
+        used; the empty energy is what its bins charge when empty, the sum of
+        their rows' `row[0]`."""
+        def extend(groups, sent, first, empty):
             for cell in range(first, ncells) if sent < k else ():
                 m = groups[-1][2] + 1 if groups and cell == first else 1
-                head = groups[:-1] if m > 1 else groups
-                yield from extend(head + ((cost[cell % servers][m], cell, m),), sent + 1, cell)
-            yield groups, sent, groups[-1][1] // servers if groups else arrival
+                head, below = (groups[:-1], empty - groups[-1][0][0]) if m > 1 else (groups, empty)
+                row = cost[cell % servers][m]
+                yield from extend(head + ((row, cell, m),), sent + 1, cell, below + row[0])
+            yield groups, sent, groups[-1][1] // servers if groups else arrival, empty
 
-        return list(extend((), 0, arrival * servers))
+        return list(extend((), 0, arrival * servers, 0))
 
     try:
         schedules = [shape(p.arrival, p.subpackets) for p in packets]
     except RecursionError:
         raise BudgetError(too_deep) from None
-    # per packet its schedules' values, less those that cannot pay `emin` per
-    # fragment sent: discarding everything strictly dominates them
+    # per packet its schedules' values and tops, less those that cannot pay
+    # `emin` per fragment sent: discarding everything strictly dominates them
     plans, static = [], []
     for p, schedules_p in zip(packets, schedules):
         i = tab.index[p.id]
         plan_i, best = [], 0
-        for groups, sent, last in schedules_p:
+        for groups, sent, last, empty in schedules_p:
             value = tab.term(i, sent, last)
             if value >= emin * sent:
-                plan_i.append((groups, value))
+                plan_i.append((groups, value, value - empty))
                 best = max(best, value - emin * sent)
         plans.append(plan_i)
         static.append(best)
@@ -161,8 +189,10 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
     for i in range(len(packets) - 1, -1, -1):
         suffix_best[i] = suffix_best[i + 1] + static[i]
 
-    # the non-empty candidates by value, highest first, for the occupancy bound
-    ranked = [sorted(((g, v) for g, v in plan_i if g), key=lambda c: -c[1]) for plan_i in plans]
+    # the non-empty candidates by top, highest first, then by value and plan
+    # index, for the occupancy bound and the dive
+    tops = [sorted(((top, value, -ci, groups) for ci, (groups, value, top) in enumerate(plan_i) if groups),
+                   reverse=True) for plan_i in plans]
     n = len(packets)
     # packets i.. reach only the cells from their earliest arrival on, so
     # `counts[first_cell[i]:]` is the occupancy they can see
@@ -173,21 +203,23 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
     best_choice: list[int] | None = None
     # a leaf must reach the floor: the greedy dive's value first, then the
     # incumbent + 1. The dive places packets by descending static term, each in
-    # its best schedule at the dive's own occupancy, or discards it
+    # its best schedule at the dive's own occupancy, ties to the higher raw
+    # value, then the lower plan index, or discards it
     occupancy = [0] * ncells
     floor = 0
     for j in sorted(range(n), key=lambda j: -static[j]):
-        best, pick = 0, ()
-        for groups, value in ranked[j]:
-            if value <= best:
+        best, pick = (0, 0, 0), ()
+        for top, value, order, groups in tops[j]:
+            if top < best[0]:
                 break
+            gain = value
             for row, cell, _ in groups:
-                value -= row[occupancy[cell]]
-            if value > best:
-                best, pick = value, groups
+                gain -= row[occupancy[cell]]
+            if gain > 0 and (gain, value, order) > best:
+                best, pick = (gain, value, order), groups
         for _, cell, m in pick:
             occupancy[cell] += m
-        floor += best
+        floor += best[0]
     nodes = 0
 
     def dfs(i: int, partial: int):
@@ -214,8 +246,8 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
         # replace each packet's static term by its term at the current occupancy
         for j in range(i, n):
             best = 0
-            for groups, value in ranked[j]:
-                if value <= best:
+            for top, value, _, groups in tops[j]:
+                if top <= best:
                     break
                 for row, cell, _ in groups:
                     value -= row[counts[cell]]
@@ -233,8 +265,8 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
         nodes += len(plans[i])
         if nodes > budget:
             raise BudgetError(too_large)
-        for ci, (groups, value) in enumerate(plans[i]):
-            if rest + value < floor:
+        for ci, (groups, value, top) in enumerate(plans[i]):
+            if rest + top < floor:
                 continue
             for row, cell, _ in groups:
                 value -= row[counts[cell]]

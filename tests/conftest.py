@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 from aqisim import harness, oracle, valuation
-from aqisim.model import Allocation, CostFamily, Instance, Packet, linear, tabulated
+from aqisim.model import DISCARD, Allocation, Bin, CostFamily, Instance, Packet, SubpacketRef, linear, tabulated
+from aqisim.valuation import evaluate
 
 
 def unit_packet(pid="p0", arrival=0, value=5, slope=1, weight=1, deadline=None) -> Packet:
@@ -28,6 +31,31 @@ def allocation_in_index_order(alloc: Allocation) -> bool:
         if any(a > b for a, b in zip(slots, slots[1:])):
             return False
     return True
+
+
+def first_maximizer_in_key_order(inst) -> Allocation:
+    """Naive reference: every packet's in-order schedules, enumerated as
+    multisets of its reachable bins and sorted by the search's key (bins by
+    slot then server, padded with discards, which rank last), packets by id;
+    the first best allocation in that order."""
+    cells = [Bin(slot=t, server=s) for t in range(inst.horizon + 1) for s in range(inst.servers)]
+
+    def key(schedule):
+        return [(math.inf, 0) if b.is_discard else (b.slot, b.server) for b in schedule]
+
+    options = []
+    for p in sorted(inst.packets, key=lambda p: p.id):
+        reach = [b for b in cells if b.slot >= p.arrival]
+        schedules = [s + (DISCARD,) * (p.subpackets - m)
+                     for m in range(p.subpackets + 1) for s in combinations_with_replacement(reach, m)]
+        options.append([(p.id, s) for s in sorted(schedules, key=key)])
+    best, best_value = None, Fraction(0)
+    for combo in product(*options):
+        alloc = Allocation((SubpacketRef(pid, j), b) for pid, s in combo for j, b in enumerate(s, 1))
+        value = evaluate(inst, alloc).total
+        if best is None or value > best_value:
+            best, best_value = alloc, value
+    return best
 
 
 def simple_instance(packets, horizon=2, energy=None, servers=1) -> Instance:

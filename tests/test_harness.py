@@ -246,6 +246,40 @@ def test_huge_inputs_are_refused_before_the_work_they_would_cost(tmp_path, capsy
     assert oracle.offline_optimal(load_instance(json.dumps(doc))).valuation.total == 4 and sums > 0
 
 
+def test_the_oracle_charges_its_energy_table_before_building_it(tmp_path, capsys, monkeypatch):
+    # fixtures/minimal.json with one packet of 3,000 fragments, linear
+    # distortion, horizon 0 and energy 2**(64 c) - 1: both gates admitted it,
+    # and the search's energy table, every m <= 3,000 at every occupancy with
+    # values up to 192,000 bits wide, ended `run` in a MemoryError. The table
+    # is charged its 4,501,500 entries times the 3,001 machine words of its
+    # widest prefix sum, so `opt` is refused and `run` reports no optimum,
+    # neither having built a prefix sum
+    doc = json.loads((FIXTURES / "minimal.json").read_text())
+    doc["horizon"] = 0
+    doc["packets"][0].update(subpackets=3_000, distortion={"kind": "linear", "params": [1]})
+    doc["energy"] = [{"kind": "exponential", "params": [1, 2 ** 64]}]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    sums = 0
+
+    def counted_accumulate(*args, **kwargs):
+        nonlocal sums
+        sums += 1
+        return accumulate(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "accumulate", counted_accumulate)
+    assert main(["opt", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: instance too large for exact oracle: more than 10000000 nodes\n"
+    assert main(["run", str(path), "--algorithm", "greedy"]) == 0
+    assert json.loads(capsys.readouterr().out)["opt_value"] is None
+    assert sums == 0
+    # at 100 fragments the table is 5,050 entries of 101 words, and it runs
+    doc["packets"][0]["subpackets"] = 100
+    assert oracle.offline_optimal(load_instance(json.dumps(doc))).valuation.total == 0 and sums > 0
+
+
 def test_a_power_curve_is_charged_its_exponent_before_it_is_computed(tmp_path, capsys, monkeypatch):
     # fixtures/minimal.json with a delay curve of x**1,000,000,000: its four
     # points kept `opt` busy past a 20 s timeout, computing x**e to validate

@@ -1,8 +1,8 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
-import math
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from pathlib import Path
@@ -31,7 +31,7 @@ from aqisim.oracle import (
     offline_optimal_binary,
 )
 from aqisim.valuation import evaluate
-from conftest import allocation_in_index_order, simple_instance, unit_packet
+from conftest import allocation_in_index_order, first_maximizer_in_key_order, simple_instance, unit_packet
 
 F = Fraction
 ROOT = Path(__file__).resolve().parent.parent
@@ -238,6 +238,21 @@ def test_dive_floor_keeps_the_campaign_searches_small():
     assert deadlines == 5_841
 
 
+def test_dive_keeps_its_tie_rule():
+    # the dive scans schedules by top, yet picks as a scan by raw value did:
+    # the highest gain at its occupancy, ties to the higher raw value, then the
+    # lower plan index. On these instances a dive that dropped the raw-value
+    # tie, or stopped at a top equal to its best gain, starts from another
+    # floor, so their node counts are pinned exactly
+    cases = [((5, 3, 5, 11, "adversarial-burst"), {}, 1_620),
+             ((6, 2, 5, 54, "adversarial-burst"), {"servers": 2}, 25_695),
+             ((8, 3, 7, 25, "adversarial-burst"), {}, 77_271),
+             ((5, 3, 5, 42, "adversarial-lock"), {}, 3_260),
+             ((8, 3, 7, 56, "adversarial-lock"), {}, 494)]
+    for args, kwargs, nodes in cases:
+        assert offline_optimal(generate(*args, **kwargs)).nodes == nodes, args
+
+
 @pytest.mark.parametrize("size", [(8, 3, 7), (10, 3, 8)])
 def test_oracle_envelope_stays_small(size):
     # the envelope the README tabulates; the worst is 8x3x7 adversarial-lock
@@ -248,32 +263,23 @@ def test_oracle_envelope_stays_small(size):
             assert offline_optimal(generate(*size, seed, mode=mode)).nodes < 64_000, (mode, seed)
 
 
+def test_envelope_tool_reports_the_worst_seed_of_each_mode():
+    spec = importlib.util.spec_from_file_location("envelope", ROOT / "tools" / "envelope.py")
+    envelope = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(envelope)
+    rows = envelope.envelope(5, 3, 5)
+    assert sorted(row["mode"] for row in rows) == sorted(GENERATOR_MODES)
+    for row in rows:
+        nodes = {seed: offline_optimal(generate(5, 3, 5, seed, mode=row["mode"])).nodes for seed in range(4)}
+        assert row["nodes"] == max(nodes.values()) == nodes[row["nodes_seed"]]
+        assert row["over_budget"] == [] and row["seconds"] >= 0 and row["seconds_seed"] in nodes
+    # a seed past the budget is listed and has no nodes
+    burst = envelope.envelope(7, 3, 6, budget=3_000)[2]
+    assert burst["mode"] == "adversarial-burst" and burst["over_budget"] == [1, 2]
+    assert burst["nodes"] == offline_optimal(generate(7, 3, 6, 3, mode="adversarial-burst")).nodes
+
+
 # --- occupancy memo --------------------------------------------------------------
-
-
-def _first_maximizer_in_key_order(inst) -> Allocation:
-    """Naive reference: every packet's in-order schedules, enumerated as
-    multisets of its reachable bins and sorted by the search's key (bins by
-    slot then server, padded with discards, which rank last), packets by id;
-    the first best allocation in that order."""
-    cells = [Bin(slot=t, server=s) for t in range(inst.horizon + 1) for s in range(inst.servers)]
-
-    def key(schedule):
-        return [(math.inf, 0) if b.is_discard else (b.slot, b.server) for b in schedule]
-
-    options = []
-    for p in sorted(inst.packets, key=lambda p: p.id):
-        reach = [b for b in cells if b.slot >= p.arrival]
-        schedules = [s + (DISCARD,) * (p.subpackets - m)
-                     for m in range(p.subpackets + 1) for s in combinations_with_replacement(reach, m)]
-        options.append([(p.id, s) for s in sorted(schedules, key=key)])
-    best, best_value = None, F(0)
-    for combo in product(*options):
-        alloc = Allocation((SubpacketRef(pid, j), b) for pid, s in combo for j, b in enumerate(s, 1))
-        value = evaluate(inst, alloc).total
-        if best is None or value > best_value:
-            best, best_value = alloc, value
-    return best
 
 
 def _identical_packets():
@@ -288,7 +294,7 @@ def test_memo_reports_the_first_of_equal_maximizers(monkeypatch):
     inst = _identical_packets()
     res = offline_optimal(inst)
     assert res.valuation.total == 12
-    assert res.allocation == _first_maximizer_in_key_order(inst)
+    assert res.allocation == first_maximizer_in_key_order(inst)
     assert [e["bin"] for e in res.allocation.to_json()] == ["t0s0"] * 3 + ["t1s0"] * 2
     # the greedy dive reaches 12 too, with p0 and p2 in t0, p1 and p3 in t1 and
     # p4 discarded: a maximizer that is not the first in key order, so the
@@ -322,7 +328,7 @@ def test_first_maximizer_in_key_order_on_three_servers_with_deadlines():
     cases = [tied, spread] + [generate(n, 2, 1, seed, mode=GENERATOR_MODES[seed % 3], servers=3, deadline_prob=0.5)
                               for n, seed in [(2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 0), (3, 1)]]
     for inst in cases:
-        assert offline_optimal(inst).allocation == _first_maximizer_in_key_order(inst)
+        assert offline_optimal(inst).allocation == first_maximizer_in_key_order(inst)
 
 
 def test_a_full_memo_changes_no_allocation(monkeypatch):
@@ -400,3 +406,4 @@ def test_search_matches_an_integer_program_with_two_servers_and_deadlines():
     for seed in range(6):
         inst = generate(6, 3, 5, seed, mode=GENERATOR_MODES[seed % 3], servers=2, deadline_prob=0.4)
         assert evaluate(inst, milp_optimal(inst)).total == offline_optimal(inst).valuation.total, seed
+

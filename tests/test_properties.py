@@ -10,6 +10,7 @@ import io
 import json
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,7 @@ from aqisim.model import (  # noqa: E402
     SubpacketRef,
     ValidationReport,
     instance_to_json,
+    linear,
     load_instance,
     rational_to_json,
     shown,
@@ -40,7 +42,9 @@ from aqisim.model import (  # noqa: E402
     validate_instance,
     validation_points,
 )
+from aqisim.oracle import offline_optimal  # noqa: E402
 from aqisim.valuation import evaluate, marginal_gains, tables  # noqa: E402
+from conftest import first_maximizer_in_key_order  # noqa: E402
 
 
 @st.composite
@@ -365,3 +369,83 @@ def test_the_cli_exits_0_1_or_2_with_one_error_line(tmp_path_factory, doc, comma
     else:
         # only an instance of at most the budget's curve points gets past validation
         assert validation_points(load_instance(path.read_text())) <= CLI_BUDGET
+
+
+# --- the oracle's occupancy bound ------------------------------------------------
+
+
+@st.composite
+def scans(draw):
+    """The oracle's occupancy-bound data on 1-2 servers and 1-2 slots: each
+    server's convex non-decreasing integer energy as `cost[server][m][c] =
+    E(c + m) - E(c)`; 1-6 schedules, each a raw value and one (cost row, cell,
+    m) group per cell it uses; and a cell's occupancy."""
+    servers = draw(st.integers(1, 2))
+    ncells = servers * draw(st.integers(1, 2))
+    cost = []
+    for _ in range(servers):
+        # non-decreasing increments from a non-negative first one
+        inc = list(accumulate(draw(st.lists(st.integers(0, 4), min_size=9, max_size=9))))
+        cum = list(accumulate(inc, initial=0))
+        cost.append([None] + [[b - a for a, b in zip(cum, cum[m:])] for m in range(1, 4)])
+    schedules = []
+    for _ in range(draw(st.integers(1, 6))):
+        cells = sorted(draw(st.lists(st.integers(0, ncells - 1), min_size=1, max_size=ncells, unique=True)))
+        groups = tuple((cost[cell % servers][m], cell, m) for cell in cells for m in [draw(st.integers(1, 3))])
+        schedules.append((draw(st.integers(-10, 60)), groups))
+    return schedules, draw(st.lists(st.integers(0, 5), min_size=ncells, max_size=ncells))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scans())
+def test_a_schedule_is_worth_at_most_its_top_and_the_scan_by_top_finds_the_best(case):
+    # the argument behind `offline_optimal`'s occupancy bound, on its data: a
+    # bin's energy step never shrinks as its occupancy grows, so a schedule is
+    # worth no more at any occupancy than its top, its value less what its bins
+    # charge when empty; so the scan by top that stops at the first top no
+    # better than its running best finds the best value, clamped at 0
+    schedules, counts = case
+    worth = [value - sum(row[counts[cell]] for row, cell, _ in groups) for value, groups in schedules]
+    tops = [value - sum(row[0] for row, _, _ in groups) for value, groups in schedules]
+    assert all(w <= top for w, top in zip(worth, tops))
+    ranked = sorted(((top, value, -ci, groups) for ci, (top, (value, groups)) in enumerate(zip(tops, schedules))),
+                    reverse=True)
+    best = 0
+    for top, value, _, groups in ranked:
+        if top <= best:
+            break
+        for row, cell, _ in groups:
+            value -= row[counts[cell]]
+        if value > best:
+            best = value
+    assert best == max(0, *worth)
+
+
+@st.composite
+def convex_energy_instances(draw):
+    """Up to three packets of 1-2 fragments over horizon 0-1 on 1-2 servers,
+    each server's energy a table of drawn non-decreasing integer increments:
+    small integers make equal tops and values, so ties, common."""
+    horizon, servers = draw(st.integers(0, 1)), draw(st.integers(1, 2))
+    packets = []
+    for i in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1, 2))
+        gain, more = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+        packets.append(Packet(id=f"p{i}", arrival=draw(st.integers(0, horizon)), subpackets=k, weight=Fraction(1),
+                              distortion=tabulated([0, max(gain, more), gain + more][:k + 1]),
+                              delay_cost=linear(draw(st.integers(0, 2)))))
+    total = sum(p.subpackets for p in packets)
+    energy = []
+    for _ in range(servers):
+        inc = sorted(draw(st.lists(st.integers(0, 5), min_size=total, max_size=total)))
+        energy.append(tabulated(accumulate(inc, initial=0)))
+    return Instance(packets=tuple(packets), horizon=horizon, servers=servers, energy=tuple(energy))
+
+
+@settings(max_examples=60, deadline=None)
+@given(convex_energy_instances())
+def test_the_search_reports_the_first_maximizer_under_any_convex_energy(inst):
+    # the bound, the candidate skip and the dive read each schedule's top; on
+    # any convex non-decreasing energy the search still reports the first
+    # optimal allocation in key order
+    assert offline_optimal(inst).allocation == first_maximizer_in_key_order(inst)
