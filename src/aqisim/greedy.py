@@ -39,8 +39,10 @@ the lock-free replay, the telescoping and the tests price with; the
 `greedy-bridge` check compares the two. Both runs record a `GreedyStep`: its
 bins, the index of its pick and its `gains`, integers over the tables'
 scale. The replay passes its row as a list. Greedy passes what the row is
-made of, a copy of the step's prices, the packet's lag row, the three
-integers and the two cut points, and `render_gains` builds the row when
+made of: the run's one `PriceLog`, the packet's lag row, the three integers
+and the two cut points. The log holds the prices before the first step and,
+per step, the one price its pick set, so no step keeps prices of its own;
+`render_gains` asks it for the prices as they stood before the step when
 `gains` is first read. A step's `gain`, the chosen one as a `Fraction`,
 and `alternatives`, the full (bin, Fraction) list, are built when read.
 `step_log_jsonl` joins each line from JSON fragments made once per run,
@@ -102,11 +104,11 @@ class GreedyStep:
     """One pick, as online greedy and the lock-free replay both record it.
 
     The replay passes its `gains` list. Greedy passes `row` instead:
-    (prices, lag, servers, early, late, current, mid, past), the step's
-    prices from its first bin on, the packet's lag row by slot, the three
-    integers the segments start from and the positions in `bins` where the
-    second and third segments begin; `gains` is rendered from it by
-    `render_gains` when first read, and kept."""
+    (log, lag, servers, early, late, current, mid, past), the run's
+    `PriceLog`, the packet's lag row by slot, the three integers the
+    segments start from and the positions in `bins` where the second and
+    third segments begin; `gains` is rendered from it by `render_gains` when
+    first read, and kept."""
 
     __slots__ = ("step", "ref", "bins", "scale", "pick", "_gains", "_row")
 
@@ -124,7 +126,7 @@ class GreedyStep:
     def gains(self) -> list[int]:
         """The bins' marginals, over `scale`."""
         if self._gains is None:
-            self._gains, self._row = render_gains(self._row), None
+            self._gains, self._row = render_gains(self), None
         return self._gains
 
     @property
@@ -142,12 +144,45 @@ class GreedyStep:
         return [(b, Fraction(g, self.scale)) for b, g in zip(self.bins, self.gains)]
 
 
-def render_gains(row: tuple) -> list[int]:
+class PriceLog:
+    """A run's prices, kept once: those before its first step and, per step,
+    the `(position, price)` its pick set, or None when it set none (a
+    discard, or a bin filled to the top of its energy row).
+
+    `before(step)` gives the prices as they stood before `step`, by
+    position. It moves one running list forward from the step it last gave,
+    and goes back to the first step's prices only when a read goes
+    backwards, so reading the steps in order costs one update per step. The
+    list is the log's own: a caller reads it and does not keep it."""
+
+    __slots__ = ("first", "changes", "_prices", "_at")
+
+    def __init__(self, prices: list[int]):
+        self.first = tuple(prices)
+        self.changes: list[tuple[int, int] | None] = []
+        self._prices: list[int] | None = None  # the prices before step `_at`
+        self._at = 0
+
+    def before(self, step: int) -> list[int]:
+        prices, at = self._prices, self._at
+        if prices is None or step < at:
+            prices, at = list(self.first), 0
+        for change in self.changes[at:step]:
+            if change is not None:
+                prices[change[0]] = change[1]
+        self._prices, self._at = prices, step
+        return prices
+
+
+def render_gains(step: GreedyStep) -> list[int]:
     """A greedy step's gains row from its `GreedyStep` row: `early - price`
     up to the packet's last slot, `late - (lag + price)` up to the deadline,
-    `-current - price` past it, then the discard bin's 0. The lag row, by
+    `-current - price` past it, then the discard bin's 0. The prices are the
+    log's before the step, from the step's first bin on; the lag row, by
     slot, is spread to one entry per bin, whatever the server count."""
-    prices, lag, servers, early, late, current, mid, past = row
+    log, lag, servers, early, late, current, mid, past = step._row
+    prices = log.before(step.step)
+    prices = prices[len(prices) + 1 - len(step.bins):]  # the step's bins are a suffix of the run's
     lag = [d for d in lag for _ in range(servers)]  # by bin, as `prices` is
     gains = [early - e for e in prices[:mid]]
     gains += [late - d - e for d, e in zip(lag[mid:past], prices[mid:past])]
@@ -220,6 +255,8 @@ def run_online_greedy(inst: Instance) -> GreedyRun:
     occupancy = [0] * end
     prices = [energy_inc[b.server][0] for b in state.bins[:-1]]
     lows = [min(prices[at:at + servers]) for at in range(0, end, servers)]
+    log = PriceLog(prices)
+    changes = log.changes
     alloc, steps = Allocation(), state.steps
     total = 0  # over the tables' scale
     for p in packets_by_arrival(inst):
@@ -256,7 +293,7 @@ def run_online_greedy(inst: Instance) -> GreedyRun:
                 low = min(head)
                 if early - low >= best:
                     best, slot = early - low, arrival + head.index(low)
-            priced = prices[base:end]  # the step's prices, before its pick changes one
+            change = None  # the (position, price) the pick sets
             if slot is None:
                 k = len(bins) - 1
             else:
@@ -271,13 +308,15 @@ def run_online_greedy(inst: Instance) -> GreedyRun:
                 occupancy[at] += 1
                 row = energy_inc[at - first]
                 if occupancy[at] < len(row):  # a full bin is never priced again
-                    prices[at] = row[occupancy[at]]
+                    prices[at] = price = row[occupancy[at]]
                     lows[slot] = min(prices[first:first + servers])
+                    change = (at, price)
                 placed.append(at)
                 count += 1
                 last = max(last, slot)
+            changes.append(change)
             steps.append(GreedyStep(len(steps), ref, bins, None, scale, k,
-                                    (priced, lag, servers, early, late, current,
+                                    (log, lag, servers, early, late, current,
                                      (after - arrival) * servers, (beyond - arrival) * servers)))
             total += best
         placed.sort()  # ascending position is (slot, server) order

@@ -506,6 +506,50 @@ def validation_points(inst: Instance) -> int:
         for p in inst.packets if p.arrival <= inst.horizon)
 
 
+def _denominators(fam: CostFamily, n: int, fixed: set[int], grown: dict[int, int]) -> None:
+    """Add what the denominators of `fam.row(n)` are made of: a constant
+    denominator or a table entry's to `fixed`; the base factor an
+    exponential (q of base p/q) or saturating (p) row raises to the power
+    x < n to `grown`, as {factor: highest power}."""
+    if fam.kind == "tabulated":
+        fixed.update([v.denominator for v in fam.table[:n]])
+        return
+    fixed.add(fam.params[0].denominator)
+    if fam.kind in ("exponential", "saturating"):
+        base = fam.params[1]
+        factor = base.denominator if fam.kind == "exponential" else base.numerator
+        if factor > 1:
+            grown[factor] = max(grown.get(factor, 0), n - 1)
+
+
+def table_words(inst: Instance) -> int:
+    """What `valuation.Tables` holds, in closed form: its entries times the
+    machine words of a bound on their common scale's bits. The scale divides
+    the lcm of the entries' unreduced denominators, v * d_c * d_0 (utility),
+    v * d (lag) and d_c * d_c+1 (energy), for weights u/v and curve
+    denominators d, so its bits are at most those of every distinct weight
+    denominator plus twice those of every distinct curve denominator. An
+    exponential or saturating row's denominators t * f**x, x < n, add the
+    bits of t once and of f n - 1 times, so a long row of such a curve is
+    charged for the scale it grows."""
+    levels = max(inst.total_subpackets, 1) + 1  # as in valuation.Tables
+    fixed: set[int] = set()
+    grown: dict[int, int] = {}
+    for fam in inst.energy:
+        _denominators(fam, levels, fixed, grown)
+    entries = (levels - 1) * len(inst.energy)
+    weights = set()
+    for p in inst.packets:
+        span = max(inst.horizon, p.arrival) - p.arrival + 1
+        _denominators(p.distortion, p.subpackets + 1, fixed, grown)
+        _denominators(p.delay_cost, span, fixed, grown)
+        weights.add(p.weight.denominator)
+        entries += p.subpackets + 1 + span
+    bits = (sum(v.bit_length() for v in weights) + 2 * sum(d.bit_length() for d in fixed)
+            + 2 * sum(f.bit_length() * x for f, x in grown.items()))
+    return entries * (1 + bits // 64)
+
+
 def validate_instance(inst: Instance) -> ValidationReport:
     """Check every structural assumption the model places on an instance.
 
@@ -534,9 +578,10 @@ def validate_instance(inst: Instance) -> ValidationReport:
 def require_valid(inst: Instance, where: str, budget: int = DEFAULT_BUDGET) -> Instance:
     """`inst`, once `validate_instance` finds no problem with it. It is
     refused first, with no curve evaluated, when its curves have more than
-    `budget` points as `validation_points` charges them. Errors start with
-    `where`."""
-    if validation_points(inst) > budget:
+    `budget` points as `validation_points` charges them, or its integer
+    tables more than `budget` machine words as `table_words` charges them.
+    Errors start with `where`."""
+    if validation_points(inst) > budget or table_words(inst) > budget:
         raise BudgetError(f"{where}: instance too large to validate: more than {budget} curve points")
     report = validate_instance(inst)
     if not report.ok:

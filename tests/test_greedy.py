@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -478,3 +479,71 @@ def test_step_log_renders_each_distinct_gain_once(monkeypatch):
         run.step_log_jsonl()
         assert calls <= len(numbers), seed
         assert calls < sum(len(s.bins) for s in run.state.steps) // 4, seed
+
+
+# --- the price log ------------------------------------------------------------------
+
+def _order_cases():
+    """Small instances with 1-3 servers, deadlines and arrivals at and past
+    the horizon, and two multi-server deadline instances."""
+    for seed in range(120):
+        yield f"sweep/{seed}", _sweep_instance(seed)
+    for seed in range(2):
+        yield f"deadlines/{seed}", generate(30, 3, 12, seed, mode=GENERATOR_MODES[seed % 3],
+                                            servers=2, deadline_prob=0.5)
+
+
+def test_gains_read_in_any_order_are_the_rows_read_in_order():
+    # each row is rendered from the run's one price log, which moves forward
+    # from the step it last gave and starts over only on a backward read
+    servers = set()
+    for name, inst in _order_cases():
+        in_order = [s.gains for s in run_online_greedy(inst).state.steps]
+        backwards = run_online_greedy(inst).state.steps
+        rows = [s.gains for s in reversed(backwards)][::-1]
+        assert rows == in_order, name
+        shuffled = run_online_greedy(inst)
+        order = list(range(len(in_order)))
+        Random(name).shuffle(order)
+        rows = {k: shuffled.state.steps[k].gains for k in order}
+        assert [rows[k] for k in range(len(in_order))] == in_order, name
+        # a step log joined from rows rendered out of order is the in-order one
+        assert shuffled.step_log_jsonl() == run_online_greedy(inst).step_log_jsonl(), name
+        servers.add(inst.servers)
+    assert servers == {1, 2, 3}
+
+
+def test_no_step_holds_prices_of_its_own():
+    # a step's row holds the run's one price log and the packet's own lag
+    # row from the tables; each step used to copy every price from its first
+    # bin on, about 80 integers per step at the benchmark's size
+    for name, inst in _reference_cases():
+        run = run_online_greedy(inst)
+        tab = tables(inst)
+        steps = run.state.steps
+        log = steps[0]._row[0]
+        assert isinstance(log, greedy.PriceLog), name
+        assert len(log.first) == (inst.horizon + 1) * inst.servers and len(log.changes) == len(steps), name
+        for step in steps:
+            row = step._row
+            assert row[0] is log, (name, step.step)
+            held = [x for x in row if isinstance(x, (list, tuple))]
+            assert len(held) == 1 and held[0] is tab.lag[tab.index[step.ref.packet]], (name, step.step)
+
+
+# --- tools -------------------------------------------------------------------------
+
+def test_greedy_ladder_tool_reports_the_run_and_its_step_log(capsys):
+    # tools/greedy_ladder.py N K H S: one greedy run and its step log, with
+    # the digests the recorded hashes above hold for the same outputs
+    spec = importlib.util.spec_from_file_location("greedy_ladder", ROOT / "tools" / "greedy_ladder.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.main(["30", "3", "12", "2"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    run = run_online_greedy(generate(30, 3, 12, 0, servers=2))
+    assert out["steps"] == len(run.state.steps) > 30
+    assert out["step_log_sha256"] == _sha256(run.step_log_jsonl())
+    assert out["allocation_sha256"] == _sha256(json.dumps(run.allocation.to_json(), sort_keys=True))
+    assert out["run_s"] >= 0 and out["step_log_s"] >= 0 and out["peak_rss_mb"] > 0
+    assert tool.main(["30", "3", "12"]) == 2 and capsys.readouterr().err.startswith("usage:")

@@ -33,10 +33,12 @@ from aqisim.model import (
     linear,
     load_instance,
     store_instance,
+    table_words,
     tabulated,
     validate_instance,
     validation_points,
 )
+from aqisim.valuation import tables
 from conftest import simple_instance, unit_packet
 
 F = Fraction
@@ -304,6 +306,87 @@ def test_a_power_curve_is_charged_its_exponent_before_it_is_computed(tmp_path, c
     assert captured.out == ""
     assert captured.err == f"error: {path}: instance too large to validate: more than 10000000 curve points\n"
     assert calls == 0
+
+
+def test_the_integer_tables_are_charged_their_scale_before_they_are_built(tmp_path, capsys, monkeypatch):
+    # fixtures/minimal.json with one packet of 20,000 fragments, distortion
+    # saturating [1/3, 10] and horizon 5: 40,008 curve points, far under the
+    # validation gate, but the tables' common scale, which lifts every entry
+    # to the lcm of the entries' denominators, is 10**20,000, 66,439 bits wide, and
+    # building them took 130 s and 1,126 MB. Their 40,007 entries are each
+    # charged the words of a bound on the scale's bits, so `run` is refused
+    # before any curve row is read
+    doc = json.loads((FIXTURES / "minimal.json").read_text())
+    doc["horizon"] = 5
+    doc["packets"][0].update(subpackets=20_000, distortion={"kind": "saturating", "params": ["1/3", 10]})
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    rows = 0
+    row = CostFamily.row
+
+    def counted_row(self, n):
+        nonlocal rows
+        rows += 1
+        return row(self, n)
+
+    monkeypatch.setattr(CostFamily, "row", counted_row)
+    assert validation_points(load_instance(path.read_text())) == 20_001 + 20_001 + 6
+    assert table_words(load_instance(path.read_text())) > 10_000_000
+    assert main(["run", str(path), "--algorithm", "greedy"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: instance too large to validate: more than 10000000 curve points\n"
+    assert rows == 0
+    # at 5,000 fragments (tables of 2.2 s and 88 MB, a 16,610-bit scale) the
+    # charge stays under the default budget
+    doc["packets"][0]["subpackets"] = 5_000
+    assert table_words(load_instance(json.dumps(doc))) < 10_000_000
+    # a base with denominator 1 grows no denominator: with distortion
+    # `exponential [1, 2]` the scale is 1, and each of the 20,000 energy
+    # steps, 20,001 utilities and 6 lags is charged one word
+    doc["packets"][0].update(subpackets=20_000, distortion={"kind": "exponential", "params": [1, 2]})
+    assert table_words(load_instance(json.dumps(doc))) == 20_000 + 20_001 + 6
+
+
+def _random_curve(rng: Random, n: int) -> CostFamily:
+    """A curve of any kind with fractional parameters, read on 0..n-1."""
+    def frac():
+        return F(rng.randint(0, 12), rng.randint(1, 12))
+
+    kind = rng.choice(("linear", "power", "exponential", "saturating", "tabulated"))
+    if kind == "tabulated":
+        return tabulated([frac() for _ in range(n)])
+    if kind == "power":
+        return CostFamily(kind, params=(frac(), F(rng.randint(1, 3))))
+    if kind == "linear":
+        return CostFamily(kind, params=(frac(),))
+    return CostFamily(kind, params=(frac(), F(rng.randint(1, 12), rng.randint(1, 12))))
+
+
+def test_the_tables_charge_bounds_the_tables_built():
+    # `table_words` charges every entry of the tables the words of a bound on
+    # their common scale's bits, in closed form; on random curves of every
+    # kind, fractional weights included, the tables built never need more
+    wide = 0
+    for seed in range(150):
+        rng = Random(seed)
+        horizon, servers = rng.randint(0, 60), rng.randint(1, 2)
+        packets = []
+        for i in range(rng.randint(1, 4)):
+            arrival, k = rng.randint(0, horizon), rng.randint(1, 40)
+            packets.append(Packet(id=f"p{i}", arrival=arrival, subpackets=k,
+                                  weight=F(rng.randint(1, 9), rng.randint(1, 9)),
+                                  distortion=_random_curve(rng, k + 1),
+                                  delay_cost=_random_curve(rng, horizon - arrival + 1)))
+        levels = sum(p.subpackets for p in packets) + 1
+        inst = simple_instance(packets, horizon=horizon, servers=servers,
+                               energy=[_random_curve(rng, levels) for _ in range(servers)])
+        tab = tables(inst)
+        entries = sum(map(len, tab.utility)) + sum(map(len, tab.lag)) + sum(map(len, tab.energy_inc))
+        words = 1 + tab.scale.bit_length() // 64
+        assert entries * words <= table_words(inst), seed
+        wide += words > 1
+    assert wide > 50
 
 
 @pytest.mark.parametrize("argv, values", [
