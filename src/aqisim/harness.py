@@ -12,8 +12,10 @@ import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 from random import Random
+from typing import Iterable
 
 from .model import (
     DISCARD,
@@ -29,7 +31,6 @@ from .model import (
     rational_to_json,
     require_valid,
     shannon_energy,
-    tabulated,
 )
 from .matching import (
     BipartiteGraph,
@@ -71,15 +72,20 @@ BINARY_CHECKS = ("matching-halfopt", "bin-marginal-monotone")
 # Generation
 # ---------------------------------------------------------------------------
 
-def _concave_table(rng: Random, length: int, halves: bool) -> CostFamily:
-    first = rng.randint(2, 9)
+def _shrinking(rng: Random, first: int, count: int) -> list[int]:
+    """`first`, then count - 1 draws, each from 1 to the one before."""
     incs = [first]
-    for _ in range(length - 1):
+    for _ in range(count - 1):
         incs.append(rng.randint(1, incs[-1]))
-    values = [Fraction(0)]
-    for inc in incs:
-        values.append(values[-1] + (Fraction(inc, 2) if halves else Fraction(inc)))
-    return tabulated(values)
+    return incs
+
+
+def _summed(incs: Iterable[int], halves: bool = False) -> CostFamily:
+    """The table 0, incs[0], incs[0] + incs[1], ..., halved if `halves`:
+    the sums are integers, and each entry is made one Fraction."""
+    sums = accumulate(incs, initial=0)
+    table = tuple(Fraction(s, 2) for s in sums) if halves else tuple(map(Fraction, sums))
+    return CostFamily("tabulated", table=table)
 
 
 def _delay_family(rng: Random) -> CostFamily:
@@ -94,15 +100,9 @@ def _delay_family(rng: Random) -> CostFamily:
 def _energy_family(rng: Random, total: int, steep: bool) -> CostFamily:
     roll = rng.random()
     if steep or roll < 0.35:
-        inc = rng.randint(0, 1) if not steep else rng.randint(1, 2)
-        incs = [inc]
-        for _ in range(max(total, 1) - 1):
-            inc += rng.randint(1, 4) if steep else rng.randint(0, 3)
-            incs.append(inc)
-        values = [Fraction(0)]
-        for i in incs:
-            values.append(values[-1] + i)
-        return tabulated(values)
+        first = rng.randint(0, 1) if not steep else rng.randint(1, 2)
+        growth = (rng.randint(1, 4) if steep else rng.randint(0, 3) for _ in range(max(total, 1) - 1))
+        return _summed(accumulate(growth, initial=first))
     if roll < 0.5 and total <= 8:
         return shannon_energy()
     return linear(rng.randint(1, 2))
@@ -138,14 +138,10 @@ def generate(packets: int, max_k: int, horizon: int, seed: int,
         weight = Fraction(rng.randint(1, 3))
         halves = rng.random() < 0.25
         if mode == "adversarial-lock" and arrival > horizon // 2:
-            vals = [Fraction(0)]
-            inc = Fraction(rng.randint(20, 40))
-            for _ in range(k):
-                vals.append(vals[-1] + inc)
-                inc = Fraction(rng.randint(1, int(inc)))
-            dist = tabulated(vals)
+            # one increment more is drawn than used, so each seed keeps its instance
+            dist = _summed(_shrinking(rng, rng.randint(20, 40), k + 1)[:-1])
         else:
-            dist = _concave_table(rng, k, halves)
+            dist = _summed(_shrinking(rng, rng.randint(2, 9), k), halves)
         deadline = None
         if mode == "adversarial-lock" and rng.random() < 0.6:
             deadline = min(horizon, arrival + rng.randint(0, 1))

@@ -464,11 +464,9 @@ def _curve_holds(fam: CostFamily, upto: int, concave: bool) -> bool:
 
 
 def _check_curve(report: ValidationReport, fam: CostFamily, upto: int, name: str, *, concave: bool) -> None:
-    """Check value 0 at 0, monotonicity and concave/convex increments of `fam`
-    on 0..upto. `_curve_holds` decides; only a curve it fails is evaluated
-    point by point, to write its problems."""
-    if _curve_holds(fam, upto, concave):
-        return
+    """Note every problem of `fam` on 0..upto: a value other than 0 at 0, a
+    decrease, and increments that are not concave (convex), evaluated point
+    by point. Validation walks only the curves `_curve_holds` fails."""
     try:
         values = [fam.value(x) for x in range(upto + 1)]
     except AqiError as exc:
@@ -487,67 +485,66 @@ def _check_curve(report: ValidationReport, fam: CostFamily, upto: int, name: str
             report.note(f"{name}: increments decrease at i={i + 1} (not convex)")
 
 
-def _charge(fam: CostFamily, points: int) -> int:
-    """What `points` values of `fam` cost: a power curve's point is charged
-    its exponent, as x**exponent holds about exponent times the bits of x."""
-    return points * int(fam.params[1]) if fam.kind == "power" else points
+def admission_charges(inst: Instance) -> tuple[int, int]:
+    """(curve points, table words): what validating `inst` and building its
+    `valuation.Tables` may cost, in closed form, in one walk over its curves,
+    each read from its parameters or its table's denominators and never
+    evaluated.
 
+    Curve points: each energy curve on 0..total fragments, and each packet
+    within the horizon's distortion on 0..fragments and delay on 0..horizon -
+    arrival. Validation decides most curves without evaluating them, but
+    later layers such as `valuation.Tables` read these points, so the gate
+    counts them, each point of a power curve charged its exponent, as
+    x**exponent holds about exponent times the bits of x.
 
-def validation_points(inst: Instance) -> int:
-    """The curve points an instance's checks range over, in closed form: each
-    energy curve on 0..total fragments, and each packet within the horizon's
-    distortion on 0..fragments and delay on 0..horizon - arrival. Validation
-    decides most curves without evaluating them, but later layers such as
-    `valuation.Tables` read these points, so the gate counts them, each point
-    of a power curve charged its exponent."""
-    total = max(inst.total_subpackets, 1) + 1
-    return sum(_charge(fam, total) for fam in inst.energy) + sum(
-        _charge(p.distortion, p.subpackets + 1) + _charge(p.delay_cost, inst.horizon - p.arrival + 1)
-        for p in inst.packets if p.arrival <= inst.horizon)
-
-
-def _denominators(fam: CostFamily, n: int, fixed: set[int], grown: dict[int, int]) -> None:
-    """Add what the denominators of `fam.row(n)` are made of: a constant
-    denominator or a table entry's to `fixed`; the base factor an
-    exponential (q of base p/q) or saturating (p) row raises to the power
-    x < n to `grown`, as {factor: highest power}."""
-    if fam.kind == "tabulated":
-        fixed.update([v.denominator for v in fam.table[:n]])
-        return
-    fixed.add(fam.params[0].denominator)
-    if fam.kind in ("exponential", "saturating"):
-        base = fam.params[1]
-        factor = base.denominator if fam.kind == "exponential" else base.numerator
-        if factor > 1:
-            grown[factor] = max(grown.get(factor, 0), n - 1)
-
-
-def table_words(inst: Instance) -> int:
-    """What `valuation.Tables` holds, in closed form: its entries times the
-    machine words of a bound on their common scale's bits. The scale divides
-    the lcm of the entries' unreduced denominators, v * d_c * d_0 (utility),
-    v * d (lag) and d_c * d_c+1 (energy), for weights u/v and curve
-    denominators d, so its bits are at most those of every distinct weight
-    denominator plus twice those of every distinct curve denominator. An
-    exponential or saturating row's denominators t * f**x, x < n, add the
-    bits of t once and of f n - 1 times, so a long row of such a curve is
-    charged for the scale it grows."""
+    Table words: the tables' entries times the machine words of a bound on
+    their common scale's bits. The scale divides the lcm of the entries'
+    unreduced denominators, v * d_c * d_0 (utility), v * d (lag) and d_c *
+    d_c+1 (energy), for weights u/v and curve denominators d, so its bits are
+    at most those of every distinct weight denominator plus twice those of
+    every distinct curve denominator. An exponential or saturating row's
+    denominators t * f**x, x < n, add the bits of t once and of f n - 1
+    times, so a long row of such a curve is charged for the scale it grows.
+    Each entry x of such a row, s * (p**x - q**x) over the scale for scale
+    s/t and base p/q, is charged its own width too: the scale's bits plus
+    those of s plus x times those of max(p, q), summed over the row."""
     levels = max(inst.total_subpackets, 1) + 1  # as in valuation.Tables
-    fixed: set[int] = set()
-    grown: dict[int, int] = {}
-    for fam in inst.energy:
-        _denominators(fam, levels, fixed, grown)
-    entries = (levels - 1) * len(inst.energy)
+    # (curve, points read, entries valuation.Tables holds, whether validation reads it)
+    rows = [(fam, levels, levels - 1, True) for fam in inst.energy]
     weights = set()
     for p in inst.packets:
         span = max(inst.horizon, p.arrival) - p.arrival + 1
-        _denominators(p.distortion, p.subpackets + 1, fixed, grown)
-        _denominators(p.delay_cost, span, fixed, grown)
+        seen = p.arrival <= inst.horizon
+        rows += ((p.distortion, p.subpackets + 1, p.subpackets + 1, seen), (p.delay_cost, span, span, seen))
         weights.add(p.weight.denominator)
-        entries += p.subpackets + 1 + span
+    points = flat = 0  # flat: the entries charged at the scale's width alone
+    fixed: set[int] = set()  # constant denominators and table entries' denominators
+    grown: dict[int, int] = {}  # {base factor f: highest power x} of a row's denominators t * f**x
+    wide = []  # (points, bits of s, bits of max(p, q)) of each exponential or saturating row
+    for fam, n, held, seen in rows:
+        kind = fam.kind
+        if seen:
+            points += n * int(fam.params[1]) if kind == "power" else n
+        if kind == "tabulated":
+            fixed.update([v.denominator for v in fam.table[:n]])
+            flat += held
+            continue
+        scale = fam.params[0]
+        fixed.add(scale.denominator)
+        if kind not in ("exponential", "saturating"):
+            flat += held
+            continue
+        base = fam.params[1]
+        factor = base.denominator if kind == "exponential" else base.numerator
+        if factor > 1:
+            grown[factor] = max(grown.get(factor, 0), n - 1)
+        wide.append((n, scale.numerator.bit_length(), max(base.numerator, base.denominator).bit_length()))
     bits = (sum(v.bit_length() for v in weights) + 2 * sum(d.bit_length() for d in fixed)
             + 2 * sum(f.bit_length() * x for f, x in grown.items()))
-    return entries * (1 + bits // 64)
+    # sum over x < n of the words of bits + s + x * m, bounded in closed form
+    words = sum(n + (n * (bits + s) + m * n * (n - 1) // 2) // 64 for n, s, m in wide)
+    return points, flat * (1 + bits // 64) + words
 
 
 def validate_instance(inst: Instance) -> ValidationReport:
@@ -558,30 +555,36 @@ def validate_instance(inst: Instance) -> ValidationReport:
     and energy curves are convex non-decreasing with value 0 at 0, and all
     arrivals/deadlines fit the horizon. Each curve is decided by its shape
     (`_curve_holds`): in O(1) from a parametric curve's parameters, in one
-    integer scan of a table. Only a failing curve is evaluated point by point.
+    integer scan of a table. Only a failing curve is named and evaluated point
+    by point.
     """
     report = ValidationReport()
-    total = inst.total_subpackets
+    upto = max(inst.total_subpackets, 1)
     for srv, fam in enumerate(inst.energy):
-        _check_curve(report, fam, max(total, 1), f"energy[{srv}]", concave=False)
+        if not _curve_holds(fam, upto, False):
+            _check_curve(report, fam, upto, f"energy[{srv}]", concave=False)
     for p in inst.packets:
         if p.arrival > inst.horizon:
             report.note(f"packet {shown(p.id)}: arrival {p.arrival} beyond horizon {inst.horizon}")
             continue
         if p.deadline is not None and p.deadline > inst.horizon:
             report.note(f"packet {shown(p.id)}: deadline {p.deadline} beyond horizon {inst.horizon}")
-        _check_curve(report, p.distortion, p.subpackets, f"packet {shown(p.id)}: D", concave=True)
-        _check_curve(report, p.delay_cost, inst.horizon - p.arrival, f"packet {shown(p.id)}: C", concave=False)
+        # a packet's name is rendered only for a curve that fails
+        if not _curve_holds(p.distortion, p.subpackets, True):
+            _check_curve(report, p.distortion, p.subpackets, f"packet {shown(p.id)}: D", concave=True)
+        span = inst.horizon - p.arrival
+        if not _curve_holds(p.delay_cost, span, False):
+            _check_curve(report, p.delay_cost, span, f"packet {shown(p.id)}: C", concave=False)
     return report
 
 
 def require_valid(inst: Instance, where: str, budget: int = DEFAULT_BUDGET) -> Instance:
     """`inst`, once `validate_instance` finds no problem with it. It is
     refused first, with no curve evaluated, when its curves have more than
-    `budget` points as `validation_points` charges them, or its integer
-    tables more than `budget` machine words as `table_words` charges them.
+    `budget` points or its integer tables more than `budget` machine words,
+    as `admission_charges` charges them.
     Errors start with `where`."""
-    if validation_points(inst) > budget or table_words(inst) > budget:
+    if max(admission_charges(inst)) > budget:
         raise BudgetError(f"{where}: instance too large to validate: more than {budget} curve points")
     report = validate_instance(inst)
     if not report.ok:

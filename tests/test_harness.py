@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import importlib.util
 import json
 import os
 import shlex
@@ -30,13 +32,12 @@ from aqisim.model import (
     AqiError,
     CostFamily,
     Packet,
+    admission_charges,
     linear,
     load_instance,
     store_instance,
-    table_words,
     tabulated,
     validate_instance,
-    validation_points,
 )
 from aqisim.valuation import tables
 from conftest import simple_instance, unit_packet
@@ -95,6 +96,52 @@ def test_seed42_regression_values():
     greedy, _ = run_bundle(inst, "greedy")
     assert matching["alg_value"] == 62 and matching["opt_value"] == 62
     assert greedy["alg_value"] == 62 and greedy["opt_value"] == 62
+
+
+# the perfbench shapes (packets, max_k, horizon, servers) over their
+# acceptance and held-out seeds, in the campaign's mode order
+BENCH_SHAPES = {
+    "verify-binary": ((6, 1, 5, 1), 1000),
+    "verify-general": ((5, 3, 5, 1), 400),
+    "online-matching": ((20, 1, 10, 1), 120),
+    "online-greedy": ((100, 3, 40, 2), 60),
+}
+
+
+def _generated_batches():
+    """The instance batches behind tests/golden/generated_instances.json, as
+    (name, instances)."""
+    modes = CampaignConfig(seeds=[]).modes
+    for name, ((n, k, h, servers), seeds) in BENCH_SHAPES.items():
+        yield name, (generate(n, k, h, s, mode=modes[s % 3], servers=servers) for s in range(seeds))
+    yield "deadlines", (generate(4, 2, 4, s, servers=2, deadline_prob=0.4) for s in range(60))
+    for mode in harness.GENERATOR_MODES:
+        yield f"zero-horizon/{mode}", (generate(4, 2, 0, s, mode=mode, deadline_prob=0.5) for s in range(20))
+        yield f"no-packets/{mode}", (generate(0, 1, 3, s, mode=mode) for s in range(3))
+
+
+def test_generated_instances_match_recorded_hashes():
+    # recorded before the generator summed its tables in integers: every
+    # generated instance is pinned byte for byte
+    recorded = json.loads((ROOT / "tests" / "golden" / "generated_instances.json").read_text())
+    assert {name: hashlib.sha256("".join(map(store_instance, batch)).encode()).hexdigest()
+            for name, batch in _generated_batches()} == recorded
+
+
+def test_generation_adds_no_fraction(monkeypatch):
+    # the generator sums each table's increments as integers and makes each
+    # entry one Fraction: on the online-greedy shape, in every mode and with
+    # deadlines, no Fraction is added
+    calls = []
+    for name in ("__add__", "__radd__"):
+        def counted(self, other, _original=getattr(F, name), _name=name):
+            calls.append(_name)
+            return _original(self, other)
+        monkeypatch.setattr(F, name, counted)
+    for seed, mode in enumerate(harness.GENERATOR_MODES):
+        generate(100, 3, 40, seed, mode=mode, servers=2, deadline_prob=0.3)
+    assert calls == []
+    assert F(1, 3) + 1 == 1 + F(1, 3) and calls == ["__add__", "__radd__"]  # the hooks see additions
 
 
 # --- probe -------------------------------------------------------------------
@@ -218,7 +265,7 @@ def test_huge_inputs_are_refused_before_the_work_they_would_cost(tmp_path, capsy
     values = 0
     assert validate_instance(inst).ok
     assert values == 0
-    assert validation_points(inst) == 2 + 2 + 1_001
+    assert admission_charges(inst)[0] == 2 + 2 + 1_001
     # one packet of 20,000 fragments with a saturating distortion took 4-6 s
     # to validate point by point
     many = simple_instance([Packet("p0", 0, 20_000, F(1), CostFamily("saturating", params=(F(1, 3), F(10))),
@@ -270,6 +317,9 @@ def test_the_oracle_charges_its_energy_table_before_building_it(tmp_path, capsys
         return accumulate(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "accumulate", counted_accumulate)
+    # each energy entry is charged its own width, about 4.6M words in all,
+    # under the default budget
+    assert 4_500_000 < admission_charges(load_instance(path.read_text()))[1] < 4_700_000
     assert main(["opt", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -291,7 +341,7 @@ def test_a_power_curve_is_charged_its_exponent_before_it_is_computed(tmp_path, c
     doc["packets"][0]["delay_cost"] = {"kind": "power", "params": [1, 1_000_000_000]}
     path = tmp_path / "steep.json"
     path.write_text(json.dumps(doc))
-    assert validation_points(load_instance(path.read_text())) == 2 + 2 + 4 * 1_000_000_000
+    assert admission_charges(load_instance(path.read_text()))[0] == 2 + 2 + 4 * 1_000_000_000
     calls = 0
 
     def refused(self, *args):
@@ -330,22 +380,40 @@ def test_the_integer_tables_are_charged_their_scale_before_they_are_built(tmp_pa
         return row(self, n)
 
     monkeypatch.setattr(CostFamily, "row", counted_row)
-    assert validation_points(load_instance(path.read_text())) == 20_001 + 20_001 + 6
-    assert table_words(load_instance(path.read_text())) > 10_000_000
-    assert main(["run", str(path), "--algorithm", "greedy"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {path}: instance too large to validate: more than 10000000 curve points\n"
-    assert rows == 0
+
+    def refused(points):
+        assert admission_charges(load_instance(path.read_text()))[0] == points
+        assert main(["run", str(path), "--algorithm", "greedy"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: instance too large to validate: more than 10000000 curve points\n"
+        assert rows == 0
+
+    assert admission_charges(load_instance(path.read_text()))[1] > 10_000_000
+    refused(20_001 + 20_001 + 6)
     # at 5,000 fragments (tables of 2.2 s and 88 MB, a 16,610-bit scale) the
     # charge stays under the default budget
     doc["packets"][0]["subpackets"] = 5_000
-    assert table_words(load_instance(json.dumps(doc))) < 10_000_000
+    assert admission_charges(load_instance(json.dumps(doc)))[1] < 10_000_000
     # a base with denominator 1 grows no denominator: with distortion
-    # `exponential [1, 2]` the scale is 1, and each of the 20,000 energy
-    # steps, 20,001 utilities and 6 lags is charged one word
+    # `exponential [1, 2]` the scale is 1 (charged 3 bits), and each of the
+    # 20,000 energy steps and 6 lags is charged one word, but the utilities
+    # 2**x - 1 are each charged their own width, 3 + 1 + 2 * x bits at x
     doc["packets"][0].update(subpackets=20_000, distortion={"kind": "exponential", "params": [1, 2]})
-    assert table_words(load_instance(json.dumps(doc))) == 20_000 + 20_001 + 6
+    n = 20_001
+    assert admission_charges(load_instance(json.dumps(doc)))[1] == 20_000 + 6 + n + (n * 4 + 2 * n * (n - 1) // 2) // 64
+    # 40,000 fragments, linear distortion, energy `exponential [1, 2]` and
+    # horizon 0: the scale is 1, but the energy entries 2**x - 1 grow a bit
+    # per fragment, 12.5M words in all, and the tables peaked at 235 MB.
+    # Charged by the width of each entry, 3 + 1 + 2 * x bits at x on the
+    # energy row's 40,001 points, besides 40,002 one-word entries, the
+    # instance is refused before any curve row is read
+    doc.update(horizon=0, energy=[{"kind": "exponential", "params": [1, 2]}])
+    doc["packets"][0].update(subpackets=40_000, distortion={"kind": "linear", "params": [1]})
+    path.write_text(json.dumps(doc))
+    n = 40_001
+    assert admission_charges(load_instance(path.read_text()))[1] == 40_002 + n + (n * 4 + 2 * n * (n - 1) // 2) // 64
+    refused(40_001 + 40_001 + 1)
 
 
 def _random_curve(rng: Random, n: int) -> CostFamily:
@@ -364,7 +432,7 @@ def _random_curve(rng: Random, n: int) -> CostFamily:
 
 
 def test_the_tables_charge_bounds_the_tables_built():
-    # `table_words` charges every entry of the tables the words of a bound on
+    # `admission_charges` charges every entry of the tables the words of a bound on
     # their common scale's bits, in closed form; on random curves of every
     # kind, fractional weights included, the tables built never need more
     wide = 0
@@ -384,7 +452,7 @@ def test_the_tables_charge_bounds_the_tables_built():
         tab = tables(inst)
         entries = sum(map(len, tab.utility)) + sum(map(len, tab.lag)) + sum(map(len, tab.energy_inc))
         words = 1 + tab.scale.bit_length() // 64
-        assert entries * words <= table_words(inst), seed
+        assert entries * words <= admission_charges(inst)[1], seed
         wide += words > 1
     assert wide > 50
 
@@ -781,3 +849,26 @@ def test_repro_command_replays_the_failing_check(tmp_path, capsys):
                   if c["seed"] == doc["seed"]]
         assert slot["counterexamples"] == failed
     capsys.readouterr()
+
+
+def test_campaign_split_tool_reports_the_campaign_and_its_instances(tmp_path, capsys):
+    # tools/campaign_split.py binary|general: one acceptance campaign, its
+    # generation time apart, and the digests of its instances and summary
+    spec = importlib.util.spec_from_file_location("campaign_split", ROOT / "tools" / "campaign_split.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.main(["general"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert harness.generate is generate  # put back after the run
+    config = tool.CAMPAIGNS["general"]
+    instances = [generate(5, 3, 5, s, mode=config.modes[s % 3]) for s in config.seeds]
+    assert out["instances"] == len(instances) == 200
+    assert out["instances_sha256"] == hashlib.sha256("".join(map(store_instance, instances)).encode()).hexdigest()
+    # the summary as `aqisim campaign --out` writes it
+    argv = ["campaign", "--seeds", "0:200", "--packets", "5", "--max-k", "3", "--horizon", "5",
+            "--checks", *config.checks, "--out", str(tmp_path / "summary.json")]
+    assert main(argv) == 0
+    assert out["summary_sha256"] == hashlib.sha256((tmp_path / "summary.json").read_bytes()).hexdigest()
+    assert 0 < out["generation_s"] < out["wall_s"] and out["check_s"] > 0
+    capsys.readouterr()
+    assert tool.main(["all"]) == 2 and capsys.readouterr().err.startswith("usage:")

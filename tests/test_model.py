@@ -7,7 +7,8 @@ from random import Random
 
 import pytest
 
-from aqisim.harness import generate
+from aqisim import model
+from aqisim.harness import GENERATOR_MODES, generate
 from aqisim.model import (
     Allocation,
     AllocationError,
@@ -90,6 +91,33 @@ def test_energy_must_start_at_zero_and_be_convex():
 def test_arrival_beyond_horizon_reported():
     report = validate_instance(simple_instance([unit_packet(arrival=9)], horizon=2))
     assert any("beyond horizon" in msg for msg in report.problems)
+
+
+def test_validation_names_a_packet_only_for_a_curve_that_fails(monkeypatch):
+    # a packet's name is rendered only into a problem: validating the
+    # fixtures and generated instances of every mode renders none, and an
+    # invalid curve still gets its named problem, in the same words
+    instances = [load_instance(path.read_text()) for path in sorted(FIXTURES.glob("*.json"))]
+    instances += [generate(100, 3, 40, seed, mode=mode, servers=2, deadline_prob=0.3)
+                  for seed, mode in enumerate(GENERATOR_MODES)]
+    bad = simple_instance([Packet(id="p0", arrival=0, subpackets=2, weight=Fraction(1),
+                                  distortion=tabulated([0, 3, 8]), delay_cost=tabulated([0, 2, 1]))], horizon=2)
+    calls = []
+    shown = model.shown
+
+    def counted(value):
+        calls.append(value)
+        return shown(value)
+
+    monkeypatch.setattr(model, "shown", counted)
+    assert all(validate_instance(inst).ok for inst in instances)
+    assert calls == []
+    assert validate_instance(bad).problems == [
+        "packet 'p0': D: increments increase at i=2 (3 then 5)",
+        "packet 'p0': C: decreases at 2",
+        "packet 'p0': C: increments decrease at i=2 (not convex)",
+    ]
+    assert calls == ["p0", "p0"]
 
 
 def test_deadline_precedes_arrival_rejected():
