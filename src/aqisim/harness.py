@@ -34,8 +34,9 @@ from .model import (
 )
 from .matching import (
     BipartiteGraph,
-    expand_binary,
+    Ineligible,
     marginal_monotonicity_violations,
+    matcher_graph,
     max_weight_matching,
     run_online_matching,
 )
@@ -190,15 +191,6 @@ def adversarial_lock_probe(w: int = 100, eps: Fraction | int = 1) -> BipartiteGr
 # Single runs
 # ---------------------------------------------------------------------------
 
-def require_matcher_budget(graph: BipartiteGraph, budget: int, what: str) -> None:
-    """Raise BudgetError when the matcher's work on `graph` may pass `budget`:
-    a phase walks the row of each left in its tree once, pushing only some of
-    those edges, so each arrival's phase may walk every edge, and lefts x
-    edges bounds it."""
-    if len(graph.left_order) * sum(map(len, graph.rows)) > budget:
-        raise BudgetError(f"instance too large for {what}: more than {budget} left-edge steps")
-
-
 def run_bundle(inst: Instance, algorithm: str, budget: int = DEFAULT_BUDGET,
                require_opt: bool = True):
     """Run one algorithm against its oracle; returns (report dict, traces).
@@ -207,10 +199,10 @@ def run_bundle(inst: Instance, algorithm: str, budget: int = DEFAULT_BUDGET,
     started = time.perf_counter()
     traces = {}
     if algorithm == "matching":
-        if not inst.is_binary():
-            raise AqiError("the matching algorithm needs a unit-packet instance")
-        graph = expand_binary(inst)  # the online run and the offline optimum share it
-        require_matcher_budget(graph, budget, "the matcher")
+        try:
+            graph = matcher_graph(inst, budget, "the matcher")
+        except Ineligible as exc:
+            raise AqiError(f"the matching algorithm {exc}") from None
         traces["matching"] = run = run_online_matching(graph)
         alg_value, opt_value = run.weight, max_weight_matching(graph).weight
     elif algorithm == "greedy":
@@ -372,17 +364,11 @@ def check_instance(inst: Instance, config: CampaignConfig, seed: int) -> dict:
         perturb = lambda b, g: g + 2 * tables(inst).scale if b.is_discard else g
 
     if checks & set(BINARY_CHECKS):
-        skip = ("needs a unit-packet instance" if not inst.is_binary()
-                else "needs a single-server unit-packet instance" if inst.servers != 1 else None)
-        if not skip:
-            graph = expand_binary(inst)  # the online run and the offline optimum share it
-            try:
-                require_matcher_budget(graph, config.budget, "the binary checks")
-            except BudgetError as exc:
-                skip = str(exc)
-        if skip:
+        try:
+            graph = matcher_graph(inst, config.budget, "the binary checks")
+        except (Ineligible, BudgetError) as exc:
             for name in checks & set(BINARY_CHECKS):
-                results[name] = {"ok": True, "skipped": skip}
+                results[name] = {"ok": True, "skipped": str(exc)}
         else:
             run = run_online_matching(graph)
             if "matching-halfopt" in checks:

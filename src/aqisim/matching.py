@@ -35,8 +35,10 @@ passes, is read off a cursor into the left's edges in weight order, which
 passes each edge at most once per solver. An event stores its weights and sparse losses as
 integers over the scale and renders their `Fraction` views, weights and
 marginals alike, only when they are read. The event loop orders events on
-integer clocks and builds no `Fraction`: a run's locks, its `perm` and its
-weight are one record of integers, rendered when read.
+integer clocks and builds no `Fraction`: a run's locks are one record of
+integers, `LockLog`, and every event's `perm`, its marginals and the run's
+weight are views of it. `matcher_graph`, the matcher's one way in, refuses an
+instance past the work budget before it builds its graph.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -51,14 +54,16 @@ from itertools import groupby
 from numbers import Rational
 from operator import itemgetter
 
-from .model import AqiError, Instance, NumberTexts, rational_to_json, shown
+from .model import AqiError, BudgetError, Instance, NumberTexts, rational_to_json, shown
 from .valuation import tables
-
-ZERO = Fraction(0)
 
 
 class MatchingError(AqiError):
     pass
+
+
+class Ineligible(MatchingError):
+    """An instance the matcher does not run on; the message says what it needs."""
 
 
 def _rational(x) -> bool:
@@ -436,14 +441,17 @@ class _Hungarian:
 
 class LockLog:
     """The run's one record of its permanent edges: each locked bin's lock
-    index, mate and weight, in lock order; its events read marginals from it."""
+    index, mate and weight, in lock order, and `perm[k]`, the weight of the
+    first k locks; its events read their `perm` and marginals from it."""
 
     def __init__(self, right_order: list[str], scale: int):
         self.right_order, self.scale = right_order, scale
         self.locked: dict[int, tuple[int, int, int]] = {}  # right rank -> (lock index, mate, weight)
+        self.perm = [0]
 
     def add(self, ri: int, mate: int, weight: int) -> None:
         self.locked[ri] = (len(self.locked), mate, weight)
+        self.perm.append(self.perm[-1] + weight)
 
     def marginal(self, ri: int, locks: int, losses: dict[int, int]) -> int:
         """Right `ri`'s marginal over the scale at an event that followed the
@@ -458,19 +466,19 @@ class MatchEvent:
 
     Numbers are integers over the graph's scale: weights `temp` and `perm`,
     an arrival's `gain`, and `losses`, each matched unlocked bin's drop loss;
-    `locks` counts the entries of `log` made so far, and every other bin's
-    marginal is 0. The `Fraction` views are rendered afresh on each read."""
+    `locks` counts the entries of `log` made so far, which give `perm`, and
+    every other bin's marginal is 0. The `Fraction` views are rendered anew."""
 
     clock: Fraction  # the graph's own time object
     kind: str  # "arrival" | "lock"
     subject: list[str]
     temp: int
-    perm: int
     losses: dict[int, int]  # right rank -> drop loss over the scale
     locks: int
     log: LockLog = field(repr=False, compare=False)
     gain: int | None = None
 
+    perm = property(lambda self: self.log.perm[self.locks])
     temp_weight = property(lambda self: Fraction(self.temp, self.log.scale))
     perm_weight = property(lambda self: Fraction(self.perm, self.log.scale))
     total_weight = property(lambda self: Fraction(self.temp + self.perm, self.log.scale))
@@ -479,14 +487,9 @@ class MatchEvent:
     @property
     def marginals(self) -> dict[str, Fraction]:
         """{bin: marginal value}, over every bin of the graph."""
-        log, right_order = self.log, self.log.right_order
-        view = dict.fromkeys(right_order, ZERO)
-        for ri, x in self.losses.items():
-            view[right_order[ri]] = Fraction(x, log.scale)
-        for ri, (k, _, w) in log.locked.items():
-            if k < self.locks:
-                view[right_order[ri]] = Fraction(w, log.scale)
-        return view
+        log = self.log
+        return {b: Fraction(log.marginal(ri, self.locks, self.losses), log.scale)
+                for ri, b in enumerate(log.right_order)}
 
 
 @dataclass
@@ -500,7 +503,7 @@ class MatchRun:
 
     perm = property(lambda self: {self.log.right_order[ri]: (self.graph.left_order[li], Fraction(w, self.log.scale))
                                   for ri, (_, li, w) in self.log.locked.items()})
-    weight = property(lambda self: Fraction(sum(w for _, _, w in self.log.locked.values()), self.log.scale))
+    weight = property(lambda self: Fraction(self.log.perm[-1], self.log.scale))
 
     def trace_jsonl(self) -> str:
         """One JSON line per event, as `json.dumps(..., sort_keys=True)` writes
@@ -560,12 +563,11 @@ def run_online_matching(graph: BipartiteGraph) -> MatchRun:
                     for x, t in times.items()])
     live = _Hungarian(graph)
     log = LockLog(graph.right_order, live.scale)
-    perm_weight = 0
     events: list[MatchEvent] = []
 
     def record(clock, kind, subject, gain=None) -> None:
-        events.append(MatchEvent(clock, kind, subject, live.total, perm_weight,
-                                 live.drop_losses(), len(log.locked), log, gain))
+        events.append(MatchEvent(clock, kind, subject, live.total, live.drop_losses(),
+                                 len(log.locked), log, gain))
 
     # arrivals (kind 0) strictly before locks (kind 1) at the same clock
     for (_, kind), group in groupby(queue, itemgetter(0, 1)):
@@ -579,9 +581,7 @@ def run_online_matching(graph: BipartiteGraph) -> MatchRun:
         for _, _, ri, _, _ in batch:
             mate = live.drop_right(ri)
             if mate is not None:
-                w = graph.rows[mate][ri]
-                log.add(ri, mate, w)
-                perm_weight += w
+                log.add(ri, mate, graph.rows[mate][ri])
                 live.drop_left(mate)
         record(batch[0][4], "lock", [b for _, _, _, b, _ in batch])
     return MatchRun(graph=graph, log=log, events=events)
@@ -638,38 +638,51 @@ def expand_binary(inst: Instance) -> BipartiteGraph:
     tie rule at l. The shared rights keep their relative ranks, so the tie
     rule orders matchings of this graph as it does there.
     """
+    return matcher_graph(inst, math.inf, "the binary expansion")
+
+
+def matcher_graph(inst: Instance, budget: int | float, user: str) -> BipartiteGraph:
+    """`expand_binary(inst)`, the graph the online run and the offline optimum
+    share, built only when the matcher's work on it stays within `budget`.
+
+    Raises `Ineligible` unless `inst` is single-server with unit packets, and
+    BudgetError, naming `user`, when lefts x edges passes `budget`: a phase
+    walks each tree left's row once, so an arrival's phase may walk every
+    edge. Energy increments do not decrease, so a packet keeps a prefix of
+    each slot's positions, counted by `bisect_right` before any edge is built."""
     if not inst.is_binary():
-        raise AqiError("binary expansion requires unit packets")
+        raise Ineligible("needs a unit-packet instance")
     if inst.servers != 1:
-        raise AqiError("binary expansion is defined for single-server instances")
+        raise Ineligible("needs a single-server unit-packet instance")
     tab = tables(inst)
     tab.require_convex_energy("the binary expansion")
     packets = sorted(inst.packets, key=lambda p: (p.arrival, p.id))
-    n = len(packets)
-    left_order = [p.id for p in packets]
-    arrivals = {p.id: Fraction(p.arrival) for p in packets}
+    increments, index = tab.energy_inc[0], [tab.index[p.id] for p in packets]
     right_order: list[str] = []
     locks: dict[str, Fraction] = {}
-    # every edge is an integer subtraction in the instance's tables; the
-    # packets arrived by slot t are the first ones in arrival order
-    increments = tab.energy_inc[0]
-    index = [tab.index[p.id] for p in packets]
-    rows: list[dict[int, int]] = [{} for _ in packets]
-    arrived = 0
+    kept = []  # (left, its slot's first right, term, positions kept), where it keeps any
+    edges = arrived = 0
     for t in range(inst.horizon + 1):
-        while arrived < n and packets[arrived].arrival <= t:
-            arrived += 1
-        base = len(right_order)
-        lock = Fraction(t)
+        while arrived < len(packets) and packets[arrived].arrival <= t:
+            arrived += 1  # the packets arrived by t are the first ones in arrival order
+        base, lock = len(right_order), Fraction(t)
         for i in range(1, arrived + 1):
             b = f"b{t}.{i}"
             right_order.append(b)
             locks[b] = lock
         for li in range(arrived):
-            term = tab.term(index[li], 1, t)
-            row = rows[li]
-            for pos in range(arrived):
-                if term >= increments[pos]:
-                    row[base + pos] = term - increments[pos]
-    return BipartiteGraph.from_rows(left_order, right_order, arrivals, locks,
-                                    rows, tab.scale, label=inst.label)
+            x = tab.term(index[li], 1, t)
+            k = bisect_right(increments, x, 0, arrived)
+            if k:
+                kept.append((li, base, x, k))
+                edges += k
+    if len(packets) * edges > budget:
+        raise BudgetError(f"instance too large for {user}: more than {budget} left-edge steps")
+    rows: list[dict[int, int]] = [{} for _ in packets]
+    for li, base, x, k in kept:
+        row = rows[li]
+        for pos in range(k):
+            row[base + pos] = x - increments[pos]
+    return BipartiteGraph.from_rows([p.id for p in packets], right_order,
+                                    {p.id: Fraction(p.arrival) for p in packets},
+                                    locks, rows, tab.scale, label=inst.label)

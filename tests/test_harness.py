@@ -30,6 +30,7 @@ from aqisim.harness import (
 from aqisim.matching import max_weight_matching, run_online_matching
 from aqisim.model import (
     AqiError,
+    BudgetError,
     CostFamily,
     Packet,
     admission_charges,
@@ -174,33 +175,63 @@ def test_run_bundle_shapes():
         run_bundle(inst, "quantum")
 
 
+def counted_graph_builds(monkeypatch) -> list[str]:
+    """The labels of the graphs `BipartiteGraph.from_rows` builds from now on."""
+    built = []
+    from_rows = matching.BipartiteGraph.from_rows
+
+    def counted(*args, **kwargs):
+        graph = from_rows(*args, **kwargs)
+        built.append(graph.label)
+        return graph
+
+    monkeypatch.setattr(matching.BipartiteGraph, "from_rows", counted)
+    return built
+
+
 def test_matching_run_and_binary_checks_expand_each_instance_once(monkeypatch):
     # the online run and the offline optimum share one expanded graph
-    calls = []
-    expand = matching.expand_binary
-
-    def counted(inst, *args, **kwargs):
-        calls.append(inst)
-        return expand(inst, *args, **kwargs)
-
-    for module in (matching, oracle, harness):
-        monkeypatch.setattr(module, "expand_binary", counted)
+    built = counted_graph_builds(monkeypatch)
     inst = generate(6, 1, 5, seed=1, mode="adversarial-burst")
     run_bundle(inst, "matching")
-    assert calls == [inst]
+    assert built == [inst.label]
     config = CampaignConfig(seeds=[1], checks=("matching-halfopt", "bin-marginal-monotone"))
     results = check_instance(inst, config, seed=1)
     assert set(results) == set(config.checks) and all(r["ok"] for r in results.values())
-    assert calls == [inst, inst]
+    assert built == [inst.label, inst.label]
 
 
-def test_binary_checks_skip_an_instance_past_the_budget(tmp_path, capsys):
+def test_the_matcher_gate_charges_the_built_graphs_lefts_times_edges():
+    # the gate counts the edges before it builds them: each instance runs on
+    # both matcher paths at a budget of exactly its built graph's lefts x
+    # edges, and is refused at one less
+    for seed, mode in enumerate(2 * harness.GENERATOR_MODES):
+        inst = generate(6, 1, 5, seed=seed, mode=mode)
+        graph = matching.expand_binary(inst)
+        steps = len(graph.left_order) * sum(map(len, graph.rows))
+        assert steps > 0
+        config = CampaignConfig(seeds=[seed], checks=harness.BINARY_CHECKS, budget=steps)
+        assert all("skipped" not in r for r in check_instance(inst, config, seed).values())
+        assert run_bundle(inst, "matching", budget=steps)[1]["matching"].weight == run_online_matching(graph).weight
+        config.budget = steps - 1
+        skipped = f"instance too large for the binary checks: more than {steps - 1} left-edge steps"
+        assert all(r["skipped"] == skipped for r in check_instance(inst, config, seed).values())
+        with pytest.raises(BudgetError, match=f"^instance too large for the matcher: more than {steps - 1} "):
+            run_bundle(inst, "matching", budget=steps - 1)
+
+
+def test_binary_checks_skip_an_instance_past_the_budget(tmp_path, capsys, monkeypatch):
     # 400 unit packets in one slot: 160,000 positive edges, and each of the
-    # 400 arrival phases may walk them all, past the default budget of 10M
+    # 400 arrival phases may walk them all, past the default budget of 10M;
+    # the edges are counted, and neither matcher path builds a graph
+    built = counted_graph_builds(monkeypatch)
     many = simple_instance([unit_packet(f"p{i:03d}") for i in range(400)], horizon=0)
     results = check_instance(many, CampaignConfig(seeds=[0], checks=harness.BINARY_CHECKS), seed=0)
     skipped = "instance too large for the binary checks: more than 10000000 left-edge steps"
     assert results == {name: {"ok": True, "skipped": skipped} for name in harness.BINARY_CHECKS}
+    with pytest.raises(BudgetError, match="too large for the matcher"):
+        run_bundle(many, "matching")
+    assert built == []
     # `--budget` sets the gate: a six-packet instance (59 curve points as the
     # validation gate charges them, 222 left-edge steps) runs under the
     # default and is skipped under a budget of 100
@@ -218,14 +249,17 @@ def test_binary_checks_skip_an_instance_past_the_budget(tmp_path, capsys):
     assert captured.err == f"error: {path}: instance too large to validate: more than 10 curve points\n"
 
 
-def test_run_refuses_a_matching_past_the_budget(tmp_path, capsys):
+def test_run_refuses_a_matching_past_the_budget(tmp_path, capsys, monkeypatch):
     # the same 400 single-slot unit packets: `run --algorithm matching` ran
-    # for longer than 20 s before the left-edge gate covered it
+    # for longer than 20 s before the left-edge gate covered it, and it is
+    # refused before its graph is built
     path = tmp_path / "many.json"
     gen = ["gen", "--packets", "400", "--max-k", "1", "--horizon", "0", "--seed", "0", "--out", str(path)]
     assert main(gen) == 0
     capsys.readouterr()
+    built = counted_graph_builds(monkeypatch)
     assert main(["run", str(path), "--algorithm", "matching"]) == 2
+    assert built == []
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: instance too large for the matcher: more than 10000000 left-edge steps\n"

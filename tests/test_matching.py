@@ -475,7 +475,7 @@ def test_marginal_drops_of_a_hand_built_run():
             log.add(*lock)
         events.append(matching.MatchEvent(
             clock=F(k), kind="lock" if lock else "arrival", subject=[], temp=0,
-            perm=0, losses=losses, locks=len(log.locked), log=log))
+            losses=losses, locks=len(log.locked), log=log))
     run = matching.MatchRun(graph=g, log=log, events=events)
     assert run.perm == {"b2": ("a", F(1, 2))} and run.weight == F(1, 2)
     expected = [("b1", 1, F(2), F(3, 2)), ("b1", 3, F(3, 2), F(0)),
@@ -486,7 +486,7 @@ def test_marginal_drops_of_a_hand_built_run():
     for b in g.right_order:
         assert bin_marginal_series(run, b) == [ev.marginals[b] for ev in run.events]
     # a hand-built run may also list events whose lock counts fall
-    unlocked = matching.MatchEvent(clock=F(4), kind="arrival", subject=[], temp=0, perm=0,
+    unlocked = matching.MatchEvent(clock=F(4), kind="arrival", subject=[], temp=0,
                                    losses={}, locks=0, log=log)
     for order in (events, [*events, unlocked]):
         listed = matching.MatchRun(graph=g, log=log, events=order)
@@ -566,10 +566,10 @@ def test_expansion_rejects_multi_fragment_and_multi_server():
     multi = simple_instance([Packet(id="p0", arrival=0, subpackets=2, weight=F(1),
                                     distortion=tabulated([0, 5, 8]), delay_cost=lin(1))],
                             horizon=2)
-    with pytest.raises(Exception, match="unit packets"):
+    with pytest.raises(matching.Ineligible, match="needs a unit-packet instance"):
         expand_binary(multi)
     two_servers = simple_instance([unit_packet()], horizon=1, servers=2)
-    with pytest.raises(Exception, match="single-server"):
+    with pytest.raises(matching.Ineligible, match="needs a single-server unit-packet instance"):
         expand_binary(two_servers)
 
 
@@ -863,6 +863,13 @@ def test_online_run_and_expansion_do_bounded_work(monkeypatch):
         assert (ev.temp_weight, ev.perm_weight) == (F(ev.temp, g.scale), F(ev.perm, g.scale))
         assert ev.total_weight == ev.temp_weight + ev.perm_weight
         assert ev.arrival_gain == (F(ev.gain, g.scale) if ev.kind == "arrival" else None)
+        # `perm` and the marginals are views of the lock record: a bin locked
+        # by then is worth its edge, any other its loss
+        locked = {ri: w for ri, (k, _, w) in run.log.locked.items() if k < ev.locks}
+        assert ev.perm == sum(locked.values())
+        assert ev.marginals == {b: F(locked.get(ri, ev.losses.get(ri, 0)), g.scale)
+                                for ri, b in enumerate(g.right_order)}
+    assert run.log.locked and run.weight == F(sum(w for _, _, w in run.log.locked.values()), g.scale)
     online_phases = phase_work[:]
     # the offline solve makes the same single walk per left, and never builds
     # the in-edge lists that only loss passes read
@@ -1178,6 +1185,11 @@ def test_ladder_tool_hashes_the_whole_trace_in_slices():
     assert ladder.trace_sha256(run) == _sha256(run.trace_jsonl())
     out = ladder.rung(20, 10)
     assert out["events"] == 30 and out["online_weight"] == "369/2" and out["offline_weight"] == "381/2"
+    # its `left_edge_steps` is the matcher gate's charge: the least budget it runs under
+    steps = out["left_edge_steps"]
+    matching.matcher_graph(generate(20, 1, 10, 0), steps, "the rung")
+    with pytest.raises(model.BudgetError, match=f"more than {steps - 1} left-edge steps"):
+        matching.matcher_graph(generate(20, 1, 10, 0), steps - 1, "the rung")
 
 
 def test_every_expanded_edge_is_its_transmit_weight():

@@ -6,9 +6,11 @@ Expands `generate(N, 1, H, 0)` with `expand_binary`, then times
 `run_online_matching` and `max_weight_matching` on that one graph, as
 `aqisim run --algorithm matching` does. Prints one JSON object: the two
 solve times in seconds, peak RSS in MB (read after both solves, so it covers
-the instance, the graph and both solves), bins, edges, events, both weights
-and the SHA-256 of the online trace. Standard library only; it imports
-aqisim from the `src/` next to this directory.
+the instance, the graph and both solves), bins, edges, `left_edge_steps` (the
+lefts times the edges, the charge `aqisim run --algorithm matching` refuses
+past `--budget`), events, both weights and the SHA-256 of the online trace.
+Standard library only; it imports aqisim from the `src/` next to this
+directory.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ def rung(n: int, h: int) -> dict:
     offline = max_weight_matching(graph)
     offline_s = time.perf_counter() - started
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # kB on Linux
+    edges = sum(map(len, graph.rows))
     return {
         "n": n,
         "h": h,
@@ -56,7 +59,8 @@ def rung(n: int, h: int) -> dict:
         "offline_s": round(offline_s, 3),
         "peak_rss_mb": round(peak_mb, 1),
         "bins": len(graph.right_order),
-        "edges": sum(map(len, graph.rows)),
+        "edges": edges,
+        "left_edge_steps": len(graph.left_order) * edges,
         "events": len(run.events),
         "online_weight": rational_to_json(run.weight),
         "offline_weight": rational_to_json(offline.weight),
