@@ -74,11 +74,16 @@ def _checked(value, what: str, ok: bool, expected: str):
     return value
 
 
-def _parse_seed_range(text: str) -> list[int]:
+def _parse_seed_range(text: str, budget: int) -> list[int]:
+    """The seeds of `lo:hi`, or one seed; a range of more than `budget`
+    seeds is refused before its list is built."""
     bounds = [_parse(int, part, "--seeds bound") for part in text.split(":", 1)]
-    seeds = list(range(*bounds)) if len(bounds) == 2 else bounds
-    _checked(text, "--seeds", bool(seeds), "a non-empty range lo:hi with lo < hi")
-    return seeds
+    if len(bounds) == 1:
+        return bounds
+    lo, hi = bounds
+    _checked(text, "--seeds", lo < hi, "a non-empty range lo:hi with lo < hi")
+    _checked(text, "--seeds", hi - lo <= budget, f"a range of at most {budget} seeds (--budget)")
+    return list(range(lo, hi))
 
 
 def _deadline_prob(args) -> float:
@@ -140,11 +145,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_campaign(args) -> int:
+    budget = _budget(args)
     config = CampaignConfig(
-        seeds=_parse_seed_range(args.seeds),
+        seeds=_parse_seed_range(args.seeds, budget),
         packets=args.packets, max_k=args.max_k, horizon=args.horizon,
         servers=args.servers, checks=tuple(args.checks),
-        modes=tuple(args.modes), budget=_budget(args),
+        modes=tuple(args.modes), budget=budget,
         deadline_prob=_deadline_prob(args), samples=_samples(args),
         mutate=args.mutate,
     )

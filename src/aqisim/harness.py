@@ -123,6 +123,11 @@ def generate(packets: int, max_k: int, horizon: int, seed: int,
         raise AqiError(f"unknown generator mode {mode!r}")
     if packets < 0 or max_k < 1 or horizon < 0 or servers < 1 or not 0 <= deadline_prob <= 1:
         raise AqiError("bad generator parameters")
+    # each packet draws up to max_k distortion steps, each server up to
+    # packets x max_k energy steps: charged before the first draw
+    if packets * max_k * (1 + servers) > DEFAULT_BUDGET:
+        raise BudgetError(f"{mode} seed={seed}: instance too large to generate: "
+                          f"more than {DEFAULT_BUDGET} cost steps")
     rng = Random((seed, mode, packets, max_k, horizon, servers).__repr__())
     out: list[Packet] = []
     total_cap = packets * max_k
@@ -204,7 +209,7 @@ def run_bundle(inst: Instance, algorithm: str, budget: int = DEFAULT_BUDGET,
         except Ineligible as exc:
             raise AqiError(f"the matching algorithm {exc}") from None
         traces["matching"] = run = run_online_matching(graph)
-        alg_value, opt_value = run.weight, max_weight_matching(graph).weight
+        alg_value, opt_value = run.weight, max_weight_matching(graph, run).weight
     elif algorithm == "greedy":
         run = run_online_greedy(inst)
         traces["greedy"] = run
@@ -372,7 +377,7 @@ def check_instance(inst: Instance, config: CampaignConfig, seed: int) -> dict:
         else:
             run = run_online_matching(graph)
             if "matching-halfopt" in checks:
-                report = competitive_ratio(run.weight, max_weight_matching(graph).weight)
+                report = competitive_ratio(run.weight, max_weight_matching(graph, run).weight)
                 results["matching-halfopt"] = {
                     "ok": not report.violation,
                     "detail": report.to_json(),

@@ -16,7 +16,13 @@ One solver state (matching plus duals) serves both uses. Between operations
 every edge is dual-feasible, every matched edge is tight, and right duals are
 non-negative and zero on free rights, so the matching is optimal for the live
 nodes. The offline solve, `max_weight_matching(graph)`, adds every left node
-of the whole graph, one augmenting phase each.
+of the whole graph, one augmenting phase each. Given the online run over the
+graph, it resumes instead the copy of the run's solver taken just before the
+first lock. Until then nothing is dropped, so that state is the optimum over
+the arrived lefts with every right live, and the optimum is unique whatever
+path reaches it (`_Hungarian`): it is the state a fresh solve reaches once it
+has added those lefts. Only the lefts that arrive after the first lock then
+take a phase, and none on an instance whose packets all arrive before it.
 
 The online algorithm keeps that state alive for the whole run: its matching
 is the tentative matching between arrived-unlocked left nodes and unlocked
@@ -43,6 +49,7 @@ instance past the work budget before it builds its graph.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import json
 import math
@@ -165,12 +172,21 @@ class MatchingResult:
     weight: Fraction
 
 
-def max_weight_matching(graph: BipartiteGraph) -> MatchingResult:
+def max_weight_matching(graph: BipartiteGraph, run: MatchRun | None = None) -> MatchingResult:
     """Maximum-weight matching of the whole graph, unique under the module's
-    tie rule; left nodes may stay unmatched at value 0."""
-    solver = _Hungarian(graph)
+    tie rule; left nodes may stay unmatched at value 0.
+
+    Given `run`, an online run over `graph`, it resumes the solver the run
+    kept from before its first lock (`MatchRun.resume`) and adds only the
+    lefts that solver lacks; the answer is a fresh solve's (see the module
+    docstring), and a second call adds no left."""
+    if run is not None and run.graph is not graph:
+        raise MatchingError("the run is over a different graph")
+    solver = _Hungarian(graph) if run is None or run.resume is None else run.resume
+    lu = solver.lu
     for li in range(len(graph.left_order)):
-        solver.phase(li)
+        if lu[li] is None:
+            solver.phase(li)
     pairs = {graph.left_order[li]: graph.right_order[ri]
              for li, ri in enumerate(solver.match_l) if ri < solver.nr}
     return MatchingResult(pairs=pairs, weight=Fraction(solver.total, solver.scale))
@@ -253,8 +269,18 @@ class _Hungarian:
         return li
 
     def drop_left(self, li: int) -> None:
-        """Remove the free left `li` (the mate `drop_right` returned) and its sink."""
+        """Remove the free left `li` (the mate `drop_right` returned) and its
+        sink, and clear its dual: `lu[li] is None` means not added, or gone."""
+        self.lu[li] = None
         self.live[self.nr + li] = False
+
+    def fork(self) -> _Hungarian:
+        """A solver in this one's state: its duals, matching, live flags,
+        cursors and total are copied, its read-only tables shared."""
+        twin = copy.copy(self)
+        twin.lu, twin.lv, twin.cursor = self.lu[:], self.lv[:], self.cursor[:]
+        twin.match_l, twin.match_r, twin.live = self.match_l[:], self.match_r[:], self.live[:]
+        return twin
 
     def drop_losses(self) -> dict[int, int]:
         """{real right: weight over the scale lost by dropping it} for every
@@ -288,6 +314,10 @@ class _Hungarian:
         and never back. A sink can go from matched to free, so it is read
         directly: it seeds `u[l]` when free, which never beats a free real
         right's `u[l] - W`.
+
+        The pass reads the duals in place: `lu[l]` is None for a left not yet
+        added, or dropped with its locked bin (`drop_left` clears it), so the
+        lefts with a dual are exactly the active ones.
         """
         if self.radj is None:  # the offline solve never builds it
             self.radj = [[] for _ in self.lv]
@@ -295,11 +325,9 @@ class _Hungarian:
                 for ri in row:
                     self.radj[ri].append(li)
         adj, lv, radj, seeds, cursor = self.adj, self.lv, self.radj, self.seeds, self.cursor
-        live, match_l, match_r = self.live, self.match_l, self.match_r
-        nr, inf = self.nr, math.inf
+        u, live, match_l, match_r = self.lu, self.live, self.match_l, self.match_r
+        nr = self.nr
         heappop, heappush = heapq.heappop, heapq.heappush
-        # duals of the active lefts (added, sink still live), else None
-        u = [None if d is None or not live[nr + li] else d for li, d in enumerate(self.lu)]
         heap = []  # (seed, left): the least distance via a free live right
         for li, ul in enumerate(u):
             if ul is None:
@@ -315,12 +343,14 @@ class _Hungarian:
                 if match_l[li] != nr + li:  # its sink is free
                     heap.append((ul, li))
             cursor[li] = at
-        best = {li: d for d, li in heap}  # least distance offered so far
+        best = [math.inf] * len(u)  # per left, the least distance offered so far
+        for d, li in heap:
+            best[li] = d
         heapq.heapify(heap)
-        dist: dict[int, int] = {}
+        dist: list[int | None] = [None] * len(u)
         while heap:
             d, li = heappop(heap)
-            if li in dist:
+            if dist[li] is not None:
                 continue
             dist[li] = d
             ri = match_l[li]  # its distance is d, and its in-edges lead on
@@ -328,7 +358,7 @@ class _Hungarian:
             for l2 in radj[ri]:
                 if u[l2] is not None:
                     d2 = d + u[l2] - adj[l2][ri]
-                    if d2 < best.get(l2, inf):
+                    if d2 < best[l2]:
                         best[l2] = d2
                         heappush(heap, (d2, l2))
         # a left matched to a real right has a free sink, so it was seeded
@@ -500,6 +530,9 @@ class MatchRun:
     graph: BipartiteGraph
     log: LockLog = field(repr=False, compare=False)
     events: list[MatchEvent] = field(default_factory=list)
+    # the run's solver as it stood before its first lock (its last state if
+    # none fires), which `max_weight_matching(graph, run)` resumes in place
+    resume: _Hungarian | None = field(default=None, repr=False, compare=False)
 
     perm = property(lambda self: {self.log.right_order[ri]: (self.graph.left_order[li], Fraction(w, self.log.scale))
                                   for ri, (_, li, w) in self.log.locked.items()})
@@ -561,7 +594,7 @@ def run_online_matching(graph: BipartiteGraph) -> MatchRun:
                     for kind, times, rank in ((0, graph.arrivals, graph._left_rank),
                                               (1, graph.locks, graph._right_rank))
                     for x, t in times.items()])
-    live = _Hungarian(graph)
+    live = resume = _Hungarian(graph)
     log = LockLog(graph.right_order, live.scale)
     events: list[MatchEvent] = []
 
@@ -577,6 +610,8 @@ def run_online_matching(graph: BipartiteGraph) -> MatchRun:
                 live.phase(rank)
                 record(clock, "arrival", [a], live.total - before)
             continue
+        if resume is live:  # the first lock: every right is still live
+            resume = live.fork()
         batch = list(group)
         for _, _, ri, _, _ in batch:
             mate = live.drop_right(ri)
@@ -584,7 +619,7 @@ def run_online_matching(graph: BipartiteGraph) -> MatchRun:
                 log.add(ri, mate, graph.rows[mate][ri])
                 live.drop_left(mate)
         record(batch[0][4], "lock", [b for _, _, _, b, _ in batch])
-    return MatchRun(graph=graph, log=log, events=events)
+    return MatchRun(graph=graph, log=log, events=events, resume=resume)
 
 
 def bin_marginal_series(run: MatchRun, right_id: str) -> list[Fraction]:

@@ -755,6 +755,11 @@ def test_campaign_cli_defaults_are_the_config_defaults():
     ["verify", str(FIXTURES / "minimal.json"), "--budget", "0"],
     ["opt", str(FIXTURES / "minimal.json"), "--budget", "-5"],
     ["campaign", "--seeds", "0:3", "--budget", "0"],
+    # more seeds than the budget, refused before the list is built: the first
+    # two ended in an OverflowError and a MemoryError building it
+    ["campaign", "--seeds", "0:100000000000000000000000"],
+    ["campaign", "--seeds", "0:1000000000000"],
+    ["campaign", "--seeds", "0:4", "--budget", "3"],
     # JSON nested deeper than the decoder's recursion limit
     ["adapt-speedscale", "--jobs", "[" * 5000 + "]" * 5000, "--horizon", "2"],
 ])
@@ -762,6 +767,18 @@ def test_cli_rejects_malformed_arguments_without_a_traceback(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: bad --") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["gen", "--max-k", "1000000000"], ["gen", "--servers", "100000000"]])
+def test_generation_past_the_budget_is_refused_before_its_first_draw(argv, capsys, monkeypatch):
+    # up to packets x max_k distortion steps and servers x packets x max_k
+    # energy steps: both commands were still drawing after 10 s
+    monkeypatch.setattr(harness, "Random", None)  # a draw would raise a TypeError
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: random seed=0: instance too large to generate: more than 10000000 cost steps\n")
+    with pytest.raises(BudgetError, match="too large to generate"):
+        generate(10, 500_001, 0, 0)  # 10 x 500,001 x (1 + 1) steps: 20 past the budget
 
 
 @pytest.mark.parametrize("argv", [

@@ -681,8 +681,46 @@ def test_traces_and_matchings_match_recorded_hashes():
         assert _digest(online, offline, solves) == recorded[name], name
         # the offline optimum as the matching run reports it, on the online graph
         assert max_weight_matching(online) == max_weight_matching(offline), name
+        # and resumed from the online run's solver before its first lock
+        resumed = max_weight_matching(online, run_online_matching(online))
+        assert _pairs_sha256(resumed.pairs) == recorded[name]["offline_pairs_sha256"], name
+        assert rational_to_json(resumed.weight) == recorded[name]["offline_weight"], name
         seen.append(name)
     assert sorted(seen) == sorted(recorded)
+
+
+def test_the_offline_solve_resumes_the_run_from_its_first_lock(monkeypatch):
+    # the run keeps its solver from before its first lock, every right still
+    # live: the resumed solve phases only the lefts that arrive after it
+    phased = []
+    phase = matching._Hungarian.phase
+
+    def counted_phase(self, root):
+        phased.append(root)
+        phase(self, root)
+
+    monkeypatch.setattr(matching._Hungarian, "phase", counted_phase)
+    # the first lock precedes every arrival, which an expansion never has
+    early = graph(["a", "b", "c"], ["x", "y"], {("a", "x"): 3, ("b", "x"): 2, ("b", "y"): 1, ("c", "y"): 5},
+                  arrivals={"a": F(1), "b": F(2), "c": F(2)}, locks={"x": F(0), "y": F(3)})
+    cases = [(f"online-matching/{seed}", expand_binary(_online_matching_instance(seed))) for seed in range(12)]
+    for name, g in [("early", early), *cases]:
+        run = run_online_matching(g)
+        first_lock = min(g.locks.values())
+        late = [li for li, a in enumerate(g.left_order) if g.arrivals[a] > first_lock]
+        if name == "early":
+            assert late == [0, 1, 2]
+        elif CAMPAIGN_MODES[int(name.split("/")[1]) % 3] == "adversarial-burst":
+            assert late == []  # every left arrives in the burst, before any bin locks
+        phased.clear()
+        resumed = max_weight_matching(g, run)
+        assert phased == late, name
+        # a second read adds no left and gives the same answer, a fresh solve's
+        phased.clear()
+        assert max_weight_matching(g, run) == resumed and phased == [], name
+        assert max_weight_matching(g) == resumed, name
+    with pytest.raises(MatchingError, match="different graph"):
+        max_weight_matching(expand_binary(_online_matching_instance(0)), run)
 
 
 def _reference_trace(run) -> str:
@@ -1185,6 +1223,7 @@ def test_ladder_tool_hashes_the_whole_trace_in_slices():
     assert ladder.trace_sha256(run) == _sha256(run.trace_jsonl())
     out = ladder.rung(20, 10)
     assert out["events"] == 30 and out["online_weight"] == "369/2" and out["offline_weight"] == "381/2"
+    assert out["fresh_agrees"] is True  # the resumed offline solve is the fresh one's
     # its `left_edge_steps` is the matcher gate's charge: the least budget it runs under
     steps = out["left_edge_steps"]
     matching.matcher_graph(generate(20, 1, 10, 0), steps, "the rung")

@@ -3,12 +3,15 @@
     python3 tools/ladder.py N H
 
 Expands `generate(N, 1, H, 0)` with `expand_binary`, then times
-`run_online_matching` and `max_weight_matching` on that one graph, as
-`aqisim run --algorithm matching` does. Prints one JSON object: the two
-solve times in seconds, peak RSS in MB (read after both solves, so it covers
-the instance, the graph and both solves), bins, edges, `left_edge_steps` (the
-lefts times the edges, the charge `aqisim run --algorithm matching` refuses
-past `--budget`), events, both weights and the SHA-256 of the online trace.
+`run_online_matching` and `max_weight_matching(graph, run)`, the offline
+solve resumed from the run, on that one graph, as `aqisim run --algorithm
+matching` does. It then times a fresh `max_weight_matching(graph)` and exits
+1 if its pairs or weight differ from the resumed solve's. Prints one JSON
+object: the three solve times in seconds, peak RSS in MB (read before the
+fresh solve, so it covers the instance, the graph, the run and the resumed
+solve), bins, edges, `left_edge_steps` (the lefts times the edges, the charge
+`aqisim run --algorithm matching` refuses past `--budget`), events, both
+weights, whether the fresh solve agrees and the SHA-256 of the online trace.
 Standard library only; it imports aqisim from the `src/` next to this
 directory.
 """
@@ -48,15 +51,20 @@ def rung(n: int, h: int) -> dict:
     run = run_online_matching(graph)
     online_s = time.perf_counter() - started
     started = time.perf_counter()
-    offline = max_weight_matching(graph)
+    offline = max_weight_matching(graph, run)
     offline_s = time.perf_counter() - started
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # kB on Linux
+    started = time.perf_counter()
+    fresh = max_weight_matching(graph)
+    fresh_s = time.perf_counter() - started
     edges = sum(map(len, graph.rows))
     return {
         "n": n,
         "h": h,
         "online_s": round(online_s, 3),
         "offline_s": round(offline_s, 3),
+        "fresh_offline_s": round(fresh_s, 3),
+        "fresh_agrees": fresh == offline,
         "peak_rss_mb": round(peak_mb, 1),
         "bins": len(graph.right_order),
         "edges": edges,
@@ -72,8 +80,9 @@ def main(argv: list[str]) -> int:
     if len(argv) != 2 or not all(a.isdigit() for a in argv):
         sys.stderr.write("usage: python3 tools/ladder.py N H\n")
         return 2
-    print(json.dumps(rung(int(argv[0]), int(argv[1])), sort_keys=True))
-    return 0
+    out = rung(int(argv[0]), int(argv[1]))
+    print(json.dumps(out, sort_keys=True))
+    return 0 if out["fresh_agrees"] else 1
 
 
 if __name__ == "__main__":
