@@ -18,6 +18,8 @@ from .model import (
     require_valid,
     shannon_energy,
     shown,
+    shrinking,
+    summed,
     tabulated,
 )
 
@@ -102,13 +104,10 @@ def aoi_multisource(events: dict[str, list[int]], values: dict[str, Fraction | i
             ))
     total = len(packets)
     big = 1 + sum(int(v) + 1 for v in value_map.values()) * max(horizon, 1)
-    increments = [ZERO] * capacity + [Fraction(big * (i + 1)) for i in range(max(total - capacity, 0))]
-    table = [ZERO]
-    for inc in increments:
-        table.append(table[-1] + inc)
+    increments = [0] * capacity + [big * (i + 1) for i in range(max(total - capacity, 0))]
     inst = Instance(
         packets=tuple(packets), horizon=horizon, servers=1,
-        energy=(tabulated(table[: total + 1]) if total else linear(1),),
+        energy=(summed(increments[:total]) if total else linear(1),),
         label="aoi-multisource",
     )
     return FreshnessOracle(source_events, value_map), require_valid(inst, inst.label)
@@ -134,8 +133,7 @@ def speed_scaling(jobs: list[tuple[int, int]], servers: int,
         raise AqiError(f"need one power curve per server ({servers}), got {len(powers)}")
     total = sum(size for size, _ in jobs)
     if unit_value is None:
-        max_inc = max((fam.value(max(total, 1)) - fam.value(max(total, 1) - 1) for fam in powers),
-                      default=ZERO)
+        max_inc = max((fam.increment(max(total, 1) - 1) for fam in powers), default=ZERO)
         unit_value = 1 + horizon + max_inc
     packets = []
     for i, (size, arrival) in enumerate(jobs):
@@ -178,14 +176,7 @@ def remote_sampling_family(sources: int, samples_per_source: int, horizon: int,
             if fidelity == "saturating":
                 dist = CostFamily("saturating", params=(Fraction(2**fragments), Fraction(2)))
             else:
-                first = rng.randint(3, 9)
-                incs = [first]
-                for _ in range(fragments - 1):
-                    incs.append(rng.randint(1, incs[-1]))
-                table = [0]
-                for inc in incs:
-                    table.append(table[-1] + inc)
-                dist = tabulated(table)
+                dist = summed(shrinking(rng, rng.randint(3, 9), fragments))
             delay = linear(rng.randint(1, 2)) if rng.random() < 0.7 else CostFamily(
                 "power", params=(Fraction(1), Fraction(2)))
             packets.append(Packet(

@@ -15,7 +15,6 @@ from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
 from random import Random
-from typing import Iterable
 
 from .model import (
     DISCARD,
@@ -30,7 +29,10 @@ from .model import (
     linear,
     rational_to_json,
     require_valid,
+    require_within_budget,
     shannon_energy,
+    shrinking,
+    summed,
 )
 from .matching import (
     BipartiteGraph,
@@ -73,22 +75,6 @@ BINARY_CHECKS = ("matching-halfopt", "bin-marginal-monotone")
 # Generation
 # ---------------------------------------------------------------------------
 
-def _shrinking(rng: Random, first: int, count: int) -> list[int]:
-    """`first`, then count - 1 draws, each from 1 to the one before."""
-    incs = [first]
-    for _ in range(count - 1):
-        incs.append(rng.randint(1, incs[-1]))
-    return incs
-
-
-def _summed(incs: Iterable[int], halves: bool = False) -> CostFamily:
-    """The table 0, incs[0], incs[0] + incs[1], ..., halved if `halves`:
-    the sums are integers, and each entry is made one Fraction."""
-    sums = accumulate(incs, initial=0)
-    table = tuple(Fraction(s, 2) for s in sums) if halves else tuple(map(Fraction, sums))
-    return CostFamily("tabulated", table=table)
-
-
 def _delay_family(rng: Random) -> CostFamily:
     roll = rng.random()
     if roll < 0.15:
@@ -103,7 +89,7 @@ def _energy_family(rng: Random, total: int, steep: bool) -> CostFamily:
     if steep or roll < 0.35:
         first = rng.randint(0, 1) if not steep else rng.randint(1, 2)
         growth = (rng.randint(1, 4) if steep else rng.randint(0, 3) for _ in range(max(total, 1) - 1))
-        return _summed(accumulate(growth, initial=first))
+        return summed(accumulate(growth, initial=first))
     if roll < 0.5 and total <= 8:
         return shannon_energy()
     return linear(rng.randint(1, 2))
@@ -123,11 +109,14 @@ def generate(packets: int, max_k: int, horizon: int, seed: int,
         raise AqiError(f"unknown generator mode {mode!r}")
     if packets < 0 or max_k < 1 or horizon < 0 or servers < 1 or not 0 <= deadline_prob <= 1:
         raise AqiError("bad generator parameters")
+    label = f"{mode} seed={seed}"
     # each packet draws up to max_k distortion steps, each server up to
     # packets x max_k energy steps: charged before the first draw
     if packets * max_k * (1 + servers) > DEFAULT_BUDGET:
-        raise BudgetError(f"{mode} seed={seed}: instance too large to generate: "
-                          f"more than {DEFAULT_BUDGET} cost steps")
+        raise BudgetError(f"{label}: instance too large to generate: more than {DEFAULT_BUDGET} cost steps")
+    # a lower bound on `admission_charges`' curve points, past which `require_valid` would refuse:
+    # at least packets + 1 per energy curve and 3 per packet (k >= 1, and it arrives by the horizon)
+    require_within_budget(servers * (packets + 1) + 3 * packets, label)
     rng = Random((seed, mode, packets, max_k, horizon, servers).__repr__())
     out: list[Packet] = []
     total_cap = packets * max_k
@@ -145,9 +134,9 @@ def generate(packets: int, max_k: int, horizon: int, seed: int,
         halves = rng.random() < 0.25
         if mode == "adversarial-lock" and arrival > horizon // 2:
             # one increment more is drawn than used, so each seed keeps its instance
-            dist = _summed(_shrinking(rng, rng.randint(20, 40), k + 1)[:-1])
+            dist = summed(shrinking(rng, rng.randint(20, 40), k + 1)[:-1])
         else:
-            dist = _summed(_shrinking(rng, rng.randint(2, 9), k), halves)
+            dist = summed(shrinking(rng, rng.randint(2, 9), k), halves)
         deadline = None
         if mode == "adversarial-lock" and rng.random() < 0.6:
             deadline = min(horizon, arrival + rng.randint(0, 1))
@@ -161,9 +150,9 @@ def generate(packets: int, max_k: int, horizon: int, seed: int,
     energy = tuple(_energy_family(rng, total_cap, steep) for _ in range(servers))
     inst = Instance(
         packets=tuple(out), horizon=horizon, servers=servers, energy=energy,
-        label=f"{mode} seed={seed}",
+        label=label,
     )
-    return require_valid(inst, inst.label)
+    return require_valid(inst, label)
 
 
 def adversarial_lock_probe(w: int = 100, eps: Fraction | int = 1) -> BipartiteGraph:

@@ -38,13 +38,14 @@ to matched bins, to its heaviest free bin and to its own free sink: a phase
 ends at the first free bin it pops, and among one left's free bins the
 heaviest has the least slack. That bin, and each left's seed in loss
 passes, is read off a cursor into the left's edges in weight order, which
-passes each edge at most once per solver. An event stores its weights and sparse losses as
-integers over the scale and renders their `Fraction` views, weights and
-marginals alike, only when they are read. The event loop orders events on
-integer clocks and builds no `Fraction`: a run's locks are one record of
-integers, `LockLog`, and every event's `perm`, its marginals and the run's
-weight are views of it. `matcher_graph`, the matcher's one way in, refuses an
-instance past the work budget before it builds its graph.
+passes each edge at most once per solver. An event stores its time, weights
+and sparse losses as integers and renders their `Fraction` views, its clock
+too, only when they are read. The event loop orders events on the graph's
+integer times and builds no `Fraction` and no id -> rank map: a run's locks
+are one record of integers, `LockLog`, and every event's `perm`, its
+marginals and the run's weight are views of it. `matcher_graph`, the
+matcher's one way in, refuses an instance past the work budget before it
+builds its graph.
 """
 
 from __future__ import annotations
@@ -84,49 +85,21 @@ class BipartiteGraph:
 
     `left_order` / `right_order` fix the canonical node ranking used for
     tie-breaking. Absent weight entries are unmatchable pairs; stored weights
-    must be non-negative. The weights are kept once, as integers over one
-    common `scale`: `rows[l]` maps a right rank to the scaled weight of
-    (left l, that right). `weights` is the exact `Fraction` mapping, and
-    `packed` the solver's table, each built when first read.
+    must be non-negative. Weights and times are kept once, as integers by
+    rank, and no id -> rank map is kept: `rows[l]` maps a right rank to the
+    weight of (left l, that right) over one `scale`, and `arrive[l]` and
+    `lock[r]` are times over one `clock_scale`. Their `Fraction` views
+    `weights`, `arrivals` and `locks`, and `packed`, the solver's table, are built when read.
     """
 
     def __init__(self, left_order: list[str], right_order: list[str],
                  arrivals: dict[str, Fraction], locks: dict[str, Fraction],
                  weights: dict[tuple[str, str], Fraction], label: str = ""):
-        self._set_nodes(left_order, right_order, arrivals, locks, label)
-        left, right = self._left_rank, self._right_rank
-        for (a, b), w in weights.items():
-            if a not in left or b not in right:
-                raise MatchingError(f"edge ({shown(a)}, {shown(b)}) references unknown nodes")
-            if not _rational(w):
-                raise MatchingError(f"edge ({shown(a)}, {shown(b)}) has weight {shown(w)}, not an int or Fraction")
-            if w < 0:
-                raise MatchingError(f"edge ({shown(a)}, {shown(b)}) has negative weight {w}")
-        self.scale = scale = math.lcm(*(w.denominator for w in weights.values()))
-        self.rows: list[dict[int, int]] = [{} for _ in left_order]
-        for (a, b), w in weights.items():
-            self.rows[left[a]][right[b]] = w.numerator * (scale // w.denominator)
-
-    @classmethod
-    def from_rows(cls, left_order: list[str], right_order: list[str],
-                  arrivals: dict[str, Fraction], locks: dict[str, Fraction],
-                  rows: list[dict[int, int]], scale: int, label: str = "") -> BipartiteGraph:
-        """A graph whose weights are already integers over `scale`, in the
-        layout of `rows`; the caller guarantees them non-negative."""
-        graph = cls.__new__(cls)
-        graph._set_nodes(left_order, right_order, arrivals, locks, label)
-        graph.rows, graph.scale = rows, scale
-        return graph
-
-    def _set_nodes(self, left_order, right_order, arrivals, locks, label) -> None:
-        self.left_order, self.right_order = left_order, right_order
-        self.arrivals, self.locks, self.label = arrivals, locks, label
-        self._left_rank = {a: i for i, a in enumerate(left_order)}
-        self._right_rank = {b: i for i, b in enumerate(right_order)}
-        if len(self._left_rank) != len(left_order) or len(self._right_rank) != len(right_order):
+        left = {a: i for i, a in enumerate(left_order)}
+        right = {b: i for i, b in enumerate(right_order)}
+        if len(left) != len(left_order) or len(right) != len(right_order):
             raise MatchingError("duplicate node ids")
-        for side, what, nodes, times in (("left", "arrival", self._left_rank, arrivals),
-                                         ("right", "lock", self._right_rank, locks)):
+        for side, what, nodes, times in (("left", "arrival", left, arrivals), ("right", "lock", right, locks)):
             for x in nodes:
                 if x not in times:
                     raise MatchingError(f"{side} node {shown(x)} has no {what} time")
@@ -135,6 +108,40 @@ class BipartiteGraph:
                     raise MatchingError(f"{what} time for unknown {side} node {shown(x)}")
                 if not _rational(t):
                     raise MatchingError(f"{side} node {shown(x)} has {what} time {shown(t)}, not an int or Fraction")
+        for (a, b), w in weights.items():
+            if a not in left or b not in right:
+                raise MatchingError(f"edge ({shown(a)}, {shown(b)}) references unknown nodes")
+            if not _rational(w):
+                raise MatchingError(f"edge ({shown(a)}, {shown(b)}) has weight {shown(w)}, not an int or Fraction")
+            if w < 0:
+                raise MatchingError(f"edge ({shown(a)}, {shown(b)}) has negative weight {w}")
+
+        def over_lcm(values: list) -> tuple[list[int], int]:  # as integers over their denominators' lcm
+            scale = math.lcm(*(x.denominator for x in values))
+            return [x.numerator * (scale // x.denominator) for x in values], scale
+        ticks, self.clock_scale = over_lcm([*map(arrivals.get, left_order), *map(locks.get, right_order)])
+        scaled, self.scale = over_lcm(list(weights.values()))
+        self.rows: list[dict[int, int]] = [{} for _ in left_order]
+        for (a, b), w in zip(weights, scaled):
+            self.rows[left[a]][right[b]] = w
+        self.left_order, self.right_order, self.label = left_order, right_order, label
+        self.arrive, self.lock = ticks[:len(left)], ticks[len(left):]
+
+    @classmethod
+    def from_rows(cls, left_order: list[str], right_order: list[str], arrive: list[int], lock: list[int],
+                  rows: list[dict[int, int]], scale: int, label: str = "") -> BipartiteGraph:
+        """A graph whose times are integer slots by rank (clock scale 1) and
+        whose weights are integers over `scale` in the layout of `rows`; the
+        caller guarantees the ids distinct and the weights non-negative."""
+        graph = cls.__new__(cls)
+        graph.left_order, graph.right_order, graph.arrive, graph.lock = left_order, right_order, arrive, lock
+        graph.rows, graph.scale, graph.label, graph.clock_scale = rows, scale, label, 1
+        return graph
+
+    arrivals = cached_property(lambda self: {a: Fraction(t, self.clock_scale)
+                                             for a, t in zip(self.left_order, self.arrive)})
+    locks = cached_property(lambda self: {b: Fraction(t, self.clock_scale)
+                                          for b, t in zip(self.right_order, self.lock)})
 
     @cached_property
     def weights(self) -> dict[tuple[str, str], Fraction]:
@@ -470,12 +477,12 @@ class _Hungarian:
 # ---------------------------------------------------------------------------
 
 class LockLog:
-    """The run's one record of its permanent edges: each locked bin's lock
-    index, mate and weight, in lock order, and `perm[k]`, the weight of the
-    first k locks; its events read their `perm` and marginals from it."""
+    """The run's one record of its permanent edges over `graph`: each locked
+    bin's lock index, mate and weight, in lock order, and `perm[k]`, the
+    weight of the first k locks; its events read their `perm` and marginals from it."""
 
-    def __init__(self, right_order: list[str], scale: int):
-        self.right_order, self.scale = right_order, scale
+    def __init__(self, graph: BipartiteGraph):
+        self.graph = graph
         self.locked: dict[int, tuple[int, int, int]] = {}  # right rank -> (lock index, mate, weight)
         self.perm = [0]
 
@@ -497,9 +504,9 @@ class MatchEvent:
     Numbers are integers over the graph's scale: weights `temp` and `perm`,
     an arrival's `gain`, and `losses`, each matched unlocked bin's drop loss;
     `locks` counts the entries of `log` made so far, which give `perm`, and
-    every other bin's marginal is 0. The `Fraction` views are rendered anew."""
+    every other bin's marginal is 0. The `Fraction` views, `clock` too, are rendered anew."""
 
-    clock: Fraction  # the graph's own time object
+    tick: int  # its time over the graph's `clock_scale`
     kind: str  # "arrival" | "lock"
     subject: list[str]
     temp: int
@@ -509,17 +516,18 @@ class MatchEvent:
     gain: int | None = None
 
     perm = property(lambda self: self.log.perm[self.locks])
-    temp_weight = property(lambda self: Fraction(self.temp, self.log.scale))
-    perm_weight = property(lambda self: Fraction(self.perm, self.log.scale))
-    total_weight = property(lambda self: Fraction(self.temp + self.perm, self.log.scale))
-    arrival_gain = property(lambda self: None if self.gain is None else Fraction(self.gain, self.log.scale))
+    clock = property(lambda self: Fraction(self.tick, self.log.graph.clock_scale))
+    temp_weight = property(lambda self: Fraction(self.temp, self.log.graph.scale))
+    perm_weight = property(lambda self: Fraction(self.perm, self.log.graph.scale))
+    total_weight = property(lambda self: Fraction(self.temp + self.perm, self.log.graph.scale))
+    arrival_gain = property(lambda self: None if self.gain is None else Fraction(self.gain, self.log.graph.scale))
 
     @property
     def marginals(self) -> dict[str, Fraction]:
         """{bin: marginal value}, over every bin of the graph."""
-        log = self.log
-        return {b: Fraction(log.marginal(ri, self.locks, self.losses), log.scale)
-                for ri, b in enumerate(log.right_order)}
+        log, scale = self.log, self.log.graph.scale
+        return {b: Fraction(log.marginal(ri, self.locks, self.losses), scale)
+                for ri, b in enumerate(log.graph.right_order)}
 
 
 @dataclass
@@ -534,9 +542,9 @@ class MatchRun:
     # none fires), which `max_weight_matching(graph, run)` resumes in place
     resume: _Hungarian | None = field(default=None, repr=False, compare=False)
 
-    perm = property(lambda self: {self.log.right_order[ri]: (self.graph.left_order[li], Fraction(w, self.log.scale))
+    perm = property(lambda self: {self.graph.right_order[ri]: (self.graph.left_order[li], Fraction(w, self.graph.scale))
                                   for ri, (_, li, w) in self.log.locked.items()})
-    weight = property(lambda self: Fraction(self.log.perm[-1], self.log.scale))
+    weight = property(lambda self: Fraction(self.log.perm[-1], self.graph.scale))
 
     def trace_jsonl(self) -> str:
         """One JSON line per event, as `json.dumps(..., sort_keys=True)` writes
@@ -545,13 +553,13 @@ class MatchRun:
         scale. An event's `rho` starts from the items of the bins locked by
         then and rewrites those with a loss."""
         log, lines = self.log, []
-        right_order = log.right_order
+        right_order = self.graph.right_order
         keys = [json.dumps(b) + ": " for b in right_order]  # per right rank
         order = sorted(range(len(right_order)), key=right_order.__getitem__)  # `rho`'s key order
         place = [0] * len(order)  # right rank -> its item's place in `rho`
         for at, ri in enumerate(order):
             place[ri] = at
-        texts = NumberTexts(log.scale)  # integer over the scale -> JSON text
+        texts = NumberTexts(self.graph.scale)  # integer over the scale -> JSON text
         zeros = [keys[ri] + "0" for ri in order]
         locked = sorted((k, ri, w) for ri, (k, _, w) in log.locked.items())  # entry k has lock index k
         fixed, done = zeros[:], 0  # `rho` once the first `done` locks are made
@@ -586,48 +594,43 @@ def run_online_matching(graph: BipartiteGraph) -> MatchRun:
     rank order. The trace records, at every event, the constrained matching
     weight and each bin's marginal value: its weight contribution while
     unlocked (`_Hungarian.drop_losses`), its locked-in edge weight afterwards.
-    Events are ordered on integer clocks, over the lcm of the times'
-    denominators.
+    Events are ordered on the graph's integer times, `arrive` and `lock`.
     """
-    den = math.lcm(*(t.denominator for t in (*graph.arrivals.values(), *graph.locks.values())))
-    queue = sorted([(t.numerator * (den // t.denominator), kind, rank[x], x, t)
-                    for kind, times, rank in ((0, graph.arrivals, graph._left_rank),
-                                              (1, graph.locks, graph._right_rank))
-                    for x, t in times.items()])
+    queue = sorted([(t, 0, li) for li, t in enumerate(graph.arrive)] + [(t, 1, ri) for ri, t in enumerate(graph.lock)])
     live = resume = _Hungarian(graph)
-    log = LockLog(graph.right_order, live.scale)
+    log = LockLog(graph)
     events: list[MatchEvent] = []
 
-    def record(clock, kind, subject, gain=None) -> None:
-        events.append(MatchEvent(clock, kind, subject, live.total, live.drop_losses(),
+    def record(tick, kind, subject, gain=None) -> None:
+        events.append(MatchEvent(tick, kind, subject, live.total, live.drop_losses(),
                                  len(log.locked), log, gain))
 
-    # arrivals (kind 0) strictly before locks (kind 1) at the same clock
-    for (_, kind), group in groupby(queue, itemgetter(0, 1)):
+    # arrivals (kind 0) strictly before locks (kind 1) at the same tick
+    for (tick, kind), group in groupby(queue, itemgetter(0, 1)):
         if kind == 0:
-            for _, _, rank, a, clock in group:
+            for _, _, li in group:
                 before = live.total
-                live.phase(rank)
-                record(clock, "arrival", [a], live.total - before)
+                live.phase(li)
+                record(tick, "arrival", [graph.left_order[li]], live.total - before)
             continue
         if resume is live:  # the first lock: every right is still live
             resume = live.fork()
-        batch = list(group)
-        for _, _, ri, _, _ in batch:
+        batch = [ri for _, _, ri in group]
+        for ri in batch:
             mate = live.drop_right(ri)
             if mate is not None:
                 log.add(ri, mate, graph.rows[mate][ri])
                 live.drop_left(mate)
-        record(batch[0][4], "lock", [b for _, _, _, b, _ in batch])
+        record(tick, "lock", [graph.right_order[ri] for ri in batch])
     return MatchRun(graph=graph, log=log, events=events, resume=resume)
 
 
 def bin_marginal_series(run: MatchRun, right_id: str) -> list[Fraction]:
     """Per-event marginal values of one bin across the run's whole lifetime."""
-    if right_id not in run.graph._right_rank:
+    if right_id not in run.graph.right_order:
         raise MatchingError(f"unknown right node {shown(right_id)}")
-    ri, log = run.graph._right_rank[right_id], run.log
-    return [Fraction(log.marginal(ri, ev.locks, ev.losses), log.scale) for ev in run.events]
+    ri, log = run.graph.right_order.index(right_id), run.log
+    return [Fraction(log.marginal(ri, ev.locks, ev.losses), run.graph.scale) for ev in run.events]
 
 
 def marginal_monotonicity_violations(run: MatchRun) -> list[tuple[str, int, Fraction, Fraction]]:
@@ -638,7 +641,7 @@ def marginal_monotonicity_violations(run: MatchRun) -> list[tuple[str, int, Frac
     locked bin keeps its weight for good: only the bins with a nonzero loss
     at the previous event can drop. They are compared in integers over the
     scale."""
-    log = run.log
+    log, graph = run.log, run.graph
     drops = []
     for i in range(1, len(run.events)):
         prev, cur = run.events[i - 1], run.events[i]
@@ -648,7 +651,7 @@ def marginal_monotonicity_violations(run: MatchRun) -> list[tuple[str, int, Frac
                 if after < before:
                     drops.append((ri, i, before, after))
     drops.sort()
-    return [(log.right_order[ri], i, Fraction(x, log.scale), Fraction(y, log.scale))
+    return [(graph.right_order[ri], i, Fraction(x, graph.scale), Fraction(y, graph.scale))
             for ri, i, x, y in drops]
 
 
@@ -694,17 +697,15 @@ def matcher_graph(inst: Instance, budget: int | float, user: str) -> BipartiteGr
     packets = sorted(inst.packets, key=lambda p: (p.arrival, p.id))
     increments, index = tab.energy_inc[0], [tab.index[p.id] for p in packets]
     right_order: list[str] = []
-    locks: dict[str, Fraction] = {}
+    lock: list[int] = []  # by right rank: its slot
     kept = []  # (left, its slot's first right, term, positions kept), where it keeps any
     edges = arrived = 0
     for t in range(inst.horizon + 1):
         while arrived < len(packets) and packets[arrived].arrival <= t:
             arrived += 1  # the packets arrived by t are the first ones in arrival order
-        base, lock = len(right_order), Fraction(t)
-        for i in range(1, arrived + 1):
-            b = f"b{t}.{i}"
-            right_order.append(b)
-            locks[b] = lock
+        base = len(right_order)
+        right_order += [f"b{t}.{i}" for i in range(1, arrived + 1)]
+        lock += [t] * arrived
         for li in range(arrived):
             x = tab.term(index[li], 1, t)
             k = bisect_right(increments, x, 0, arrived)
@@ -718,6 +719,5 @@ def matcher_graph(inst: Instance, budget: int | float, user: str) -> BipartiteGr
         row = rows[li]
         for pos in range(k):
             row[base + pos] = x - increments[pos]
-    return BipartiteGraph.from_rows([p.id for p in packets], right_order,
-                                    {p.id: Fraction(p.arrival) for p in packets},
-                                    locks, rows, tab.scale, label=inst.label)
+    return BipartiteGraph.from_rows([p.id for p in packets], right_order, [p.arrival for p in packets],
+                                    lock, rows, tab.scale, label=inst.label)

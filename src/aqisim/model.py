@@ -9,6 +9,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
+from random import Random
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -198,6 +200,19 @@ def linear(slope) -> CostFamily:
 
 def tabulated(values: Iterable) -> CostFamily:
     return CostFamily("tabulated", table=tuple(Fraction(v) for v in values))
+
+
+def shrinking(rng: Random, first: int, count: int) -> list[int]:
+    """`first`, then count - 1 draws, each from 1 to the one before."""
+    return list(accumulate(range(count - 1), lambda before, _: rng.randint(1, before), initial=first))
+
+
+def summed(incs: Iterable[int], halves: bool = False) -> CostFamily:
+    """The tabulated curve 0, incs[0], incs[0] + incs[1], ..., halved if
+    `halves`: the sums are integers, and each entry is made one Fraction."""
+    sums = accumulate(incs, initial=0)
+    table = tuple(Fraction(s, 2) for s in sums) if halves else tuple(map(Fraction, sums))
+    return CostFamily("tabulated", table=table)
 
 
 def shannon_energy(scale=1, base=2) -> CostFamily:
@@ -578,14 +593,19 @@ def validate_instance(inst: Instance) -> ValidationReport:
     return report
 
 
+def require_within_budget(charge: int, where: str, budget: int = DEFAULT_BUDGET) -> None:
+    """`require_valid`'s refusal of an instance charged `charge` past `budget`."""
+    if charge > budget:
+        raise BudgetError(f"{where}: instance too large to validate: more than {budget} curve points")
+
+
 def require_valid(inst: Instance, where: str, budget: int = DEFAULT_BUDGET) -> Instance:
     """`inst`, once `validate_instance` finds no problem with it. It is
     refused first, with no curve evaluated, when its curves have more than
     `budget` points or its integer tables more than `budget` machine words,
     as `admission_charges` charges them.
     Errors start with `where`."""
-    if max(admission_charges(inst)) > budget:
-        raise BudgetError(f"{where}: instance too large to validate: more than {budget} curve points")
+    require_within_budget(max(admission_charges(inst)), where, budget)
     report = validate_instance(inst)
     if not report.ok:
         raise AqiError(f"{where}: invalid instance: " + "; ".join(report.problems))

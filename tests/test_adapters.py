@@ -1,12 +1,21 @@
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from aqisim.adapters import aoi_multisource, remote_sampling_family, speed_scaling
 from aqisim.greedy import run_online_greedy
-from aqisim.model import AqiError, CostFamily, store_instance, tabulated, validate_instance
+from aqisim.model import (
+    AqiError,
+    CostFamily,
+    linear,
+    shannon_energy,
+    store_instance,
+    tabulated,
+    validate_instance,
+)
 from aqisim.oracle import offline_optimal, offline_optimal_binary
 from aqisim.reduction import check_guarantee_chain, check_offline_bridge
 
@@ -122,6 +131,44 @@ def test_sampling_family_is_deterministic():
     assert store_instance(a) == store_instance(b)
     c = remote_sampling_family(2, 2, 5, seed=10)
     assert store_instance(a) != store_instance(c)
+
+
+# SHA-256 of the joined `store_instance` texts of remote_sampling_family(3, 2,
+# 8, seed, max_fragments=f, fidelity) over seeds 0:200 and f = 1..5, recorded
+# while the family drew its tables with a loop of its own
+SAMPLING_FAMILY_SHA256 = {
+    "saturating": "4d82dbc377d0ae7d6278f67ef888b4a9d5a7fb5cad2fc371c92887d8f1d0eb65",
+    "table": "25be4648edec778a559d82cbd71eb669982ea98a742db9871ea7d7a70eccb490",
+}
+
+
+def test_freshness_and_speed_scaling_instances_match_their_recorded_hash():
+    # recorded while `aoi_multisource` summed its energy table and
+    # `speed_scaling` took its top energy step by loops of their own
+    digest = hashlib.sha256()
+    for events, values, horizon, capacity in [
+        ({"s1": [1, 3, 4]}, {"s1": 5}, 8, 1), ({"a": [0, 2], "b": [1]}, {"a": F(7, 2), "b": 2}, 5, 2),
+        ({"a": [0, 1, 2, 3]}, {"a": 1}, 6, 3), ({"a": []}, {"a": 1}, 3, 1),
+        ({"a": [0], "b": [0], "c": [1]}, {"a": 1, "b": 2, "c": 3}, 4, 5),
+    ]:
+        digest.update(store_instance(aoi_multisource(events, values, horizon, capacity)[1]).encode())
+    for jobs, servers, powers, horizon, unit_value in [
+        ([(2, 0), (1, 1)], 1, [SQUARE], 4, None), ([(3, 0)], 2, [shannon_energy(), linear(2)], 5, None),
+        ([(1, 0)], 1, [linear(1)], 2, 3),
+    ]:
+        digest.update(store_instance(speed_scaling(jobs, servers, powers, horizon, unit_value)).encode())
+    assert digest.hexdigest() == "8a38d28d5a8e5ea381b99fe1f76289c39f2c096d00f1d8b44d3dffe511a4eb33"
+
+
+@pytest.mark.parametrize("fidelity", sorted(SAMPLING_FAMILY_SHA256))
+def test_sampling_family_instances_match_their_recorded_hash(fidelity):
+    # the table fidelity shares the generator's tabulated-curve helpers
+    digest = hashlib.sha256()
+    for seed in range(200):
+        for fragments in range(1, 6):
+            inst = remote_sampling_family(3, 2, 8, seed, max_fragments=fragments, fidelity=fidelity)
+            digest.update(store_instance(inst).encode())
+    assert digest.hexdigest() == SAMPLING_FAMILY_SHA256[fidelity]
 
 
 def test_sampling_family_validates_across_seeds():

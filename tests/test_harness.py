@@ -781,6 +781,29 @@ def test_generation_past_the_budget_is_refused_before_its_first_draw(argv, capsy
         generate(10, 500_001, 0, 0)  # 10 x 500,001 x (1 + 1) steps: 20 past the budget
 
 
+def test_generation_validation_would_refuse_is_refused_before_its_first_draw(capsys, monkeypatch):
+    # 3,000,000 packets pass the cost-step charge (6M steps) but need about
+    # 13 GB before `require_valid` refuses them: the bound on their curve
+    # points refuses them first, with `require_valid`'s own line
+    monkeypatch.setattr(harness, "Random", None)  # a draw would raise a TypeError
+    assert main(["gen", "--packets", "3000000"]) == 2
+    assert capsys.readouterr().err == (
+        "error: random seed=0: instance too large to validate: more than 10000000 curve points\n")
+    with pytest.raises(BudgetError, match="too large to validate"):
+        generate(2_000_000, 1, 0, 0, servers=2)  # 2 x 2,000,001 + 6,000,000 points
+
+
+def test_the_generation_bound_never_exceeds_the_curve_points_charged():
+    # servers x (packets + 1) + 3 x packets is a lower bound on the points
+    # `admission_charges` charges a generated instance, in every mode
+    rng = Random(34)
+    for seed in range(60):
+        packets, max_k, horizon, servers = rng.randint(0, 7), rng.randint(1, 3), rng.randint(0, 6), rng.randint(1, 3)
+        for mode in harness.GENERATOR_MODES:
+            inst = generate(packets, max_k, horizon, seed, mode=mode, servers=servers, deadline_prob=0.3)
+            assert servers * (packets + 1) + 3 * packets <= admission_charges(inst)[0], (seed, mode)
+
+
 @pytest.mark.parametrize("argv", [
     ["adapt-aoi", "--events", "[" * 5000 + "]" * 5000, "--values", "{}", "--horizon", "3"],
     ["adapt-aoi", "--events", '{"s1": [1]}', "--values", '{"s1": "' + "x" * 5000 + '"}',

@@ -371,8 +371,31 @@ def test_integer_clocks_order_events_as_fractions_do():
         run = run_online_matching(g)
         expected = _fraction_event_order(g)
         assert [(ev.clock, ev.kind, ev.subject) for ev in run.events] == expected, g.label
-        # each clock is the graph's own time object, not a rebuilt one
-        assert all(ev.clock is clock for ev, (clock, _, _) in zip(run.events, expected))
+        # each clock is rendered from the event's integer tick, equal to the graph's time
+        assert all(ev.clock == clock and type(ev.tick) is int for ev, (clock, _, _) in zip(run.events, expected))
+
+
+def test_hand_built_graphs_read_back_their_exact_times(monkeypatch):
+    # the constructor keeps each time once, as an integer by rank over the lcm
+    # of the times' denominators, and `arrivals` and `locks` render them back
+    given = []
+    init = BipartiteGraph.__init__
+
+    def kept(self, left_order, right_order, arrivals, locks, weights, label=""):
+        given.append((dict(arrivals), dict(locks)))
+        init(self, left_order, right_order, arrivals, locks, weights, label)
+
+    monkeypatch.setattr(BipartiteGraph, "__init__", kept)
+    for k, g in enumerate(_mixed_clock_graphs()):
+        arrivals, locks = given.pop()
+        assert g.arrivals == arrivals and g.locks == locks, g.label
+        assert all(type(t) is F for t in (*g.arrivals.values(), *g.locks.values())), g.label
+        assert g.arrive == [arrivals[a] * g.clock_scale for a in g.left_order], g.label
+        assert g.lock == [locks[b] * g.clock_scale for b in g.right_order], g.label
+        assert all(type(t) is int for t in (*g.arrive, *g.lock)), g.label
+        if k == 0:  # thirds and halves
+            assert g.clock_scale == 6 and g.arrive == [2, 3, 6] and g.lock == [3, 4, 4, 9]
+    assert adversarial_lock_probe(3, F(1, 3)).clock_scale == 2
 
 
 def test_arrival_gains_sum_to_final_weight():
@@ -467,14 +490,14 @@ def test_marginal_drops_of_a_hand_built_run():
     # b2 locks at 1/2, below its loss of 1; b3 falls from 1/2 to 0
     g = graph(["a"], ["b1", "b2", "b3"], {("a", "b1"): F(1, 2), ("a", "b2"): 1, ("a", "b3"): F(3, 2)})
     assert g.scale == 2
-    log = matching.LockLog(g.right_order, g.scale)
+    log = matching.LockLog(g)
     events = []
     for k, (losses, lock) in enumerate([({0: 4, 1: 2}, None), ({0: 3, 1: 2, 2: 1}, None),
                                         ({0: 3}, (1, 0, 1)), ({}, None)]):
         if lock:
             log.add(*lock)
         events.append(matching.MatchEvent(
-            clock=F(k), kind="lock" if lock else "arrival", subject=[], temp=0,
+            tick=k, kind="lock" if lock else "arrival", subject=[], temp=0,
             losses=losses, locks=len(log.locked), log=log))
     run = matching.MatchRun(graph=g, log=log, events=events)
     assert run.perm == {"b2": ("a", F(1, 2))} and run.weight == F(1, 2)
@@ -486,7 +509,7 @@ def test_marginal_drops_of_a_hand_built_run():
     for b in g.right_order:
         assert bin_marginal_series(run, b) == [ev.marginals[b] for ev in run.events]
     # a hand-built run may also list events whose lock counts fall
-    unlocked = matching.MatchEvent(clock=F(4), kind="arrival", subject=[], temp=0,
+    unlocked = matching.MatchEvent(tick=4, kind="arrival", subject=[], temp=0,
                                    losses={}, locks=0, log=log)
     for order in (events, [*events, unlocked]):
         listed = matching.MatchRun(graph=g, log=log, events=order)
@@ -844,10 +867,10 @@ def test_online_run_and_expansion_do_bounded_work(monkeypatch):
     monkeypatch.setattr(matching._Hungarian, "__init__", counting_rows)
     monkeypatch.setattr(matching._Hungarian, "phase", counted_phase)
     monkeypatch.setattr(matching, "Fraction", counted_fraction)
-    # the graph takes the tables' integers: a Fraction per arrival and one
-    # lock per slot, none per edge, however many edges the slots hold
+    # the graph takes the tables' integers and the slots as they are: no
+    # Fraction per arrival, lock or edge
     g = expand_binary(inst)
-    assert calls["fraction"] <= len(inst.packets) + inst.horizon + 1 < sum(map(len, g.rows))
+    assert calls["fraction"] == 0
     # the tables read each curve as one integer row: one per packet's
     # utility, per shared lag row and per server's energy
     assert calls["value"] == 0
@@ -933,6 +956,25 @@ def test_online_run_and_expansion_do_bounded_work(monkeypatch):
     phase_moves = sum(moved for _, moved, *_ in online_phases)
     loss_reads = sum(seed.reads for seed in seeds) - phase_reads
     assert loss_reads <= sum(cursor) - phase_moves + events * lefts < events * edges // 4
+
+
+def test_an_expansion_and_its_run_build_no_rank_map(monkeypatch):
+    # the run sorts its events from the integer times by rank, so neither the
+    # expansion, nor the run, the resumed offline solve or the trace reads a
+    # time view, and the graph keeps no id -> rank map (nor any other dict)
+    def unread(self):
+        raise AssertionError("a time view was read")
+
+    for name in ("arrivals", "locks"):
+        monkeypatch.setattr(BipartiteGraph, name, property(unread))
+    for seed in range(6):
+        g = expand_binary(_online_matching_instance(seed))
+        run = run_online_matching(g)
+        max_weight_matching(g, run)
+        run.trace_jsonl()
+        assert g.clock_scale == 1 and all(type(t) is int for t in (*g.arrive, *g.lock)), seed
+        assert [ev.clock for ev in run.events] == [ev.tick for ev in run.events], seed
+        assert not [name for name, value in vars(g).items() if isinstance(value, dict)], seed
 
 
 class _ItemWalkCountingRow(dict):
@@ -1224,6 +1266,7 @@ def test_ladder_tool_hashes_the_whole_trace_in_slices():
     out = ladder.rung(20, 10)
     assert out["events"] == 30 and out["online_weight"] == "369/2" and out["offline_weight"] == "381/2"
     assert out["fresh_agrees"] is True  # the resumed offline solve is the fresh one's
+    assert 0 <= out["expand_s"] < 10  # the expansion is timed on its own
     # its `left_edge_steps` is the matcher gate's charge: the least budget it runs under
     steps = out["left_edge_steps"]
     matching.matcher_graph(generate(20, 1, 10, 0), steps, "the rung")

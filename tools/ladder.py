@@ -2,16 +2,17 @@
 
     python3 tools/ladder.py N H
 
-Expands `generate(N, 1, H, 0)` with `expand_binary`, then times
-`run_online_matching` and `max_weight_matching(graph, run)`, the offline
-solve resumed from the run, on that one graph, as `aqisim run --algorithm
-matching` does. It then times a fresh `max_weight_matching(graph)` and exits
-1 if its pairs or weight differ from the resumed solve's. Prints one JSON
-object: the three solve times in seconds, peak RSS in MB (read before the
-fresh solve, so it covers the instance, the graph, the run and the resumed
-solve), bins, edges, `left_edge_steps` (the lefts times the edges, the charge
-`aqisim run --algorithm matching` refuses past `--budget`), events, both
-weights, whether the fresh solve agrees and the SHA-256 of the online trace.
+Times `expand_binary` on `generate(N, 1, H, 0)`, then `run_online_matching`
+and `max_weight_matching(graph, run)`, the offline solve resumed from the
+run, on that one graph, as `aqisim run --algorithm matching` does. It then
+times a fresh `max_weight_matching(graph)` and exits 1 if its pairs or
+weight differ from the resumed solve's. Prints one JSON object: the
+expansion's and the three solves' times in seconds, peak RSS in MB (read
+before the fresh solve, so it covers the instance, the graph, the run and
+the resumed solve), bins, edges, `left_edge_steps` (the lefts times the
+edges, the charge `aqisim run --algorithm matching` refuses past
+`--budget`), events, both weights, whether the fresh solve agrees and the
+SHA-256 of the online trace.
 Standard library only; it imports aqisim from the `src/` next to this
 directory.
 """
@@ -46,7 +47,10 @@ def trace_sha256(run: MatchRun) -> str:
 
 
 def rung(n: int, h: int) -> dict:
-    graph = expand_binary(generate(n, 1, h, 0))
+    inst = generate(n, 1, h, 0)
+    started = time.perf_counter()
+    graph = expand_binary(inst)
+    expand_s = time.perf_counter() - started
     started = time.perf_counter()
     run = run_online_matching(graph)
     online_s = time.perf_counter() - started
@@ -61,6 +65,7 @@ def rung(n: int, h: int) -> dict:
     return {
         "n": n,
         "h": h,
+        "expand_s": round(expand_s, 3),
         "online_s": round(online_s, 3),
         "offline_s": round(offline_s, 3),
         "fresh_offline_s": round(fresh_s, 3),
