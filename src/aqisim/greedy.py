@@ -10,9 +10,9 @@ A run lists its candidate bins once, in that order, and keeps integer lists
 of its own: per regular bin, laid out `slot * servers + server` as the list
 is, its occupancy and its price, `energy_inc[server][occupancy]` from
 `tables(inst)`; per slot, the lowest price among its bins, a list of its
-own for any server count. Packets arrive in
-(arrival, id) order, and a packet's steps share one slice of the bin list,
-from its arrival slot on. A fragment's gains row follows from the packet's
+own for any server count. Packets arrive in (arrival, id) order,
+`Instance.by_arrival`, and a packet's steps share one slice of the bin
+list, from its arrival slot on. A fragment's gains row follows from the packet's
 fragment count and last slot, kept in two local integers, and three more
 integers: a bin up to the last slot gains `early - price` (one more fragment
 at the same completion slot), a later bin up to the deadline
@@ -70,21 +70,15 @@ from .model import (
     Bin,
     Instance,
     NumberTexts,
-    Packet,
     SubpacketRef,
 )
 from .valuation import Valuation, evaluate, tables
 
 
-def packets_by_arrival(inst: Instance) -> list[Packet]:
-    """Packets in arrival order, ties by id."""
-    return sorted(inst.packets, key=lambda p: (p.arrival, p.id))
-
-
 def arrival_order(inst: Instance) -> list[SubpacketRef]:
     """Fragments in arrival order: packets by (arrival, id), fragments by index."""
     refs = []
-    for p in packets_by_arrival(inst):
+    for p in inst.by_arrival:
         refs.extend(SubpacketRef(p.id, j) for j in range(1, p.subpackets + 1))
     return refs
 
@@ -259,8 +253,8 @@ def run_online_greedy(inst: Instance) -> GreedyRun:
     changes = log.changes
     alloc, steps = Allocation(), state.steps
     total = 0  # over the tables' scale
-    for p in packets_by_arrival(inst):
-        i, arrival, deadline = tab.index[p.id], p.arrival, p.deadline
+    for p in inst.by_arrival:
+        i, arrival, deadline = inst.index[p.id], p.arrival, p.deadline
         base = min(arrival, horizon + 1) * servers  # position of the first open bin
         bins = state.bins[base:]  # candidate_bins(inst, arrival), shared by the packet's steps
         utility, lag = tab.utility[i], tab.lag[i]

@@ -62,7 +62,7 @@ from itertools import groupby
 from numbers import Rational
 from operator import itemgetter
 
-from .model import AqiError, BudgetError, Instance, NumberTexts, rational_to_json, shown
+from .model import AqiError, BudgetError, Instance, NumberTexts, shown
 from .valuation import tables
 
 
@@ -550,8 +550,8 @@ class MatchRun:
         """One JSON line per event, as `json.dumps(..., sort_keys=True)` writes
         it, joined from fragments made once per run: each bin's JSON key, its
         item at marginal 0, and the text of each distinct integer over the
-        scale. An event's `rho` starts from the items of the bins locked by
-        then and rewrites those with a loss."""
+        scale and of each distinct tick. An event's `rho` starts from the
+        items of the bins locked by then and rewrites those with a loss."""
         log, lines = self.log, []
         right_order = self.graph.right_order
         keys = [json.dumps(b) + ": " for b in right_order]  # per right rank
@@ -560,13 +560,14 @@ class MatchRun:
         for at, ri in enumerate(order):
             place[ri] = at
         texts = NumberTexts(self.graph.scale)  # integer over the scale -> JSON text
+        clocks = NumberTexts(self.graph.clock_scale)
         zeros = [keys[ri] + "0" for ri in order]
-        locked = sorted((k, ri, w) for ri, (k, _, w) in log.locked.items())  # entry k has lock index k
+        locked = [(ri, w) for ri, (_, _, w) in log.locked.items()]  # `LockLog.add` inserts in lock order
         fixed, done = zeros[:], 0  # `rho` once the first `done` locks are made
         for ev in self.events:
             if ev.locks < done:  # a run records `locks` non-decreasing; a hand-built one may not
                 fixed, done = zeros[:], 0
-            for _, ri, w in locked[done:ev.locks]:
+            for ri, w in locked[done:ev.locks]:
                 fixed[place[ri]] = keys[ri] + texts[w]
             done = ev.locks
             rho = fixed[:]
@@ -576,7 +577,7 @@ class MatchRun:
                     rho[place[ri]] = keys[ri] + texts[x]
             lines.append(
                 f'{{"arrival_gain": {"null" if ev.gain is None else texts[ev.gain]}, '
-                f'"clock": {json.dumps(rational_to_json(ev.clock))}, "kind": {json.dumps(ev.kind)}, '
+                f'"clock": {clocks[ev.tick]}, "kind": {json.dumps(ev.kind)}, '
                 f'"perm_weight": {texts[ev.perm]}, "rho": {{{", ".join(rho)}}}, '
                 f'"subject": {json.dumps(ev.subject)}, "temp_weight": {texts[ev.temp]}, '
                 f'"total_weight": {texts[ev.temp + ev.perm]}}}'
@@ -694,8 +695,8 @@ def matcher_graph(inst: Instance, budget: int | float, user: str) -> BipartiteGr
         raise Ineligible("needs a single-server unit-packet instance")
     tab = tables(inst)
     tab.require_convex_energy("the binary expansion")
-    packets = sorted(inst.packets, key=lambda p: (p.arrival, p.id))
-    increments, index = tab.energy_inc[0], [tab.index[p.id] for p in packets]
+    packets = inst.by_arrival
+    increments, index = tab.energy_inc[0], [inst.index[p.id] for p in packets]
     right_order: list[str] = []
     lock: list[int] = []  # by right rank: its slot
     kept = []  # (left, its slot's first right, term, positions kept), where it keeps any

@@ -258,7 +258,14 @@ class Packet:
 
 @dataclass(frozen=True)
 class Instance:
-    """A complete scheduling input: packets, slotted horizon and energy curves."""
+    """A complete scheduling input: packets, slotted horizon and energy curves.
+
+    The facts every layer reads are derived here, once, and are not fields:
+    `index` (packet id -> row), `by_arrival` (the packets in (arrival, id)
+    order, as both online schedulers take them), `total_subpackets`,
+    `levels` (how many occupancies an energy row covers: 0 to the total,
+    or 0 and 1 without fragments) and `spans` (per row, the length of its
+    lag row: its delays 0 to horizon - arrival, at least one)."""
 
     packets: tuple[Packet, ...]
     horizon: int
@@ -273,22 +280,21 @@ class Instance:
             raise ParseError("servers must be >= 1")
         if len(self.energy) != self.servers:
             raise ParseError(f"need one energy family per server ({self.servers}), got {len(self.energy)}")
-        by_id: dict[str, Packet] = {}
-        for p in self.packets:
-            if p.id in by_id:
+        index: dict[str, int] = {}
+        for i, p in enumerate(self.packets):
+            if index.setdefault(p.id, i) != i:
                 raise ParseError(f"duplicate packet id {shown(p.id)}")
-            by_id[p.id] = p
-        object.__setattr__(self, "_by_id", by_id)
+        total = sum(p.subpackets for p in self.packets)
+        self.__dict__.update(  # past the frozen __setattr__, as they are not fields
+            index=index, total_subpackets=total, levels=max(total, 1) + 1,
+            by_arrival=tuple(sorted(self.packets, key=lambda p: (p.arrival, p.id))),
+            spans=tuple(max(self.horizon, p.arrival) - p.arrival + 1 for p in self.packets))
 
     def packet(self, pid: str) -> Packet:
         try:
-            return self._by_id[pid]
+            return self.packets[self.index[pid]]
         except KeyError:
             raise AllocationError(f"unknown packet {shown(pid)}") from None
-
-    @property
-    def total_subpackets(self) -> int:
-        return sum(p.subpackets for p in self.packets)
 
     def is_binary(self) -> bool:
         return all(p.subpackets == 1 for p in self.packets)
@@ -419,11 +425,11 @@ def check_entry(inst: Instance, p: Packet, ref: SubpacketRef, b: Bin) -> None:
 
 def check_allocation(inst: Instance, alloc: Allocation) -> None:
     """Raise AllocationError unless `alloc` is structurally valid for `inst`."""
-    ids = {p.id: p for p in inst.packets}
+    index, packets = inst.index, inst.packets
     for ref, b in alloc.entries.items():
-        if ref.packet not in ids:
+        if ref.packet not in index:
             raise AllocationError(f"allocation references unknown packet {ref.packet!r}")
-        p = ids[ref.packet]
+        p = packets[index[ref.packet]]
         check_entry(inst, p, ref, b)
         if not b.is_discard and b.slot < p.arrival:
             raise AllocationError(f"{ref} assigned to slot {b.slot} before arrival {p.arrival}")
@@ -524,12 +530,11 @@ def admission_charges(inst: Instance) -> tuple[int, int]:
     Each entry x of such a row, s * (p**x - q**x) over the scale for scale
     s/t and base p/q, is charged its own width too: the scale's bits plus
     those of s plus x times those of max(p, q), summed over the row."""
-    levels = max(inst.total_subpackets, 1) + 1  # as in valuation.Tables
+    levels = inst.levels
     # (curve, points read, entries valuation.Tables holds, whether validation reads it)
     rows = [(fam, levels, levels - 1, True) for fam in inst.energy]
     weights = set()
-    for p in inst.packets:
-        span = max(inst.horizon, p.arrival) - p.arrival + 1
+    for p, span in zip(inst.packets, inst.spans):
         seen = p.arrival <= inst.horizon
         rows += ((p.distortion, p.subpackets + 1, p.subpackets + 1, seen), (p.delay_cost, span, span, seen))
         weights.add(p.weight.denominator)
@@ -574,11 +579,11 @@ def validate_instance(inst: Instance) -> ValidationReport:
     by point.
     """
     report = ValidationReport()
-    upto = max(inst.total_subpackets, 1)
+    upto = inst.levels - 1
     for srv, fam in enumerate(inst.energy):
         if not _curve_holds(fam, upto, False):
             _check_curve(report, fam, upto, f"energy[{srv}]", concave=False)
-    for p in inst.packets:
+    for p, span in zip(inst.packets, inst.spans):
         if p.arrival > inst.horizon:
             report.note(f"packet {shown(p.id)}: arrival {p.arrival} beyond horizon {inst.horizon}")
             continue
@@ -587,9 +592,8 @@ def validate_instance(inst: Instance) -> ValidationReport:
         # a packet's name is rendered only for a curve that fails
         if not _curve_holds(p.distortion, p.subpackets, True):
             _check_curve(report, p.distortion, p.subpackets, f"packet {shown(p.id)}: D", concave=True)
-        span = inst.horizon - p.arrival
-        if not _curve_holds(p.delay_cost, span, False):
-            _check_curve(report, p.delay_cost, span, f"packet {shown(p.id)}: C", concave=False)
+        if not _curve_holds(p.delay_cost, span - 1, False):
+            _check_curve(report, p.delay_cost, span - 1, f"packet {shown(p.id)}: C", concave=False)
     return report
 
 

@@ -176,7 +176,7 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
     # `emin` per fragment sent: discarding everything strictly dominates them
     plans, static = [], []
     for p, schedules_p in zip(packets, schedules):
-        i = tab.index[p.id]
+        i = inst.index[p.id]
         plan_i, best = [], 0
         for groups, sent, last, empty in schedules_p:
             value = tab.term(i, sent, last)

@@ -92,7 +92,7 @@ def _packet_state(p: Packet, entries: list[tuple[SubpacketRef, Bin]]) -> tuple[i
 class Tables:
     """Every utility[i][count], lag[i][d] and energy_inc[server][occupancy]
     a valid allocation can reach, times one common `scale`; row i is
-    `inst.packets[i]`, and `index` maps a packet id to it.
+    `inst.packets[i]`.
 
     No entry goes through a `Fraction`. Each curve is read once as
     `CostFamily.row`, the unreduced integer pairs (n_x, d_x) of its values
@@ -123,8 +123,6 @@ class Tables:
 
     def __init__(self, inst: Instance):
         self.packets = inst.packets
-        self.index = {p.id: i for i, p in enumerate(inst.packets)}
-        spans = [max(inst.horizon, p.arrival) - p.arrival + 1 for p in inst.packets]
         rows: dict[tuple, int] = {}  # integer (weight, delay-cost family) key -> lag row
         row_of = []
         for p in inst.packets:
@@ -133,14 +131,13 @@ class Tables:
                    *[x.as_integer_ratio() for x in c.params or c.table])
             row_of.append(rows.setdefault(key, len(rows)))
         longest: list[tuple[int, Packet | None]] = [(0, None)] * len(rows)  # (span, packet) per row
-        for p, r, n in zip(inst.packets, row_of, spans):
+        for p, r, n in zip(inst.packets, row_of, inst.spans):
             if n > longest[r][0]:
                 longest[r] = (n, p)
         lags = [[(p.weight.numerator * c, p.weight.denominator * d) for c, d in p.delay_cost.row(n)]
                 for n, p in longest]
-        levels = max(inst.total_subpackets, 1) + 1  # occupancies 0..max(total, 1), as in validate_instance
         energy_inc = [[(n1 * d0 - n0 * d1, d0 * d1) for (n0, d0), (n1, d1) in zip(row, row[1:])]
-                      for row in (fam.row(levels) for fam in inst.energy)]
+                      for row in (fam.row(inst.levels) for fam in inst.energy)]
         utility = []
         for p in inst.packets:
             u, v = p.weight.numerator, p.weight.denominator
@@ -162,7 +159,7 @@ class Tables:
             utility, lags, energy_inc = [[[n // g for n in row] for row in table]
                                          for table in (utility, lags, energy_inc)]
         self.utility = utility
-        self.lag = [lags[r][:n] for r, n in zip(row_of, spans)]
+        self.lag = [lags[r][:n] for r, n in zip(row_of, inst.spans)]
         self.energy_inc = energy_inc
 
     def term(self, i: int, count: int, last: int) -> int:
@@ -255,7 +252,7 @@ def marginal_gains(inst: Instance, alloc: Allocation, ref: SubpacketRef,
     if all(b.is_discard for b in bins):  # no bin's value depends on the packet
         return [0] * len(bins)
     tab = tables(inst)
-    i = tab.index[p.id]
+    i = inst.index[p.id]
     count, last = _packet_state(p, entries)
     current = tab.term(i, count, last)
     early = tab.term(i, count + 1, last) - current

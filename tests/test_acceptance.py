@@ -3,8 +3,12 @@ pass/fail line. The two big seeded campaigns are shared across criteria."""
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
+import json
 import time
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -23,6 +27,10 @@ from aqisim.matching import max_weight_matching, run_online_matching
 from aqisim.oracle import offline_optimal, offline_optimal_binary
 
 F = Fraction
+ROOT = Path(__file__).resolve().parent.parent
+# SHA-256 pins of outputs every refactor keeps byte-identical; a change that
+# alters one on purpose rewrites the file once and says why
+IDENTITY = json.loads((ROOT / "tests" / "golden" / "identity.json").read_text())
 
 
 def _announce(criterion: str, ok: bool, detail: str) -> None:
@@ -177,3 +185,27 @@ def test_criterion_10_campaigns_are_byte_deterministic(tmp_path):
     ok = first.read_bytes() == second.read_bytes()
     _announce("criterion 10", ok,
               f"two identical campaign invocations produced identical {first.stat().st_size}-byte reports")
+
+
+# --- byte identity -----------------------------------------------------------------
+
+def _tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_acceptance_summaries_match_their_pins(binary_campaign, general_campaign):
+    # each summary as `aqisim campaign --out` writes it
+    for name, (summary, _) in (("binary", binary_campaign), ("general", general_campaign)):
+        text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == IDENTITY[f"campaign {name}"]["summary_sha256"], name
+
+
+def test_ladder_rungs_match_their_pins():
+    out = _tool("ladder").rung(200, 100)
+    assert {key: out[key] for key in IDENTITY["ladder 200 100"]} == IDENTITY["ladder 200 100"]
+    out = _tool("greedy_ladder").rung(300, 3, 100, 2)
+    pins = IDENTITY["greedy_ladder 300 3 100 2"]
+    assert {key: out[key] for key in pins} == pins

@@ -528,7 +528,7 @@ def test_no_step_holds_prices_of_its_own():
             row = step._row
             assert row[0] is log, (name, step.step)
             held = [x for x in row if isinstance(x, (list, tuple))]
-            assert len(held) == 1 and held[0] is tab.lag[tab.index[step.ref.packet]], (name, step.step)
+            assert len(held) == 1 and held[0] is tab.lag[inst.index[step.ref.packet]], (name, step.step)
 
 
 # --- tools -------------------------------------------------------------------------

@@ -651,6 +651,20 @@ def test_cli_campaign_exit_codes(tmp_path, capsys):
     assert code == 1
 
 
+def test_cli_campaign_of_one_seed_in_csv_format(tmp_path, capsys):
+    # `--seeds 7` is the one seed 7; the CSV has a row per check, in the
+    # order the checks ran, with the summary's counts
+    out = tmp_path / "summary.json"
+    assert main(["campaign", "--seeds", "7", "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())
+    assert summary["config"]["seeds"] == [7]
+    capsys.readouterr()
+    assert main(["campaign", "--seeds", "7", "--format", "csv"]) == 0
+    slots = [(name, summary["checks"][name]) for name in summary["config"]["checks"]]
+    assert capsys.readouterr().out.splitlines() == ["check,instances,pass,fail,skipped"] + [
+        f"{name},{slot['instances']},{slot['pass']},{slot['fail']},{slot['skipped']}" for name, slot in slots]
+
+
 def test_multi_server_campaign_skips_the_binary_checks(tmp_path, capsys):
     # unit-packet instances on two servers have no binary expansion: the
     # matcher's checks are skipped there instead of aborting the campaign
@@ -842,7 +856,7 @@ def test_cli_error_line_cuts_long_strings_from_the_input(case, tmp_path, capsys)
     assert len(err) < 250 and "..." in err
 
 
-def test_greedy_run_reports_no_optimum_for_an_instance_past_the_budget():
+def test_greedy_run_reports_no_optimum_for_an_instance_past_the_budget(tmp_path, capsys):
     # README's 300-packet instance has about 35M in-order schedules: the oracle
     # must refuse it before building any, not grow until memory runs out
     code = ("import resource\n"
@@ -856,6 +870,14 @@ def test_greedy_run_reports_no_optimum_for_an_instance_past_the_budget():
                           timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "None\n"
+    # a budget that admission passes and the oracle does not: the report has
+    # no optimum, and `--require-opt` turns that into the oracle's error
+    path = tmp_path / "inst.json"
+    assert main(["gen", "--packets", "8", "--max-k", "3", "--horizon", "6", "--seed", "1", "--out", str(path)]) == 0
+    argv = ["run", str(path), "--algorithm", "greedy", "--budget", "300"]
+    assert main(argv) == 0 and json.loads(capsys.readouterr().out)["opt_value"] is None
+    assert main(argv + ["--require-opt"]) == 2
+    assert capsys.readouterr().err == "error: instance too large for exact oracle: more than 300 nodes\n"
 
 
 @pytest.mark.parametrize("shape", ["1000 unit packets", "one packet of 1000 fragments"])
@@ -897,6 +919,19 @@ def test_cli_rejects_empty_sampling_families(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "must be >=" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["adapt-speedscale", "--jobs", "[[2, 0]]", "--horizon", "2", "--servers", "0"], "servers must be >= 1"),
+    (["adapt-speedscale", "--jobs", "[[2, 0]]", "--horizon", "2", "--servers", "2", "--powers", "2"],
+     "need one power curve per server (2), got 1"),
+    (["adapt-speedscale", "--jobs", "[[0, 0]]", "--horizon", "2"], "job 0: size must be >= 1"),
+    (["adapt-aoi", "--events", '{"s1": [1]}', "--values", '{"s1": 9}', "--horizon", "3", "--capacity", "0"],
+     "per-slot capacity must be >= 1"),
+])
+def test_cli_rejects_adapter_arguments_out_of_range(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_repro_command_replays_the_failing_check(tmp_path, capsys):

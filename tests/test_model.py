@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -259,6 +260,18 @@ def test_instance_packet_lookup(single_packet_instance):
     assert single_packet_instance.packet("p0") is single_packet_instance.packets[0]
     with pytest.raises(AllocationError, match="unknown packet"):
         single_packet_instance.packet("zz")
+
+
+def test_instance_facts_follow_its_packets_and_are_not_fields():
+    packets = [unit_packet("b", arrival=1), unit_packet("a", arrival=1), unit_packet("c", arrival=0),
+               replace(unit_packet("d", arrival=4), subpackets=3)]  # d arrives past the horizon
+    inst = simple_instance(packets, horizon=2)
+    assert inst.index == {"b": 0, "a": 1, "c": 2, "d": 3}
+    assert [p.id for p in inst.by_arrival] == ["c", "a", "b", "d"]
+    assert (inst.total_subpackets, inst.levels, inst.spans) == (6, 7, (2, 2, 3, 1))
+    assert simple_instance([], horizon=2).levels == 2  # occupancies 0 and 1, even with no fragment
+    assert [f.name for f in fields(inst)] == ["packets", "horizon", "servers", "energy", "label"]
+    assert inst == simple_instance(packets, horizon=2) == load_instance(store_instance(inst))
 
 
 def test_check_allocation_enforces_causality(single_packet_instance):

@@ -492,7 +492,7 @@ def test_tables_match_the_curves_over_the_reachable_domain():
         tab = tables(inst)
         exact = lambda row: [Fraction(x, tab.scale) for x in row]
         for i, p in enumerate(inst.packets):
-            assert tab.index[p.id] == i
+            assert inst.index[p.id] == i
             assert exact(tab.utility[i]) == [p.utility(c) for c in range(p.subpackets + 1)]
             assert exact(tab.lag[i]) == [p.lag_cost(d) for d in range(inst.horizon - p.arrival + 1)]
             kinds |= {p.distortion.kind, p.delay_cost.kind}
