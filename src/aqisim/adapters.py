@@ -15,6 +15,7 @@ from .model import (
     Instance,
     Packet,
     linear,
+    occupancy_levels,
     require_valid,
     shannon_energy,
     shown,
@@ -107,7 +108,7 @@ def aoi_multisource(events: dict[str, list[int]], values: dict[str, Fraction | i
     increments = [0] * capacity + [big * (i + 1) for i in range(max(total - capacity, 0))]
     inst = Instance(
         packets=tuple(packets), horizon=horizon, servers=1,
-        energy=(summed(increments[:total]) if total else linear(1),),
+        energy=(summed(increments[:occupancy_levels(total) - 1]) if total else linear(1),),
         label="aoi-multisource",
     )
     return FreshnessOracle(source_events, value_map), require_valid(inst, inst.label)
@@ -133,7 +134,7 @@ def speed_scaling(jobs: list[tuple[int, int]], servers: int,
         raise AqiError(f"need one power curve per server ({servers}), got {len(powers)}")
     total = sum(size for size, _ in jobs)
     if unit_value is None:
-        max_inc = max((fam.increment(max(total, 1) - 1) for fam in powers), default=ZERO)
+        max_inc = max((fam.increment(occupancy_levels(total) - 2) for fam in powers), default=ZERO)
         unit_value = 1 + horizon + max_inc
     packets = []
     for i, (size, arrival) in enumerate(jobs):

@@ -25,8 +25,10 @@ from .model import (
     Instance,
     Packet,
     SubpacketRef,
+    admission_floor,
     instance_to_json,
     linear,
+    occupancy_levels,
     rational_to_json,
     require_valid,
     require_within_budget,
@@ -84,13 +86,13 @@ def _delay_family(rng: Random) -> CostFamily:
     return CostFamily("power", params=(Fraction(1), Fraction(2)))
 
 
-def _energy_family(rng: Random, total: int, steep: bool) -> CostFamily:
+def _energy_family(rng: Random, levels: int, steep: bool) -> CostFamily:
     roll = rng.random()
     if steep or roll < 0.35:
         first = rng.randint(0, 1) if not steep else rng.randint(1, 2)
-        growth = (rng.randint(1, 4) if steep else rng.randint(0, 3) for _ in range(max(total, 1) - 1))
+        growth = (rng.randint(1, 4) if steep else rng.randint(0, 3) for _ in range(levels - 2))
         return summed(accumulate(growth, initial=first))
-    if roll < 0.5 and total <= 8:
+    if roll < 0.5 and levels <= 9:  # at most 8 fragments
         return shannon_energy()
     return linear(rng.randint(1, 2))
 
@@ -114,12 +116,9 @@ def generate(packets: int, max_k: int, horizon: int, seed: int,
     # packets x max_k energy steps: charged before the first draw
     if packets * max_k * (1 + servers) > DEFAULT_BUDGET:
         raise BudgetError(f"{label}: instance too large to generate: more than {DEFAULT_BUDGET} cost steps")
-    # a lower bound on `admission_charges`' curve points, past which `require_valid` would refuse:
-    # at least packets + 1 per energy curve and 3 per packet (k >= 1, and it arrives by the horizon)
-    require_within_budget(servers * (packets + 1) + 3 * packets, label)
+    require_within_budget(admission_floor(packets, servers), label)
     rng = Random((seed, mode, packets, max_k, horizon, servers).__repr__())
     out: list[Packet] = []
-    total_cap = packets * max_k
     burst_slot = rng.randrange(0, max(horizon, 1)) if packets else 0
     for i in range(packets):
         if mode == "adversarial-burst":
@@ -147,7 +146,7 @@ def generate(packets: int, max_k: int, horizon: int, seed: int,
             distortion=dist, delay_cost=_delay_family(rng), deadline=deadline,
         ))
     steep = mode in ("adversarial-burst", "adversarial-lock")
-    energy = tuple(_energy_family(rng, total_cap, steep) for _ in range(servers))
+    energy = tuple(_energy_family(rng, occupancy_levels(packets * max_k), steep) for _ in range(servers))
     inst = Instance(
         packets=tuple(out), horizon=horizon, servers=servers, energy=energy,
         label=label,

@@ -178,20 +178,16 @@ class CostFamily:
 
     @staticmethod
     def from_json(doc, where: str) -> "CostFamily":
+        """A missing `table` or `params` list reads as empty, for the constructor to refuse."""
         if not isinstance(doc, dict):
             raise ParseError(f"{where}: expected an object")
         kind = doc.get("kind")
-        if kind not in COST_KINDS:
-            raise ParseError(f"{where}.kind: unknown cost kind {shown(kind)}")
-        if kind == "tabulated":
-            raw = doc.get("table")
-            if not isinstance(raw, list) or not raw:
-                raise ParseError(f"{where}.table: expected a non-empty list")
-            return CostFamily(kind, table=tuple(parse_rational(v, f"{where}.table[{i}]") for i, v in enumerate(raw)))
-        raw = doc.get("params")
+        key = "table" if kind == "tabulated" else "params"
+        raw = doc.get(key, [])
         if not isinstance(raw, list):
-            raise ParseError(f"{where}.params: expected a list")
-        return CostFamily(kind, params=tuple(parse_rational(v, f"{where}.params[{i}]") for i, v in enumerate(raw)))
+            raise ParseError(f"{where}.{key}: expected a list")
+        values = tuple(parse_rational(v, f"{where}.{key}[{i}]") for i, v in enumerate(raw))
+        return _built(where, CostFamily, kind=kind, **{key: values})
 
 
 def linear(slope) -> CostFamily:
@@ -256,6 +252,11 @@ class Packet:
         return self.weight * self.delay_cost.value(lag)
 
 
+def occupancy_levels(total: int) -> int:
+    """The occupancies an energy curve covers: 0 to `total` fragments, or 0 and 1 without any."""
+    return max(total, 1) + 1
+
+
 @dataclass(frozen=True)
 class Instance:
     """A complete scheduling input: packets, slotted horizon and energy curves.
@@ -263,9 +264,8 @@ class Instance:
     The facts every layer reads are derived here, once, and are not fields:
     `index` (packet id -> row), `by_arrival` (the packets in (arrival, id)
     order, as both online schedulers take them), `total_subpackets`,
-    `levels` (how many occupancies an energy row covers: 0 to the total,
-    or 0 and 1 without fragments) and `spans` (per row, the length of its
-    lag row: its delays 0 to horizon - arrival, at least one)."""
+    `levels` (`occupancy_levels` of the total) and `spans` (per row, the
+    length of its lag row: its delays 0 to horizon - arrival, at least one)."""
 
     packets: tuple[Packet, ...]
     horizon: int
@@ -286,7 +286,7 @@ class Instance:
                 raise ParseError(f"duplicate packet id {shown(p.id)}")
         total = sum(p.subpackets for p in self.packets)
         self.__dict__.update(  # past the frozen __setattr__, as they are not fields
-            index=index, total_subpackets=total, levels=max(total, 1) + 1,
+            index=index, total_subpackets=total, levels=occupancy_levels(total),
             by_arrival=tuple(sorted(self.packets, key=lambda p: (p.arrival, p.id))),
             spans=tuple(max(self.horizon, p.arrival) - p.arrival + 1 for p in self.packets))
 
@@ -567,6 +567,12 @@ def admission_charges(inst: Instance) -> tuple[int, int]:
     return points, flat * (1 + bits // 64) + words
 
 
+def admission_floor(packets: int, servers: int) -> int:
+    """A floor on `admission_charges`' curve points when every packet has a
+    fragment and arrives by the horizon: packets + 1 per energy curve, 3 per packet."""
+    return servers * (packets + 1) + 3 * packets
+
+
 def validate_instance(inst: Instance) -> ValidationReport:
     """Check every structural assumption the model places on an instance.
 
@@ -622,14 +628,20 @@ def require_valid(inst: Instance, where: str, budget: int = DEFAULT_BUDGET) -> I
 #  packets: [{id, arrival, subpackets, weight, distortion, delay_cost, deadline}]}
 # ---------------------------------------------------------------------------
 
-def _require_int(doc, key: str, where: str, minimum: int | None = None) -> int:
+def _built(where: str, cls, **fields):
+    """`cls(**fields)`, a constructor's error prefixed with `where`, the location being read."""
+    try:
+        return cls(**fields)
+    except ParseError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+
+
+def _require_int(doc, key: str, where: str) -> int:
     if key not in doc:
         raise ParseError(f"{where}: missing field {key!r}")
     v = doc[key]
     if isinstance(v, bool) or not isinstance(v, int):
         raise ParseError(f"{where}.{key}: expected an integer")
-    if minimum is not None and v < minimum:
-        raise ParseError(f"{where}.{key}: must be >= {minimum}")
     return v
 
 
@@ -639,43 +651,30 @@ def _packet_from_json(doc, where: str) -> Packet:
     for key in ("id", "arrival", "subpackets", "weight", "distortion", "delay_cost"):
         if key not in doc:
             raise ParseError(f"{where}: missing field {key!r}")
-    deadline = doc.get("deadline")
-    if deadline is not None:
-        if isinstance(deadline, bool) or not isinstance(deadline, int):
-            raise ParseError(f"{where}.deadline: expected an integer or null")
-    try:
-        return Packet(
-            id=str(doc["id"]),
-            arrival=_require_int(doc, "arrival", where, minimum=0),
-            subpackets=_require_int(doc, "subpackets", where, minimum=1),
-            weight=parse_rational(doc["weight"], f"{where}.weight"),
-            distortion=CostFamily.from_json(doc["distortion"], f"{where}.distortion"),
-            delay_cost=CostFamily.from_json(doc["delay_cost"], f"{where}.delay_cost"),
-            deadline=deadline,
-        )
-    except ParseError:
-        raise
-    except AqiError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+    return _built(where, Packet, id=str(doc["id"]), arrival=_require_int(doc, "arrival", where),
+                  subpackets=_require_int(doc, "subpackets", where),
+                  weight=parse_rational(doc["weight"], f"{where}.weight"),
+                  distortion=CostFamily.from_json(doc["distortion"], f"{where}.distortion"),
+                  delay_cost=CostFamily.from_json(doc["delay_cost"], f"{where}.delay_cost"),
+                  deadline=None if doc.get("deadline") is None else _require_int(doc, "deadline", where))
 
 
 def instance_from_json(doc) -> Instance:
+    """The reader checks JSON shapes and types, the constructors every value rule."""
     if not isinstance(doc, dict):
         raise ParseError("document: expected an object")
-    horizon = _require_int(doc, "horizon", "document", minimum=0)
-    servers = doc.get("servers", 1)
-    if isinstance(servers, bool) or not isinstance(servers, int) or servers < 1:
-        raise ParseError("document.servers: expected an integer >= 1")
+    horizon = _require_int(doc, "horizon", "document")
+    servers = _require_int(doc, "servers", "document") if "servers" in doc else 1
     raw_energy = doc.get("energy")
-    if not isinstance(raw_energy, list) or not raw_energy:
-        raise ParseError("document.energy: expected a non-empty list of cost families")
+    if not isinstance(raw_energy, list):
+        raise ParseError("document.energy: expected a list of cost families")
     energy = tuple(CostFamily.from_json(e, f"document.energy[{i}]") for i, e in enumerate(raw_energy))
     raw_packets = doc.get("packets")
     if not isinstance(raw_packets, list):
         raise ParseError("document.packets: expected a list")
     packets = tuple(_packet_from_json(p, f"document.packets[{i}]") for i, p in enumerate(raw_packets))
-    return Instance(packets=packets, horizon=horizon, servers=servers, energy=energy,
-                    label=str(doc.get("label", "")))
+    return _built("document", Instance, packets=packets, horizon=horizon, servers=servers, energy=energy,
+                  label=str(doc.get("label", "")))
 
 
 def load_instance(text: str) -> Instance:

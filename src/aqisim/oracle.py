@@ -223,6 +223,8 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
     nodes = 0
 
     def dfs(i: int, partial: int):
+        """Search packets i.. after a prefix worth `partial`. No node starts below the floor: a
+        child is entered at a bound no higher than its static one, the root's is >= the dive's."""
         nonlocal nodes, best_choice, floor, stored
         if i == n:
             if partial >= floor:
@@ -230,8 +232,6 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
                 floor = partial + 1
             return
         bound = partial + suffix_best[i]
-        if bound < floor:
-            return
         # an earlier prefix reached the same visible occupancy with no less value
         seen = memo[i]
         key = tuple(counts[first_cell[i]:])

@@ -39,6 +39,12 @@ def test_reference_gains_match_the_sawtooth_areas():
     assert oracle.marginal("s1e3", 9, schedule) == 20 - (2 * lag + 2)
 
 
+def test_an_events_own_schedule_entry_is_ignored():
+    oracle, _, _ = reference_setup()
+    gain = oracle.marginal("s1e3", 8, {"s1e2": 5})
+    assert gain == F(25, 2) == oracle.marginal("s1e3", 8, {"s1e2": 5, "s1e3": 8})
+
+
 def test_delivering_before_a_scheduled_older_event_earns_nothing():
     oracle, _, schedule = reference_setup()
     assert oracle.marginal("s1e3", 6, schedule) == 0
@@ -185,6 +191,11 @@ def test_sampling_family_validates_across_seeds():
 def test_sampling_family_rejects_counts_that_leave_it_empty(sources, samples, horizon, max_fragments):
     with pytest.raises(AqiError, match="must be >="):
         remote_sampling_family(sources, samples, horizon, seed=0, max_fragments=max_fragments)
+
+
+def test_sampling_family_rejects_an_unknown_fidelity():
+    with pytest.raises(AqiError, match="unknown fidelity shape 'bogus'"):
+        remote_sampling_family(2, 2, 5, seed=0, fidelity="bogus")
 
 
 def test_saturating_fidelity_has_diminishing_integer_steps():

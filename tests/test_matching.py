@@ -164,6 +164,11 @@ def test_forced_edge_constrains_the_optimum():
     assert res.pairs == {"a1": "b1", "a2": "b2"}
 
 
+def test_duplicate_node_ids_rejected():
+    with pytest.raises(MatchingError, match="duplicate node ids"):
+        BipartiteGraph(["a", "a"], ["b"], {"a": 0}, {"b": 1}, {("a", "b"): 1})
+
+
 def test_negative_weights_rejected():
     with pytest.raises(MatchingError, match="negative"):
         graph(["a"], ["b"], {("a", "b"): -1})

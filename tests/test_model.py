@@ -9,10 +9,12 @@ from random import Random
 import pytest
 
 from aqisim import model
+from aqisim.cli import main
 from aqisim.harness import GENERATOR_MODES, generate
 from aqisim.model import (
     Allocation,
     AllocationError,
+    AqiError,
     Bin,
     CostFamily,
     DISCARD,
@@ -60,6 +62,11 @@ def test_tabulated_out_of_range():
         fam.value(2)
 
 
+def test_cost_family_rejects_a_negative_argument():
+    with pytest.raises(AqiError, match="negative argument -1"):
+        linear(1).value(-1)
+
+
 # --- instance validation ---------------------------------------------------
 
 def test_shannon_energy_instance_is_valid():
@@ -92,6 +99,8 @@ def test_energy_must_start_at_zero_and_be_convex():
 def test_arrival_beyond_horizon_reported():
     report = validate_instance(simple_instance([unit_packet(arrival=9)], horizon=2))
     assert any("beyond horizon" in msg for msg in report.problems)
+    report = validate_instance(simple_instance([unit_packet(deadline=9)], horizon=3))
+    assert report.problems == ["packet 'p0': deadline 9 beyond horizon 3"]
 
 
 def test_validation_names_a_packet_only_for_a_curve_that_fails(monkeypatch):
@@ -143,22 +152,78 @@ def test_load_minimal_document():
     assert inst.packets[0].utility(1) == 5
 
 
-def test_parse_errors_carry_location():
-    with pytest.raises(ParseError, match="packets\\[0\\]"):
-        load_instance(json.dumps({
-            "horizon": 1, "energy": [{"kind": "linear", "params": [1]}],
-            "packets": [{"id": "p0"}],
-        }))
-    with pytest.raises(ParseError, match="floats are not exact"):
-        load_instance(json.dumps({
-            "horizon": 1, "energy": [{"kind": "linear", "params": [0.5]}],
-            "packets": [],
-        }))
-    with pytest.raises(ParseError, match="unknown cost kind"):
-        load_instance(json.dumps({
-            "horizon": 1, "energy": [{"kind": "cubic", "params": [1]}],
-            "packets": [],
-        }))
+def _two_packet_document() -> dict:
+    linear_one = {"kind": "linear", "params": [1]}
+    return {
+        "horizon": 3, "servers": 1, "energy": [dict(linear_one)],
+        "packets": [{"id": pid, "arrival": 0, "subpackets": 1, "weight": 1, "deadline": None,
+                     "distortion": {"kind": "tabulated", "table": [0, 5]}, "delay_cost": dict(linear_one)}
+                    for pid in ("p00", "p01")],
+    }
+
+
+def _set(path, value):
+    """A mutation of `_two_packet_document` that sets the entry at `path` to `value`."""
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return doc
+    return mutate
+
+
+# one malformed document per rule: the constructors' value rules, then the reader's shape and type rules
+PARSE_ERROR_CASES = {
+    "unknown-cost-kind": (_set(["energy", 0, "kind"], "cubic"), "document.energy[0]: unknown cost kind 'cubic'"),
+    "empty-table": (_set(["packets", 0, "distortion", "table"], []),
+                    "document.packets[0].distortion: tabulated cost family needs a non-empty table"),
+    "linear-params": (_set(["energy", 0, "params"], []), "document.energy[0]: linear cost family takes params"),
+    "missing-params": (_set(["energy", 0], {"kind": "linear"}), "document.energy[0]: linear cost family takes params"),
+    "power-params": (_set(["packets", 1, "delay_cost"], {"kind": "power", "params": [1, "1/2"]}),
+                     "document.packets[1].delay_cost: power cost family takes params"),
+    "exponential-params": (_set(["energy", 0], {"kind": "exponential", "params": [1, 0]}),
+                           "document.energy[0]: exponential cost family takes params [scale, base > 0]"),
+    "saturating-params": (_set(["packets", 0, "distortion"], {"kind": "saturating", "params": [1]}),
+                          "document.packets[0].distortion: saturating cost family takes params"),
+    "weight": (_set(["packets", 1, "weight"], 0), "document.packets[1]: packet 'p01': weight must be positive"),
+    "arrival": (_set(["packets", 0, "arrival"], -1), "document.packets[0]: packet 'p00': arrival must be >= 0"),
+    "subpackets": (_set(["packets", 0, "subpackets"], 0),
+                   "document.packets[0]: packet 'p00': subpackets must be >= 1"),
+    "deadline-order": (_set(["packets", 1, "deadline"], -1), "document.packets[1]: packet 'p01': deadline precedes"),
+    "horizon": (_set(["horizon"], -1), "document: horizon must be >= 0"),
+    "servers": (_set(["servers"], 0), "document: servers must be >= 1"),
+    "energy-count": (_set(["servers"], 2), "document: need one energy family per server (2), got 1"),
+    "no-energy": (_set(["energy"], []), "document: need one energy family per server (1), got 0"),
+    "duplicate-id": (_set(["packets", 1, "id"], "p00"), "document: duplicate packet id 'p00'"),
+    "bool-rational": (_set(["packets", 0, "weight"], True),
+                      "document.packets[0].weight: expected a rational, got a boolean"),
+    "float-rational": (_set(["energy", 0, "params"], [0.5]), "document.energy[0].params[0]: floats are not exact"),
+    "document-not-an-object": (lambda doc: [], "document: expected an object"),
+    "packet-not-an-object": (_set(["packets", 0], 3), "document.packets[0]: expected an object"),
+    "cost-family-not-an-object": (_set(["energy", 0], "linear"), "document.energy[0]: expected an object"),
+    "params-not-a-list": (_set(["energy", 0, "params"], 1), "document.energy[0].params: expected a list"),
+    "missing-field": (_set(["packets", 0], {"id": "p00"}), "document.packets[0]: missing field 'arrival'"),
+    "non-integer-horizon": (_set(["horizon"], "3"), "document.horizon: expected an integer"),
+    "bool-servers": (_set(["servers"], True), "document.servers: expected an integer"),
+    "non-integer-deadline": (_set(["packets", 0, "deadline"], "1"),
+                             "document.packets[0].deadline: expected an integer"),
+}
+
+
+@pytest.mark.parametrize("case", list(PARSE_ERROR_CASES))
+def test_parse_errors_carry_location(case, tmp_path, capsys):
+    # every rule is checked once, by a constructor or by the reader, and its
+    # error starts with the location being read, in the library and in the CLI
+    mutate, expected = PARSE_ERROR_CASES[case]
+    text = json.dumps(mutate(_two_packet_document()))
+    with pytest.raises(ParseError) as caught:
+        load_instance(text)
+    message = str(caught.value)
+    assert message.startswith(expected), message
+    (tmp_path / "inst.json").write_text(text)
+    assert main(["opt", str(tmp_path / "inst.json")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_fixture_corpus_round_trips():
