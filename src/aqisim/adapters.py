@@ -128,10 +128,6 @@ def speed_scaling(jobs: list[tuple[int, int]], servers: int,
     per-unit utility is set high enough that discarding is never optimal
     (mandatory processing).
     """
-    if servers < 1:
-        raise AqiError("servers must be >= 1")
-    if len(powers) != servers:
-        raise AqiError(f"need one power curve per server ({servers}), got {len(powers)}")
     total = sum(size for size, _ in jobs)
     if unit_value is None:
         max_inc = max((fam.increment(occupancy_levels(total) - 2) for fam in powers), default=ZERO)
@@ -165,7 +161,7 @@ def remote_sampling_family(sources: int, samples_per_source: int, horizon: int,
     if fidelity not in ("saturating", "table"):
         raise AqiError(f"unknown fidelity shape {fidelity!r}")
     for name, value, least in (("sources", sources, 1), ("samples_per_source", samples_per_source, 1),
-                               ("max_fragments", max_fragments, 1), ("horizon", horizon, 0)):
+                               ("max_fragments", max_fragments, 1)):
         if value < least:
             raise AqiError(f"{name} must be >= {least}, got {value}")
     rng = Random(seed)
@@ -185,7 +181,9 @@ def remote_sampling_family(sources: int, samples_per_source: int, horizon: int,
                 weight=Fraction(rng.randint(1, 3)),
                 distortion=dist, delay_cost=delay,
             ))
-            arrival = min(horizon, arrival + rng.randint(1, max(horizon // max(samples_per_source, 1), 1)))
+            # under a negative horizon arrivals stay at 0, so `Instance` refuses the horizon
+            step = rng.randint(1, max(horizon // max(samples_per_source, 1), 1))
+            arrival = min(max(horizon, 0), arrival + step)
     energy = shannon_energy() if rng.random() < 0.5 else linear(rng.randint(1, 2))
     inst = Instance(
         packets=tuple(packets), horizon=horizon, servers=1, energy=(energy,),

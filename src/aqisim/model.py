@@ -86,12 +86,19 @@ COST_KINDS = ("linear", "power", "exponential", "saturating", "tabulated")
 class CostFamily:
     """A cost/utility curve evaluated on non-negative integers.
 
-    kinds:
-      linear      params [slope]           -> slope * x
-      power       params [coeff, exponent] -> coeff * x**exponent  (integer exponent >= 1)
-      exponential params [scale, base]     -> scale * (base**x - 1)      (growing)
-      saturating  params [scale, base]     -> scale * (1 - base**(-x))   (diminishing)
-      tabulated   table  [v0, v1, ...]     -> table[x], error past the end
+    With slope a/b, coefficient c/d, scale s/t and base p/q, each kind's
+    value at x and its closed form as an unreduced integer pair, `pair(x)`:
+
+      kind         params         value at x                         pair(x)
+      linear       [a/b]          a/b * x                            (a*x, b)
+      power        [c/d, e]       c/d * x**e, integer e >= 1         (c*x**e, d)
+      exponential  [s/t, p/q]     s/t * ((p/q)**x - 1), growing      (s*(p**x - q**x), t*q**x)
+      saturating   [s/t, p/q]     s/t * (1 - (q/p)**x), diminishing  (s*(p**x - q**x), t*p**x)
+      tabulated    table [v, ...] table[x], an error past the end    table[x]'s ratio
+
+    `row(n)` gives pair(0), ..., pair(n-1) by recurrence: the same forms,
+    with p**x and q**x each one multiply from the entry before. `value(x)` is
+    `pair(x)` as a `Fraction`.
     """
 
     kind: str
@@ -114,36 +121,32 @@ class CostFamily:
             if len(self.params) != 2 or self.params[1] <= 0:
                 raise ParseError(f"{self.kind} cost family takes params [scale, base > 0]")
 
-    def value(self, x: int) -> Fraction:
+    def pair(self, x: int) -> tuple[int, int]:
+        """The value at x as an unreduced (numerator, denominator > 0) pair,
+        in its kind's closed form; no `Fraction` is built."""
         if x < 0:
             raise AqiError(f"cost family evaluated at negative argument {x}")
-        if self.kind == "linear":
-            return self.params[0] * x
-        if self.kind == "power":
-            return self.params[0] * Fraction(x) ** int(self.params[1])
-        if self.kind == "exponential":
-            scale, base = self.params
-            return scale * (base**x - 1)
-        if self.kind == "saturating":
-            scale, base = self.params
-            return scale * (1 - Fraction(1, 1) / base**x)
-        if x >= len(self.table):
-            raise self._past_table(x)
-        return self.table[x]
+        kind = self.kind
+        if kind == "tabulated":
+            if x >= len(self.table):
+                raise self._past_table(x)
+            return self.table[x].as_integer_ratio()
+        num, den = self.params[0].as_integer_ratio()
+        if kind == "linear":
+            return num * x, den
+        if kind == "power":
+            return num * x ** self.params[1].numerator, den
+        p, q = self.params[1].as_integer_ratio()
+        px, qx = p**x, q**x
+        return num * (px - qx), den * (qx if kind == "exponential" else px)
+
+    def value(self, x: int) -> Fraction:
+        return Fraction(*self.pair(x))
 
     def row(self, n: int) -> list[tuple[int, int]]:
-        """value(0), ..., value(n-1) as unreduced (numerator, denominator)
-        integer pairs, by each kind's recurrence and without a Fraction per
-        entry. With slope a/b, coefficient c/d, scale s/t and base p/q:
-
-          linear      (a*x, b)
-          power       (c*x**e, d)
-          exponential (s*(p**x - q**x), t*q**x)
-          saturating  (s*(p**x - q**x), t*p**x)
-          tabulated   table[x].as_integer_ratio()
-
-        p**x and q**x take one multiply per entry. A table shorter than n
-        raises the error `value` raises at its end."""
+        """pair(0), ..., pair(n-1), by each kind's recurrence and without a
+        Fraction per entry: p**x and q**x take one multiply per entry. A
+        table shorter than n raises the error `pair` raises at its end."""
         if self.kind == "tabulated":
             if n > len(self.table):
                 raise self._past_table(len(self.table))
@@ -636,9 +639,15 @@ def _built(where: str, cls, **fields):
         raise ParseError(f"{where}: {exc}") from exc
 
 
+def _require_fields(doc, keys: tuple[str, ...], where: str) -> None:
+    """Refuse `doc` unless it holds every key, naming the first one missing."""
+    for key in keys:
+        if key not in doc:
+            raise ParseError(f"{where}: missing field {key!r}")
+
+
 def _require_int(doc, key: str, where: str) -> int:
-    if key not in doc:
-        raise ParseError(f"{where}: missing field {key!r}")
+    """The field `key`, present in `doc`, as an integer."""
     v = doc[key]
     if isinstance(v, bool) or not isinstance(v, int):
         raise ParseError(f"{where}.{key}: expected an integer")
@@ -648,9 +657,7 @@ def _require_int(doc, key: str, where: str) -> int:
 def _packet_from_json(doc, where: str) -> Packet:
     if not isinstance(doc, dict):
         raise ParseError(f"{where}: expected an object")
-    for key in ("id", "arrival", "subpackets", "weight", "distortion", "delay_cost"):
-        if key not in doc:
-            raise ParseError(f"{where}: missing field {key!r}")
+    _require_fields(doc, ("id", "arrival", "subpackets", "weight", "distortion", "delay_cost"), where)
     return _built(where, Packet, id=str(doc["id"]), arrival=_require_int(doc, "arrival", where),
                   subpackets=_require_int(doc, "subpackets", where),
                   weight=parse_rational(doc["weight"], f"{where}.weight"),
@@ -663,6 +670,7 @@ def instance_from_json(doc) -> Instance:
     """The reader checks JSON shapes and types, the constructors every value rule."""
     if not isinstance(doc, dict):
         raise ParseError("document: expected an object")
+    _require_fields(doc, ("horizon",), "document")
     horizon = _require_int(doc, "horizon", "document")
     servers = _require_int(doc, "servers", "document") if "servers" in doc else 1
     raw_energy = doc.get("energy")

@@ -6,8 +6,9 @@ of its completion lag; per (slot, server), the energy of the fragment count
 placed there. A packet finishing past its deadline forfeits utility and delay
 alike; discarded fragments contribute nothing anywhere. Marginals, the
 exact oracle and the binary expansion compute on `tables(inst)`, built from
-integer rows of the cost curves; `evaluate` and `transmit_weight` read the
-curves through `CostFamily.value`, as references for them.
+integer rows of the cost curves (`CostFamily.row`). `evaluate` reads each
+point in its closed form, `CostFamily.pair`, and `transmit_weight` through
+`CostFamily.value`, as references for them.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .model import (
     AllocationError,
     AqiError,
     Bin,
+    CostFamily,
     Instance,
     Packet,
     SubpacketRef,
@@ -38,10 +40,10 @@ Pair = tuple[int, int]  # an exact rational as an unreduced (numerator, denomina
 class Valuation:
     """Value breakdown of one allocation; total is recomputable from parts.
 
-    The parts are kept as integer pairs: `packets` maps a packet id to its
-    (utility, delay) pairs and `slots` maps (slot, server) to its energy
-    pair. `per_packet` and `per_slot` render them as `Fraction`s afresh on
-    each read."""
+    The parts are kept as unreduced integer pairs: `packets` maps a packet
+    id to its (utility, delay) pairs and `slots` maps (slot, server) to its
+    energy pair. `per_packet` and `per_slot` render them as `Fraction`s
+    afresh on each read."""
 
     total: Fraction
     packets: dict[str, tuple[Pair, Pair]] = field(repr=False)
@@ -96,14 +98,8 @@ class Tables:
 
     No entry goes through a `Fraction`. Each curve is read once as
     `CostFamily.row`, the unreduced integer pairs (n_x, d_x) of its values
-    at x = 0, 1, ..., by each kind's recurrence (slope a/b, coefficient c/d,
-    scale s/t, base p/q):
-
-      linear (a*x, b); power (c*x**e, d);
-      exponential (s*(p**x - q**x), t*q**x); saturating (s*(p**x - q**x), t*p**x);
-      tabulated: the entry's numerator and denominator.
-
-    With weight w = u/v, a utility entry w * (D(c) - D(0)) is
+    at x = 0, 1, ..., by each kind's recurrence, and each packet's weight
+    w = u/v once, as its integer ratio. A utility entry w * (D(c) - D(0)) is
     (u * (n_c*d_0 - n_0*d_c), v * d_c*d_0), a lag entry w * C(d) is
     (u * n_d, v * d_d), and an energy increment E(c+1) - E(c) is
     (n_1*d_0 - n_0*d_1, d_0*d_1). With D the lcm of the distinct unreduced
@@ -125,25 +121,24 @@ class Tables:
         self.packets = inst.packets
         rows: dict[tuple, int] = {}  # integer (weight, delay-cost family) key -> lag row
         row_of = []
-        for p in inst.packets:
-            c = p.delay_cost
-            key = (*p.weight.as_integer_ratio(), c.kind,
-                   *[x.as_integer_ratio() for x in c.params or c.table])
-            row_of.append(rows.setdefault(key, len(rows)))
-        longest: list[tuple[int, Packet | None]] = [(0, None)] * len(rows)  # (span, packet) per row
-        for p, r, n in zip(inst.packets, row_of, inst.spans):
-            if n > longest[r][0]:
-                longest[r] = (n, p)
-        lags = [[(p.weight.numerator * c, p.weight.denominator * d) for c, d in p.delay_cost.row(n)]
-                for n, p in longest]
-        energy_inc = [[(n1 * d0 - n0 * d1, d0 * d1) for (n0, d0), (n1, d1) in zip(row, row[1:])]
-                      for row in (fam.row(inst.levels) for fam in inst.energy)]
+        longest: list[tuple[int, int, int, CostFamily]] = []  # per lag row: (span, u, v, family)
         utility = []
-        for p in inst.packets:
-            u, v = p.weight.numerator, p.weight.denominator
+        for p, span in zip(inst.packets, inst.spans):
+            u, v = p.weight.as_integer_ratio()
+            c = p.delay_cost
+            key = (u, v, c.kind, *[x.as_integer_ratio() for x in c.params or c.table])
+            r = rows.setdefault(key, len(rows))
+            row_of.append(r)
+            if r == len(longest):
+                longest.append((span, u, v, c))
+            elif span > longest[r][0]:
+                longest[r] = (span, u, v, c)
             values = p.distortion.row(p.subpackets + 1)
             n0, d0 = values[0]
             utility.append([(u * (n * d0 - n0 * d), v * d * d0) for n, d in values])
+        lags = [[(u * n, v * d) for n, d in c.row(span)] for span, u, v, c in longest]
+        energy_inc = [[(n1 * d0 - n0 * d1, d0 * d1) for (n0, d0), (n1, d1) in zip(row, row[1:])]
+                      for row in (fam.row(inst.levels) for fam in inst.energy)]
         dens = {d for table in (utility, lags, energy_inc) for row in table for _, d in row}
         common = math.lcm(*dens)
         lift = {d: common // d for d in dens}
@@ -194,10 +189,10 @@ def evaluate(inst: Instance, alloc: Allocation) -> Valuation:
     """Exact value of `alloc` with a per-packet and per-slot breakdown.
 
     The reference that `tables` and `CostFamily.row` are checked against, so
-    it reads neither: every curve value comes from `CostFamily.value`. The
-    weight and utility-difference arithmetic runs on integer (numerator,
-    denominator) pairs, and the total is one `Fraction` over the lcm of
-    their denominators."""
+    it reads neither: every curve point is read in its closed form,
+    `CostFamily.pair`. The weight and utility-difference arithmetic runs on
+    these unreduced integer (numerator, denominator) pairs, and the total is
+    the one `Fraction` built, over the lcm of their denominators."""
     check_allocation(inst, alloc)
     counts: dict[tuple[int, int], int] = {}
     for ref, b in alloc.entries.items():
@@ -213,11 +208,11 @@ def evaluate(inst: Instance, alloc: Allocation) -> Valuation:
             packets[p.id] = ((0, 1), (0, 1))
             continue
         u, v = p.weight.as_integer_ratio()
-        ns, ds = p.distortion.value(count).as_integer_ratio()
-        n0, d0 = p.distortion.value(0).as_integer_ratio()
-        nl, dl = p.delay_cost.value(last - p.arrival).as_integer_ratio()
+        ns, ds = p.distortion.pair(count)
+        n0, d0 = p.distortion.pair(0)
+        nl, dl = p.delay_cost.pair(last - p.arrival)
         packets[p.id] = ((u * (ns * d0 - n0 * ds), v * ds * d0), (u * nl, v * dl))
-    slots = {key: inst.energy[key[1]].value(c).as_integer_ratio() for key, c in counts.items()}
+    slots = {key: inst.energy[key[1]].pair(c) for key, c in counts.items()}
     common = math.lcm(*{d for pair in packets.values() for _, d in pair},
                       *{d for _, d in slots.values()})
     total = (sum(nu * (common // du) - nd * (common // dd) for (nu, du), (nd, dd) in packets.values())

@@ -94,20 +94,21 @@ def oracle_calls(monkeypatch) -> list[Instance]:
 
 @pytest.fixture
 def curve_work(monkeypatch) -> Counter:
-    """Counts exact-arithmetic work: `CostFamily.value` calls under "value"
-    and builds of an instance's integer tables under "tables"."""
+    """Counts exact-arithmetic work: curve points read one at a time, as
+    `CostFamily.pair` calls (which `CostFamily.value` makes too), under
+    "pair" and builds of an instance's integer tables under "tables"."""
     counts: Counter = Counter()
-    value = CostFamily.value
+    pair = CostFamily.pair
     build = valuation.Tables.__init__
 
-    def counted_value(self, x):
-        counts["value"] += 1
-        return value(self, x)
+    def counted_pair(self, x):
+        counts["pair"] += 1
+        return pair(self, x)
 
     def counted_build(self, inst):
         counts["tables"] += 1
         build(self, inst)
 
-    monkeypatch.setattr(CostFamily, "value", counted_value)
+    monkeypatch.setattr(CostFamily, "pair", counted_pair)
     monkeypatch.setattr(valuation.Tables, "__init__", counted_build)
     return counts

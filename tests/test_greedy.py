@@ -207,14 +207,14 @@ SHARED_LAG_ROW_VALUE_CALLS = 2_000
 def test_greedy_shares_packet_and_energy_terms_across_bins(monkeypatch):
     inst = generate(100, 3, 40, 0, mode="random", servers=2)
     calls = 0
-    value = CostFamily.value
+    pair = CostFamily.pair
 
     def counted(self, x):
         nonlocal calls
         calls += 1
-        return value(self, x)
+        return pair(self, x)
 
-    monkeypatch.setattr(CostFamily, "value", counted)
+    monkeypatch.setattr(CostFamily, "pair", counted)
     run_online_greedy(inst)
     assert 0 < calls <= SHARED_LAG_ROW_VALUE_CALLS < PER_BIN_RESCORING_VALUE_CALLS // 2
 

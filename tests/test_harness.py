@@ -277,14 +277,14 @@ def test_huge_inputs_are_refused_before_the_work_they_would_cost(tmp_path, capsy
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc))
     values = 0
-    value = CostFamily.value
+    pair = CostFamily.pair
 
-    def counted_value(self, x):
+    def counted_pair(self, x):
         nonlocal values
         values += 1
-        return value(self, x)
+        return pair(self, x)
 
-    monkeypatch.setattr(CostFamily, "value", counted_value)
+    monkeypatch.setattr(CostFamily, "pair", counted_pair)
     assert main(["opt", str(path), "--budget", "20000"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -383,7 +383,7 @@ def test_a_power_curve_is_charged_its_exponent_before_it_is_computed(tmp_path, c
         calls += 1
         raise AssertionError("a curve was computed")
 
-    monkeypatch.setattr(CostFamily, "value", refused)
+    monkeypatch.setattr(CostFamily, "pair", refused)
     monkeypatch.setattr(CostFamily, "row", refused)
     assert main(["opt", str(path)]) == 2
     captured = capsys.readouterr()
@@ -504,14 +504,14 @@ def test_built_instances_past_the_budget_are_refused_before_validation(argv, val
     # slots each delay curve has 100M points, and validating them ended in a
     # MemoryError; now the same curve-point gate as a read file refuses them
     calls = 0
-    value = CostFamily.value
+    pair = CostFamily.pair
 
-    def counted_value(self, x):
+    def counted_pair(self, x):
         nonlocal calls
         calls += 1
-        return value(self, x)
+        return pair(self, x)
 
-    monkeypatch.setattr(CostFamily, "value", counted_value)
+    monkeypatch.setattr(CostFamily, "pair", counted_pair)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -924,7 +924,7 @@ def test_cli_rejects_empty_sampling_families(argv, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["adapt-speedscale", "--jobs", "[[2, 0]]", "--horizon", "2", "--servers", "0"], "servers must be >= 1"),
     (["adapt-speedscale", "--jobs", "[[2, 0]]", "--horizon", "2", "--servers", "2", "--powers", "2"],
-     "need one power curve per server (2), got 1"),
+     "need one energy family per server (2), got 1"),
     (["adapt-speedscale", "--jobs", "[[0, 0]]", "--horizon", "2"], "job 0: size must be >= 1"),
     (["adapt-aoi", "--events", '{"s1": [1]}', "--values", '{"s1": 9}', "--horizon", "3", "--capacity", "0"],
      "per-slot capacity must be >= 1"),

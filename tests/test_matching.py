@@ -826,16 +826,16 @@ PER_EDGE_VALUE_CALLS = 7_270
 
 def test_online_run_and_expansion_do_bounded_work(monkeypatch):
     inst = _online_matching_instance(0)
-    calls = {"value": 0, "row": 0, "solve": 0, "phase": 0, "fraction": 0}
-    value = CostFamily.value
+    calls = {"pair": 0, "row": 0, "solve": 0, "phase": 0, "fraction": 0}
+    pair = CostFamily.pair
     row = CostFamily.row
     solve = matching.max_weight_matching
     phase = matching._Hungarian.phase
     fraction = matching.Fraction
 
-    def counted_value(self, x):
-        calls["value"] += 1
-        return value(self, x)
+    def counted_pair(self, x):
+        calls["pair"] += 1
+        return pair(self, x)
 
     def counted_row(self, n):
         calls["row"] += 1
@@ -856,7 +856,7 @@ def test_online_run_and_expansion_do_bounded_work(monkeypatch):
         calls["fraction"] += 1
         return fraction(*args)
 
-    monkeypatch.setattr(CostFamily, "value", counted_value)
+    monkeypatch.setattr(CostFamily, "pair", counted_pair)
     monkeypatch.setattr(CostFamily, "row", counted_row)
     monkeypatch.setattr(matching, "max_weight_matching", counted_solve)
     init = matching._Hungarian.__init__
@@ -877,7 +877,7 @@ def test_online_run_and_expansion_do_bounded_work(monkeypatch):
     assert calls["fraction"] == 0
     # the tables read each curve as one integer row: one per packet's
     # utility, per shared lag row and per server's energy
-    assert calls["value"] == 0
+    assert calls["pair"] == 0
     assert 0 < calls["row"] <= 2 * len(inst.packets) + inst.servers < PER_EDGE_VALUE_CALLS // 4
     indexes = []  # per solver, in build order: (its seeds, its cursor)
 

@@ -84,6 +84,44 @@ def test_a_cost_row_is_the_curve_as_integer_pairs(fam, n):
     assert [Fraction(num, den) for num, den in fam.row(n)] == [fam.value(x) for x in range(n)]
 
 
+def reference_value(fam: CostFamily, x: int) -> Fraction:
+    """The curve at x by its definition, in `Fraction` arithmetic."""
+    if fam.kind == "linear":
+        return fam.params[0] * x
+    if fam.kind == "power":
+        return fam.params[0] * Fraction(x) ** int(fam.params[1])
+    if fam.kind == "tabulated":
+        return fam.table[x]
+    scale, base = fam.params
+    if fam.kind == "exponential":
+        return scale * (base**x - 1)
+    return scale * (1 - Fraction(1, 1) / base**x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(families(), st.integers(0, 12))
+def test_a_point_in_closed_form_is_the_curve_and_its_row_entry(fam, n):
+    # each kind at x = 0..n-1, a table up to and past its end
+    if fam.kind == "tabulated":
+        n = min(n, len(fam.table))
+    row = fam.row(n)
+    for x in range(n):
+        num, den = fam.pair(x)
+        assert den > 0
+        assert Fraction(num, den) == reference_value(fam, x) == Fraction(*row[x]) == fam.value(x)
+    if fam.kind == "tabulated":
+        end = len(fam.table)
+        assert Fraction(*fam.pair(end - 1)) == fam.table[-1]
+        for read in (fam.pair, fam.value):
+            with pytest.raises(AqiError) as past:
+                read(end)
+            assert str(past.value) == f"tabulated cost family has no value at {end} (table length {end})"
+    for read in (fam.pair, fam.value):
+        with pytest.raises(AqiError) as negative:
+            read(-1 - n)
+        assert str(negative.value) == f"cost family evaluated at negative argument {-1 - n}"
+
+
 @st.composite
 def buildups(draw):
     """An instance and an insertion order of all its fragments, each with a
@@ -346,16 +384,16 @@ def test_the_cli_exits_0_1_or_2_with_one_error_line(tmp_path_factory, doc, comma
     path = tmp_path_factory.getbasetemp() / "mutated.json"
     path.write_text(json.dumps(doc))
     values = 0
-    value = CostFamily.value
+    pair = CostFamily.pair
 
-    def counted_value(self, x):
+    def counted_pair(self, x):
         nonlocal values
         values += 1
-        return value(self, x)
+        return pair(self, x)
 
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        patch.setattr(CostFamily, "value", counted_value)
+        patch.setattr(CostFamily, "pair", counted_pair)
         code = main([command[0], str(path), *command[1:], "--budget", str(CLI_BUDGET)])
     assert code in (0, 1, 2)
     if code == 2:

@@ -305,7 +305,7 @@ def test_check_instance_builds_the_integer_tables_once(curve_work):
     for seed, inst in enumerate(instances):
         check_instance(inst, config, seed)
         assert curve_work["tables"] == seed + 1
-    assert curve_work["value"] <= SEPARATE_SCALINGS_VALUE_CALLS // 4
+    assert curve_work["pair"] <= SEPARATE_SCALINGS_VALUE_CALLS // 4
 
 
 def test_budget_error_from_the_single_search_skips_all_three_checks(oracle_calls):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -130,28 +131,68 @@ def test_evaluate_reads_neither_the_tables_nor_cost_rows(monkeypatch):
         assert json.dumps(val.to_json()) == text and val.recompute_total() == val.total, inst.label
 
 
+def _fractions_built(fn):
+    """(`fn()`, the number of `Fraction`s built while it ran), counted by a
+    profile hook on the constructors, so `Fraction` itself is not patched."""
+    constructors = {Fraction.__new__.__code__}
+    if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12+ builds arithmetic results there
+        constructors.add(Fraction._from_coprime_ints.__func__.__code__)
+    built = 0
+
+    def profile(frame, event, arg):
+        nonlocal built
+        if event == "call" and frame.f_code in constructors:
+            built += 1
+
+    sys.setprofile(profile)
+    try:
+        out = fn()
+    finally:
+        sys.setprofile(None)
+    return out, built
+
+
+def test_evaluate_reads_each_point_as_a_pair_and_builds_one_fraction(monkeypatch):
+    # every curve point comes from `CostFamily.pair`, three per packet that
+    # sends in time and one per occupied (slot, server), and the only
+    # `Fraction` built is the total
+    cases = _evaluated_allocations()
+
+    def refused(self, x):
+        raise AssertionError("evaluate read CostFamily.value")
+
+    reads = 0
+    pair = CostFamily.pair
+
+    def counted_pair(self, x):
+        nonlocal reads
+        reads += 1
+        return pair(self, x)
+
+    monkeypatch.setattr(CostFamily, "value", refused)
+    monkeypatch.setattr(CostFamily, "pair", counted_pair)
+    for inst, alloc in cases:
+        occupied, points = set(), 0
+        for p in inst.packets:
+            sent = [b for _, b in alloc.packet_entries(p.id) if not b.is_discard]
+            occupied.update((b.slot, b.server) for b in sent)
+            if sent and (p.deadline is None or max(b.slot for b in sent) <= p.deadline):
+                points += 3
+        reads = 0
+        _, built = _fractions_built(lambda: evaluate(inst, alloc))
+        assert built == 1, inst.label
+        assert reads == points + len(occupied), inst.label
+
+
 @pytest.fixture
 def fraction_sums(monkeypatch) -> Counter:
-    """Counts `Fraction` additions and subtractions made outside
-    `CostFamily.value`, whose own arithmetic is the curve's definition."""
+    """Counts `Fraction` additions and subtractions."""
     counts: Counter = Counter()
-    inside = []
     for name in ("__add__", "__radd__", "__sub__", "__rsub__"):
         def counted(self, other, _original=getattr(Fraction, name), _name=name):
-            if not inside:
-                counts[_name] += 1
+            counts[_name] += 1
             return _original(self, other)
         monkeypatch.setattr(Fraction, name, counted)
-    value = CostFamily.value
-
-    def curve(self, x):
-        inside.append(x)
-        try:
-            return value(self, x)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(CostFamily, "value", curve)
     return counts
 
 
@@ -395,11 +436,12 @@ def test_tables_match_recorded_hashes():
 
 def test_tables_read_each_curve_as_integer_rows(monkeypatch):
     # online-greedy-shaped instances (100 packets, k<=3, h=40, 2 servers) and
-    # the hand-built ones: no table entry goes through a Fraction-valued call
+    # the hand-built ones: no table entry is read one curve point at a time,
+    # nor through a Fraction-valued call (`CostFamily.value` reads `pair`)
     instances = [generate(100, 3, 40, seed, mode=GENERATOR_MODES[seed], servers=2, deadline_prob=0.3)
                  for seed in range(3)] + _hand_built_instances()
     calls = Counter()
-    for owner, name in ((CostFamily, "value"), (Packet, "utility"), (Packet, "lag_cost")):
+    for owner, name in ((CostFamily, "pair"), (Packet, "utility"), (Packet, "lag_cost")):
         def counted(self, x, _original=getattr(owner, name), _name=name):
             calls[_name] += 1
             return _original(self, x)
