@@ -14,9 +14,11 @@ from .model import (
     CostFamily,
     Instance,
     Packet,
+    admission_charges,
     linear,
     occupancy_levels,
     require_valid,
+    require_within_budget,
     shannon_energy,
     shown,
     shrinking,
@@ -126,25 +128,21 @@ def speed_scaling(jobs: list[tuple[int, int]], servers: int,
     Linear per-slot lag cost models slotted flow time; fragments of one job
     may run on different machines in the same slot. Without `unit_value` the
     per-unit utility is set high enough that discarding is never optimal
-    (mandatory processing).
+    (mandatory processing): it is read from the power curves' last
+    increment, once the curve-point gate has admitted them.
     """
-    total = sum(size for size, _ in jobs)
+    def built(value) -> Instance:
+        packets = tuple(Packet(id=f"j{i}", arrival=arrival, subpackets=size, weight=Fraction(1),
+                               distortion=linear(Fraction(value)), delay_cost=linear(1))
+                        for i, (size, arrival) in enumerate(jobs))
+        return Instance(packets=packets, horizon=horizon, servers=servers, energy=tuple(powers),
+                        label="speed-scaling")
+
     if unit_value is None:
-        max_inc = max((fam.increment(occupancy_levels(total) - 2) for fam in powers), default=ZERO)
-        unit_value = 1 + horizon + max_inc
-    packets = []
-    for i, (size, arrival) in enumerate(jobs):
-        if size < 1:
-            raise AqiError(f"job {i}: size must be >= 1")
-        packets.append(Packet(
-            id=f"j{i}", arrival=arrival, subpackets=size, weight=Fraction(1),
-            distortion=linear(Fraction(unit_value)),
-            delay_cost=linear(1),
-        ))
-    inst = Instance(
-        packets=tuple(packets), horizon=horizon, servers=servers,
-        energy=tuple(powers), label="speed-scaling",
-    )
+        inst = built(1)
+        require_within_budget(max(admission_charges(inst)), inst.label)
+        unit_value = 1 + horizon + max(fam.increment(inst.levels - 2) for fam in powers)
+    inst = built(unit_value)
     return require_valid(inst, inst.label)
 
 

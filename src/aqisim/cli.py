@@ -4,6 +4,7 @@ verify guarantees on single instances and run seeded campaigns."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -23,11 +24,14 @@ from .harness import (
     summary_to_text,
 )
 from .model import (
+    MAX_DIGITS,
     AqiError,
     CostFamily,
     ParseError,
     linear,
+    literal_digits,
     load_instance,
+    parse_json,
     parse_rational,
     require_valid,
     shown,
@@ -42,6 +46,13 @@ def _parse(convert, text: str, what: str):
         return convert(text)
     except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deeply
         raise AqiError(f"bad {what} {shown(text)}: {exc}") from None
+
+
+def _parse_int(text: str, what: str) -> int:
+    """`int(text)`, refused before it converts a number of more than MAX_DIGITS digits."""
+    if literal_digits(text) > MAX_DIGITS:
+        raise AqiError(f"bad {what} {shown(text)}: a number of more than {MAX_DIGITS} digits")
+    return _parse(int, text, what)
 
 
 def _budget(args) -> int:
@@ -77,7 +88,7 @@ def _checked(value, what: str, ok: bool, expected: str):
 def _parse_seed_range(text: str, budget: int) -> list[int]:
     """The seeds of `lo:hi`, or one seed; a range of more than `budget`
     seeds is refused before its list is built."""
-    bounds = [_parse(int, part, "--seeds bound") for part in text.split(":", 1)]
+    bounds = [_parse_int(part, "--seeds bound") for part in text.split(":", 1)]
     if len(bounds) == 1:
         return bounds
     lo, hi = bounds
@@ -169,7 +180,7 @@ def cmd_campaign(args) -> int:
 def _json_arg(text: str, what: str, shape: str, fits) -> object:
     """Decode a JSON argument and require `fits(doc)`; malformed JSON or a
     document of the wrong shape is reported as an AqiError."""
-    doc = _parse(json.loads, text, what)
+    doc = _parse(parse_json, text, what)
     if not fits(doc):
         raise AqiError(f"bad {what} {shown(text)}: expected {shape}")
     return doc
@@ -199,7 +210,7 @@ def cmd_adapt_speedscale(args) -> int:
                          isinstance(j, list) and len(j) == 2 and all(map(_is_int, j)) for j in d))
     powers = [
         linear(1) if kind == "linear"
-        else CostFamily("power", params=(Fraction(1), Fraction(_parse(int, kind, "--powers entry"))))
+        else CostFamily("power", params=(Fraction(1), Fraction(_parse_int(kind, "--powers entry"))))
         for kind in args.powers
     ]
     inst = speed_scaling(jobs, args.servers, powers, args.horizon,
@@ -307,11 +318,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _exact_digits():
+    """Lift Python's limit on converting integers to text, so that every
+    output is written exactly: a product of admitted numbers may have more
+    than MAX_DIGITS digits. The reader still refuses a longer number before
+    it converts it. Python before 3.10.7 has no limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _exact_digits():
+            return args.func(args)
     except (AqiError, OSError) as exc:  # OSError: an unreadable input or unwritable --out path
         # one line, even when the message echoes an id holding a newline
         sys.stderr.write("error: " + str(exc).replace("\n", "\\n") + "\n")

@@ -43,8 +43,44 @@ def shown(value) -> str:
     return text if len(text) <= 80 else text[:80] + "..."
 
 
+# Python refuses to convert an integer of more digits than this to or from
+# text, by default from 3.10.7 on; the reader refuses such a number first
+MAX_DIGITS = 4300
+
+
+class LongInteger(str):
+    """The text of a JSON integer of more than MAX_DIGITS digits, which
+    `parse_json` keeps unconverted for the reader to refuse where it reads it."""
+
+
+def parse_json(text: str):
+    """`json.loads(text)`, with each integer of more than MAX_DIGITS digits
+    kept as its `LongInteger` text."""
+    return json.loads(text, parse_int=lambda digits: (
+        LongInteger(digits) if len(digits.lstrip("-")) > MAX_DIGITS else int(digits)))
+
+
+def literal_digits(text: str) -> int:
+    """A bound on the digits of the numerator and of the denominator that
+    `Fraction(text)` builds, read without converting `text`: the digits of
+    each side of a `/`, or of a decimal plus the size of its exponent."""
+    mantissa, _, exponent = text.lower().partition("e")
+    digits = max(sum(map(str.isdecimal, part)) for part in mantissa.split("/"))
+    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if not exponent.isdecimal():  # no exponent, or one `Fraction` refuses
+        return digits
+    # an exponent of five digits or more is at least 10,000: past the limit either way
+    return digits + min(int(exponent[:5]), MAX_DIGITS)
+
+
+def _too_long(where: str) -> ParseError:
+    return ParseError(f"{where}: a number of more than {MAX_DIGITS} digits")
+
+
 def parse_rational(value, where: str = "value") -> Fraction:
-    """Parse an exact rational from JSON: int, "p/q" string or integer string."""
+    """Parse an exact rational from JSON: int, "p/q" string or integer string.
+    A string whose number would have more than MAX_DIGITS digits is refused
+    before it is converted."""
     if isinstance(value, bool):
         raise ParseError(f"{where}: expected a rational, got a boolean")
     if isinstance(value, int):
@@ -52,6 +88,8 @@ def parse_rational(value, where: str = "value") -> Fraction:
     if isinstance(value, float):
         raise ParseError(f"{where}: floats are not exact; use an integer or 'p/q' string")
     if isinstance(value, str):
+        if literal_digits(value) > MAX_DIGITS:
+            raise _too_long(where)
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -449,64 +487,59 @@ class ValidationReport:
     def note(self, text: str) -> None:
         self.problems.append(text)
 
+    def notes(self, name: str, texts: list[str]) -> None:
+        """Note each of `texts` as a problem of `name`."""
+        self.problems += [f"{name}: {text}" for text in texts]
+
 
 def _curve_holds(fam: CostFamily, upto: int, concave: bool) -> bool:
-    """Whether `fam` passes every check of `_check_curve` on 0..upto, decided
-    without a Fraction per point. A parametric curve is 0 at 0 and its
-    increments keep one sign and change in one direction throughout:
+    """Whether parametric `fam` is admissible on 0..upto, decided in closed
+    form on its parameters' integer ratios, slope, coeff or scale a/b and
+    base p/q: it is 0 at 0, and its increments keep one sign and change in
+    one direction throughout:
 
       kind         increment sign   sign of the increments' change
-      linear       slope            0
-      power        coeff            coeff, 0 if the exponent is 1
-      exponential  scale*(base-1)   scale, 0 if the base is 1
-      saturating   scale*(base-1)   -scale, 0 if the base is 1
-
-    A table is scanned once on its entries' integer ratios, each increment
-    an unreduced pair and each comparison cross-multiplied."""
-    if fam.kind == "tabulated":
-        if upto >= len(fam.table):
-            return False
-        pairs = [v.as_integer_ratio() for v in fam.table[:upto + 1]]
-        if pairs[0][0]:
-            return False
-        last_num, last_den = 0, 0  # compares equal to the first increment
-        for (n0, d0), (n1, d1) in zip(pairs, pairs[1:]):
-            num, den = n1 * d0 - n0 * d1, d0 * d1
-            bend = num * last_den - last_num * den
-            if num < 0 or (bend > 0 if concave else bend < 0):
-                return False
-            last_num, last_den = num, den
-        return True
+      linear       a                0
+      power        a                a, 0 if the exponent is 1
+      exponential  a * (p - q)      a, 0 if p = q
+      saturating   a * (p - q)      -a, 0 if p = q"""
+    a = fam.params[0].numerator
     if fam.kind in ("linear", "power"):
-        step = fam.params[0]
-        bend = 0 if fam.kind == "linear" or fam.params[1] == 1 else step
+        step, bend = a, 0 if fam.kind == "linear" or fam.params[1].numerator == 1 else a
     else:
-        scale, base = fam.params
-        step = scale * (base - 1)
-        bend = 0 if base == 1 else scale if fam.kind == "exponential" else -scale
+        p, q = fam.params[1].as_integer_ratio()
+        step, bend = a * (p - q), 0 if p == q else a if fam.kind == "exponential" else -a
     return not (upto >= 1 and step < 0 or upto >= 2 and (bend > 0 if concave else bend < 0))
 
 
-def _check_curve(report: ValidationReport, fam: CostFamily, upto: int, name: str, *, concave: bool) -> None:
-    """Note every problem of `fam` on 0..upto: a value other than 0 at 0, a
-    decrease, and increments that are not concave (convex), evaluated point
-    by point. Validation walks only the curves `_curve_holds` fails."""
+def _curve_problems(fam: CostFamily, upto: int, concave: bool) -> list[str]:
+    """Every problem of `fam` on 0..upto, in order: a value other than 0 at
+    0, then each decrease, then each pair of increments that is not concave
+    (convex). A table, or a parametric curve `_curve_holds` fails, is scanned
+    once over `row(upto + 1)`, each increment an unreduced integer pair and
+    each comparison cross-multiplied; a number becomes a `Fraction` only in
+    a problem's text."""
+    if fam.kind != "tabulated" and _curve_holds(fam, upto, concave):
+        return []
     try:
-        values = [fam.value(x) for x in range(upto + 1)]
+        pairs = fam.row(upto + 1)
     except AqiError as exc:
-        report.note(f"{name}: {exc}")
-        return
-    if values[0] != 0:
-        report.note(f"{name}: value at 0 is {values[0]}, expected 0")
-    deltas = [b - a for a, b in zip(values, values[1:])]
-    for i, d in enumerate(deltas):
-        if d < 0:
-            report.note(f"{name}: decreases at {i + 1}")
-    for i in range(1, len(deltas)):
-        if concave and deltas[i] > deltas[i - 1]:
-            report.note(f"{name}: increments increase at i={i + 1} ({deltas[i - 1]} then {deltas[i]})")
-        if not concave and deltas[i] < deltas[i - 1]:
-            report.note(f"{name}: increments decrease at i={i + 1} (not convex)")
+        return [str(exc)]
+    decreases, bends = [], []
+    last_num = last_den = x = 0  # the zero pair compares equal to the first increment
+    for (n0, d0), (n1, d1) in zip(pairs, pairs[1:]):
+        x += 1
+        num, den = n1 * d0 - n0 * d1, d0 * d1
+        bend = num * last_den - last_num * den
+        if num < 0:
+            decreases.append(f"decreases at {x}")
+        if bend > 0 if concave else bend < 0:
+            bends.append(f"increments increase at i={x} ({Fraction(last_num, last_den)} then {Fraction(num, den)})"
+                         if concave else f"increments decrease at i={x} (not convex)")
+        last_num, last_den = num, den
+    if pairs[0][0]:
+        return [f"value at 0 is {Fraction(*pairs[0])}, expected 0"] + decreases + bends
+    return decreases + bends
 
 
 def admission_charges(inst: Instance) -> tuple[int, int]:
@@ -517,10 +550,11 @@ def admission_charges(inst: Instance) -> tuple[int, int]:
 
     Curve points: each energy curve on 0..total fragments, and each packet
     within the horizon's distortion on 0..fragments and delay on 0..horizon -
-    arrival. Validation decides most curves without evaluating them, but
-    later layers such as `valuation.Tables` read these points, so the gate
-    counts them, each point of a power curve charged its exponent, as
-    x**exponent holds about exponent times the bits of x.
+    arrival. Validation reads a table's points once, in integers, and a
+    parametric curve's only when its closed form fails, but later layers
+    such as `valuation.Tables` read every point, so the gate counts them,
+    each point of a power curve charged its exponent, as x**exponent holds
+    about exponent times the bits of x.
 
     Table words: the tables' entries times the machine words of a bound on
     their common scale's bits. The scale divides the lcm of the entries'
@@ -582,16 +616,16 @@ def validate_instance(inst: Instance) -> ValidationReport:
     Returns an empty report iff the instance is admissible: distortion curves
     have non-increasing positive-direction increments and start at 0, delay
     and energy curves are convex non-decreasing with value 0 at 0, and all
-    arrivals/deadlines fit the horizon. Each curve is decided by its shape
-    (`_curve_holds`): in O(1) from a parametric curve's parameters, in one
-    integer scan of a table. Only a failing curve is named and evaluated point
-    by point.
+    arrivals/deadlines fit the horizon. Each curve's problems come from
+    `_curve_problems`: a parametric curve is decided in O(1) from its
+    parameters, a table in one integer scan of its entries. Only a curve
+    with a problem is named.
     """
     report = ValidationReport()
     upto = inst.levels - 1
     for srv, fam in enumerate(inst.energy):
-        if not _curve_holds(fam, upto, False):
-            _check_curve(report, fam, upto, f"energy[{srv}]", concave=False)
+        if problems := _curve_problems(fam, upto, False):
+            report.notes(f"energy[{srv}]", problems)
     for p, span in zip(inst.packets, inst.spans):
         if p.arrival > inst.horizon:
             report.note(f"packet {shown(p.id)}: arrival {p.arrival} beyond horizon {inst.horizon}")
@@ -599,10 +633,10 @@ def validate_instance(inst: Instance) -> ValidationReport:
         if p.deadline is not None and p.deadline > inst.horizon:
             report.note(f"packet {shown(p.id)}: deadline {p.deadline} beyond horizon {inst.horizon}")
         # a packet's name is rendered only for a curve that fails
-        if not _curve_holds(p.distortion, p.subpackets, True):
-            _check_curve(report, p.distortion, p.subpackets, f"packet {shown(p.id)}: D", concave=True)
-        if not _curve_holds(p.delay_cost, span - 1, False):
-            _check_curve(report, p.delay_cost, span - 1, f"packet {shown(p.id)}: C", concave=False)
+        if problems := _curve_problems(p.distortion, p.subpackets, True):
+            report.notes(f"packet {shown(p.id)}: D", problems)
+        if problems := _curve_problems(p.delay_cost, span - 1, False):
+            report.notes(f"packet {shown(p.id)}: C", problems)
     return report
 
 
@@ -649,6 +683,8 @@ def _require_fields(doc, keys: tuple[str, ...], where: str) -> None:
 def _require_int(doc, key: str, where: str) -> int:
     """The field `key`, present in `doc`, as an integer."""
     v = doc[key]
+    if isinstance(v, LongInteger):
+        raise _too_long(f"{where}.{key}")
     if isinstance(v, bool) or not isinstance(v, int):
         raise ParseError(f"{where}.{key}: expected an integer")
     return v
@@ -688,7 +724,7 @@ def instance_from_json(doc) -> Instance:
 def load_instance(text: str) -> Instance:
     """Parse an instance from its JSON document."""
     try:
-        doc = json.loads(text)
+        doc = parse_json(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"document: invalid JSON ({exc})") from exc
     except RecursionError:

@@ -494,10 +494,12 @@ def test_the_tables_charge_bounds_the_tables_built():
 @pytest.mark.parametrize("argv, values", [
     (["gen", "--packets", "1", "--horizon", "100000000"], 0),
     (["adapt-sampling", "--horizon", "100000000"], 0),
-    # the unit value reads one increment of the power curve, two points
-    (["adapt-speedscale", "--jobs", "[[1,0]]", "--horizon", "100000000"], 2),
+    # the default unit value reads a power curve's last increment only once the gate admits it
+    (["adapt-speedscale", "--jobs", "[[1,0]]", "--horizon", "100000000"], 0),
     (["adapt-aoi", "--events", '{"s1": [0]}', "--values", '{"s1": 5}', "--horizon", "100000000"], 0),
     (["campaign", "--seeds", "0:1", "--packets", "1", "--horizon", "100000000", "--checks", "submodularity"], 0),
+    # a power curve of exponent 10M: reading its increment took 52 s
+    (["adapt-speedscale", "--jobs", "[[50,0]]", "--horizon", "2", "--powers", "10000000"], 0),
 ])
 def test_built_instances_past_the_budget_are_refused_before_validation(argv, values, capsys, monkeypatch):
     # the generator and the adapters validate what they build: over 100M
@@ -925,7 +927,7 @@ def test_cli_rejects_empty_sampling_families(argv, capsys):
     (["adapt-speedscale", "--jobs", "[[2, 0]]", "--horizon", "2", "--servers", "0"], "servers must be >= 1"),
     (["adapt-speedscale", "--jobs", "[[2, 0]]", "--horizon", "2", "--servers", "2", "--powers", "2"],
      "need one energy family per server (2), got 1"),
-    (["adapt-speedscale", "--jobs", "[[0, 0]]", "--horizon", "2"], "job 0: size must be >= 1"),
+    (["adapt-speedscale", "--jobs", "[[0, 0]]", "--horizon", "2"], "packet 'j0': subpackets must be >= 1"),
     (["adapt-aoi", "--events", '{"s1": [1]}', "--values", '{"s1": 9}', "--horizon", "3", "--capacity", "0"],
      "per-slot capacity must be >= 1"),
 ])

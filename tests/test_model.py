@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import re
+import sys
+import time
 from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -24,6 +27,7 @@ from aqisim.model import (
     check_allocation,
     linear,
     load_instance,
+    parse_rational,
     shannon_energy,
     store_instance,
     tabulated,
@@ -130,6 +134,30 @@ def test_validation_names_a_packet_only_for_a_curve_that_fails(monkeypatch):
     assert calls == ["p0", "p0"]
 
 
+def test_validation_names_failing_curves_without_evaluating_a_point(monkeypatch):
+    # the problems of a failing table and a failing parametric curve come
+    # from the one integer scan, never from `CostFamily.value`
+    calls = 0
+    value = CostFamily.value
+
+    def counted(self, x):
+        nonlocal calls
+        calls += 1
+        return value(self, x)
+
+    monkeypatch.setattr(CostFamily, "value", counted)
+    bad = simple_instance([Packet(id="p0", arrival=0, subpackets=2, weight=Fraction(1),
+                                  distortion=tabulated([0, 3, 8]),
+                                  delay_cost=CostFamily("saturating", params=(Fraction(1), Fraction(2))))],
+                          horizon=3)
+    assert validate_instance(bad).problems == [
+        "packet 'p0': D: increments increase at i=2 (3 then 5)",
+        "packet 'p0': C: increments decrease at i=2 (not convex)",
+        "packet 'p0': C: increments decrease at i=3 (not convex)",
+    ]
+    assert calls == 0
+
+
 def test_deadline_precedes_arrival_rejected():
     with pytest.raises(ParseError, match="deadline precedes arrival"):
         unit_packet(arrival=3, deadline=1)
@@ -224,6 +252,80 @@ def test_parse_errors_carry_location(case, tmp_path, capsys):
     (tmp_path / "inst.json").write_text(text)
     assert main(["opt", str(tmp_path / "inst.json")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# --- numbers past the 4,300 digits Python converts to or from text -----------
+
+LONG = "1" * 5001
+
+
+def _minimal_with(tmp_path, replacements: dict) -> str:
+    """`fixtures/minimal.json` with each text key replaced by its value, written to a file."""
+    text = (FIXTURES / "minimal.json").read_text()
+    for old, new in replacements.items():
+        assert old in text
+        text = text.replace(old, new)
+    (tmp_path / "inst.json").write_text(text)
+    return str(tmp_path / "inst.json")
+
+
+@pytest.mark.parametrize("weight", [
+    '"1e5000"',  # exponent notation, checked before it is expanded
+    '"1e30000000"',  # expanding it alone took 50 s
+    '"1e-5000"',
+    LONG,  # a JSON integer, which the JSON reader keeps as text
+    f'"{LONG}"',
+    f'"1/{LONG}"',
+], ids=["exponent", "huge-exponent", "negative-exponent", "json-integer", "integer-string", "denominator"])
+@pytest.mark.parametrize("command", [["opt"], ["run", "--algorithm", "greedy"],
+                                     ["run", "--algorithm", "matching"], ["verify"]],
+                         ids=["opt", "run-greedy", "run-matching", "verify"])
+def test_a_number_past_the_digit_limit_is_refused_where_it_is_read(weight, command, tmp_path, capsys):
+    path = _minimal_with(tmp_path, {'"weight": 1': f'"weight": {weight}'})
+    started = time.perf_counter()
+    assert main([*command, path]) == 2
+    assert time.perf_counter() - started < 1
+    assert capsys.readouterr().err == "error: document.packets[0].weight: a number of more than 4300 digits\n"
+
+
+def test_an_integer_field_past_the_digit_limit_is_refused_where_it_is_read(tmp_path, capsys):
+    path = _minimal_with(tmp_path, {'"horizon": 3': f'"horizon": {LONG}'})
+    assert main(["opt", path]) == 2
+    assert capsys.readouterr().err == "error: document.horizon: a number of more than 4300 digits\n"
+
+
+def test_the_digit_limit_counts_the_number_a_literal_writes():
+    assert parse_rational("1e4299") == 10**4299  # 4,300 digits
+    assert parse_rational("9" * 4300 + "/" + "7" * 4300) == Fraction(int("9" * 4300), int("7" * 4300))
+    assert parse_rational("1.5e-4298") == Fraction(15, 10**4299)
+    for text in ("1e4300", "1E-4300", "1.5e4299", "9" * 4301, "1/" + "7" * 4301, "1e" + "0" * 9000 + "99999"):
+        with pytest.raises(ParseError, match="^x: a number of more than 4300 digits$"):
+            parse_rational(text, "x")
+    assert load_instance((FIXTURES / "minimal.json").read_text().replace(
+        '"weight": 1', '"weight": ' + "1" * 4300)).packets[0].weight == int("1" * 4300)
+
+
+def test_adapter_values_past_the_digit_limit_are_refused(capsys):
+    assert main(["adapt-aoi", "--events", '{"a":[1]}', "--values", '{"a":"1e5000"}', "--horizon", "3"]) == 2
+    assert capsys.readouterr().err == """error: bad --values '{"a":"1e5000"}': 'a': a number of more than 4300 digits\n"""
+    assert main(["adapt-aoi", "--events", '{"a":[%s]}' % LONG, "--values", '{"a":1}', "--horizon", "3"]) == 2
+    assert capsys.readouterr().err.endswith("expected an object of integer lists\n")
+    assert main(["adapt-speedscale", "--jobs", "[[1,0]]", "--horizon", "2", "--powers", LONG]) == 2
+    assert capsys.readouterr().err.endswith(": a number of more than 4300 digits\n")
+
+
+@pytest.mark.parametrize("command", [["opt"], ["run", "--algorithm", "greedy"]], ids=["opt", "run-greedy"])
+def test_an_output_past_the_digit_limit_is_written_exactly(command, tmp_path, capsys):
+    # weight 10**4000 times a distortion slope of 10**4000, less the energy of one
+    # slot: an optimum of 8,000 nines, each factor inside the limit
+    path = _minimal_with(tmp_path, {'"weight": 1': '"weight": "1e4000"',
+                                    '"kind": "tabulated",\n        "table": [\n          0,\n          5\n        ]':
+                                    '"kind": "linear", "params": ["1e4000"]'})
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    assert main([*command, path]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r'": 9{8000}[,\n]', out) and "9" * 8001 not in out
+    assert (sys.get_int_max_str_digits() if limit is not None else None) == limit
 
 
 def test_fixture_corpus_round_trips():

@@ -31,7 +31,6 @@ from aqisim.model import (  # noqa: E402
     Instance,
     Packet,
     SubpacketRef,
-    ValidationReport,
     admission_charges,
     instance_to_json,
     linear,
@@ -325,14 +324,43 @@ def shaped_families(draw) -> CostFamily:
     return CostFamily(kind, params=(draw(st.sampled_from(SHAPE_VALUES)), second))
 
 
+def walked_problems(fam: CostFamily, upto: int, concave: bool) -> list[str]:
+    """The reference for `model._curve_problems`: every problem of `fam` on
+    0..upto, found by evaluating each point as a `Fraction` and comparing
+    the `Fraction` increments."""
+    try:
+        values = [fam.value(x) for x in range(upto + 1)]
+    except AqiError as exc:
+        return [str(exc)]
+    problems = [] if values[0] == 0 else [f"value at 0 is {values[0]}, expected 0"]
+    deltas = [b - a for a, b in zip(values, values[1:])]
+    for i, d in enumerate(deltas):
+        if d < 0:
+            problems.append(f"decreases at {i + 1}")
+    for i in range(1, len(deltas)):
+        if concave and deltas[i] > deltas[i - 1]:
+            problems.append(f"increments increase at i={i + 1} ({deltas[i - 1]} then {deltas[i]})")
+        if not concave and deltas[i] < deltas[i - 1]:
+            problems.append(f"increments decrease at i={i + 1} (not convex)")
+    return problems
+
+
 @settings(max_examples=500, deadline=None)
 @given(shaped_families(), st.integers(0, 6), st.booleans())
 def test_a_curve_decided_by_its_shape_gets_the_problems_of_the_point_walk(fam, upto, concave):
-    # validation walks a curve only when its shape fails, so the shape must
-    # fail exactly the curves whose walk finds a problem
-    walked = ValidationReport()
-    model._check_curve(walked, fam, upto, "curve", concave=concave)
-    assert model._curve_holds(fam, upto, concave) == walked.ok
+    # a parametric curve is scanned only when its shape fails, so the shape
+    # must fail exactly the curves whose walk finds a problem
+    walked = walked_problems(fam, upto, concave)
+    if fam.kind != "tabulated":
+        assert model._curve_holds(fam, upto, concave) == (not walked)
+    assert (not model._curve_problems(fam, upto, concave)) == (not walked)
+
+
+@settings(max_examples=500, deadline=None)
+@given(shaped_families(), st.integers(0, 11), st.booleans())
+def test_the_point_scan_writes_the_problems_of_the_fraction_walk(fam, upto, concave):
+    # ranges up to 11 run past the end of every drawn table (at most 9 entries)
+    assert model._curve_problems(fam, upto, concave) == walked_problems(fam, upto, concave)
 
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
