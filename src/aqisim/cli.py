@@ -228,9 +228,38 @@ def cmd_adapt_sampling(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose every refusal is one `error:` line and exit code 2,
+    quoting at most 80 characters of a bad value (`shown`); help is unchanged."""
+
+    def _get_value(self, action, text):
+        try:
+            return super()._get_value(action, text)
+        except argparse.ArgumentError:
+            expected = "an integer" if action.type is int else "a number"
+            raise argparse.ArgumentError(None, f"bad {_name(action)} {shown(text)}: expected {expected}") from None
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            raise argparse.ArgumentError(
+                None, f"bad {_name(action)} {shown(value)}: expected one of {', '.join(action.choices)}")
+
+    def parse_args(self, args=None, namespace=None):
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments {shown(' '.join(extras))}")
+        return args
+
+    def error(self, message):
+        self.exit(2, "error: " + message.replace("\n", "\\n") + "\n")
+
+
+def _name(action) -> str:
+    return action.option_strings[-1] if action.option_strings else action.dest
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="aqisim",
-                                     description="online slotted-scheduling simulator and verifier")
+    parser = _Parser(prog="aqisim", description="online slotted-scheduling simulator and verifier")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a seeded instance")

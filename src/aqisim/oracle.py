@@ -54,30 +54,38 @@ never reported unless it is that first leaf.
 
 Occupancy memo: what packets i.. can add depends only on the occupancy of
 the cells they can reach, the slots from their earliest arrival on. The
-memo maps (i, that occupancy), the tuple of those cells' counts, to the
-highest partial value seen there, and a node whose partial value is no
-higher is skipped. This is safe for the same reason as pruning. Once the
-search leaves a subtree, every leaf in it is below the floor: it was
-rejected (below D or the incumbent), set the floor one above itself, or was
-pruned while below a floor that never falls. The skipped node is visited
-later in key order, and each of its completions adds the same value to no
-more partial value, so it scores no more than the same completion of the
-earlier node: below the floor too, never accepted. The first maximizer in
-key order is worth at least D and more than every leaf before it, so it is
-at or above the floor when the search reaches it; no subtree holding it is
-pruned or skipped, and the reported optimum is the lexicographically
-smallest maximizer. The table is capped at `MEMO_CAP` entries; once full it
-only answers lookups (keeping or raising a stored value), which skips fewer
-nodes and changes no answer. `nodes` counts the schedules tried at the
-expanded search nodes.
+memo maps (i, that occupancy) to the highest partial value seen there, and
+a node whose partial value is no higher is skipped. The occupancy is one
+integer: each schedule carries its code, 1 << (bits * cell) summed over its
+fragments with bits = total_subpackets.bit_length(), a node passes its code
+plus a candidate's to the child, and the key is that sum shifted right past
+the cells before the earliest arrival. No count reaches 2**bits, so equal
+keys mean equal counts. A candidate's key is tested in the parent, before
+its counts are added or its child is called, so a skipped node costs one
+lookup. This is safe for the same reason as pruning. Once the search leaves
+a subtree, every leaf in it is below the floor: it was rejected (below D or
+the incumbent), set the floor one above itself, or was pruned while below a
+floor that never falls. The skipped node is visited later in key order, and
+each of its completions adds the same value to no more partial value, so it
+scores no more than the same completion of the earlier node: below the
+floor too, never accepted. The first maximizer in key order is worth at
+least D and more than every leaf before it, so it is at or above the floor
+when the search reaches it; no subtree holding it is pruned or skipped, and
+the reported optimum is the lexicographically smallest maximizer. The table
+is capped at `MEMO_CAP` entries, the root taking one place though it is
+never keyed; once full it only answers lookups (keeping or raising a stored
+value), which skips fewer nodes and changes no answer. `nodes` counts the
+schedules tried at the expanded search nodes.
 
 Before it builds the energy step table or any schedule, the search charges
-both against the node budget, in closed form: the schedules times the cells,
-and the table's entries, len(row) + 1 - m per server row and m up to the
-largest packet, times the machine words of its widest prefix sum. Steep
-energy on a long packet makes the table, not the search, the cost (3,000
-fragments of energy 2**(64 c) - 1 in one bin hold 4.5M entries of up to
-3,000 words), so it is refused there with the same budget error.
+both against the node budget, in closed form: the schedules times the cells
+(each schedule's code and each memo key are bits x cells wide, under one
+machine word per cell), and the table's entries, len(row) + 1 - m per
+server row and m up to the largest packet, times the machine words of its
+widest prefix sum. Steep energy on a long packet makes the table, not the
+search, the cost (3,000 fragments of energy 2**(64 c) - 1 in one bin hold
+4.5M entries of up to 3,000 words), so it is refused there with the same
+budget error.
 """
 
 from __future__ import annotations
@@ -132,7 +140,8 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
     too_large = f"instance too large for exact oracle: more than {budget} nodes"
     too_deep = "instance too deep for exact oracle: past Python's recursion limit"
     # k fragments over the n cells a packet reaches: comb(n + k, k) schedules,
-    # each charged once per cell, since every memo key holds a count per cell
+    # each charged once per cell, since its code and every memo key hold a
+    # field per cell
     schedule_cells = ncells * sum(comb(max(ncells - p.arrival * servers, 0) + p.subpackets, p.subpackets)
                                   for p in packets)
     # the energy table below holds len(row) + 1 - m entries per row and m <=
@@ -152,21 +161,30 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
         cost.append([None] + [[b - a for a, b in zip(cum, cum[m:])] for m in range(1, most + 1)])
     counts = [0] * ncells  # fragments per cell on the current search path
 
+    # a count per cell, each in a field of `bits` bits: no count passes
+    # total_subpackets, which is < 2**bits, so equal codes mean equal counts
+    bits = inst.total_subpackets.bit_length()
+
     @cache  # every packet of one (arrival, k) shape shares its schedules
     def shape(arrival: int, k: int) -> list:
-        """(groups, fragments sent, last slot, empty energy) of every schedule
-        of the shape in key order, with one (cost row, cell, m) group per bin
-        used; the empty energy is what its bins charge when empty, the sum of
-        their rows' `row[0]`."""
-        def extend(groups, sent, first, empty):
+        """(groups, fragments sent, last slot, empty energy, code) of every
+        schedule of the shape in key order, with one (cost row, cell, m) group
+        per bin used; the empty energy is what its bins charge when empty, the
+        sum of their rows' `row[0]`, and the code adds 1 << (bits * cell) per
+        fragment sent."""
+        def extend(groups, sent, first, empty, code):
             for cell in range(first, ncells) if sent < k else ():
                 m = groups[-1][2] + 1 if groups and cell == first else 1
                 head, below = (groups[:-1], empty - groups[-1][0][0]) if m > 1 else (groups, empty)
                 row = cost[cell % servers][m]
-                yield from extend(head + ((row, cell, m),), sent + 1, cell, below + row[0])
-            yield groups, sent, groups[-1][1] // servers if groups else arrival, empty
+                yield from extend(head + ((row, cell, m),), sent + 1, cell, below + row[0],
+                                  code + (1 << (bits * cell)))
+            yield groups, sent, groups[-1][1] // servers if groups else arrival, empty, code
 
-        return list(extend((), 0, arrival * servers, 0))
+        try:
+            return list(extend((), 0, arrival * servers, 0, 0))
+        finally:
+            del extend  # a recursive closure is a cycle: free it now, not at a collection
 
     try:
         schedules = [shape(p.arrival, p.subpackets) for p in packets]
@@ -178,10 +196,10 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
     for p, schedules_p in zip(packets, schedules):
         i = inst.index[p.id]
         plan_i, best = [], 0
-        for groups, sent, last, empty in schedules_p:
+        for groups, sent, last, empty, code in schedules_p:
             value = tab.term(i, sent, last)
             if value >= emin * sent:
-                plan_i.append((groups, value, value - empty))
+                plan_i.append((groups, value, value - empty, code))
                 best = max(best, value - emin * sent)
         plans.append(plan_i)
         static.append(best)
@@ -191,14 +209,16 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
 
     # the non-empty candidates by top, highest first, then by value and plan
     # index, for the occupancy bound and the dive
-    tops = [sorted(((top, value, -ci, groups) for ci, (groups, value, top) in enumerate(plan_i) if groups),
+    tops = [sorted(((top, value, -ci, groups) for ci, (groups, value, top, _) in enumerate(plan_i) if groups),
                    reverse=True) for plan_i in plans]
     n = len(packets)
     # packets i.. reach only the cells from their earliest arrival on, so
-    # `counts[first_cell[i]:]` is the occupancy they can see
-    first_cell = [servers * min(p.arrival for p in packets[i:]) for i in range(n)]
-    memo: list[dict[tuple[int, ...], int]] = [{} for _ in range(n)]
-    stored = 0
+    # `code >> shift[i]` holds the occupancy they can see
+    shift = [bits * servers * min(p.arrival for p in packets[i:]) for i in range(n)]
+    memo: list[dict[int, int]] = [{} for _ in range(n)]
+    # each child is keyed before it is entered; the root, never keyed, still
+    # takes one of the MEMO_CAP places
+    stored = min(1, MEMO_CAP)
     chosen: list[int] = [0] * n
     best_choice: list[int] | None = None
     # a leaf must reach the floor: the greedy dive's value first, then the
@@ -222,28 +242,18 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
         floor += best[0]
     nodes = 0
 
-    def dfs(i: int, partial: int):
-        """Search packets i.. after a prefix worth `partial`. No node starts below the floor: a
-        child is entered at a bound no higher than its static one, the root's is >= the dive's."""
+    def dfs(i: int, partial: int, code: int):
+        """Search packets i.. after a prefix worth `partial` that left the counts
+        `code`. No node starts below the floor: a child is entered at a bound no
+        higher than its static one, the root's is >= the dive's."""
         nonlocal nodes, best_choice, floor, stored
         if i == n:
             if partial >= floor:
                 best_choice = chosen.copy()
                 floor = partial + 1
             return
-        bound = partial + suffix_best[i]
-        # an earlier prefix reached the same visible occupancy with no less value
-        seen = memo[i]
-        key = tuple(counts[first_cell[i]:])
-        best_seen = seen.get(key)
-        if best_seen is not None:
-            if best_seen >= partial:
-                return
-            seen[key] = partial
-        elif stored < MEMO_CAP:
-            seen[key] = partial
-            stored += 1
         # replace each packet's static term by its term at the current occupancy
+        bound = partial + suffix_best[i]
         for j in range(i, n):
             best = 0
             for top, value, _, groups in tops[j]:
@@ -265,24 +275,45 @@ def offline_optimal(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResul
         nodes += len(plans[i])
         if nodes > budget:
             raise BudgetError(too_large)
-        for ci, (groups, value, top) in enumerate(plans[i]):
-            if rest + top < floor:
+        # the memo keys the children, not the leaves
+        seen, below = (memo[i + 1], shift[i + 1]) if i + 1 < n else (None, 0)
+        # a child must reach rest + its value >= floor; only a child raises the floor
+        cut = floor - rest
+        for ci, (groups, value, top, delta) in enumerate(plans[i]):
+            if top < cut:
                 continue
             for row, cell, _ in groups:
                 value -= row[counts[cell]]
-            if rest + value < floor:
+            if value < cut:
                 continue
+            worth, child = partial + value, code + delta
+            if seen is not None:
+                # an earlier prefix reached the same visible occupancy with no less value
+                key = child >> below
+                best_seen = seen.get(key)
+                if best_seen is not None:
+                    if best_seen >= worth:
+                        continue
+                    seen[key] = worth
+                elif stored < MEMO_CAP:
+                    seen[key] = worth
+                    stored += 1
             for _, cell, m in groups:
                 counts[cell] += m
             chosen[i] = ci
-            dfs(i + 1, partial + value)
+            dfs(i + 1, worth, child)
             for _, cell, m in groups:
                 counts[cell] -= m
+            cut = floor - rest
 
     try:
-        dfs(0, 0)
+        dfs(0, 0, 0)
     except RecursionError:
         raise BudgetError(too_deep) from None
+    finally:
+        # dfs reaches itself through its closure: without this the cycle keeps
+        # every table of the search alive until the next cyclic collection
+        del dfs
     # the optimum is a leaf worth no less than the dive, so it reaches the first floor
     assert best_choice is not None
     best_total = floor - 1

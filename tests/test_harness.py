@@ -306,11 +306,11 @@ def test_huge_inputs_are_refused_before_the_work_they_would_cost(tmp_path, capsy
                                    linear(1))], horizon=5)
     assert validate_instance(many).ok
     assert values == 0
-    # the oracle's gate charges each schedule once per cell, since every memo
-    # key holds a count per cell: one unit packet over 20,001 slots has
-    # 20,001 schedules, under the default budget, but 20,001 x 20,001 cells
-    # is not; it is refused before the search builds its energy prefix sums
-    # or any schedule
+    # the oracle's gate charges each schedule once per cell, since its code
+    # and every memo key hold a field of total_subpackets.bit_length() bits
+    # per cell: one unit packet over 20,001 slots has 20,001 schedules, under
+    # the default budget, but 20,001 x 20,001 cells is not; it is refused
+    # before the search builds its energy prefix sums or any schedule
     doc["horizon"] = 20_000
     inst = load_instance(json.dumps(doc))
     sums = 0
@@ -831,6 +831,27 @@ def test_cli_error_line_does_not_echo_a_long_argument_whole(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: bad --") and err.count("\n") == 1
     assert len(err) < 400 and "..." in err
+
+
+@pytest.mark.parametrize("argv, shown", [
+    # argparse's own refusal was a usage block and the whole value: 5,344
+    # characters for this one
+    (["gen", "--horizon", "1" * 5001], "'" + "1" * 79 + "...: expected an integer"),
+    (["gen", "--deadline-prob", "x"], "'x': expected a number"),
+    (["campaign", "--modes", "nope"], "'nope': expected one of random, adversarial-lock, adversarial-burst"),
+    (["gen", "--bogus", "y" * 500], "'--bogus " + "y" * 71 + "..."),
+])
+def test_cli_refuses_a_bad_option_value_in_one_short_line(argv, shown, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(("error: bad --", "error: unrecognized arguments '")) and err.count("\n") == 1
+    assert err.rstrip("\n").endswith(shown) and len(err) < 200
+    # help keeps its usage text
+    with pytest.raises(SystemExit) as exit_:
+        main([argv[0], "--help"])
+    assert exit_.value.code == 0 and capsys.readouterr().out.startswith(f"usage: aqisim {argv[0]}")
 
 
 @pytest.mark.parametrize("case", ["cost kind", "packet id", "validated packet id", "values key", "events key"])

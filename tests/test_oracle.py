@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import importlib.util
 import json
@@ -277,6 +278,31 @@ def test_envelope_tool_reports_the_worst_seed_of_each_mode():
     burst = envelope.envelope(7, 3, 6, budget=3_000)[2]
     assert burst["mode"] == "adversarial-burst" and burst["over_budget"] == [1, 2]
     assert burst["nodes"] == offline_optimal(generate(7, 3, 6, 3, mode="adversarial-burst")).nodes
+    # --servers reaches every seed's instance
+    for row in envelope.envelope(4, 2, 4, servers=2):
+        nodes = {seed: offline_optimal(generate(4, 2, 4, seed, mode=row["mode"], servers=2)).nodes
+                 for seed in range(4)}
+        assert row["nodes"] == max(nodes.values()) == nodes[row["nodes_seed"]]
+    with pytest.raises(SystemExit, match="2"):
+        envelope.main(["4", "2", "4", "--servers", "0"])
+
+
+def test_a_search_leaves_no_garbage_cycles():
+    # the search's recursive closures used to be reference cycles: each kept
+    # its tables alive until the next cyclic collection, which then had to
+    # traverse them, about 0.4 ms per collection inside a verify-general run
+    inst = generate(5, 3, 5, 25, mode="adversarial-burst")
+    gc.collect()
+    gc.disable()
+    try:
+        offline_optimal(inst)
+        try:
+            offline_optimal(inst, budget=5_000)  # past the gate, refused in the search
+        except BudgetError:
+            pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # --- occupancy memo --------------------------------------------------------------
@@ -340,6 +366,43 @@ def test_a_full_memo_changes_no_allocation(monkeypatch):
     assert [_digest(r) for r in capped] == [_digest(r) for r in full]
     # the capped table stops growing, so the memo skips fewer nodes
     assert sum(r.nodes for r in capped) > sum(r.nodes for r in full)
+
+
+def _one_slot(ks, servers=1):
+    # every packet arrives at slot 0 of a horizon-0 instance, so on one server
+    # every fragment shares one cell and its count can reach total_subpackets
+    square = tabulated([c * c for c in range(sum(ks) + 1)])
+    packets = [Packet(id=f"p{i}", arrival=0, subpackets=k, weight=F(1), distortion=linear(4 + i % 3),
+                      delay_cost=linear(0)) for i, k in enumerate(ks)]
+    return simple_instance(packets, horizon=0, energy=[square] * servers, servers=servers)
+
+
+def test_memo_key_fields_hold_every_count():
+    # the memo keys a node's counts as one integer, a field of
+    # total_subpackets.bit_length() bits per cell: 3 bits at 7 fragments, 4
+    # at 8. On two servers a field too narrow for a count spills into the
+    # next cell's, and two occupancies share a key: with 2-bit fields, 4
+    # fragments on server 0 read as 1 on server 1, and the search skips 6 of
+    # the 168 nodes below
+    cases = [((1, 2, 1, 3), 1, 7, 32), ((2, 1, 2, 1, 2), 1, 8, 23), ((1, 3, 2, 1), 2, 14, 168)]
+    for ks, servers, value, nodes in cases:
+        inst = _one_slot(ks, servers)
+        res = offline_optimal(inst)
+        assert res.valuation.total == value == naive_optimal_value(inst), ks
+        assert res.nodes == nodes, ks
+
+
+def test_memo_cap_counts_the_root(monkeypatch):
+    # a capped table stores its first entries only, and the root takes one
+    # place, so these node counts move if it is counted twice or not at all: seed
+    # 116 reads 54 nodes at cap 1 and 33 at 2, seed 143 234 at 1 and 99 at 2,
+    # seed 113 146 at cap 16 and 144 at 17
+    pins = {1: [9_162, 192, 54, 234], 2: [9_162, 192, 33, 99], 16: [4_402, 146, 33, 54]}
+    seeds = (2, 113, 116, 143)
+    for cap, nodes in pins.items():
+        monkeypatch.setattr(oracle, "MEMO_CAP", cap)
+        assert [offline_optimal(generate(5, 3, 5, seed, mode=GENERATOR_MODES[seed % 3])).nodes
+                for seed in seeds] == nodes, cap
 
 
 # --- independent cross-check by integer programming ------------------------------
